@@ -30,7 +30,7 @@ from .config import (
 from .diagnostics import compare_runs
 from .linalg import NotPositiveDefiniteError, PgsConvergenceError, PowerIterationError
 from .stability import UnstableTimeStepError, check
-from .steppers import PenaltyConsistencyError, run
+from .steppers import NonFiniteRecordError, PenaltyConsistencyError, run
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -43,6 +43,7 @@ SOLVER_ERRORS = (
     PgsConvergenceError,
     PowerIterationError,
     PenaltyConsistencyError,
+    NonFiniteRecordError,
 )
 
 
@@ -83,23 +84,33 @@ def _load_config(path: str):
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temp file in the same directory, so ``path`` is never partial."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def cmd_run(cfg, output_dir: str, force: bool) -> int:
     model, mesh = build_model(cfg)
     params = build_params(cfg)
-    report = check(mesh, model, params, alpha=cfg.alpha, seed=cfg.seed)
-    print(report.format())
-    if report.verdict == "violated" and not force:
+    try:
+        traj = run(model, mesh, params, force=force, **run_kwargs(cfg))
+        print(traj.stability.format())
+        traj.require_finite()
+    except UnstableTimeStepError as exc:
+        print(exc.report.format())
         print("stability veto: re-run with --force to override", file=sys.stderr)
         return EXIT_VETO
-    try:
-        # the veto was already applied above, so skip the stepper's own check
-        traj = run(model, mesh, params, force=True, **run_kwargs(cfg))
     except SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     out_path = Path(output_dir) / cfg.output
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(traj.to_csv(), encoding="utf-8")
+    _write_atomic(out_path, traj.to_csv())
     n_rows = traj.t.size
     print(f"wrote {out_path} ({n_rows} records, {traj.wall_time:.2f} s)")
     return EXIT_OK
@@ -117,12 +128,13 @@ def _sweep_child(payload):
     params = build_params(child)
     try:
         traj = run(model, mesh, params, force=force, **run_kwargs(child))
+        traj.require_finite()
     except UnstableTimeStepError as exc:
         return label, EXIT_VETO, str(exc), None
     except SOLVER_ERRORS as exc:
         return label, EXIT_FAILURE, f"solver error: {exc}", None
     out_path = Path(output_dir) / f"{key}_{token}.csv"
-    out_path.write_text(traj.to_csv(), encoding="utf-8")
+    _write_atomic(out_path, traj.to_csv())
     return label, EXIT_OK, str(out_path), traj
 
 
@@ -149,8 +161,8 @@ def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) ->
             worst = EXIT_FAILURE if EXIT_FAILURE in (worst, code) else EXIT_VETO
     if entries:
         summary = compare_runs(entries)
-        (out / "summary.csv").write_text(summary.to_csv(), encoding="utf-8")
-        (out / "summary.txt").write_text(summary.to_text(), encoding="utf-8")
+        _write_atomic(out / "summary.csv", summary.to_csv())
+        _write_atomic(out / "summary.txt", summary.to_text())
         print(f"wrote {out / 'summary.csv'} and {out / 'summary.txt'}")
     return worst
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import time
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,11 +63,31 @@ class ContactRecord:
 
 
 def _active_side(tip: float, lower: float, upper: float) -> str:
-    if np.isfinite(upper) and tip >= upper - 1e-12 * max(1.0, abs(upper)):
+    if math.isfinite(upper) and tip >= upper - 1e-12 * max(1.0, abs(upper)):
         return "upper"
-    if np.isfinite(lower) and tip <= lower + 1e-12 * max(1.0, abs(lower)):
+    if math.isfinite(lower) and tip <= lower + 1e-12 * max(1.0, abs(lower)):
         return "lower"
     return "inactive"
+
+
+def contact_state(
+    u_next: np.ndarray,
+    f_n: np.ndarray,
+    a: BandedSpd,
+    index: int,
+    lower: float,
+    upper: float,
+):
+    """(active side, reaction, off-contact residual) of one computed step.
+
+    The residual r = A u - F is formed once: ``reaction`` is r at the
+    constrained DOF and the off-contact residual is max |r| over the
+    other DOFs.
+    """
+    r = a.matvec(u_next) - f_n
+    reaction = float(r[index])
+    r[index] = 0.0
+    return _active_side(float(u_next[index]), lower, upper), reaction, float(np.abs(r).max())
 
 
 def contact_residual(
@@ -86,12 +106,7 @@ def contact_residual(
     push away from the violated stop on contact.  Raises
     :class:`ComplementarityError` on violation.
     """
-    r = a.matvec(u_next) - f_n
-    off = np.abs(np.delete(r, index))
-    offband = float(off.max()) if off.size else 0.0
-    tip = float(u_next[index])
-    reaction = float(r[index])
-    active = _active_side(tip, lower, upper)
+    active, reaction, offband = contact_state(u_next, f_n, a, index, lower, upper)
     if offband > tol:
         raise ComplementarityError(
             f"off-contact residual {offband:.3e} exceeds {tol:.1e}"
@@ -109,7 +124,8 @@ def contact_residual(
             f"reaction {reaction:.3e} pulls toward the lower stop"
         )
     return ContactRecord(
-        step=-1, tip=tip, reaction=reaction, active=active, offband_residual=offband
+        step=-1, tip=float(u_next[index]), reaction=reaction, active=active,
+        offband_residual=offband,
     )
 
 

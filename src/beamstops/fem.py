@@ -371,28 +371,22 @@ def forcing(model: BeamModel, x, t: float):
 class LoadAssembler:
     """Precomputed quadrature scatter for load vectors on a fixed mesh.
 
-    ``Q[i, q]`` holds weight times basis value of DOF i at quadrature
-    point q, so a load vector is ``Q @ f(x_q, t)`` — one vectorized
-    evaluation of the density per time.
+    Free node i (1..J) is the right end of element i-1 and the left end
+    of element i, so its (value, slope) load reads the 8 density samples
+    of those two elements (4 Gauss points each; zeros past the tip).
+    ``node_weights[k, d]`` is weight times basis value of the node's DOF
+    d at the k-th of those samples, and a load vector is the
+    ``(J x 8) @ (8 x 2)`` product over a strided view of the samples.
     """
 
     def __init__(self, mesh: Mesh, model: BeamModel):
         self.mesh = mesh
         self.model = model
-        dofs = DofMap(mesh.J)
-        nq = 4 * mesh.J
-        self.xq = np.empty(nq)
-        q_matrix = np.zeros((dofs.ndof, nq))
-        for e in range(mesh.J):
-            x_left = mesh.nodes[e]
-            gidx, lidx = dofs.element_dofs(e)
-            for k in range(4):
-                s = GAUSS4_POINTS[k]
-                col = 4 * e + k
-                self.xq[col] = x_left + s * mesh.h
-                shapes = hermite_shape(s, mesh.h)
-                q_matrix[gidx, col] = GAUSS4_WEIGHTS[k] * mesh.h * shapes[lidx]
-        self.q_matrix = q_matrix
+        self.xq = (mesh.nodes[:-1, None] + GAUSS4_POINTS * mesh.h).ravel()
+        shapes = hermite_shape(GAUSS4_POINTS, mesh.h) * (GAUSS4_WEIGHTS * mesh.h)
+        self.node_weights = np.vstack([shapes[2:].T, shapes[:2].T])
+        self._samples = np.zeros(self.xq.size + 4)
+        self._windows = np.lib.stride_tricks.sliding_window_view(self._samples, 8)[::4]
         self._h_q, _ = lifting(self.xq, mesh.L)
         self._c_phi = 8.0 * model.k2 / mesh.L**4
 
@@ -405,7 +399,8 @@ class LoadAssembler:
         return vals
 
     def at_time(self, t: float) -> np.ndarray:
-        return self.q_matrix @ self.density(t)
+        self._samples[:-4] = self.density(t)
+        return (self._windows @ self.node_weights).ravel()
 
     def time_averaged(self, n: int, dt: float, horizon: float | None = None) -> np.ndarray:
         """Average load over [n dt, (n+1) dt], normalized by 1/dt.
@@ -420,7 +415,7 @@ class LoadAssembler:
             b = min(b, horizon)
         width = b - a
         if width <= 0.0:
-            return np.zeros(self.q_matrix.shape[0])
+            return np.zeros(2 * self.mesh.J)
         t0 = a + GAUSS2_POINTS[0] * width
         t1 = a + GAUSS2_POINTS[1] * width
         return (0.5 * width / dt) * (self.at_time(t0) + self.at_time(t1))

@@ -4,15 +4,15 @@ All matrices arising from the beam discretization are SPD with a small,
 fixed half-bandwidth, so the whole solver stack is built on symmetric
 banded storage: Cholesky factorization (LAPACK ``pbtrf``/``pbtrs``),
 banded matrix-vector products (BLAS ``sbmv``), a direct solver for
-systems with a box constraint on a single coordinate (solve, project the
-constrained coordinate, re-solve the pinned system), a projected
+systems with a box constraint on a single coordinate (solve, then move
+along the precomputed column A^{-1} e_c onto a violated bound), a projected
 Gauss-Seidel iteration for general box constraints, and a power
 iteration for the largest generalized eigenvalue of a banded pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cholesky_banded
@@ -202,16 +202,6 @@ class BandedSpd:
     def diagonal(self) -> np.ndarray:
         return self.ab[self.bw]
 
-    def column(self, j: int) -> np.ndarray:
-        """Full column j as a dense vector."""
-        col = np.zeros(self.n)
-        i0 = max(0, j - self.bw)
-        col[i0 : j + 1] = self.ab[self.bw + i0 - j : self.bw + 1, j]
-        i1 = min(self.n - 1, j + self.bw)
-        for i in range(j + 1, i1 + 1):
-            col[i] = self.ab[self.bw + j - i, i]
-        return col
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self.bw == 0:
             return self.ab[0] * x
@@ -238,12 +228,6 @@ class BandedSpd:
         out = self.copy()
         out.ab[out.bw, index] += value
         return out
-
-    def deleted(self, index: int) -> "BandedSpd":
-        """Copy with row and column ``index`` removed (bandwidth preserved)."""
-        dense = self.to_dense()
-        dense = np.delete(np.delete(dense, index, axis=0), index, axis=1)
-        return BandedSpd.from_dense(dense, bw=min(self.bw, dense.shape[0] - 1))
 
     def cholesky(self) -> "BandedCholesky":
         """Factorize once and cache; see :func:`cholesky`."""
@@ -306,11 +290,6 @@ def cholesky(a: BandedSpd) -> BandedCholesky:
     return BandedCholesky(np.asfortranarray(cb), a.n, a.bw)
 
 
-def solve(factor: BandedCholesky, rhs: np.ndarray) -> np.ndarray:
-    """Solve A x = rhs given the Cholesky factor of A."""
-    return factor.solve(np.asarray(rhs, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # box-constrained solvers
 # ---------------------------------------------------------------------------
@@ -320,9 +299,11 @@ class PinnedDofSolver:
     """Direct solver for A u = f with bounds on a single coordinate c.
 
     Solve the unconstrained system; if coordinate c lands inside
-    [lower, upper] that is the solution, otherwise pin it to the violated
-    bound and re-solve the remaining equations (rows i != c of A u = f).
-    Both factorizations are computed once at construction.
+    [lower, upper] that is the solution.  Otherwise the multiplier of
+    the violated bound is the scalar lam that moves u along
+    w = A^{-1} e_c onto it, u + lam w, which satisfies every equation
+    i != c (the Delassus form of a single contact).  The factor and w
+    are computed once at construction.
     """
 
     def __init__(self, a: BandedSpd, index: int, lower: float, upper: float):
@@ -330,13 +311,13 @@ class PinnedDofSolver:
             raise ValueError("bounds must straddle zero (lower < 0 < upper)")
         if not 0 <= index < a.n:
             raise ValueError("constrained index out of range")
-        self.a = a
         self.index = index
         self.lower = lower
         self.upper = upper
         self.full_factor = a.cholesky()
-        self.reduced_factor = a.deleted(index).cholesky() if a.n > 1 else None
-        self._col_reduced = np.delete(a.column(index), index)
+        e_c = np.zeros(a.n)
+        e_c[index] = 1.0
+        self._w = self.full_factor.solve(e_c)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         return self.solve_with_case(f)[0]
@@ -349,15 +330,9 @@ class PinnedDofSolver:
             return u, 0
         case = 1 if uc > self.upper else -1
         bound = self.upper if case == 1 else self.lower
-        if self.reduced_factor is None:
-            return np.array([bound]), case
-        f_red = np.delete(f, self.index) - bound * self._col_reduced
-        u_red = self.reduced_factor.solve(f_red)
-        out = np.empty(self.a.n)
-        out[: self.index] = u_red[: self.index]
-        out[self.index] = bound
-        out[self.index + 1 :] = u_red[self.index :]
-        return out, case
+        u += ((bound - uc) / self._w[self.index]) * self._w
+        u[self.index] = bound
+        return u, case
 
 
 def solve_single_box(a: BandedSpd, f: np.ndarray, c: int, g: float) -> np.ndarray:

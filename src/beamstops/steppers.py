@@ -12,9 +12,9 @@ ways to close the step at the stops:
 
 * ``linear``    — no stops, plain banded solve;
 * ``signorini`` — the step minimizes the quadratic over the admissible
-  box: unconstrained solve, project the constrained DOF onto its
-  bounds, re-solve the pinned system if a bound engaged (or projected
-  Gauss-Seidel for distributed obstacles);
+  box: unconstrained solve, and if the constrained DOF left its bounds
+  a scalar step along A^{-1} e_c back onto the violated bound (or
+  projected Gauss-Seidel for distributed obstacles);
 * ``penalty``   — the stops are stiff one-sided springs of compliance
   eps, treated implicitly at level n+1 through an exact three-case
   analysis (the spring force is piecewise linear, so each case is one
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ContactAudit, discrete_energy
+from .diagnostics import ContactAudit, contact_state, discrete_energy
 from .fem import (
     BeamModel,
     DofMap,
@@ -49,11 +49,20 @@ from .linalg import (
     PinnedDofSolver,
     pgs_box,
 )
-from .stability import UnstableTimeStepError, check_matrices
+from .stability import StabilityReport, UnstableTimeStepError, check_matrices
 
 
 class PenaltyConsistencyError(Exception):
     """No contact case of the implicit penalty solve was self-consistent."""
+
+
+class NonFiniteRecordError(Exception):
+    """A recorded row of a trajectory holds a NaN or an infinity."""
+
+    def __init__(self, record: int, t: float):
+        self.record = record
+        self.t = t
+        super().__init__(f"record {record} (t = {t:.6g} s) is not finite: the run blew up")
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +309,8 @@ class Trajectory:
     force at the tip DOF ((A u - F) for the stops, dt^2 times the spring
     force for the penalty scheme) and ``reaction_physical`` rescales it
     by 1/dt^2.  ``max_abs_tip``/``max_violation`` are tracked at every
-    step, not just the recorded ones.
+    step, not just the recorded ones, and turn NaN once a step does.
+    ``stability`` is the report the run's stability check produced.
     """
 
     t: np.ndarray
@@ -319,6 +329,7 @@ class Trajectory:
     max_abs_tip: float
     max_violation: float
     audit: ContactAudit | None
+    stability: StabilityReport
     wall_time: float
 
     CSV_HEADER = "t,u_tip,v_tip,energy,reaction,violation"
@@ -326,6 +337,15 @@ class Trajectory:
     @property
     def reaction_physical(self) -> np.ndarray:
         return self.reaction / self.dt**2
+
+    def require_finite(self) -> None:
+        """Raise :class:`NonFiniteRecordError` naming the first record with a non-finite value."""
+        rows = np.column_stack(
+            [self.t, self.u_tip, self.v_tip, self.energy, self.reaction, self.violation]
+        )
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise NonFiniteRecordError(int(bad[0]), float(self.t[bad[0]]))
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
@@ -337,8 +357,9 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _tip_bounds(box: BoxConstraint, tip: int):
-    return float(box.lower[tip]), float(box.upper[tip])
+def _max_nan(a, b):
+    """max(a, b), NaN if either is (the builtin drops a NaN second argument)."""
+    return a if a != a or a > b else b
 
 
 def run(
@@ -351,9 +372,6 @@ def run(
     record_stride: int | None = None,
     alpha: float = 0.01,
     force: bool = False,
-    solver_choice: str = "auto",
-    pgs_tol: float = 1e-10,
-    audit: bool | str = "auto",
     seed: int = 0,
 ) -> Trajectory:
     """Integrate the beam from t=0 to T and record the tip history.
@@ -361,8 +379,8 @@ def run(
     ``kind`` picks the step closure ("signorini", "linear", "penalty" —
     the latter requires :class:`PenaltyParams`).  A stability veto is
     raised when dt exceeds the exact-kappa limit for beta < 1/2 unless
-    ``force`` is set.  ``audit`` enables per-step complementarity
-    accounting on the direct contact path ("auto": on for signorini).
+    ``force`` is set.  Signorini runs with stops on one DOF audit the
+    complementarity conditions of every step (``Trajectory.audit``).
     """
     t_begin = time.perf_counter()
     if kind not in ("signorini", "linear", "penalty"):
@@ -374,7 +392,7 @@ def run(
     gm = assemble(mesh, model)
     box = model.box(dofs, mesh)
     tip = dofs.tip_disp
-    tip_lo, tip_hi = _tip_bounds(box, tip)
+    tip_lo, tip_hi = float(box.lower[tip]), float(box.upper[tip])
 
     report = check_matrices(
         gm.mass, gm.stiffness, mesh.h, model.k2, params.beta, params.dt,
@@ -389,33 +407,53 @@ def run(
     dt2 = dt * dt
     n_total = params.n_steps
 
-    # step closure -----------------------------------------------------------
+    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, reaction) -------
     single = box.single_bounded_dof()
-    penalty_solver = None
-    direct_solver = None
-    pgs_solver = None
-    linear_factor = None
+    distributed = single is None and bool(np.any(box.finite_mask()))
+    contact_audit = None
     if kind == "linear":
-        linear_factor = a_mat.cholesky()
+        factor = a_mat.cholesky()
+
+        def step(f, up, uc, n):
+            return factor.solve(f), 0.0
+
     elif kind == "penalty":
         if not model.tip_only:
             raise ValueError("penalty stops act on the tip only")
         penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, params)
+
+        def step(f, up, uc, n):
+            u = penalty_solver.advance(SchemeState(up, uc, n), f)
+            return u, dt2 * penalty_solver.spring(u[tip])
+
+    elif distributed:
+        pgs_solver = PgsStepSolver(a_mat, box)
+
+        def step(f, up, uc, n):
+            u, _ = pgs_solver.solve_with_case(f)
+            return u, float((a_mat.matvec(u) - f)[tip])
+
     else:
-        unconstrained = single is None and not np.any(box.finite_mask())
-        if unconstrained:
-            direct_solver = PinnedDofSolver(a_mat, tip, -np.inf, np.inf)
-        elif solver_choice == "pgs" or (solver_choice == "auto" and single is None):
-            pgs_solver = PgsStepSolver(a_mat, box, tol=pgs_tol)
-        elif solver_choice in ("auto", "direct"):
-            if single is None:
-                raise ValueError("the direct solver needs tip-only stops")
-            c, lo, hi = single
-            direct_solver = PinnedDofSolver(a_mat, c, lo, hi)
-        else:
-            raise ValueError(f"unknown solver choice {solver_choice!r}")
-    # complementarity audit only makes sense on the direct contact path
-    do_audit = direct_solver is not None and audit in (True, "auto")
+        c, lo, hi = single if single is not None else (tip, tip_lo, tip_hi)
+        direct_solver = PinnedDofSolver(a_mat, c, lo, hi)
+        contact_audit = ContactAudit()
+
+        def step(f, up, uc, n):
+            u, _ = direct_solver.solve_with_case(f)
+            active, reaction, offband = contact_state(u, f, a_mat, c, lo, hi)
+            contact_audit.update(active, reaction, offband)
+            return u, reaction
+
+    if distributed:
+        lo_b, hi_b = box.lower, box.upper
+
+        def step_violation(u):
+            return float(np.max(np.maximum(np.maximum(u - hi_b, lo_b - u), 0.0)))
+
+    else:
+
+        def step_violation(u):
+            return _max_nan(u[tip] - tip_hi, _max_nan(tip_lo - u[tip], 0.0))
 
     state = init_states(model, mesh, params, u0=u0, v0=v0)
     u_prev, u_curr = state.u_prev, state.u_curr
@@ -430,27 +468,10 @@ def run(
         raise ValueError("record_stride must be >= 1")
 
     rec_t, rec_tip, rec_v, rec_e, rec_r, rec_viol = [], [], [], [], [], []
-    contact_audit = ContactAudit() if do_audit else None
-
-    def tip_violation(u):
-        v = 0.0
-        if np.isfinite(tip_hi):
-            v = max(v, u[tip] - tip_hi)
-        if np.isfinite(tip_lo):
-            v = max(v, tip_lo - u[tip])
-        return v
-
-    if box.single_bounded_dof() is not None or not np.any(box.finite_mask()):
-        step_violation = tip_violation
-    else:
-        lo_b, hi_b = box.lower, box.upper
-
-        def step_violation(u):
-            return float(
-                max(np.max(np.maximum(u - hi_b, 0.0)), np.max(np.maximum(lo_b - u, 0.0)))
-            )
-
     beta = params.beta
+
+    def initial_reaction(u):
+        return dt2 * penalty_solver.spring(u[tip]) if kind == "penalty" else 0.0
 
     def record(n, up, uc, reaction):
         rec_t.append(n * dt)
@@ -460,21 +481,18 @@ def run(
         rec_r.append(reaction)
         rec_viol.append(step_violation(uc))
 
-    def penalty_reaction(u):
-        return dt2 * penalty_solver.spring(u[tip]) if penalty_solver else 0.0
-
-    max_abs_tip = max(abs(u_prev[tip]), abs(u_curr[tip]))
-    max_violation = max(step_violation(u_prev), step_violation(u_curr))
+    max_abs_tip = _max_nan(abs(u_prev[tip]), abs(u_curr[tip]))
+    max_violation = _max_nan(step_violation(u_prev), step_violation(u_curr))
 
     # t=0 row: u^0 with the forward-difference velocity of the starting pair
     rec_t.append(0.0)
     rec_tip.append(u_prev[tip])
     rec_v.append((u_curr[tip] - u_prev[tip]) / dt)
     rec_e.append(discrete_energy((u_prev, u_curr), gm.mass, gm.stiffness, beta, dt))
-    rec_r.append(penalty_reaction(u_prev))
+    rec_r.append(initial_reaction(u_prev))
     rec_viol.append(step_violation(u_prev))
     if n_total >= 1 and (stride == 1 or n_total == 1):
-        record(1, u_prev, u_curr, penalty_reaction(u_curr))
+        record(1, u_prev, u_curr, initial_reaction(u_curr))
 
     # time-averaged loads for the sliding three-window stencil
     f_m = loads.time_averaged(0, dt, horizon)
@@ -483,42 +501,12 @@ def run(
     for n in range(1, n_total):
         g_n = beta * (f_p + f_m) + (1.0 - 2.0 * beta) * f_c
         f_vec = b_mat.matvec(u_curr) - a_mat.matvec(u_prev) + dt2 * g_n
+        u_next, reaction = step(f_vec, u_prev, u_curr, n)
 
-        if kind == "linear":
-            u_next = linear_factor.solve(f_vec)
-            case = 0
-        elif kind == "penalty":
-            u_next = penalty_solver.advance(SchemeState(u_prev, u_curr, n), f_vec)
-            case = 0
-        elif direct_solver is not None:
-            u_next, case = direct_solver.solve_with_case(f_vec)
-        else:
-            u_next, case = pgs_solver.solve_with_case(f_vec)
-
-        step = n + 1
-        tip_val = u_next[tip]
-        max_abs_tip = max(max_abs_tip, abs(tip_val))
-        viol = step_violation(u_next)
-        max_violation = max(max_violation, viol)
-
-        reaction = None
-        if contact_audit is not None:
-            r = a_mat.matvec(u_next) - f_vec
-            reaction = float(r[tip])
-            off = np.abs(r)
-            off[tip] = 0.0
-            side = "inactive" if case == 0 else ("upper" if case > 0 else "lower")
-            contact_audit.update(side, reaction, float(off.max()))
-
-        if step % stride == 0 or step == n_total:
-            if reaction is None:
-                if kind == "penalty":
-                    reaction = penalty_reaction(u_next)
-                elif kind == "linear":
-                    reaction = 0.0
-                else:
-                    reaction = float((a_mat.matvec(u_next) - f_vec)[tip])
-            record(step, u_curr, u_next, reaction)
+        max_abs_tip = _max_nan(abs(u_next[tip]), max_abs_tip)
+        max_violation = _max_nan(step_violation(u_next), max_violation)
+        if n + 1 == n_total or (n + 1) % stride == 0:
+            record(n + 1, u_curr, u_next, reaction)
 
         u_prev = u_curr
         u_curr = u_next
@@ -545,5 +533,6 @@ def run(
         max_abs_tip=float(max_abs_tip),
         max_violation=float(max_violation),
         audit=contact_audit,
+        stability=report,
         wall_time=wall,
     )

@@ -92,6 +92,47 @@ def test_run_beta_quarter_below_limit_runs(cfg_file, tmp_path):
     assert main(["run", str(cfg_file), "--output-dir", str(tmp_path)]) == 0
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+def test_run_blow_up_fails_and_keeps_existing_output(cfg_file, tmp_path, capsys):
+    """A forced beta = 0 run far above the limit turns NaN: exit 1 naming
+    the first bad record, and the previous output file is left as it was."""
+    cfg_file.write_text(
+        PIPE_SHORT.replace("scheme = signorini", "scheme = linear")
+        .replace("beta = 0.5", "beta = 0")
+        .replace("dt = 5e-5", "dt = 1e-3")
+        .replace("T = 0.05", "T = 0.5")
+    )
+    (tmp_path / "out.csv").write_text("previous run\n")
+    code = main(["run", str(cfg_file), "--output-dir", str(tmp_path), "--force"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "violated" in captured.out
+    assert "record" in captured.err and "not finite" in captured.err
+    assert (tmp_path / "out.csv").read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "1e-3",
+                 "--output-dir", str(out), "--force"])
+    assert code == 1
+    assert "not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_interrupted_write_keeps_existing_output(cfg_file, tmp_path, monkeypatch):
+    """The CSV is renamed into place whole: an interrupt before the rename
+    leaves the old file intact and no temp file behind."""
+    (tmp_path / "out.csv").write_text("previous run\n")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", str(cfg_file), "--output-dir", str(tmp_path)])
+    assert (tmp_path / "out.csv").read_text() == "previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+
 def test_missing_and_invalid_configs_exit_one(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == 1
     bad = tmp_path / "bad.cfg"

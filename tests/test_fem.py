@@ -12,6 +12,9 @@ import scipy.integrate
 from numpy.polynomial import Polynomial
 
 from beamstops.fem import (
+    GAUSS2_POINTS,
+    GAUSS4_POINTS,
+    GAUSS4_WEIGHTS,
     HALF_BANDWIDTH,
     BeamModel,
     DofMap,
@@ -313,6 +316,46 @@ def test_time_average_exact_for_linear_ramp():
     np.testing.assert_allclose(
         got, (2.0 + 3.0 * mean_t) * base * (width / dt), rtol=1e-12, atol=1e-15
     )
+
+
+def dense_load_matrix(mesh):
+    """Q[i, q]: weight times basis value of DOF i at quadrature point q,
+    built element by element (the scatter as a dense 2J x 4J matrix)."""
+    dofs = DofMap(mesh.J)
+    q = np.zeros((dofs.ndof, 4 * mesh.J))
+    for e in range(mesh.J):
+        gidx, lidx = dofs.element_dofs(e)
+        for k in range(4):
+            shapes = hermite_shape(GAUSS4_POINTS[k], mesh.h)
+            q[gidx, 4 * e + k] = GAUSS4_WEIGHTS[k] * mesh.h * shapes[lidx]
+    return q
+
+
+@pytest.mark.parametrize("J", [1, 2, 19, 320])
+def test_node_window_scatter_matches_dense_load_matrix(J):
+    """The per-node window product equals Q @ density, at one time and
+    averaged over a full and a horizon-clamped window."""
+    mesh = Mesh(PIPE["L"], J)
+    model = BeamModel(
+        k2=PIPE["k2"],
+        L=PIPE["L"],
+        phi=SupportMotion.sine(0.2, 10.0),
+        f_tilde=lambda x, t: np.cos(3.0 * x) * (1.0 + t) + x * x,
+    )
+    loads = LoadAssembler(mesh, model)
+    q = dense_load_matrix(mesh)
+
+    def close(got, ref):
+        np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
+
+    for t in (0.0, 0.11, 1.7):
+        close(loads.at_time(t), q @ loads.density(t))
+    dt = 1e-3
+    for n, horizon in ((7, None), (7, 7.4e-3)):
+        width = (horizon or (n + 1) * dt) - n * dt
+        ts = n * dt + GAUSS2_POINTS * width
+        ref = (0.5 * width / dt) * (q @ loads.density(ts[0]) + q @ loads.density(ts[1]))
+        close(loads.time_averaged(n, dt, horizon), ref)
 
 
 def test_time_average_empty_window_is_zero():
