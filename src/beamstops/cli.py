@@ -27,7 +27,7 @@ from .config import (
     parse_config,
     run_kwargs,
 )
-from .diagnostics import compare_runs
+from .diagnostics import RunComparison, summary_row
 from .linalg import NotPositiveDefiniteError, PgsConvergenceError, PowerIterationError
 from .stability import UnstableTimeStepError, check
 from .steppers import NonFiniteRecordError, PenaltyConsistencyError, run
@@ -117,7 +117,7 @@ def cmd_run(cfg, output_dir: str, force: bool) -> int:
 
 
 def _sweep_child(payload):
-    """Run one sweep member; returns (label, exit code, message, trajectory)."""
+    """Run one sweep member; returns (label, exit code, message, summary row)."""
     cfg, key, token, output_dir, force = payload
     label = f"{key}={token}"
     try:
@@ -135,7 +135,7 @@ def _sweep_child(payload):
         return label, EXIT_FAILURE, f"solver error: {exc}", None
     out_path = Path(output_dir) / f"{key}_{token}.csv"
     _write_atomic(out_path, traj.to_csv())
-    return label, EXIT_OK, str(out_path), traj
+    return label, EXIT_OK, str(out_path), summary_row(label, traj)
 
 
 def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) -> int:
@@ -150,17 +150,17 @@ def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) ->
     else:
         results = [_sweep_child(p) for p in payloads]
 
-    entries = []
+    rows = []
     worst = EXIT_OK
-    for label, code, message, traj in results:
+    for label, code, message, row in results:
         if code == EXIT_OK:
             print(f"{label}: {message}")
-            entries.append((label, traj))
+            rows.append(row)
         else:
             print(f"{label}: {message}", file=sys.stderr)
             worst = EXIT_FAILURE if EXIT_FAILURE in (worst, code) else EXIT_VETO
-    if entries:
-        summary = compare_runs(entries)
+    if rows:
+        summary = RunComparison(rows=tuple(rows))
         _write_atomic(out / "summary.csv", summary.to_csv())
         _write_atomic(out / "summary.txt", summary.to_text())
         print(f"wrote {out / 'summary.csv'} and {out / 'summary.txt'}")

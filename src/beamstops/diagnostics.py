@@ -243,23 +243,24 @@ class RunComparison:
         return "\n".join(lines) + "\n"
 
 
+def summary_row(label, traj) -> RunSummaryRow:
+    """One labelled trajectory's summary: the per-step running maximum
+    violation tracked by the run loop, and episodes counted on the
+    recorded samples."""
+    return RunSummaryRow(
+        label=str(label),
+        max_violation=traj.max_violation,
+        tip_min=float(np.min(traj.u_tip)),
+        tip_max=float(np.max(traj.u_tip)),
+        contact_episodes=count_episodes(_active_flags(traj)),
+        wall_seconds=traj.wall_time,
+    )
+
+
 def compare_runs(entries) -> RunComparison:
     """Summarize labelled trajectories side by side.
 
-    ``entries`` is an iterable of (label, trajectory) pairs; violations
-    use the per-step running maximum tracked by the run loop, episodes
-    are counted on the recorded samples.
+    ``entries`` is an iterable of (label, trajectory) pairs, each
+    summarized by :func:`summary_row`.
     """
-    rows = []
-    for label, traj in entries:
-        rows.append(
-            RunSummaryRow(
-                label=str(label),
-                max_violation=traj.max_violation,
-                tip_min=float(np.min(traj.u_tip)),
-                tip_max=float(np.max(traj.u_tip)),
-                contact_episodes=count_episodes(_active_flags(traj)),
-                wall_seconds=traj.wall_time,
-            )
-        )
-    return RunComparison(rows=tuple(rows))
+    return RunComparison(rows=tuple(summary_row(label, traj) for label, traj in entries))

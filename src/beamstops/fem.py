@@ -368,6 +368,12 @@ def forcing(model: BeamModel, x, t: float):
 # ---------------------------------------------------------------------------
 
 
+#: Sample budget of one block of load windows: a block holds
+#: max(16, LOAD_BLOCK_SAMPLES // 4J) windows of two Gauss times each, so
+#: the assembler's sample buffer is about 512 KB whatever the horizon.
+LOAD_BLOCK_SAMPLES = 2**15
+
+
 class LoadAssembler:
     """Precomputed quadrature scatter for load vectors on a fixed mesh.
 
@@ -377,6 +383,12 @@ class LoadAssembler:
     ``node_weights[k, d]`` is weight times basis value of the node's DOF
     d at the k-th of those samples, and a load vector is the
     ``(J x 8) @ (8 x 2)`` product over a strided view of the samples.
+
+    The samples live in one preallocated ``(2, block_rows, 4J + 4)``
+    buffer, so a block of up to ``block_rows`` time windows (two Gauss
+    times each) is one density pass and one product.  Every entry is
+    computed elementwise in the same order for one time as for a block,
+    so a block is bit-identical to its windows one at a time.
     """
 
     def __init__(self, mesh: Mesh, model: BeamModel):
@@ -385,40 +397,66 @@ class LoadAssembler:
         self.xq = (mesh.nodes[:-1, None] + GAUSS4_POINTS * mesh.h).ravel()
         shapes = hermite_shape(GAUSS4_POINTS, mesh.h) * (GAUSS4_WEIGHTS * mesh.h)
         self.node_weights = np.vstack([shapes[2:].T, shapes[:2].T])
-        self._samples = np.zeros(self.xq.size + 4)
-        self._windows = np.lib.stride_tricks.sliding_window_view(self._samples, 8)[::4]
-        self._h_q, _ = lifting(self.xq, mesh.L)
+        self.block_rows = max(16, LOAD_BLOCK_SAMPLES // self.xq.size)
+        self._samples = np.zeros((2, self.block_rows, self.xq.size + 4))
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            self._samples, 8, axis=2
+        )[:, :, ::4]
+        self._neg_h_q = -lifting(self.xq, mesh.L)[0]
         self._c_phi = 8.0 * model.k2 / mesh.L**4
+
+    def _fill(self, ts: np.ndarray) -> np.ndarray:
+        """Write f(x_q, t) for the (m, k) times ``ts`` into the sample buffer."""
+        m, k = ts.shape
+        dens = self._samples[:m, :k, :-4]
+        phi, f_tilde = self.model.phi, self.model.f_tilde
+        np.multiply(self._neg_h_q, np.broadcast_to(phi.d2(ts), ts.shape)[..., None], out=dens)
+        dens += self._c_phi * np.broadcast_to(phi.value(ts), ts.shape)[..., None]
+        if f_tilde is not None:
+            for node_rows, node_ts in zip(dens, ts):
+                for row, t in zip(node_rows, node_ts):
+                    row += f_tilde(self.xq, t)
+        return dens
+
+    def _scatter(self, ts: np.ndarray) -> np.ndarray:
+        """Load vectors at the (m, k) times ``ts``, shape (m, k, J, 2)."""
+        m, k = ts.shape
+        self._fill(ts)
+        return self._windows[:m, :k] @ self.node_weights
 
     def density(self, t: float) -> np.ndarray:
         """f(x_q, t) at all quadrature points."""
-        model = self.model
-        vals = -self._h_q * model.phi.d2(t) + self._c_phi * model.phi.value(t)
-        if model.f_tilde is not None:
-            vals = vals + model.f_tilde(self.xq, t)
-        return vals
+        return self._fill(np.full((1, 1), t))[0, 0].copy()
 
     def at_time(self, t: float) -> np.ndarray:
-        self._samples[:-4] = self.density(t)
-        return (self._windows @ self.node_weights).ravel()
+        return self._scatter(np.full((1, 1), t))[0, 0].ravel()
 
-    def time_averaged(self, n: int, dt: float, horizon: float | None = None) -> np.ndarray:
+    def time_averaged(self, n, dt: float, horizon: float | None = None) -> np.ndarray:
         """Average load over [n dt, (n+1) dt], normalized by 1/dt.
 
         If the window runs past the horizon T the integral stops at T
         while the 1/dt normalization is kept, so the final partial
-        window is weighted by its actual length.
+        window is weighted by its actual length (zero past T).  ``n`` is
+        one window index, giving one vector, or an array of k indices,
+        giving the (k x 2J) block of their vectors, built ``block_rows``
+        windows per pass.
         """
-        a = n * dt
-        b = (n + 1) * dt
+        ns = np.asarray(n)
+        a = ns * dt
+        b = (ns + 1) * dt
         if horizon is not None:
-            b = min(b, horizon)
+            b = np.minimum(b, horizon)
         width = b - a
-        if width <= 0.0:
-            return np.zeros(2 * self.mesh.J)
-        t0 = a + GAUSS2_POINTS[0] * width
-        t1 = a + GAUSS2_POINTS[1] * width
-        return (0.5 * width / dt) * (self.at_time(t0) + self.at_time(t1))
+        out = np.zeros(ns.shape + (2 * self.mesh.J,))
+        flat, a, width = out.reshape(-1, out.shape[-1]), a.ravel(), width.ravel()
+        live = np.flatnonzero(width > 0.0)
+        for i in range(0, live.size, self.block_rows):
+            rows = live[i : i + self.block_rows]
+            w = width[rows]
+            ts = a[rows] + GAUSS2_POINTS[:, None] * w
+            l0, l1 = self._scatter(ts).reshape(2, rows.size, -1)
+            flat[rows] = (0.5 * w / dt)[:, None] * (l0 + l1)
+        return out
 
 
 def assemble_load(mesh: Mesh, model: BeamModel, t: float) -> np.ndarray:

@@ -311,6 +311,8 @@ class Trajectory:
     by 1/dt^2.  ``max_abs_tip``/``max_violation`` are tracked at every
     step, not just the recorded ones, and turn NaN once a step does.
     ``stability`` is the report the run's stability check produced.
+    A run stops at the first record whose tip or energy is not finite,
+    so the rows of a blown-up run end there, short of ``n_steps``.
     """
 
     t: np.ndarray
@@ -381,6 +383,9 @@ def run(
     raised when dt exceeds the exact-kappa limit for beta < 1/2 unless
     ``force`` is set.  Signorini runs with stops on one DOF audit the
     complementarity conditions of every step (``Trajectory.audit``).
+    Loads are built a block of time windows at a time
+    (:meth:`~beamstops.fem.LoadAssembler.time_averaged`), and stepping
+    stops at the first recorded row with a non-finite tip or energy.
     """
     t_begin = time.perf_counter()
     if kind not in ("signorini", "linear", "penalty"):
@@ -473,47 +478,58 @@ def run(
     def initial_reaction(u):
         return dt2 * penalty_solver.spring(u[tip]) if kind == "penalty" else 0.0
 
-    def record(n, up, uc, reaction):
+    def record(n, up, uc, reaction, viol):
+        """Append the row of step n; False once its tip or energy is not finite.
+
+        Row 0 holds u^0 with the forward-difference velocity of the
+        starting pair, later rows u^n with the backward difference.
+        """
+        u_tip = up[tip] if n == 0 else uc[tip]
+        energy = discrete_energy((up, uc), gm.mass, gm.stiffness, beta, dt)
         rec_t.append(n * dt)
-        rec_tip.append(uc[tip])
+        rec_tip.append(u_tip)
         rec_v.append((uc[tip] - up[tip]) / dt)
-        rec_e.append(discrete_energy((up, uc), gm.mass, gm.stiffness, beta, dt))
+        rec_e.append(energy)
         rec_r.append(reaction)
-        rec_viol.append(step_violation(uc))
+        rec_viol.append(viol)
+        return math.isfinite(u_tip) and math.isfinite(energy)
 
+    viol_prev, viol_curr = step_violation(u_prev), step_violation(u_curr)
     max_abs_tip = _max_nan(abs(u_prev[tip]), abs(u_curr[tip]))
-    max_violation = _max_nan(step_violation(u_prev), step_violation(u_curr))
+    max_violation = _max_nan(viol_prev, viol_curr)
 
-    # t=0 row: u^0 with the forward-difference velocity of the starting pair
-    rec_t.append(0.0)
-    rec_tip.append(u_prev[tip])
-    rec_v.append((u_curr[tip] - u_prev[tip]) / dt)
-    rec_e.append(discrete_energy((u_prev, u_curr), gm.mass, gm.stiffness, beta, dt))
-    rec_r.append(initial_reaction(u_prev))
-    rec_viol.append(step_violation(u_prev))
-    if n_total >= 1 and (stride == 1 or n_total == 1):
-        record(1, u_prev, u_curr, initial_reaction(u_curr))
+    finite = record(0, u_prev, u_curr, initial_reaction(u_prev), viol_prev)
+    if finite and n_total >= 1 and (stride == 1 or n_total == 1):
+        finite = record(1, u_prev, u_curr, initial_reaction(u_curr), viol_curr)
 
-    # time-averaged loads for the sliding three-window stencil
-    f_m = loads.time_averaged(0, dt, horizon)
-    f_c = loads.time_averaged(1, dt, horizon) if n_total >= 2 else None
-    f_p = loads.time_averaged(2, dt, horizon) if n_total >= 2 else None
-    for n in range(1, n_total):
-        g_n = beta * (f_p + f_m) + (1.0 - 2.0 * beta) * f_c
-        f_vec = b_mat.matvec(u_curr) - a_mat.matvec(u_prev) + dt2 * g_n
+    def step_loads():
+        """dt^2 G^n for n = 1 .. n_total-1, a block of load windows at a time.
+
+        G^n reads the time-averaged loads of windows n-1, n and n+1, so
+        each block carries the last two windows of the one before; memory
+        stays at one block whatever the horizon.
+        """
+        if n_total < 2:
+            return
+        f = np.empty((0, dofs.ndof))
+        for w0 in range(0, n_total + 1, loads.block_rows):
+            w1 = min(w0 + loads.block_rows, n_total + 1)
+            f = np.concatenate((f[-2:], loads.time_averaged(np.arange(w0, w1), dt, horizon)))
+            yield from dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
+
+    for n, g_n in enumerate(step_loads() if finite else (), start=1):
+        f_vec = b_mat.matvec(u_curr) - a_mat.matvec(u_prev) + g_n
         u_next, reaction = step(f_vec, u_prev, u_curr, n)
 
+        viol = step_violation(u_next)
         max_abs_tip = _max_nan(abs(u_next[tip]), max_abs_tip)
-        max_violation = _max_nan(step_violation(u_next), max_violation)
+        max_violation = _max_nan(viol, max_violation)
         if n + 1 == n_total or (n + 1) % stride == 0:
-            record(n + 1, u_curr, u_next, reaction)
+            if not record(n + 1, u_curr, u_next, reaction, viol):
+                break
 
         u_prev = u_curr
         u_curr = u_next
-        if n + 1 < n_total:
-            f_m = f_c
-            f_c = f_p
-            f_p = loads.time_averaged(n + 2, dt, horizon)
 
     wall = time.perf_counter() - t_begin
     return Trajectory(

@@ -358,6 +358,62 @@ def test_node_window_scatter_matches_dense_load_matrix(J):
         close(loads.time_averaged(n, dt, horizon), ref)
 
 
+def per_window_oracle(loads, n, dt, horizon):
+    """The per-window load arithmetic, inline: the two Gauss-time densities
+    scattered one at a time through a 2-D window product, then averaged."""
+    model = loads.model
+    samples = np.zeros(loads.xq.size + 4)
+    windows = np.lib.stride_tricks.sliding_window_view(samples, 8)[::4]
+    h_q, _ = lifting(loads.xq, model.L)
+    c_phi = 8.0 * model.k2 / model.L**4
+
+    def density(t):
+        vals = -h_q * model.phi.d2(t) + c_phi * model.phi.value(t)
+        if model.f_tilde is not None:
+            vals = vals + model.f_tilde(loads.xq, t)
+        return vals
+
+    def scatter(t):
+        samples[:-4] = density(t)
+        return (windows @ loads.node_weights).ravel()
+
+    a = n * dt
+    b = min((n + 1) * dt, horizon)
+    width = b - a
+    if width <= 0.0:
+        return np.zeros(2 * loads.mesh.J)
+    t0 = a + GAUSS2_POINTS[0] * width
+    t1 = a + GAUSS2_POINTS[1] * width
+    return (0.5 * width / dt) * (scatter(t0) + scatter(t1))
+
+
+@pytest.mark.parametrize("J", [1, 2, 19, 320])
+@pytest.mark.parametrize("external", [False, True])
+def test_blocked_time_average_is_bit_identical_to_per_window(J, external):
+    """A block of windows longer than one pass of the sample buffer, ending
+    with a horizon-clipped window and two windows past T, equals the
+    per-window arithmetic to the last bit, in any index order."""
+    mesh = Mesh(PIPE["L"], J)
+    model = BeamModel(
+        k2=PIPE["k2"],
+        L=PIPE["L"],
+        phi=SupportMotion.sine(0.2, 10.0),
+        f_tilde=(lambda x, t: np.cos(3.0 * x) * (1.0 + t) + x * x) if external else None,
+    )
+    loads = LoadAssembler(mesh, model)
+    dt = 1e-3
+    ns = np.arange(loads.block_rows - 4, 2 * loads.block_rows + 3)
+    horizon = (ns[-3] + 0.4) * dt
+    block = loads.time_averaged(ns, dt, horizon)
+    assert block.shape == (ns.size, 2 * J)
+    ref = np.array([per_window_oracle(loads, int(n), dt, horizon) for n in ns])
+    assert np.array_equal(block, ref)
+    assert np.all(block[-2:] == 0.0) and np.all(block[-3] != 0.0)
+    assert np.array_equal(loads.time_averaged(int(ns[-3]), dt, horizon), ref[-3])
+    order = np.random.default_rng(J).permutation(ns.size)
+    assert np.array_equal(loads.time_averaged(ns[order], dt, horizon), ref[order])
+
+
 def test_time_average_empty_window_is_zero():
     mesh = Mesh(1.0, 3)
     model = BeamModel(k2=1.0, L=1.0, phi=SupportMotion.sine(1.0, 2.0))

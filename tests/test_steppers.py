@@ -13,6 +13,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
+from beamstops import fem
 from beamstops.fem import (
     BeamModel,
     DofMap,
@@ -25,6 +26,7 @@ from beamstops.fem import (
     lifting_slope,
 )
 from beamstops.steppers import (
+    NonFiniteRecordError,
     PenaltyConsistencyError,
     PenaltyParams,
     PenaltyTipSolver,
@@ -396,6 +398,56 @@ def test_per_step_extrema_independent_of_stride():
     assert coarse.max_abs_tip == fine.max_abs_tip
     assert coarse.max_violation == fine.max_violation
     assert coarse.t.size < fine.t.size
+
+
+def first_differing_row(a, b):
+    """Index of the first row where two CSV row lists differ, None if equal
+    (a plain ``==`` on thousands of rows makes pytest's failure diff crawl)."""
+    if len(a) != len(b):
+        return min(len(a), len(b))
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def test_blocked_loads_match_shorter_runs_and_smaller_blocks(monkeypatch):
+    """A run over three load blocks is byte-identical to the same run built
+    with the smallest blocks, and to the run cut short at and around the
+    block boundaries up to the last two steps of the shorter run, whose
+    load windows are clipped at its horizon."""
+    mesh = Mesh(1.501, 19)
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    dt = 5e-5
+    rows = LoadAssembler(mesh, model).block_rows
+    n_long = 2 * rows + 40
+    long_run = run(model, mesh, SchemeParams(0.5, dt, n_long * dt), record_stride=1)
+    long_rows = long_run.to_csv().splitlines()
+    assert len(long_rows) == n_long + 2
+    for n_short in (rows - 2, rows, rows + 1, 2 * rows + 2):
+        short = run(model, mesh, SchemeParams(0.5, dt, n_short * dt), record_stride=1)
+        short_rows = short.to_csv().splitlines()
+        assert len(short_rows) == n_short + 2
+        assert first_differing_row(short_rows[:n_short], long_rows[:n_short]) is None
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    assert LoadAssembler(mesh, model).block_rows == 16
+    small_blocks = run(model, mesh, SchemeParams(0.5, dt, n_long * dt), record_stride=1)
+    assert first_differing_row(small_blocks.to_csv().splitlines(), long_rows) is None
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
+@pytest.mark.parametrize("stride", [1, 5])
+def test_run_stops_at_first_non_finite_record(stride):
+    """beta = 0 far above the stability limit blows up: the run stops at
+    the first recorded row whose tip or energy is not finite and returns
+    the rows up to it, which ``require_finite`` names."""
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
+    params = SchemeParams(beta=0.0, dt=1e-3, T=0.5)
+    traj = run(model, Mesh(1.501, 19), params, kind="linear", force=True, record_stride=stride)
+    finite = np.isfinite(traj.u_tip) & np.isfinite(traj.energy)
+    assert not finite[-1] and finite[:-1].all()
+    assert traj.t[-1] < params.T
+    np.testing.assert_allclose(np.diff(traj.t), stride * params.dt, rtol=1e-9)
+    with pytest.raises(NonFiniteRecordError) as info:
+        traj.require_finite()
+    assert info.value.record == traj.t.size - 1
 
 
 def test_recorded_velocity_is_backward_difference():
