@@ -10,21 +10,18 @@ import numpy as np
 from .linalg import BandedSpd
 
 
-def discrete_energy(state, mass: BandedSpd, stiffness: BandedSpd, beta: float, dt: float) -> float:
-    """Discrete energy of a consecutive state pair (u_prev, u_curr).
+def discrete_energy(pair, mass: BandedSpd, stiffness: BandedSpd, beta: float, dt: float) -> float:
+    """Discrete energy of a consecutive pair ``(u0, u1)`` = (u^{n-1}, u^n).
 
-    E = |(u_curr - u_prev)/dt|_M^2
-        + (1 - 2 beta) a(u_prev, u_curr)
-        + beta a(u_curr, u_curr) + beta a(u_prev, u_prev).
+    E = |(u1 - u0)/dt|_M^2
+        + (1 - 2 beta) a(u0, u1)
+        + beta a(u1, u1) + beta a(u0, u0).
 
     Exactly conserved by the unconstrained scheme with zero load; for
     beta = 1/2 the quadratic form is positive definite so boundedness of
     E bounds the state.
     """
-    if isinstance(state, tuple):
-        u0, u1 = state
-    else:
-        u0, u1 = state.u_prev, state.u_curr
+    u0, u1 = pair
     v = (u1 - u0) / dt
     su0 = stiffness.matvec(u0)
     su1 = stiffness.matvec(u1)
@@ -55,7 +52,6 @@ class ContactRecord:
     the physical force.
     """
 
-    step: int
     tip: float
     reaction: float
     active: str  # "upper" | "lower" | "inactive"
@@ -124,8 +120,7 @@ def contact_residual(
             f"reaction {reaction:.3e} pulls toward the lower stop"
         )
     return ContactRecord(
-        step=-1, tip=float(u_next[index]), reaction=reaction, active=active,
-        offband_residual=offband,
+        tip=float(u_next[index]), reaction=reaction, active=active, offband_residual=offband
     )
 
 

@@ -20,8 +20,12 @@ ways to close the step at the stops:
   analysis (the spring force is piecewise linear, so each case is one
   pre-factored banded solve).
 
-Runs are vetoed up front when dt exceeds the stability limit for the
-chosen beta (overridable with ``force``).
+:func:`run` is the one stepping path: it picks one step closure per run
+and calls the solver objects below (the banded factor,
+:class:`~beamstops.linalg.PinnedDofSolver`, :func:`~beamstops.linalg.pgs_box`
+or :class:`PenaltyTipSolver`) directly.  Runs are vetoed up front when
+dt exceeds the stability limit for the chosen beta (overridable with
+``force``).
 """
 
 from __future__ import annotations
@@ -43,12 +47,7 @@ from .fem import (
     lifting,
     lifting_slope,
 )
-from .linalg import (
-    BandedSpd,
-    BoxConstraint,
-    PinnedDofSolver,
-    pgs_box,
-)
+from .linalg import BandedSpd, PinnedDofSolver, pgs_box
 from .stability import StabilityReport, UnstableTimeStepError, check_matrices
 
 
@@ -66,7 +65,7 @@ class NonFiniteRecordError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# parameters and state
+# parameters and the starting pair
 # ---------------------------------------------------------------------------
 
 
@@ -91,37 +90,17 @@ class SchemeParams:
         return int(round(self.T / self.dt))
 
 
-@dataclass(frozen=True)
-class PenaltyParams:
+@dataclass(frozen=True, kw_only=True)
+class PenaltyParams(SchemeParams):
     """Penalty-scheme parameters; inv_eps is the spring stiffness 1/eps."""
 
     inv_eps: float
-    dt: float
-    T: float
     beta: float = 0.25
 
     def __post_init__(self):
         if self.inv_eps < 0.0:
             raise ValueError("inv_eps must be non-negative")
-        if not 0.0 <= self.beta <= 0.5:
-            raise ValueError("beta must lie in [0, 1/2]")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.T < 0.0:
-            raise ValueError("horizon must be non-negative")
-
-    @property
-    def n_steps(self) -> int:
-        return int(round(self.T / self.dt))
-
-
-@dataclass(frozen=True)
-class SchemeState:
-    """Two consecutive DOF vectors (u^{n-1}, u^n) and the index n."""
-
-    u_prev: np.ndarray
-    u_curr: np.ndarray
-    n: int
+        super().__post_init__()
 
 
 def init_states(
@@ -130,8 +109,8 @@ def init_states(
     params,
     u0=None,
     v0=None,
-) -> SchemeState:
-    """Interpolate the initial data and build the starting pair.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interpolate the initial data and build the starting pair (u^0, u^1).
 
     ``u0``/``v0`` are (value, slope) callable pairs or raw DOF vectors;
     omitted, they default to the beam at rest in the lab frame:
@@ -161,11 +140,13 @@ def init_states(
         raise ValueError("initial displacement violates the stops")
     vec_v0 = as_vector(v0, float(model.phi.d1(0.0)))
     vec_u1 = box.project(vec_u0 + params.dt * vec_v0)
-    return SchemeState(u_prev=vec_u0, u_curr=vec_u1, n=1)
+    return vec_u0, vec_u1
 
 
 # ---------------------------------------------------------------------------
-# one step of each scheme
+# one step of each scheme: the matrices and the penalty solver that run()'s
+# step closures call (the linear and Signorini closures call the banded
+# factor, PinnedDofSolver or pgs_box directly)
 # ---------------------------------------------------------------------------
 
 
@@ -179,52 +160,6 @@ def transfer_matrix(mass: BandedSpd, stiffness: BandedSpd, params) -> BandedSpd:
     return BandedSpd.lincomb(
         2.0, mass, -(params.dt**2) * (1.0 - 2.0 * params.beta), stiffness
     )
-
-
-def rhs(mass: BandedSpd, stiffness: BandedSpd, state: SchemeState, g_n: np.ndarray, params) -> np.ndarray:
-    """Right-hand side F^n built from the state pair and the load G^n."""
-    dt2 = params.dt**2
-    beta = params.beta
-    uc, up = state.u_curr, state.u_prev
-    return (
-        2.0 * mass.matvec(uc)
-        - dt2 * (1.0 - 2.0 * beta) * stiffness.matvec(uc)
-        - mass.matvec(up)
-        - dt2 * beta * stiffness.matvec(up)
-        + dt2 * np.asarray(g_n, dtype=float)
-    )
-
-
-def newmark_linear_step(state: SchemeState, f_n: np.ndarray, factor) -> SchemeState:
-    """Unconstrained step: solve A u^{n+1} = F^n."""
-    u_next = factor.solve(np.asarray(f_n, dtype=float))
-    return SchemeState(u_prev=state.u_curr, u_curr=u_next, n=state.n + 1)
-
-
-class PgsStepSolver:
-    """Projected Gauss-Seidel step solver with cross-step warm starts."""
-
-    def __init__(self, a: BandedSpd, box: BoxConstraint, tol: float = 1e-10, max_iter=None):
-        self.a = a
-        self.box = box
-        self.tol = tol
-        self.max_iter = max_iter
-        self._warm = None
-
-    def solve_with_case(self, f: np.ndarray):
-        u = pgs_box(self.a, f, self.box, x0=self._warm, tol=self.tol, max_iter=self.max_iter)
-        self._warm = u.copy()
-        return u, None
-
-
-def signorini_step(state: SchemeState, f_n: np.ndarray, solver) -> SchemeState:
-    """Constrained step: minimize the step quadratic over the stop box.
-
-    ``solver`` is a pre-factored :class:`~beamstops.linalg.PinnedDofSolver`
-    (tip-only stops) or a :class:`PgsStepSolver` (distributed obstacles).
-    """
-    u_next, _ = solver.solve_with_case(np.asarray(f_n, dtype=float))
-    return SchemeState(u_prev=state.u_curr, u_curr=u_next, n=state.n + 1)
 
 
 class PenaltyTipSolver:
@@ -263,11 +198,12 @@ class PenaltyTipSolver:
             return -self.inv_eps * (tip - self.lower)
         return 0.0
 
-    def advance(self, state: SchemeState, f_n: np.ndarray) -> np.ndarray:
+    def advance(
+        self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int
+    ) -> np.ndarray:
+        """u^{n+1} from F^n and the pair (u^{n-1}, u^n); ``n`` names the step in errors."""
         c = self.index
-        hist = (1.0 - 2.0 * self.beta) * self.spring(state.u_curr[c]) + self.beta * self.spring(
-            state.u_prev[c]
-        )
+        hist = (1.0 - 2.0 * self.beta) * self.spring(u_curr[c]) + self.beta * self.spring(u_prev[c])
         base = np.asarray(f_n, dtype=float).copy()
         base[c] += self.dt2 * hist
         u = self.full_factor.solve(base)
@@ -285,14 +221,8 @@ class PenaltyTipSolver:
         ):
             return u2
         raise PenaltyConsistencyError(
-            f"no consistent contact case at step {state.n} (tip {u[c]:.6g} vs {u2[c]:.6g})"
+            f"no consistent contact case at step {n} (tip {u[c]:.6g} vs {u2[c]:.6g})"
         )
-
-
-def penalty_step(state: SchemeState, f_n: np.ndarray, solver: PenaltyTipSolver) -> SchemeState:
-    """Penalty step; with inv_eps = 0 it coincides with the linear step."""
-    u_next = solver.advance(state, f_n)
-    return SchemeState(u_prev=state.u_curr, u_curr=u_next, n=state.n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -428,14 +358,15 @@ def run(
         penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, params)
 
         def step(f, up, uc, n):
-            u = penalty_solver.advance(SchemeState(up, uc, n), f)
+            u = penalty_solver.advance(f, up, uc, n)
             return u, dt2 * penalty_solver.spring(u[tip])
 
     elif distributed:
-        pgs_solver = PgsStepSolver(a_mat, box)
 
         def step(f, up, uc, n):
-            u, _ = pgs_solver.solve_with_case(f)
+            # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
+            # the starting point shows in the last bits of every later step)
+            u = pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
             return u, float((a_mat.matvec(u) - f)[tip])
 
     else:
@@ -460,8 +391,7 @@ def run(
         def step_violation(u):
             return _max_nan(u[tip] - tip_hi, _max_nan(tip_lo - u[tip], 0.0))
 
-    state = init_states(model, mesh, params, u0=u0, v0=v0)
-    u_prev, u_curr = state.u_prev, state.u_curr
+    u_prev, u_curr = init_states(model, mesh, params, u0=u0, v0=v0)
 
     loads = LoadAssembler(mesh, model)
     horizon = params.T
@@ -498,10 +428,6 @@ def run(
     max_abs_tip = _max_nan(abs(u_prev[tip]), abs(u_curr[tip]))
     max_violation = _max_nan(viol_prev, viol_curr)
 
-    finite = record(0, u_prev, u_curr, initial_reaction(u_prev), viol_prev)
-    if finite and n_total >= 1 and (stride == 1 or n_total == 1):
-        finite = record(1, u_prev, u_curr, initial_reaction(u_curr), viol_curr)
-
     def step_loads():
         """dt^2 G^n for n = 1 .. n_total-1, a block of load windows at a time.
 
@@ -517,19 +443,24 @@ def run(
             f = np.concatenate((f[-2:], loads.time_averaged(np.arange(w0, w1), dt, horizon)))
             yield from dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
 
-    for n, g_n in enumerate(step_loads() if finite else (), start=1):
-        f_vec = b_mat.matvec(u_curr) - a_mat.matvec(u_prev) + g_n
-        u_next, reaction = step(f_vec, u_prev, u_curr, n)
+    # a blown-up run overflows on its last record, which already reports the failure
+    with np.errstate(over="ignore", invalid="ignore"):
+        finite = record(0, u_prev, u_curr, initial_reaction(u_prev), viol_prev)
+        if finite and n_total >= 1 and (stride == 1 or n_total == 1):
+            finite = record(1, u_prev, u_curr, initial_reaction(u_curr), viol_curr)
+        for n, g_n in enumerate(step_loads() if finite else (), start=1):
+            f_vec = b_mat.matvec(u_curr) - a_mat.matvec(u_prev) + g_n
+            u_next, reaction = step(f_vec, u_prev, u_curr, n)
 
-        viol = step_violation(u_next)
-        max_abs_tip = _max_nan(abs(u_next[tip]), max_abs_tip)
-        max_violation = _max_nan(viol, max_violation)
-        if n + 1 == n_total or (n + 1) % stride == 0:
-            if not record(n + 1, u_curr, u_next, reaction, viol):
-                break
+            viol = step_violation(u_next)
+            max_abs_tip = _max_nan(abs(u_next[tip]), max_abs_tip)
+            max_violation = _max_nan(viol, max_violation)
+            if n + 1 == n_total or (n + 1) % stride == 0:
+                if not record(n + 1, u_curr, u_next, reaction, viol):
+                    break
 
-        u_prev = u_curr
-        u_curr = u_next
+            u_prev = u_curr
+            u_curr = u_next
 
     wall = time.perf_counter() - t_begin
     return Trajectory(

@@ -161,7 +161,6 @@ def test_criterion_06_spectral_bound_dominates():
     assert 1e-6 < dt_bound < 1e-5  # order of magnitude of 3.3469e-6 s
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow IS the witness
 def test_criterion_07_conditional_instability_witness():
     """beta = 0 on a 5-element mesh: stepping at 4x the exact limit blows
     the energy up by more than 10^3 within 2000 steps, while 0.5x the

@@ -92,7 +92,6 @@ def test_run_beta_quarter_below_limit_runs(cfg_file, tmp_path):
     assert main(["run", str(cfg_file), "--output-dir", str(tmp_path)]) == 0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_run_blow_up_fails_and_keeps_existing_output(cfg_file, tmp_path, capsys):
     """A forced beta = 0 run far above the limit turns NaN: exit 1 naming
     the first bad record, and the previous output file is left as it was."""

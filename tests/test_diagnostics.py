@@ -14,7 +14,7 @@ from beamstops.diagnostics import (
     violation,
 )
 from beamstops.fem import BeamModel, Mesh, SupportMotion, assemble
-from beamstops.steppers import SchemeParams, SchemeState, run
+from beamstops.steppers import SchemeParams, run
 from conftest import random_banded_spd
 
 
@@ -36,9 +36,6 @@ def test_discrete_energy_quadratic_form():
     )
     got = discrete_energy((u0, u1), m, s, beta, dt)
     assert got == pytest.approx(expect, rel=1e-12)
-    # state objects are accepted too
-    st = SchemeState(u_prev=u0, u_curr=u1, n=3)
-    assert discrete_energy(st, m, s, beta, dt) == got
 
 
 def test_discrete_energy_positive_for_beta_half():

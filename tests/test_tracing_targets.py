@@ -1,0 +1,66 @@
+"""The benchmark tracer (bench/tracing.py) wraps program functions by name.
+
+A target that no longer resolves is skipped silently and its per-layer
+metrics read 0, so a rename in the program would zero a metric without
+any failure.  These tests pin which targets resolve and that short runs
+through each step closure reach the wrapped solvers.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from beamstops import linalg, steppers
+from beamstops.fem import BeamModel, Mesh, SupportMotion
+from beamstops.steppers import PenaltyParams, SchemeParams, run
+
+TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_except_the_removed_deleted(tracing):
+    def bound():
+        return steppers.run, steppers.pgs_box, linalg.pgs_box, steppers.PenaltyTipSolver.advance
+
+    originals = bound()
+    with tracing.Tracer() as tracer:
+        assert steppers.pgs_box is linalg.pgs_box is not originals[1]
+        assert steppers.PenaltyTipSolver.advance is not originals[3]
+    assert tracer.missing == ["linalg.deleted"]
+    assert bound() == originals
+
+
+def test_step_closures_call_the_wrapped_solvers(tracing):
+    """Each step closure of run() goes through its traced solver once per step."""
+    mesh = Mesh(1.0, 3)
+    phi = SupportMotion.sine(0.3, 3.0)
+    tip_stops = BeamModel.symmetric_stops(1.0, 1.0, 0.02, phi)
+    band = BeamModel(k2=1.0, L=1.0, g_lower=lambda x: -0.01 - 0.05 * x,
+                     g_upper=lambda x: 0.01 + 0.05 * x, phi=phi)
+    n, dt = 20, 0.002
+    runs = {
+        "steppers.penalty": lambda: run(
+            tip_stops, mesh, PenaltyParams(inv_eps=1e4, dt=dt, T=n * dt), kind="penalty"),
+        "linalg.pinned": lambda: run(tip_stops, mesh, SchemeParams(0.5, dt, n * dt)),
+        "linalg.pgs": lambda: run(band, mesh, SchemeParams(0.5, dt, n * dt)),
+        "linalg.solve": lambda: run(
+            BeamModel(k2=1.0, L=1.0, phi=phi), mesh, SchemeParams(0.5, dt, n * dt), kind="linear"),
+    }
+    for span, fn in runs.items():
+        tracer = tracing.Tracer()
+        with tracer:
+            fn()
+        calls = np.bincount(np.array(tracer.name), minlength=len(tracer.names))
+        count = dict(zip(tracer.names, calls))
+        assert count["steppers.init_states"] == 1
+        assert count[span] >= n - 1, span
+        assert count["diagnostics.energy"] == n + 1
