@@ -306,18 +306,36 @@ class GlobalMatrices:
     stiffness: BandedSpd
 
 
+def _assemble_banded(ke: np.ndarray, J: int) -> BandedSpd:
+    """Sum one 4 x 4 element matrix over the J elements, in banded storage.
+
+    Element e couples the (value, slope) DOFs of nodes e and e+1 (node 0
+    is the clamp).  Its upper triangle in band layout is ``local``; its
+    right-node columns go to node e+1 and its left-node columns to
+    node e, one slice add each over the whole element stack.  A node's
+    entries get the right end of the element before it and then the left
+    end of the one after it, the order of an element-by-element loop, so
+    the sums are the same to the bit.  The clamped node's columns and its
+    couplings, which fall outside the matrix, are dropped.
+    """
+    bw = HALF_BANDWIDTH
+    local = np.zeros((bw + 1, 4))
+    for b in range(4):
+        local[bw - b :, b] = ke[: b + 1, b]
+    nodes = np.zeros((bw + 1, J + 1, 2))
+    nodes[:, 1:] = local[:, None, 2:]
+    nodes[:, :-1] += local[:, None, :2]
+    ab = nodes.reshape(bw + 1, -1)[:, 2:]
+    ab[np.add.outer(np.arange(bw + 1), np.arange(2 * J)) < bw] = 0.0
+    return BandedSpd(ab[bw - DofMap(J).half_bandwidth :])
+
+
 def assemble(mesh: Mesh, model: BeamModel) -> GlobalMatrices:
     """Assemble global M and S from the elemental matrices."""
-    dofs = DofMap(mesh.J)
-    m = BandedSpd.zeros(dofs.ndof, HALF_BANDWIDTH)
-    s = BandedSpd.zeros(dofs.ndof, HALF_BANDWIDTH)
-    me = elemental_mass(mesh.h)
-    se = elemental_stiffness(mesh.h, model.k2)
-    for e in range(mesh.J):
-        gidx, lidx = dofs.element_dofs(e)
-        m.add_block(gidx, me[np.ix_(lidx, lidx)])
-        s.add_block(gidx, se[np.ix_(lidx, lidx)])
-    return GlobalMatrices(mass=m, stiffness=s)
+    return GlobalMatrices(
+        mass=_assemble_banded(elemental_mass(mesh.h), mesh.J),
+        stiffness=_assemble_banded(elemental_stiffness(mesh.h, model.k2), mesh.J),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cholesky_banded
 from scipy.linalg.blas import get_blas_funcs
 from scipy.linalg.lapack import get_lapack_funcs
 
@@ -126,6 +125,7 @@ class BoxConstraint:
 # ---------------------------------------------------------------------------
 
 _sbmv = get_blas_funcs("sbmv", dtype=np.float64)
+_pbtrf = get_lapack_funcs("pbtrf", dtype=np.float64)
 _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
 
 
@@ -176,17 +176,6 @@ class BandedSpd:
             i0 = max(0, j - bw)
             out.ab[bw + i0 - j : bw + 1, j] = a[i0 : j + 1, j]
         return out
-
-    def add_block(self, indices: np.ndarray, block: np.ndarray) -> None:
-        """Accumulate a small symmetric block at the given global indices."""
-        self._factor = None
-        k = len(indices)
-        for a in range(k):
-            ia = indices[a]
-            for b in range(k):
-                jb = indices[b]
-                if ia <= jb:
-                    self.ab[self.bw + ia - jb, jb] += block[a, b]
 
     # -- conversions and access --------------------------------------------
 
@@ -255,39 +244,18 @@ class BandedCholesky:
         return x
 
 
-def _first_bad_pivot(ab: np.ndarray) -> int:
-    """Index of the first non-positive pivot of a banded Cholesky (pure python)."""
-    bw = ab.shape[0] - 1
-    n = ab.shape[1]
-    a = ab.copy()
-    for j in range(n):
-        i0 = max(0, j - bw)
-        d = a[bw, j]
-        for i in range(i0, j):
-            d -= a[bw + i - j, j] ** 2
-        if d <= 0.0:
-            return j
-        d = np.sqrt(d)
-        a[bw, j] = d
-        for k in range(j + 1, min(n, j + bw + 1)):
-            s = a[bw + j - k, k]
-            for i in range(max(0, k - bw), j):
-                s -= a[bw + i - j, j] * a[bw + i - k, k]
-            a[bw + j - k, k] = s / d
-    return -1
-
-
 def cholesky(a: BandedSpd) -> BandedCholesky:
-    """Banded Cholesky factorization of an SPD matrix.
+    """Banded Cholesky factorization of an SPD matrix (LAPACK ``pbtrf``).
 
     Raises :class:`NotPositiveDefiniteError` naming the first
     non-positive pivot if the matrix is not positive definite.
     """
-    try:
-        cb = cholesky_banded(a.ab, lower=False, check_finite=False)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(_first_bad_pivot(a.ab)) from None
-    return BandedCholesky(np.asfortranarray(cb), a.n, a.bw)
+    cb, info = _pbtrf(a.ab, lower=0)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1)
+    if info < 0:  # pragma: no cover - pbtrf only rejects malformed arguments
+        raise RuntimeError(f"pbtrf failed with info={info}")
+    return BandedCholesky(cb, a.n, a.bw)
 
 
 # ---------------------------------------------------------------------------

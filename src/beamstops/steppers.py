@@ -316,6 +316,9 @@ def run(
     Loads are built a block of time windows at a time
     (:meth:`~beamstops.fem.LoadAssembler.time_averaged`), and stepping
     stops at the first recorded row with a non-finite tip or energy.
+    A step makes two banded products, B u^n and A u^{n+1}; A u is
+    carried with the state, so a recorded row adds only the energy's
+    product with S.
     """
     t_begin = time.perf_counter()
     if kind not in ("signorini", "linear", "penalty"):
@@ -342,7 +345,7 @@ def run(
     dt2 = dt * dt
     n_total = params.n_steps
 
-    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, reaction) -------
+    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, A u^{n+1}, reaction)
     single = box.single_bounded_dof()
     distributed = single is None and bool(np.any(box.finite_mask()))
     contact_audit = None
@@ -350,7 +353,8 @@ def run(
         factor = a_mat.cholesky()
 
         def step(f, up, uc, n):
-            return factor.solve(f), 0.0
+            u = factor.solve(f)
+            return u, a_mat.matvec(u), 0.0
 
     elif kind == "penalty":
         if not model.tip_only:
@@ -359,7 +363,7 @@ def run(
 
         def step(f, up, uc, n):
             u = penalty_solver.advance(f, up, uc, n)
-            return u, dt2 * penalty_solver.spring(u[tip])
+            return u, a_mat.matvec(u), dt2 * penalty_solver.spring(u[tip])
 
     elif distributed:
 
@@ -367,7 +371,8 @@ def run(
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
             u = pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
-            return u, float((a_mat.matvec(u) - f)[tip])
+            au = a_mat.matvec(u)
+            return u, au, float(au[tip] - f[tip])
 
     else:
         c, lo, hi = single if single is not None else (tip, tip_lo, tip_hi)
@@ -376,9 +381,10 @@ def run(
 
         def step(f, up, uc, n):
             u, _ = direct_solver.solve_with_case(f)
-            active, reaction, offband = contact_state(u, f, a_mat, c, lo, hi)
+            au = a_mat.matvec(u)
+            active, reaction, offband = contact_state(u, au, f, c, lo, hi)
             contact_audit.update(active, reaction, offband)
-            return u, reaction
+            return u, au, reaction
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
@@ -392,6 +398,10 @@ def run(
             return _max_nan(u[tip] - tip_hi, _max_nan(tip_lo - u[tip], 0.0))
 
     u_prev, u_curr = init_states(model, mesh, params, u0=u0, v0=v0)
+    # A u of each accepted state is formed once and carried: the audit
+    # residual of its step, the energy of its records, and the -A u^{n-1}
+    # of F two steps later
+    au_prev, au_curr = a_mat.matvec(u_prev), a_mat.matvec(u_curr)
 
     loads = LoadAssembler(mesh, model)
     horizon = params.T
@@ -408,14 +418,14 @@ def run(
     def initial_reaction(u):
         return dt2 * penalty_solver.spring(u[tip]) if kind == "penalty" else 0.0
 
-    def record(n, up, uc, reaction, viol):
+    def record(n, up, uc, aup, auc, reaction, viol):
         """Append the row of step n; False once its tip or energy is not finite.
 
         Row 0 holds u^0 with the forward-difference velocity of the
         starting pair, later rows u^n with the backward difference.
         """
         u_tip = up[tip] if n == 0 else uc[tip]
-        energy = discrete_energy((up, uc), gm.mass, gm.stiffness, beta, dt)
+        energy = discrete_energy((up, uc), (aup, auc), gm.stiffness, dt)
         rec_t.append(n * dt)
         rec_tip.append(u_tip)
         rec_v.append((uc[tip] - up[tip]) / dt)
@@ -445,22 +455,23 @@ def run(
 
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
-        finite = record(0, u_prev, u_curr, initial_reaction(u_prev), viol_prev)
+        start = (u_prev, u_curr, au_prev, au_curr)
+        finite = record(0, *start, initial_reaction(u_prev), viol_prev)
         if finite and n_total >= 1 and (stride == 1 or n_total == 1):
-            finite = record(1, u_prev, u_curr, initial_reaction(u_curr), viol_curr)
+            finite = record(1, *start, initial_reaction(u_curr), viol_curr)
         for n, g_n in enumerate(step_loads() if finite else (), start=1):
-            f_vec = b_mat.matvec(u_curr) - a_mat.matvec(u_prev) + g_n
-            u_next, reaction = step(f_vec, u_prev, u_curr, n)
+            f_vec = b_mat.matvec(u_curr) - au_prev + g_n
+            u_next, au_next, reaction = step(f_vec, u_prev, u_curr, n)
 
             viol = step_violation(u_next)
             max_abs_tip = _max_nan(abs(u_next[tip]), max_abs_tip)
             max_violation = _max_nan(viol, max_violation)
             if n + 1 == n_total or (n + 1) % stride == 0:
-                if not record(n + 1, u_curr, u_next, reaction, viol):
+                if not record(n + 1, u_curr, u_next, au_curr, au_next, reaction, viol):
                     break
 
-            u_prev = u_curr
-            u_curr = u_next
+            u_prev, au_prev = u_curr, au_curr
+            u_curr, au_curr = u_next, au_next
 
     wall = time.perf_counter() - t_begin
     return Trajectory(

@@ -170,6 +170,33 @@ def dense_assembly(mesh, k2):
     return m, s
 
 
+def element_loop_assembly(mesh, ke):
+    """Banded sum of the element matrix ``ke`` by an element-by-element loop
+    that adds each upper-triangle entry into its band slot in turn (the
+    assembly loop the slice-add assembly replaced)."""
+    dofs = DofMap(mesh.J)
+    bw = dofs.half_bandwidth
+    ab = np.zeros((bw + 1, dofs.ndof))
+    for e in range(mesh.J):
+        g, loc = dofs.element_dofs(e)
+        for a, ia in zip(loc, g):
+            for b, jb in zip(loc, g):
+                if ia <= jb:
+                    ab[bw + ia - jb, jb] += ke[a, b]
+    return ab
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 19, 320])
+def test_assemble_is_bit_identical_to_element_loop(J):
+    mesh = Mesh(PIPE["L"], J)
+    gm = assemble(mesh, BeamModel(k2=PIPE["k2"], L=PIPE["L"]))
+    mass = element_loop_assembly(mesh, elemental_mass(mesh.h))
+    stiffness = element_loop_assembly(mesh, elemental_stiffness(mesh.h, PIPE["k2"]))
+    assert gm.mass.ab.shape == mass.shape
+    assert np.array_equal(gm.mass.ab, mass)
+    assert np.array_equal(gm.stiffness.ab, stiffness)
+
+
 @pytest.mark.parametrize("J", [1, 2, 5, 19])
 def test_assemble_matches_dense_oracle(J):
     mesh = Mesh(PIPE["L"], J)

@@ -77,20 +77,6 @@ def test_matvec_matches_dense():
         np.testing.assert_allclose(a.matvec(x), dense @ x, rtol=1e-13, atol=1e-13)
 
 
-def test_add_block_scatters_like_dense():
-    rng = np.random.default_rng(13)
-    a = BandedSpd.zeros(8, 3)
-    dense = np.zeros((8, 8))
-    for _ in range(10):
-        i = int(rng.integers(0, 5))
-        idx = np.arange(i, i + 4)
-        blk = rng.standard_normal((4, 4))
-        blk = blk + blk.T
-        a.add_block(idx, blk)
-        dense[np.ix_(idx, idx)] += blk
-    np.testing.assert_allclose(a.to_dense(), dense, rtol=1e-14, atol=1e-14)
-
-
 def test_lincomb_bump_delete_column_diagonal():
     rng = np.random.default_rng(14)
     a, da = random_banded_spd(rng, 9, 3)

@@ -26,6 +26,7 @@ from beamstops.fem import (
     lifting,
     lifting_slope,
 )
+from beamstops.linalg import PinnedDofSolver
 from beamstops.steppers import (
     NonFiniteRecordError,
     PenaltyConsistencyError,
@@ -38,7 +39,6 @@ from beamstops.steppers import (
     run,
     transfer_matrix,
 )
-from beamstops.diagnostics import discrete_energy
 from conftest import box_qp_oracle
 
 SMALL = dict(L=1.0, k2=1.0)
@@ -441,6 +441,82 @@ def test_signorini_reaction_sign_at_contact():
     )
 
 
+def fresh_products_oracle(model, mesh, params, kind):
+    """Tip rows of run() at record stride 1, stepped with every product
+    formed fresh: F^n = B u^n - A u^{n-1} + dt^2 G^n from two new matvecs,
+    and the Signorini reaction from a new A u^{n+1}.  The solvers are the
+    ones run() calls."""
+    c = DofMap(mesh.J).tip_disp
+    lo, hi = float(model.g_lower), float(model.g_upper)
+    gm = assemble(mesh, model)
+    a = effective_matrix(gm.mass, gm.stiffness, params)
+    b = transfer_matrix(gm.mass, gm.stiffness, params)
+    dt, beta, n_total = params.dt, params.beta, params.n_steps
+    dt2 = dt * dt
+    f_bar = LoadAssembler(mesh, model).time_averaged(np.arange(n_total + 1), dt, params.T)
+    g = dt2 * (beta * (f_bar[2:] + f_bar[:-2]) + (1.0 - 2.0 * beta) * f_bar[1:-1])
+    if kind == "linear":
+        factor = a.cholesky()
+
+        def step(f, up, uc, n):
+            return factor.solve(f), 0.0
+
+    elif kind == "penalty":
+        solver = PenaltyTipSolver(a, c, lo, hi, params)
+
+        def step(f, up, uc, n):
+            u = solver.advance(f, up, uc, n)
+            return u, dt2 * solver.spring(u[c])
+
+    else:
+        pinned = PinnedDofSolver(a, c, lo, hi)
+
+        def step(f, up, uc, n):
+            u, _ = pinned.solve_with_case(f)
+            return u, float((a.matvec(u) - f)[c])
+
+    def start_reaction(u):
+        return dt2 * solver.spring(u[c]) if kind == "penalty" else 0.0
+
+    up, uc = init_states(model, mesh, params)
+    tips = [up[c], uc[c]]
+    vels = [(uc[c] - up[c]) / dt] * 2
+    reactions = [start_reaction(up), start_reaction(uc)]
+    for n in range(1, n_total):
+        u, reaction = step(b.matvec(uc) - a.matvec(up) + g[n - 1], up, uc, n)
+        tips.append(u[c])
+        vels.append((u[c] - uc[c]) / dt)
+        reactions.append(reaction)
+        up, uc = uc, u
+    tips = np.array(tips)
+    violation = np.maximum(np.maximum(tips - hi, lo - tips), 0.0)
+    return tips, np.array(vels), np.array(reactions), violation
+
+
+@pytest.mark.parametrize(
+    "kind,params",
+    [
+        ("signorini", SchemeParams(beta=0.5, dt=5e-5, T=0.02)),
+        ("penalty", PenaltyParams(inv_eps=1e9, dt=5e-6, T=0.012, beta=0.25)),
+        ("linear", SchemeParams(beta=0.3, dt=1e-5, T=0.01)),
+    ],
+)
+def test_carried_products_are_bit_identical_to_fresh_ones(kind, params):
+    """run() carries A u with the state (F two steps later, the audit, the
+    energy) and forms B u^n once per step; the tip rows are exactly those
+    of a loop that forms each product anew.  Each horizon runs past the
+    tip's first arrival at a stop (t = 0.0068 s with g = 0.002)."""
+    mesh = Mesh(1.501, 19)
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    traj = run(model, mesh, params, kind=kind, record_stride=1)
+    tips, vels, reactions, violation = fresh_products_oracle(model, mesh, params, kind)
+    assert np.max(np.abs(tips)) >= 0.002
+    assert np.array_equal(traj.u_tip, tips)
+    assert np.array_equal(traj.v_tip, vels)
+    assert np.array_equal(traj.reaction, reactions)
+    assert np.array_equal(traj.violation, violation)
+
+
 def test_free_energy_conservation_any_beta():
     """The unforced scheme conserves the discrete energy exactly for every
     beta, not only 1/2; roundoff is the only drift."""
@@ -521,9 +597,17 @@ def test_run_energy_column_matches_pairwise_formula():
     params = SchemeParams(beta=0.5, dt=0.01, T=0.05)
     gm = assemble(mesh, model)
     traj = run(model, mesh, params, record_stride=1)
-    # recompute E at the second record from the first two states
-    pair = init_states(model, mesh, params)
-    e1 = discrete_energy(pair, gm.mass, gm.stiffness, params.beta, params.dt)
+    # recompute E at the second record from the first two states, by the
+    # M/S formula the run's carried A-products stand in for
+    u0, u1 = init_states(model, mesh, params)
+    v = (u1 - u0) / params.dt
+    m, s, beta = gm.mass, gm.stiffness, params.beta
+    e1 = (
+        v @ m.matvec(v)
+        + (1.0 - 2.0 * beta) * (u0 @ s.matvec(u1))
+        + beta * (u1 @ s.matvec(u1))
+        + beta * (u0 @ s.matvec(u0))
+    )
     assert traj.energy[0] == pytest.approx(e1, rel=1e-12)
 
 

@@ -2,11 +2,13 @@
 
 A target that no longer resolves is skipped silently and its per-layer
 metrics read 0, so a rename in the program would zero a metric without
-any failure.  These tests pin which targets resolve and that short runs
-through each step closure reach the wrapped solvers.
+any failure.  These tests pin which targets resolve, that short runs
+through each step closure reach the wrapped solvers, and how many banded
+products a run makes.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -64,3 +66,26 @@ def test_step_closures_call_the_wrapped_solvers(tracing):
         assert count["steppers.init_states"] == 1
         assert count[span] >= n - 1, span
         assert count["diagnostics.energy"] == n + 1
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+@pytest.mark.parametrize("kind", ["signorini", "linear", "penalty"])
+def test_run_makes_two_products_per_step_and_one_per_record(tracing, kind, stride):
+    """A step forms B u^n and A u^{n+1}, and A u is carried with the state;
+    each recorded energy adds one product with S.  Products inside the
+    stability check are set-up and not counted, as in the benchmark's
+    ``linalg.matvecs_per_step``."""
+    mesh = Mesh(1.0, 3)
+    model = BeamModel.symmetric_stops(1.0, 1.0, 0.02, SupportMotion.sine(0.3, 3.0))
+    n, dt = 40, 0.002
+    if kind == "penalty":
+        params = PenaltyParams(inv_eps=1e4, dt=dt, T=n * dt)
+    else:
+        params = SchemeParams(0.5, dt, n * dt)
+    tracer = tracing.Tracer()
+    with tracer:
+        traj = run(model, mesh, params, kind=kind, record_stride=stride)
+    # per-step ratio over one "step" is the count of stepping products
+    products = tracer.metrics({tracer.run_id: 1})[0]["linalg.matvecs_per_step"]
+    assert traj.t.size == math.ceil(n / stride) + 1
+    assert 0 < products <= 2 * n + math.ceil(n / stride) + 4
