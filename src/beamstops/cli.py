@@ -122,7 +122,7 @@ def _sweep_child(payload):
     label = f"{key}={token}"
     try:
         child = override(cfg, key, token)
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         return label, EXIT_FAILURE, str(exc), None
     model, mesh = build_model(child)
     params = build_params(child)
@@ -170,7 +170,7 @@ def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) ->
 def cmd_stability(cfg) -> int:
     model, mesh = build_model(cfg)
     params = build_params(cfg)
-    report = check(mesh, model, params, alpha=cfg.alpha, seed=cfg.seed)
+    report = check(mesh, model, params, alpha=cfg.alpha)
     print(report.format())
     return EXIT_OK
 

@@ -4,36 +4,17 @@ The whole experiment setup travels in a plain-text file, one ``key = value``
 pair per line with ``#`` comments.  Waveforms are selected by name rather
 than tabulated: ``phi`` is ``sin`` (with ``phi_amplitude``/``phi_omega``),
 ``zero``, or a bare number for a constant offset; ``f_tilde`` is ``zero``
-or a constant.  ``g = inf`` removes the stops.
+or a constant.  Every number must be finite, except ``g = inf``, which
+removes the stops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 from .fem import BeamModel, Mesh, SupportMotion
 from .steppers import PenaltyParams, SchemeParams
-
-KNOWN_KEYS = (
-    "L",
-    "J",
-    "k2",
-    "g",
-    "phi",
-    "phi_amplitude",
-    "phi_omega",
-    "f_tilde",
-    "scheme",
-    "beta",
-    "dt",
-    "T",
-    "inv_eps",
-    "alpha",
-    "output",
-    "record_stride",
-    "seed",
-)
 
 SCHEMES = ("signorini", "penalty", "linear")
 
@@ -50,9 +31,9 @@ class RunConfig:
     J: int
     k2: float
     g: float
-    phi: str | float
     dt: float
     T: float
+    phi: str | float = "zero"
     scheme: str = "signorini"
     beta: float = 0.5
     phi_amplitude: float | None = None
@@ -62,10 +43,31 @@ class RunConfig:
     alpha: float = 0.01
     output: str = "trajectory.csv"
     record_stride: int | str = "auto"
-    seed: int = 0
 
     def __post_init__(self):
         _validate(self)
+
+
+#: Every config key, with the one function that turns its text into a value.
+#: ``parse_config`` (file values) and ``override`` (sweep values) both read it.
+KEYS = {
+    "L": float,
+    "J": int,
+    "k2": float,
+    "g": float,
+    "dt": float,
+    "T": float,
+    "phi": lambda raw: raw if raw in ("sin", "zero") else float(raw),
+    "scheme": str,
+    "beta": float,
+    "phi_amplitude": float,
+    "phi_omega": float,
+    "f_tilde": lambda raw: 0.0 if raw == "zero" else float(raw),
+    "inv_eps": float,
+    "alpha": float,
+    "output": str,
+    "record_stride": lambda raw: raw if raw == "auto" else int(raw),
+}
 
 
 def _fail(key: str, why: str):
@@ -73,6 +75,10 @@ def _fail(key: str, why: str):
 
 
 def _validate(cfg: RunConfig):
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.name != "g" and isinstance(value, float) and not math.isfinite(value):
+            _fail(f.name, "must be a finite number")
     if cfg.L <= 0.0:
         _fail("L", "beam length must be positive")
     if cfg.J < 1:
@@ -102,9 +108,7 @@ def _validate(cfg: RunConfig):
         if cfg.phi == "sin":
             if cfg.phi_amplitude is None or cfg.phi_omega is None:
                 _fail("phi", "phi = sin needs phi_amplitude and phi_omega")
-        elif cfg.phi == "zero":
-            pass
-        else:
+        elif cfg.phi != "zero":
             _fail("phi", "must be sin, zero, or a number")
     if cfg.phi != "sin" and (cfg.phi_amplitude is not None or cfg.phi_omega is not None):
         _fail("phi_amplitude", "only meaningful when phi = sin")
@@ -113,21 +117,11 @@ def _validate(cfg: RunConfig):
             _fail("record_stride", "must be 'auto' or a positive integer")
 
 
-def _parse_float(key: str, raw: str) -> float:
+def _parse(key: str, raw: str):
     try:
-        val = float(raw)
+        return KEYS[key](raw)
     except ValueError:
-        _fail(key, f"not a number: {raw!r}")
-    if math.isnan(val):
-        _fail(key, "nan is not a valid value")
-    return val
-
-
-def _parse_int(key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        _fail(key, f"not an integer: {raw!r}")
+        _fail(key, f"cannot read {raw!r}")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -145,97 +139,30 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         seen[key] = value
-
-    for key in ("L", "J", "k2", "g", "dt", "T"):
-        if key not in seen:
-            raise ConfigError(f"missing required key {key!r}")
-
-    kwargs = {
-        "L": _parse_float("L", seen["L"]),
-        "J": _parse_int("J", seen["J"]),
-        "k2": _parse_float("k2", seen["k2"]),
-        "g": _parse_float("g", seen["g"]),
-        "dt": _parse_float("dt", seen["dt"]),
-        "T": _parse_float("T", seen["T"]),
-    }
-    if "scheme" in seen:
-        kwargs["scheme"] = seen["scheme"]
-    if "beta" in seen:
-        kwargs["beta"] = _parse_float("beta", seen["beta"])
-    if "phi" in seen:
-        raw = seen["phi"]
-        kwargs["phi"] = raw if raw in ("sin", "zero") else _parse_float("phi", raw)
-    else:
-        kwargs["phi"] = "zero"
-    if "phi_amplitude" in seen:
-        kwargs["phi_amplitude"] = _parse_float("phi_amplitude", seen["phi_amplitude"])
-    if "phi_omega" in seen:
-        kwargs["phi_omega"] = _parse_float("phi_omega", seen["phi_omega"])
-    if "f_tilde" in seen:
-        raw = seen["f_tilde"]
-        kwargs["f_tilde"] = 0.0 if raw == "zero" else _parse_float("f_tilde", raw)
-    if "inv_eps" in seen:
-        kwargs["inv_eps"] = _parse_float("inv_eps", seen["inv_eps"])
-    if "alpha" in seen:
-        kwargs["alpha"] = _parse_float("alpha", seen["alpha"])
-    if "output" in seen:
-        kwargs["output"] = seen["output"]
-    if "record_stride" in seen:
-        raw = seen["record_stride"]
-        kwargs["record_stride"] = "auto" if raw == "auto" else _parse_int("record_stride", raw)
-    if "seed" in seen:
-        kwargs["seed"] = _parse_int("seed", seen["seed"])
-    return RunConfig(**kwargs)
+    for f in fields(RunConfig):
+        if f.default is MISSING and f.name not in seen:
+            raise ConfigError(f"missing required key {f.name!r}")
+    return RunConfig(**{key: _parse(key, raw) for key, raw in seen.items()})
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Emit text that parses back to ``cfg``, defaults included."""
-    lines = []
-
-    def emit(key, value):
-        lines.append(f"{key} = {value}")
-
-    emit("L", repr(cfg.L))
-    emit("J", cfg.J)
-    emit("k2", repr(cfg.k2))
-    emit("g", "inf" if math.isinf(cfg.g) else repr(cfg.g))
-    emit("phi", cfg.phi if isinstance(cfg.phi, str) else repr(cfg.phi))
-    if cfg.phi_amplitude is not None:
-        emit("phi_amplitude", repr(cfg.phi_amplitude))
-    if cfg.phi_omega is not None:
-        emit("phi_omega", repr(cfg.phi_omega))
-    emit("f_tilde", "zero" if cfg.f_tilde == 0.0 else repr(cfg.f_tilde))
-    emit("scheme", cfg.scheme)
-    emit("beta", repr(cfg.beta))
-    emit("dt", repr(cfg.dt))
-    emit("T", repr(cfg.T))
-    if cfg.inv_eps is not None:
-        emit("inv_eps", repr(cfg.inv_eps))
-    emit("alpha", repr(cfg.alpha))
-    emit("output", cfg.output)
-    emit("record_stride", cfg.record_stride)
-    emit("seed", cfg.seed)
-    return "\n".join(lines) + "\n"
+    values = ((f.name, getattr(cfg, f.name)) for f in fields(cfg))
+    return "".join(f"{key} = {value}\n" for key, value in values if value is not None)
 
 
 def override(cfg: RunConfig, key: str, value) -> RunConfig:
-    """Return a copy of ``cfg`` with a single (validated) field replaced."""
-    if key not in KNOWN_KEYS:
+    """Return a copy of ``cfg`` with one field replaced, ``value`` read as in a file."""
+    if key not in KEYS:
         raise ConfigError(f"unknown key {key!r}")
-    if key == "J":
-        value = int(value)
-    elif key == "seed":
-        value = int(value)
-    elif key not in ("scheme", "phi", "output", "record_stride"):
-        value = float(value)
-    return replace(cfg, **{key: value})
+    return replace(cfg, **{key: _parse(key, str(value))})
 
 
 def build_support_motion(cfg: RunConfig) -> SupportMotion:
@@ -275,5 +202,4 @@ def run_kwargs(cfg: RunConfig) -> dict:
         "kind": cfg.scheme,
         "record_stride": stride,
         "alpha": cfg.alpha,
-        "seed": cfg.seed,
     }

@@ -368,15 +368,14 @@ def max_generalized_eig(
     m: BandedSpd,
     tol: float = 1e-10,
     max_iter: int = 20000,
-    seed: int = 0,
 ) -> float:
     """Largest kappa with S v = kappa M v, by power iteration on M^{-1}S.
 
     Each step multiplies by S and solves with M's Cholesky factor; the
     Rayleigh quotient is accepted once the residual certificate
-    ``||Sv - kappa Mv|| <= tol * kappa * ||Mv||`` holds.  One random
-    restart (deterministic ``seed``) is attempted if the iteration
-    stagnates; raises :class:`PowerIterationError` on failure.
+    ``||Sv - kappa Mv|| <= tol * kappa * ||Mv||`` holds.  If the iteration
+    stagnates, it restarts once from a fixed pseudo-random direction
+    (seed 0); raises :class:`PowerIterationError` on failure.
     """
     if s.n != m.n:
         raise ValueError("size mismatch")
@@ -395,8 +394,8 @@ def max_generalized_eig(
             return lam
         best_resid = min(best_resid, resid)
         if not restarted and it == max_iter // 2:
-            # stagnating: restart once from a seeded random direction
-            rng = np.random.default_rng(seed)
+            # stagnating: restart once from a fixed pseudo-random direction
+            rng = np.random.default_rng(0)
             v = rng.standard_normal(n)
             v /= np.linalg.norm(v)
             restarted = True

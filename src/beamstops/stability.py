@@ -51,11 +51,9 @@ def kappa_bound(k2: float, dx: float) -> float:
     return KAPPA_BOUND_COEF * k2 / dx**4
 
 
-def kappa_exact(
-    mass: BandedSpd, stiffness: BandedSpd, tol: float = 1e-10, seed: int = 0
-) -> float:
+def kappa_exact(mass: BandedSpd, stiffness: BandedSpd, tol: float = 1e-10) -> float:
     """Largest generalized eigenvalue of (S, M) by power iteration."""
-    return max_generalized_eig(stiffness, mass, tol=tol, seed=seed)
+    return max_generalized_eig(stiffness, mass, tol=tol)
 
 
 def max_stable_dt(kappa: float, beta: float, alpha: float) -> float:
@@ -107,11 +105,10 @@ def check_matrices(
     beta: float,
     dt: float,
     alpha: float = 0.01,
-    seed: int = 0,
 ) -> StabilityReport:
     """Stability report from pre-assembled matrices."""
     kb = kappa_bound(k2, dx)
-    ke = kappa_exact(mass, stiffness, seed=seed)
+    ke = kappa_exact(mass, stiffness)
     if beta == 0.5:
         return StabilityReport(
             beta=beta,
@@ -143,7 +140,6 @@ def check(
     model: BeamModel,
     params,
     alpha: float = 0.01,
-    seed: int = 0,
 ) -> StabilityReport:
     """Assemble the matrices for (mesh, model) and report stability of params."""
     gm = assemble(mesh, model)
@@ -155,5 +151,4 @@ def check(
         params.beta,
         params.dt,
         alpha=alpha,
-        seed=seed,
     )

@@ -80,10 +80,10 @@ class SchemeParams:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 0.5:
             raise ValueError("beta must lie in [0, 1/2]")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.T < 0.0:
-            raise ValueError("horizon must be non-negative")
+        if not 0.0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not 0.0 <= self.T < math.inf:
+            raise ValueError("horizon must be non-negative and finite")
 
     @property
     def n_steps(self) -> int:
@@ -98,8 +98,8 @@ class PenaltyParams(SchemeParams):
     beta: float = 0.25
 
     def __post_init__(self):
-        if self.inv_eps < 0.0:
-            raise ValueError("inv_eps must be non-negative")
+        if not 0.0 <= self.inv_eps < math.inf:
+            raise ValueError("inv_eps must be non-negative and finite")
         super().__post_init__()
 
 
@@ -304,7 +304,6 @@ def run(
     record_stride: int | None = None,
     alpha: float = 0.01,
     force: bool = False,
-    seed: int = 0,
 ) -> Trajectory:
     """Integrate the beam from t=0 to T and record the tip history.
 
@@ -334,7 +333,7 @@ def run(
 
     report = check_matrices(
         gm.mass, gm.stiffness, mesh.h, model.k2, params.beta, params.dt,
-        alpha=alpha, seed=seed,
+        alpha=alpha,
     )
     if report.verdict == "violated" and not force:
         raise UnstableTimeStepError(report)

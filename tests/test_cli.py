@@ -140,6 +140,14 @@ def test_missing_and_invalid_configs_exit_one(tmp_path, capsys):
     assert "wat" in capsys.readouterr().err
 
 
+def test_run_infinite_horizon_is_bad_config(cfg_file, tmp_path, capsys):
+    cfg_file.write_text(PIPE_SHORT.replace("T = 0.05", "T = inf"))
+    assert main(["run", str(cfg_file), "--output-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "bad config" in err and "'T'" in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # ----------------------------------------------------------------------- sweep
 
 def test_sweep_writes_children_and_summary(cfg_file, tmp_path, monkeypatch):
@@ -184,6 +192,35 @@ def test_sweep_vetoed_child_fails_others_written(cfg_file, tmp_path, monkeypatch
     assert "dt=5e-5" in captured.err
     # summary covers the surviving child
     assert "dt=5e-6" in (out / "summary.csv").read_text()
+
+
+def test_sweep_bad_token_fails_its_member_only(cfg_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BEAM_THREADS", "1")
+    cfg_file.write_text(PIPE_SHORT.replace("T = 0.05", "T = 0.002"))
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "nan,5e-5",
+                 "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "dt=nan" in err and "'dt'" in err
+    assert sorted(p.name for p in out.iterdir()) == ["dt_5e-5.csv", "summary.csv", "summary.txt"]
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 1 and rows[0].startswith("dt=5e-5,")
+
+
+def test_penalty_sweep_nan_stiffness_fails(cfg_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BEAM_THREADS", "1")
+    cfg_file.write_text(
+        PIPE_SHORT.replace("scheme = signorini", "scheme = penalty\ninv_eps = 1e6")
+        .replace("beta = 0.5", "beta = 0.25").replace("dt = 5e-5", "dt = 5e-6")
+        .replace("T = 0.05", "T = 0.001")
+    )
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "inv_eps", "--values", "nan",
+                 "--output-dir", str(out)])
+    assert code == 1
+    assert "'inv_eps'" in capsys.readouterr().err
+    assert not (out / "inv_eps_nan.csv").exists()
 
 
 def test_sweep_inv_eps_violations_decrease(cfg_file, tmp_path, monkeypatch):

@@ -281,10 +281,10 @@ def test_power_iteration_certificate_failure():
         max_generalized_eig(s, m, tol=1e-14, max_iter=2)
 
 
-def test_power_iteration_deterministic_given_seed():
+def test_power_iteration_deterministic():
     rng = np.random.default_rng(53)
     s, _ = random_banded_spd(rng, 10, 3)
     m, _ = random_banded_spd(rng, 10, 3)
-    a = max_generalized_eig(s, m, seed=7)
-    b = max_generalized_eig(s, m, seed=7)
+    a = max_generalized_eig(s, m)
+    b = max_generalized_eig(s, m)
     assert a == b

@@ -64,11 +64,15 @@ def test_scheme_params_validation():
         SchemeParams(beta=0.5, dt=0.1, T=-1.0)
     assert SchemeParams(beta=0.5, dt=0.1, T=1.04).n_steps == 10
     assert SchemeParams(beta=0.5, dt=0.1, T=0.0).n_steps == 0
+    for dt, T in ((np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan), (0.1, np.inf)):
+        with pytest.raises(ValueError):
+            SchemeParams(beta=0.5, dt=dt, T=T)
 
 
 def test_penalty_params_validation():
-    with pytest.raises(ValueError):
-        PenaltyParams(inv_eps=-1.0, dt=0.1, T=1.0)
+    for inv_eps in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            PenaltyParams(inv_eps=inv_eps, dt=0.1, T=1.0)
     assert PenaltyParams(inv_eps=0.0, dt=0.1, T=1.0).inv_eps == 0.0
     assert PenaltyParams(inv_eps=1e8, dt=0.1, T=1.0, beta=0.25).beta == 0.25
 
