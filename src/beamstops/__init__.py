@@ -40,6 +40,7 @@ from .linalg import (
     BandedSpd,
     BoxConstraint,
     NotPositiveDefiniteError,
+    PenaltyConsistencyError,
     PgsConvergenceError,
     PowerIterationError,
     pgs_box,
@@ -54,7 +55,6 @@ from .stability import (
     max_stable_dt,
 )
 from .steppers import (
-    PenaltyConsistencyError,
     PenaltyParams,
     SchemeParams,
     Trajectory,

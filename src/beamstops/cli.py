@@ -4,7 +4,8 @@ Three subcommands share a flat config file (see :mod:`beamstops.config`):
 
 * ``run <config>`` — integrate once, write the trajectory CSV.
 * ``sweep <config> --key K --values v1,v2,...`` — one run per value in
-  parallel, individual CSVs plus ``summary.csv``/``summary.txt``.
+  parallel, individual CSVs plus ``summary.csv``/``summary.txt``.  Values
+  that differ only in ``inv_eps`` step together as one block per worker.
 * ``stability <config>`` — print the time-step limits without running.
 
 Exit codes: 0 success, 2 stability veto (override with ``--force``),
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from .config import (
@@ -28,9 +29,14 @@ from .config import (
     run_kwargs,
 )
 from .diagnostics import RunComparison, summary_row
-from .linalg import NotPositiveDefiniteError, PgsConvergenceError, PowerIterationError
+from .linalg import (
+    NotPositiveDefiniteError,
+    PenaltyConsistencyError,
+    PgsConvergenceError,
+    PowerIterationError,
+)
 from .stability import UnstableTimeStepError, check
-from .steppers import NonFiniteRecordError, PenaltyConsistencyError, run
+from .steppers import NonFiniteRecordError, Trajectory, run
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -117,42 +123,85 @@ def cmd_run(cfg, output_dir: str, force: bool) -> int:
 
 
 def _sweep_child(payload):
-    """Run one sweep member; returns (label, exit code, message, summary row)."""
-    cfg, key, token, output_dir, force = payload
-    label = f"{key}={token}"
+    """Run one chunk of sweep members, which step together (they differ in
+    ``inv_eps`` alone); returns (index, label, exit code, message, summary
+    row) per member."""
+    key, chunk, output_dir, force = payload
+    cfg = chunk[0][2]
+    model, mesh = build_model(cfg)
     try:
-        child = override(cfg, key, token)
-    except ConfigError as exc:
-        return label, EXIT_FAILURE, str(exc), None
-    model, mesh = build_model(child)
-    params = build_params(child)
-    try:
-        traj = run(model, mesh, params, force=force, **run_kwargs(child))
-        traj.require_finite()
-    except UnstableTimeStepError as exc:
-        return label, EXIT_VETO, str(exc), None
-    except SOLVER_ERRORS as exc:
-        return label, EXIT_FAILURE, f"solver error: {exc}", None
-    out_path = Path(output_dir) / f"{key}_{token}.csv"
-    _write_atomic(out_path, traj.to_csv())
-    return label, EXIT_OK, str(out_path), summary_row(label, traj)
+        results = run(model, mesh, [build_params(child) for _, _, child in chunk],
+                      force=force, **run_kwargs(cfg))
+    except (UnstableTimeStepError, *SOLVER_ERRORS) as exc:
+        results = [exc] * len(chunk)
+    out = []
+    for (i, token, _), traj in zip(chunk, results):
+        label = f"{key}={token}"
+        if isinstance(traj, Trajectory):
+            try:
+                traj.require_finite()
+            except NonFiniteRecordError as exc:
+                traj = exc
+        if isinstance(traj, UnstableTimeStepError):
+            out.append((i, label, EXIT_VETO, str(traj), None))
+        elif isinstance(traj, Exception):
+            out.append((i, label, EXIT_FAILURE, f"solver error: {traj}", None))
+        else:
+            out_path = Path(output_dir) / f"{key}_{token}.csv"
+            _write_atomic(out_path, traj.to_csv())
+            out.append((i, label, EXIT_OK, str(out_path), summary_row(label, traj)))
+    return out
+
+
+def _chunks(key, members, workers, output_dir, force):
+    """Members that differ in ``inv_eps`` alone form one group; each group is
+    cut into at most ``workers`` contiguous chunks, one run each."""
+    groups = {}
+    for member in members:
+        _, _, cfg = member
+        shared = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "inv_eps")
+        groups.setdefault(shared, []).append(member)
+    chunks = []
+    for group in groups.values():
+        parts = min(workers, len(group))
+        chunks += [group[j * len(group) // parts : (j + 1) * len(group) // parts] for j in range(parts)]
+    return [(key, chunk, output_dir, force) for chunk in chunks]
 
 
 def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) -> int:
+    results, members, seen = [], [], {}
+    for i, token in enumerate(tokens):
+        label = f"{key}={token}"
+        try:
+            child = override(cfg, key, token)
+        except ConfigError as exc:
+            results.append((i, label, EXIT_FAILURE, str(exc), None))
+            continue
+        value = getattr(child, key)
+        if value in seen:
+            print(f"sweep values {seen[value]!r} and {token!r} are the same {key} ({value!r})",
+                  file=sys.stderr)
+            return EXIT_FAILURE
+        seen[value] = token
+        members.append((i, token, child))
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     workers = int(os.environ.get("BEAM_THREADS", 0) or 0) or os.cpu_count() or 1
-    workers = min(workers, len(tokens))
-    payloads = [(cfg, key, token, str(out), force) for token in tokens]
+    payloads = _chunks(key, members, workers, str(out), force)
+    workers = min(workers, len(payloads))
     if workers > 1:
+        # imported here: the pool machinery costs 0.5 MB that a run or a serial sweep never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_child, payloads))
+            done = list(pool.map(_sweep_child, payloads))
     else:
-        results = [_sweep_child(p) for p in payloads]
+        done = [_sweep_child(p) for p in payloads]
+    results = sorted(results + [r for chunk in done for r in chunk], key=lambda r: r[0])
 
     rows = []
     worst = EXIT_OK
-    for label, code, message, row in results:
+    for _, label, code, message, row in results:
         if code == EXIT_OK:
             print(f"{label}: {message}")
             rows.append(row)

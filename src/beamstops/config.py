@@ -112,6 +112,9 @@ def _validate(cfg: RunConfig):
             _fail("phi", "must be sin, zero, or a number")
     if cfg.phi != "sin" and (cfg.phi_amplitude is not None or cfg.phi_omega is not None):
         _fail("phi_amplitude", "only meaningful when phi = sin")
+    out = cfg.output
+    if not out or out != out.strip() or "#" in out or "".join(out.splitlines()) != out:
+        _fail("output", "must be a file name without '#', line breaks or surrounding blanks")
     if cfg.record_stride != "auto":
         if not isinstance(cfg.record_stride, int) or cfg.record_stride < 1:
             _fail("record_stride", "must be 'auto' or a positive integer")

@@ -56,32 +56,17 @@ class ContactRecord:
     offband_residual: float
 
 
-def _active_side(tip: float, lower: float, upper: float) -> str:
-    if math.isfinite(upper) and tip >= upper - 1e-12 * max(1.0, abs(upper)):
-        return "upper"
-    if math.isfinite(lower) and tip <= lower + 1e-12 * max(1.0, abs(lower)):
-        return "lower"
-    return "inactive"
-
-
-def contact_state(
-    u_next: np.ndarray,
-    au_next: np.ndarray,
-    f_n: np.ndarray,
-    index: int,
-    lower: float,
-    upper: float,
-):
-    """(active side, reaction, off-contact residual) of one computed step.
-
-    The residual r = A u - F is formed once from the product
-    ``au_next`` = A u: ``reaction`` is r at the constrained DOF and the
-    off-contact residual is max |r| over the other DOFs.
-    """
-    r = au_next - f_n
-    reaction = float(r[index])
-    r[index] = 0.0
-    return _active_side(float(u_next[index]), lower, upper), reaction, float(np.abs(r).max())
+def active_sides(tips, lower: float, upper: float) -> np.ndarray:
+    """"upper", "lower" or "inactive" for each tip; a tip within 1e-12
+    (relative) of a finite stop rests on it, and a NaN tip is inactive."""
+    tips = np.asarray(tips, dtype=float)
+    on_upper = np.zeros(tips.shape, dtype=bool)
+    on_lower = np.zeros(tips.shape, dtype=bool)
+    if math.isfinite(upper):
+        on_upper = tips >= upper - 1e-12 * max(1.0, abs(upper))
+    if math.isfinite(lower):
+        on_lower = tips <= lower + 1e-12 * max(1.0, abs(lower))
+    return np.where(on_upper, "upper", np.where(on_lower, "lower", "inactive"))
 
 
 def contact_residual(
@@ -97,10 +82,15 @@ def contact_residual(
 
     Off the constrained DOF the equations must hold (residual <= tol);
     at the constrained DOF the reaction must vanish off contact and
-    push away from the violated stop on contact.  Raises
+    push away from the violated stop on contact.  The residual
+    r = A u - F is formed from the product ``au_next`` = A u; raises
     :class:`ComplementarityError` on violation.
     """
-    active, reaction, offband = contact_state(u_next, au_next, f_n, index, lower, upper)
+    r = au_next - f_n
+    reaction = float(r[index])
+    r[index] = 0.0
+    offband = float(np.abs(r).max())
+    active = str(active_sides(u_next[index], lower, upper))
     if offband > tol:
         raise ComplementarityError(
             f"off-contact residual {offband:.3e} exceeds {tol:.1e}"
@@ -136,20 +126,29 @@ class ContactAudit:
     max_inactive_reaction: float = 0.0
     _in_contact: bool = field(default=False, repr=False)
 
-    def update(self, active: str, reaction: float, offband: float) -> None:
-        self.max_offband_residual = max(self.max_offband_residual, offband)
-        if active == "inactive":
-            self.max_inactive_reaction = max(self.max_inactive_reaction, abs(reaction))
-            self._in_contact = False
+    def update(self, active, reaction, offband) -> None:
+        """Fold in a run of consecutive steps: their active sides ("upper",
+        "lower" or "inactive"), reactions and off-contact residuals, as
+        arrays or as the scalars of one step.  NaN figures are skipped."""
+        active, reaction, offband = np.atleast_1d(active, reaction, offband)
+        if active.size == 0:
             return
-        self.contact_steps += 1
-        if not self._in_contact:
-            self.episodes += 1
-            self._in_contact = True
-        if active == "upper":
-            self.max_upper_reaction = max(self.max_upper_reaction, reaction)
-        else:
-            self.min_lower_reaction = min(self.min_lower_reaction, reaction)
+        self.max_offband_residual = float(np.fmax.reduce(offband, initial=self.max_offband_residual))
+        inactive = active == "inactive"
+        self.max_inactive_reaction = float(
+            np.fmax.reduce(np.abs(reaction[inactive]), initial=self.max_inactive_reaction)
+        )
+        contact = ~inactive
+        self.contact_steps += int(np.count_nonzero(contact))
+        before = np.concatenate(([self._in_contact], contact[:-1]))
+        self.episodes += int(np.count_nonzero(contact & ~before))
+        self._in_contact = bool(contact[-1])
+        self.max_upper_reaction = float(
+            np.fmax.reduce(reaction[active == "upper"], initial=self.max_upper_reaction)
+        )
+        self.min_lower_reaction = float(
+            np.fmin.reduce(reaction[active == "lower"], initial=self.min_lower_reaction)
+        )
 
     def satisfies(self, tol: float = 1e-9) -> bool:
         ok = self.max_offband_residual <= tol
@@ -174,13 +173,7 @@ def violation(traj, g: float) -> float:
 
 
 def _active_flags(traj) -> np.ndarray:
-    lo, hi = traj.tip_lower, traj.tip_upper
-    flags = np.zeros(traj.u_tip.shape, dtype=bool)
-    if np.isfinite(hi):
-        flags |= traj.u_tip >= hi - 1e-12 * max(1.0, abs(hi))
-    if np.isfinite(lo):
-        flags |= traj.u_tip <= lo + 1e-12 * max(1.0, abs(lo))
-    return flags
+    return active_sides(traj.u_tip, traj.tip_lower, traj.tip_upper) != "inactive"
 
 
 def count_episodes(flags: np.ndarray) -> int:

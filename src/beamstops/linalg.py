@@ -5,13 +5,16 @@ fixed half-bandwidth, so the whole solver stack is built on symmetric
 banded storage: Cholesky factorization (LAPACK ``pbtrf``/``pbtrs``),
 banded matrix-vector products (BLAS ``sbmv``), a direct solver for
 systems with a box constraint on a single coordinate (solve, then move
-along the precomputed column A^{-1} e_c onto a violated bound), a projected
-Gauss-Seidel iteration for general box constraints, and a power
-iteration for the largest generalized eigenvalue of a banded pair.
+along the precomputed column A^{-1} e_c onto a violated bound), its
+penalty counterpart (stiff springs at the stops, one or two pre-factored
+solves), a projected Gauss-Seidel iteration for general box constraints,
+and a power iteration for the largest generalized eigenvalue of a banded
+pair.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,10 @@ class PgsConvergenceError(Exception):
             f"projected Gauss-Seidel did not converge in {sweeps} sweeps "
             f"(natural residual {residual:.3e})"
         )
+
+
+class PenaltyConsistencyError(Exception):
+    """No contact case of the implicit penalty solve was self-consistent."""
 
 
 class PowerIterationError(Exception):
@@ -212,6 +219,25 @@ class BandedSpd:
         out[a.bw - b.bw :, :] += beta * b.ab
         return BandedSpd(out, copy=False)
 
+    def stacked(self, k: int, pad: int) -> "BandedSpd":
+        """Block-diagonal matrix of k copies, each followed by ``pad`` zero rows and columns.
+
+        A product with it is k products at once: one flat vector holds the
+        k member vectors, each followed by ``pad`` zeros.  With pad >= bw
+        no stored entry couples two copies, so a NaN or an infinity in one
+        member never reaches another (0 * inf is NaN).
+        """
+        if k == 1 and pad == 0:
+            return self
+        block = self.ab.copy(order="F")
+        for j in range(min(self.bw, self.n)):
+            block[: self.bw - j, j] = 0.0  # unused corner: would couple to the rows before
+        width = self.n + pad
+        ab = np.zeros((self.bw + 1, k * width), order="F")
+        for j in range(k):
+            ab[:, j * width : j * width + self.n] = block
+        return BandedSpd(ab, copy=False)
+
     def with_diagonal_bump(self, index: int, value: float) -> "BandedSpd":
         """Copy with ``value`` added at diagonal entry ``index`` (rank-one e_c e_c^T)."""
         out = self.copy()
@@ -226,7 +252,12 @@ class BandedSpd:
 
 
 class BandedCholesky:
-    """Upper-banded Cholesky factor; solves via LAPACK ``pbtrs``."""
+    """Upper-banded Cholesky factor; solves via LAPACK ``pbtrs``.
+
+    ``solve`` takes one right-hand side or an (n x k) matrix of them.  With
+    the LAPACK that the tests check, each column of a multi-RHS solve is
+    bit-identical to its own solve.
+    """
 
     def __init__(self, cb: np.ndarray, n: int, bw: int):
         self.cb = cb
@@ -308,6 +339,102 @@ def solve_single_box(a: BandedSpd, f: np.ndarray, c: int, g: float) -> np.ndarra
     if not np.isfinite(g):
         return a.cholesky().solve(np.asarray(f, dtype=float))
     return PinnedDofSolver(a, c, -g, g).solve(np.asarray(f, dtype=float))
+
+
+class PenaltyTipSolver:
+    """Implicit solve of one penalty step with stops on a single DOF.
+
+    The spring force p(u) = -(1/eps)[max(u - g_hi, 0) - max(g_lo - u, 0)]
+    enters the step beta-weighted like the elastic force; the n+1 term
+    makes the system piecewise linear in the constrained coordinate with
+    three branches (free / pressing upper / pressing lower).  The
+    reduced equation for that coordinate is strictly increasing, so
+    exactly one branch is self-consistent; both branch matrices (A and
+    the diagonal-bumped A + dt^2 beta/eps e_c e_c^T) are factored once.
+
+    ``params`` is one :class:`~beamstops.steppers.PenaltyParams` or a list
+    of members that differ only in ``inv_eps``: they share A's factor, and
+    each member has its own spring and bumped factor.
+    """
+
+    def __init__(self, a: BandedSpd, index: int, lower: float, upper: float, params):
+        if np.isfinite(lower) and lower >= 0.0 or np.isfinite(upper) and upper <= 0.0:
+            raise ValueError("stops must straddle zero")
+        members = params if isinstance(params, (list, tuple)) else [params]
+        self.index = index
+        self.lower = lower
+        self.upper = upper
+        self.dt2 = members[0].dt ** 2
+        self.beta = members[0].beta
+        self.full_factor = a.cholesky()
+        # per member: (inv_eps, bump, factor of the bumped matrix)
+        self.members = []
+        for p in members:
+            bump = self.dt2 * self.beta * p.inv_eps
+            bumped = a.with_diagonal_bump(index, bump).cholesky() if bump > 0.0 else self.full_factor
+            self.members.append((p.inv_eps, bump, bumped))
+
+    def subset(self, rows) -> "PenaltyTipSolver":
+        """The solver of the members in ``rows``, in that order, sharing the factors."""
+        out = copy.copy(self)
+        out.members = [self.members[r] for r in rows]
+        return out
+
+    def spring(self, tip: float, member: int = 0) -> float:
+        """Penalty force of the stops on the tip (negative at the upper stop)."""
+        inv_eps = self.members[member][0]
+        if tip > self.upper:
+            return -inv_eps * (tip - self.upper)
+        if tip < self.lower:
+            return -inv_eps * (tip - self.lower)
+        return 0.0
+
+    def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int):
+        """u^{n+1} from F^n and the pair (u^{n-1}, u^n); ``n`` names the step in errors.
+
+        The float arrays are flat blocks of the k members: member j's
+        vector is entries [j w, j w + 2J), w = len / k, and any rest of
+        its w entries is zero padding (one member: its plain vectors).
+        One multi-RHS solve with A serves every member; a member whose
+        tip left the stops is solved again with its bumped factor.
+        Returns (u^{n+1}, failures), u^{n+1} in the same layout:
+        ``failures`` maps each member with no consistent contact case to
+        its :class:`PenaltyConsistencyError`, and that member's entries
+        of u^{n+1} are void.
+        """
+        c, lower, upper, beta = self.index, self.lower, self.upper, self.beta
+        k, ndof = len(self.members), self.full_factor.n
+        width = f_n.shape[0] // k
+        base = f_n.copy()
+        tips_curr = u_curr[c::width].tolist()
+        tips_prev = u_prev[c::width].tolist()
+        for m in range(k):
+            hist = (1.0 - 2.0 * beta) * self.spring(tips_curr[m], m) + beta * self.spring(
+                tips_prev[m], m
+            )
+            base[m * width + c] += self.dt2 * hist
+        u = np.zeros(k * width)
+        rows = self.full_factor.solve(base.reshape(k, width)[:, :ndof].T)
+        u.reshape(k, width)[:, :ndof] = rows.T
+        failures = {}
+        for m, tip in enumerate(u[c::width].tolist()):
+            _, bump, bumped = self.members[m]
+            if bump == 0.0 or lower <= tip <= upper:
+                continue
+            bound = upper if tip > upper else lower
+            o = m * width
+            base[o + c] += bump * bound
+            u2 = bumped.solve(base[o : o + ndof])
+            tiny = 1e-12 * max(1.0, abs(bound))
+            if (bound == upper and u2[c] >= bound - tiny) or (
+                bound == lower and u2[c] <= bound + tiny
+            ):
+                u[o : o + ndof] = u2
+            else:
+                failures[m] = PenaltyConsistencyError(
+                    f"no consistent contact case at step {n} (tip {tip:.6g} vs {u2[c]:.6g})"
+                )
+        return u, failures
 
 
 def pgs_box(

@@ -21,11 +21,13 @@ ways to close the step at the stops:
   pre-factored banded solve).
 
 :func:`run` is the one stepping path: it picks one step closure per run
-and calls the solver objects below (the banded factor,
-:class:`~beamstops.linalg.PinnedDofSolver`, :func:`~beamstops.linalg.pgs_box`
-or :class:`PenaltyTipSolver`) directly.  Runs are vetoed up front when
-dt exceeds the stability limit for the chosen beta (overridable with
-``force``).
+and calls the solver objects of :mod:`beamstops.linalg` (the banded
+factor, :class:`~beamstops.linalg.PinnedDofSolver`,
+:func:`~beamstops.linalg.pgs_box` or
+:class:`~beamstops.linalg.PenaltyTipSolver`) directly.  Penalty members
+that differ only in inv_eps step through it together, as one block.  Runs
+are vetoed up front when dt exceeds the stability limit for the chosen
+beta (overridable with ``force``).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ContactAudit, contact_state, discrete_energy
+from .diagnostics import ContactAudit, active_sides, discrete_energy
 from .fem import (
     BeamModel,
     DofMap,
@@ -47,12 +49,14 @@ from .fem import (
     lifting,
     lifting_slope,
 )
-from .linalg import BandedSpd, PinnedDofSolver, pgs_box
+from .linalg import (  # PenaltyConsistencyError: run() returns it, so it is importable here
+    BandedSpd,
+    PenaltyConsistencyError,
+    PenaltyTipSolver,
+    PinnedDofSolver,
+    pgs_box,
+)
 from .stability import StabilityReport, UnstableTimeStepError, check_matrices
-
-
-class PenaltyConsistencyError(Exception):
-    """No contact case of the implicit penalty solve was self-consistent."""
 
 
 class NonFiniteRecordError(Exception):
@@ -144,9 +148,7 @@ def init_states(
 
 
 # ---------------------------------------------------------------------------
-# one step of each scheme: the matrices and the penalty solver that run()'s
-# step closures call (the linear and Signorini closures call the banded
-# factor, PinnedDofSolver or pgs_box directly)
+# the matrices of one step, which run()'s step closures solve with
 # ---------------------------------------------------------------------------
 
 
@@ -160,69 +162,6 @@ def transfer_matrix(mass: BandedSpd, stiffness: BandedSpd, params) -> BandedSpd:
     return BandedSpd.lincomb(
         2.0, mass, -(params.dt**2) * (1.0 - 2.0 * params.beta), stiffness
     )
-
-
-class PenaltyTipSolver:
-    """Implicit solve of one penalty step with stops on a single DOF.
-
-    The spring force p(u) = -(1/eps)[max(u - g_hi, 0) - max(g_lo - u, 0)]
-    enters the step beta-weighted like the elastic force; the n+1 term
-    makes the system piecewise linear in the constrained coordinate with
-    three branches (free / pressing upper / pressing lower).  The
-    reduced equation for that coordinate is strictly increasing, so
-    exactly one branch is self-consistent; both branch matrices (A and
-    the diagonal-bumped A + dt^2 beta/eps e_c e_c^T) are factored once.
-    """
-
-    def __init__(self, a: BandedSpd, index: int, lower: float, upper: float, params: PenaltyParams):
-        if np.isfinite(lower) and lower >= 0.0 or np.isfinite(upper) and upper <= 0.0:
-            raise ValueError("stops must straddle zero")
-        self.index = index
-        self.lower = lower
-        self.upper = upper
-        self.inv_eps = params.inv_eps
-        self.dt2 = params.dt**2
-        self.beta = params.beta
-        self.full_factor = a.cholesky()
-        self.bump = self.dt2 * self.beta * self.inv_eps
-        if self.bump > 0.0:
-            self.bumped_factor = a.with_diagonal_bump(index, self.bump).cholesky()
-        else:
-            self.bumped_factor = self.full_factor
-
-    def spring(self, tip: float) -> float:
-        """Penalty force of the stops on the tip (negative at the upper stop)."""
-        if tip > self.upper:
-            return -self.inv_eps * (tip - self.upper)
-        if tip < self.lower:
-            return -self.inv_eps * (tip - self.lower)
-        return 0.0
-
-    def advance(
-        self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int
-    ) -> np.ndarray:
-        """u^{n+1} from F^n and the pair (u^{n-1}, u^n); ``n`` names the step in errors."""
-        c = self.index
-        hist = (1.0 - 2.0 * self.beta) * self.spring(u_curr[c]) + self.beta * self.spring(u_prev[c])
-        base = np.asarray(f_n, dtype=float).copy()
-        base[c] += self.dt2 * hist
-        u = self.full_factor.solve(base)
-        if self.bump == 0.0 or self.lower <= u[c] <= self.upper:
-            return u
-        if u[c] > self.upper:
-            bound = self.upper
-        else:
-            bound = self.lower
-        base[c] += self.bump * bound
-        u2 = self.bumped_factor.solve(base)
-        tiny = 1e-12 * max(1.0, abs(bound))
-        if (bound == self.upper and u2[c] >= bound - tiny) or (
-            bound == self.lower and u2[c] <= bound + tiny
-        ):
-            return u2
-        raise PenaltyConsistencyError(
-            f"no consistent contact case at step {n} (tip {u[c]:.6g} vs {u2[c]:.6g})"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -280,18 +219,29 @@ class Trajectory:
             raise NonFiniteRecordError(int(bad[0]), float(self.t[bad[0]]))
 
     def to_csv(self) -> str:
+        row = ",".join(["%.17g"] * 6)
+        cols = (self.t, self.u_tip, self.v_tip, self.energy, self.reaction, self.violation)
         lines = [self.CSV_HEADER]
-        for i in range(self.t.shape[0]):
-            lines.append(
-                f"{self.t[i]:.17g},{self.u_tip[i]:.17g},{self.v_tip[i]:.17g},"
-                f"{self.energy[i]:.17g},{self.reaction[i]:.17g},{self.violation[i]:.17g}"
-            )
+        # a few hundred rows of Python floats at a time keeps the peak memory down
+        for i in range(0, self.t.size, 256):
+            lines.extend(row % values for values in zip(*(col[i : i + 256].tolist() for col in cols)))
         return "\n".join(lines) + "\n"
 
 
 def _max_nan(a, b):
     """max(a, b), NaN if either is (the builtin drops a NaN second argument)."""
     return a if a != a or a > b else b
+
+
+class _MemberRun:
+    """One member of a run: its recorded rows, per-step extrema and error."""
+
+    def __init__(self, capacity):
+        self.rows = np.empty((capacity, 6))  # t, u_tip, v_tip, energy, reaction, violation
+        self.count = 0
+        self.max_abs_tip = 0.0
+        self.max_violation = 0.0
+        self.error = None
 
 
 def run(
@@ -304,7 +254,7 @@ def run(
     record_stride: int | None = None,
     alpha: float = 0.01,
     force: bool = False,
-) -> Trajectory:
+):
     """Integrate the beam from t=0 to T and record the tip history.
 
     ``kind`` picks the step closure ("signorini", "linear", "penalty" —
@@ -317,13 +267,29 @@ def run(
     stops at the first recorded row with a non-finite tip or energy.
     A step makes two banded products, B u^n and A u^{n+1}; A u is
     carried with the state, so a recorded row adds only the energy's
-    product with S.
+    product with S.  The extrema and the audit are folded in once per
+    load block, over that block's states.
+
+    ``params`` may also be a list of penalty members that differ only in
+    ``inv_eps``.  They share A, B, the loads and the starting pair, and
+    step as one (k x 2J) block: per step one product call for each of
+    B U and A U and one multi-RHS solve serve all of them, and only the
+    tip work is per member.  The result is then a list with each
+    member's Trajectory, or the :class:`PenaltyConsistencyError` that
+    ended it; each member's rows are bit-identical to its own run, and
+    its ``wall_time`` is the block's divided by k.  One ``params`` gives
+    its Trajectory, or raises.
     """
     t_begin = time.perf_counter()
+    members = list(params) if isinstance(params, (list, tuple)) else [params]
     if kind not in ("signorini", "linear", "penalty"):
         raise ValueError(f"unknown scheme kind {kind!r}")
-    if kind == "penalty" and not isinstance(params, PenaltyParams):
+    if kind == "penalty" and not all(isinstance(p, PenaltyParams) for p in members):
         raise ValueError("penalty runs need PenaltyParams")
+    shared = {(p.beta, p.dt, p.T) for p in members}
+    if len(members) > 1 and (kind != "penalty" or len(shared) > 1) or not members:
+        raise ValueError("only penalty members that differ in inv_eps alone step together")
+    scheme = members[0]
 
     dofs = DofMap(mesh.J)
     gm = assemble(mesh, model)
@@ -332,46 +298,72 @@ def run(
     tip_lo, tip_hi = float(box.lower[tip]), float(box.upper[tip])
 
     report = check_matrices(
-        gm.mass, gm.stiffness, mesh.h, model.k2, params.beta, params.dt,
+        gm.mass, gm.stiffness, mesh.h, model.k2, scheme.beta, scheme.dt,
         alpha=alpha,
     )
     if report.verdict == "violated" and not force:
         raise UnstableTimeStepError(report)
 
-    a_mat = effective_matrix(gm.mass, gm.stiffness, params)
-    b_mat = transfer_matrix(gm.mass, gm.stiffness, params)
-    dt = params.dt
+    a_mat = effective_matrix(gm.mass, gm.stiffness, scheme)
+    b_mat = transfer_matrix(gm.mass, gm.stiffness, scheme)
+    dt = scheme.dt
     dt2 = dt * dt
-    n_total = params.n_steps
+    n_total = scheme.n_steps
 
-    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, A u^{n+1}, reaction)
+    # Block layout: member j's state is entries [j w, j w + ndof) of one flat
+    # vector, w = ndof + pad.  The pad zeros isolate the members in the
+    # stacked products; a single member has none.
+    k = len(members)
+    ndof = dofs.ndof
+    pad = a_mat.bw if k > 1 else 0
+    width = ndof + pad
+    a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
+
+    def tiled(u):
+        """k copies of the vector ``u`` in the block layout."""
+        if pad == 0:
+            return u
+        out = np.zeros((k, width))
+        out[:, :ndof] = u
+        return out.reshape(-1)
+
+    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members);
+    # reaction(j, F^n, u^{n+1}, A u^{n+1}) is member j's recorded reaction
     single = box.single_bounded_dof()
     distributed = single is None and bool(np.any(box.finite_mask()))
     contact_audit = None
+    penalty_solver = None
+
+    def no_reaction(j, f, u, au):
+        return 0.0
+
+    reaction = no_reaction
     if kind == "linear":
         factor = a_mat.cholesky()
 
         def step(f, up, uc, n):
-            u = factor.solve(f)
-            return u, a_mat.matvec(u), 0.0
+            return factor.solve(f), {}
 
     elif kind == "penalty":
         if not model.tip_only:
             raise ValueError("penalty stops act on the tip only")
-        penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, params)
+        penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
 
         def step(f, up, uc, n):
-            u = penalty_solver.advance(f, up, uc, n)
-            return u, a_mat.matvec(u), dt2 * penalty_solver.spring(u[tip])
+            return penalty_solver.advance(f, up, uc, n)
+
+        def reaction(j, f, u, au):
+            return dt2 * penalty_solver.spring(u[j * width + tip], j)
 
     elif distributed:
 
         def step(f, up, uc, n):
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
-            u = pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
-            au = a_mat.matvec(u)
-            return u, au, float(au[tip] - f[tip])
+            return pgs_box(a_mat, f, box, x0=uc if n > 1 else None), {}
+
+        def reaction(j, f, u, au):
+            return float(au[tip] - f[tip])
 
     else:
         c, lo, hi = single if single is not None else (tip, tip_lo, tip_hi)
@@ -379,31 +371,42 @@ def run(
         contact_audit = ContactAudit()
 
         def step(f, up, uc, n):
-            u, _ = direct_solver.solve_with_case(f)
-            au = a_mat.matvec(u)
-            active, reaction, offband = contact_state(u, au, f, c, lo, hi)
-            contact_audit.update(active, reaction, offband)
-            return u, au, reaction
+            return direct_solver.solve_with_case(f)[0], {}
+
+        def reaction(j, f, u, au):
+            return float(au[c] - f[c])
+
+    # the entries of each accepted state that the fold of its load block
+    # reads: the members' tips, or the whole state (one member) where the
+    # violation or the audit needs more
+    if distributed or contact_audit is not None and c != tip:
+        watch, watched = slice(None), width
+    else:
+        watch, watched = slice(tip, None, width), 1
+    tip_w = tip if watched > 1 else 0
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
 
-        def step_violation(u):
-            return float(np.max(np.maximum(np.maximum(u - hi_b, lo_b - u), 0.0)))
+        def violations(states):
+            """Per-step violation of (..., k, watched) states, over every DOF."""
+            return np.maximum(np.maximum(states - hi_b, lo_b - states), 0.0).max(axis=-1)
 
     else:
 
-        def step_violation(u):
-            return _max_nan(u[tip] - tip_hi, _max_nan(tip_lo - u[tip], 0.0))
+        def violations(states):
+            """Per-step violation of (..., k, watched) states, at the tip."""
+            u = states[..., tip_w]
+            return np.maximum(np.maximum(u - tip_hi, tip_lo - u), 0.0)
 
-    u_prev, u_curr = init_states(model, mesh, params, u0=u0, v0=v0)
+    u_prev, u_curr = (tiled(u) for u in init_states(model, mesh, scheme, u0=u0, v0=v0))
     # A u of each accepted state is formed once and carried: the audit
     # residual of its step, the energy of its records, and the -A u^{n-1}
     # of F two steps later
-    au_prev, au_curr = a_mat.matvec(u_prev), a_mat.matvec(u_curr)
+    au_prev, au_curr = a_stack.matvec(u_prev), a_stack.matvec(u_curr)
 
     loads = LoadAssembler(mesh, model)
-    horizon = params.T
+    horizon = scheme.T
 
     stride = record_stride
     if stride is None:
@@ -411,34 +414,61 @@ def run(
     if stride < 1:
         raise ValueError("record_stride must be >= 1")
 
-    rec_t, rec_tip, rec_v, rec_e, rec_r, rec_viol = [], [], [], [], [], []
-    beta = params.beta
+    beta = scheme.beta
 
-    def initial_reaction(u):
-        return dt2 * penalty_solver.spring(u[tip]) if kind == "penalty" else 0.0
+    def start_reaction(j, u):
+        return reaction(j, None, u, None) if kind == "penalty" else 0.0
 
-    def record(n, up, uc, aup, auc, reaction, viol):
-        """Append the row of step n; False once its tip or energy is not finite.
+    # rows recorded in this block, whose violation the block's fold fills in
+    pending = []
+
+    def record(j, n, up, uc, aup, auc, react, viol=None):
+        """Append member j's row of step n; False once its tip or energy is not finite.
 
         Row 0 holds u^0 with the forward-difference velocity of the
-        starting pair, later rows u^n with the backward difference.
+        starting pair, later rows u^n with the backward difference.  A
+        row without ``viol`` is the last kept step's.
         """
-        u_tip = up[tip] if n == 0 else uc[tip]
-        energy = discrete_energy((up, uc), (aup, auc), gm.stiffness, dt)
-        rec_t.append(n * dt)
-        rec_tip.append(u_tip)
-        rec_v.append((uc[tip] - up[tip]) / dt)
-        rec_e.append(energy)
-        rec_r.append(reaction)
-        rec_viol.append(viol)
+        o = j * width
+        u0, u1 = up[o : o + ndof], uc[o : o + ndof]
+        u_tip = u0[tip] if n == 0 else u1[tip]
+        energy = discrete_energy((u0, u1), (aup[o : o + ndof], auc[o : o + ndof]), gm.stiffness, dt)
+        mem = active[j]
+        if viol is None:
+            pending.append((mem.rows, mem.count, i - 1, j))
+            viol = 0.0
+        mem.rows[mem.count] = (n * dt, u_tip, (u1[tip] - u0[tip]) / dt, energy, react, viol)
+        mem.count += 1
         return math.isfinite(u_tip) and math.isfinite(energy)
 
-    viol_prev, viol_curr = step_violation(u_prev), step_violation(u_curr)
-    max_abs_tip = _max_nan(abs(u_prev[tip]), abs(u_curr[tip]))
-    max_violation = _max_nan(viol_prev, viol_curr)
+    # the watched entries of the steps not yet folded into the extrema and the audit
+    kept = np.empty((loads.block_rows, k * watched))
+    resid = np.empty((loads.block_rows, ndof)) if contact_audit is not None else None
 
-    def step_loads():
-        """dt^2 G^n for n = 1 .. n_total-1, a block of load windows at a time.
+    def fold(rows):
+        """Fold the first ``rows`` kept steps into the members' extrema and the audit."""
+        if rows == 0:
+            return
+        states = kept[:rows].reshape(rows, len(active), watched)
+        viols = violations(states)
+        abs_tips = np.abs(states[:, :, tip_w]).max(axis=0).tolist()
+        for mem, abs_tip, viol in zip(active, abs_tips, viols.max(axis=0).tolist()):
+            mem.max_abs_tip = _max_nan(abs_tip, mem.max_abs_tip)
+            mem.max_violation = _max_nan(viol, mem.max_violation)
+        if pending:
+            viols = viols.tolist()
+            for rows_of, row, step_row, j in pending:
+                rows_of[row, 5] = viols[step_row][j]
+            pending.clear()
+        if contact_audit is not None:
+            r = resid[:rows]
+            reactions = r[:, c].copy()
+            r[:, c] = 0.0
+            tips = states[:, 0, c if watched > 1 else 0]
+            contact_audit.update(active_sides(tips, lo, hi), reactions, np.abs(r).max(axis=1))
+
+    def load_blocks():
+        """dt^2 G^n for n = 1 .. n_total-1, one block of load windows at a time.
 
         G^n reads the time-averaged loads of windows n-1, n and n+1, so
         each block carries the last two windows of the one before; memory
@@ -446,50 +476,98 @@ def run(
         """
         if n_total < 2:
             return
-        f = np.empty((0, dofs.ndof))
+        f = np.empty((0, ndof))
         for w0 in range(0, n_total + 1, loads.block_rows):
             w1 = min(w0 + loads.block_rows, n_total + 1)
             f = np.concatenate((f[-2:], loads.time_averaged(np.arange(w0, w1), dt, horizon)))
-            yield from dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
+            yield dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
 
+    member_runs = [_MemberRun(n_total // stride + 3) for _ in members]
+    active = list(member_runs)
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
         start = (u_prev, u_curr, au_prev, au_curr)
-        finite = record(0, *start, initial_reaction(u_prev), viol_prev)
-        if finite and n_total >= 1 and (stride == 1 or n_total == 1):
-            finite = record(1, *start, initial_reaction(u_curr), viol_curr)
-        for n, g_n in enumerate(step_loads() if finite else (), start=1):
-            f_vec = b_mat.matvec(u_curr) - au_prev + g_n
-            u_next, au_next, reaction = step(f_vec, u_prev, u_curr, n)
+        viol_prev = violations(u_prev[watch].reshape(k, watched)).tolist()
+        viol_curr = violations(u_curr[watch].reshape(k, watched)).tolist()
+        for j, mem in enumerate(active):
+            mem.max_abs_tip = _max_nan(abs(u_prev[tip]), abs(u_curr[tip]))
+            mem.max_violation = _max_nan(viol_prev[j], viol_curr[j])
+            # the members share the starting pair: its rows are finite for all or none
+            finite = record(j, 0, *start, start_reaction(j, u_prev), viol_prev[j])
+            if finite and n_total >= 1 and (stride == 1 or n_total == 1):
+                finite = record(j, 1, *start, start_reaction(j, u_curr), viol_curr[j])
+        i = n = 0
+        for g_block in load_blocks() if finite else ():
+            for g in range(g_block.shape[0]):
+                n += 1
+                f_vec = b_stack.matvec(u_curr)
+                f_vec -= au_prev
+                if pad:
+                    f_vec.reshape(k, width)[:, :ndof] += g_block[g]
+                else:
+                    f_vec += g_block[g]
+                u_next, done = step(f_vec, u_prev, u_curr, n)
+                au_next = a_stack.matvec(u_next)
+                kept[i] = u_next[watch]
+                if resid is not None:
+                    np.subtract(au_next, f_vec, out=resid[i])
+                i += 1
+                if n + 1 == n_total or (n + 1) % stride == 0:
+                    for j in range(k):
+                        if j not in done and not record(
+                            j, n + 1, u_curr, u_next, au_curr, au_next,
+                            reaction(j, f_vec, u_next, au_next),
+                        ):
+                            done[j] = None
 
-            viol = step_violation(u_next)
-            max_abs_tip = _max_nan(abs(u_next[tip]), max_abs_tip)
-            max_violation = _max_nan(viol, max_violation)
-            if n + 1 == n_total or (n + 1) % stride == 0:
-                if not record(n + 1, u_curr, u_next, au_curr, au_next, reaction, viol):
-                    break
+                u_prev, au_prev = u_curr, au_curr
+                u_curr, au_curr = u_next, au_next
+                if done:
+                    # the members that ended leave the block; the others step on
+                    fold(i)
+                    i = 0
+                    for j, error in done.items():
+                        active[j].error = error
+                    keep = [j for j in range(k) if j not in done]
+                    active = [active[j] for j in keep]
+                    k = len(active)
+                    if k == 0:
+                        break
+                    u_prev, u_curr, au_prev, au_curr = (
+                        x.reshape(-1, width)[keep].reshape(-1)
+                        for x in (u_prev, u_curr, au_prev, au_curr)
+                    )
+                    a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
+                    if penalty_solver is not None:
+                        penalty_solver = penalty_solver.subset(keep)
+                    kept = np.empty((loads.block_rows, k * watched))
+            if k == 0:
+                break
+            fold(i)
+            i = 0
 
-            u_prev, au_prev = u_curr, au_curr
-            u_curr, au_curr = u_next, au_next
-
-    wall = time.perf_counter() - t_begin
-    return Trajectory(
-        t=np.array(rec_t),
-        u_tip=np.array(rec_tip),
-        v_tip=np.array(rec_v),
-        energy=np.array(rec_e),
-        reaction=np.array(rec_r),
-        violation=np.array(rec_viol),
-        scheme=kind,
-        beta=params.beta,
-        dt=dt,
-        tip_lower=tip_lo,
-        tip_upper=tip_hi,
-        n_steps=n_total,
-        record_stride=stride,
-        max_abs_tip=float(max_abs_tip),
-        max_violation=float(max_violation),
-        audit=contact_audit,
-        stability=report,
-        wall_time=wall,
-    )
+    wall = (time.perf_counter() - t_begin) / len(members)
+    results = [
+        mem.error
+        or Trajectory(
+            *mem.rows[: mem.count].T.copy(),
+            scheme=kind,
+            beta=scheme.beta,
+            dt=dt,
+            tip_lower=tip_lo,
+            tip_upper=tip_hi,
+            n_steps=n_total,
+            record_stride=stride,
+            max_abs_tip=float(mem.max_abs_tip),
+            max_violation=float(mem.max_violation),
+            audit=contact_audit,
+            stability=report,
+            wall_time=wall,
+        )
+        for mem in member_runs
+    ]
+    if isinstance(params, (list, tuple)):
+        return results
+    if isinstance(results[0], Exception):
+        raise results[0]
+    return results[0]

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, emitted files, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -240,6 +241,100 @@ def test_sweep_inv_eps_violations_decrease(cfg_file, tmp_path, monkeypatch):
     rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
     viols = [float(r.split(",")[1]) for r in rows]
     assert viols[0] > viols[1] > viols[2]
+
+
+def penalty_cfg(beta, dt):
+    """Penalty config with stops at +-0.002 m (first arrival t = 0.0068 s), T = 0.03."""
+    return (
+        PIPE_SHORT.replace("scheme = signorini", "scheme = penalty\ninv_eps = 1e6")
+        .replace("g = 0.1", "g = 0.002").replace("beta = 0.5", f"beta = {beta}")
+        .replace("dt = 5e-5", f"dt = {dt}").replace("T = 0.05", "T = 0.03")
+        + "record_stride = 7\n"
+    )
+
+
+def solo_runs(cfg_text, values, tmp_path, capsys):
+    """value -> (exit code, SHA-256 of the CSV or None, stderr) of each member's own run."""
+    out = {}
+    for value in values:
+        cfg = tmp_path / f"solo_{value}.cfg"
+        cfg.write_text(cfg_text.replace("inv_eps = 1e6", f"inv_eps = {value}"))
+        code = main(["run", str(cfg), "--output-dir", str(tmp_path / f"solo_{value}")])
+        csv = tmp_path / f"solo_{value}" / "out.csv"
+        digest = hashlib.sha256(csv.read_bytes()).hexdigest() if csv.exists() else None
+        out[value] = (code, digest, capsys.readouterr().err)
+    return out
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_penalty_sweep_members_are_byte_identical_to_solo_runs(
+    cfg_file, tmp_path, monkeypatch, capsys, threads
+):
+    """The four members step together (one block, or one per worker), and
+    each member CSV has the SHA-256 of its own ``run``."""
+    monkeypatch.setenv("BEAM_THREADS", threads)
+    text = penalty_cfg(0.25, 1.5e-5)
+    cfg_file.write_text(text)
+    values = ["1e6", "1e7", "1e8", "1e9"]
+    solo = solo_runs(text, values, tmp_path, capsys)
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "inv_eps", "--values", ",".join(values),
+                 "--output-dir", str(out)])
+    assert code == 0
+    for value in values:
+        assert solo[value][0] == 0
+        assert hashlib.sha256((out / f"inv_eps_{value}.csv").read_bytes()).hexdigest() == solo[value][1]
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == [f"inv_eps={v}" for v in values]
+
+
+@pytest.mark.parametrize(
+    "beta,dt,values,failing",
+    [
+        # 1e9 blows up at beta = 0.1: its rows turn non-finite at t = 0.0279 s
+        (0.1, 1.2e-5, ["1e12", "1e9", "1e6"], "1e9"),
+        # 1e300 turns NaN between two records; today its run fails with a
+        # PenaltyConsistencyError, though the state has blown up, so only the
+        # equality with the solo run is asserted
+        (0.2, 1.4e-5, ["1e6", "1e300", "1e9"], "1e300"),
+    ],
+)
+def test_sweep_member_failure_leaves_the_others_byte_identical(
+    cfg_file, tmp_path, monkeypatch, capsys, beta, dt, values, failing
+):
+    """One member of a block fails; it exits 1 with its solo run's message,
+    and every other member's CSV is its solo run's, byte for byte."""
+    monkeypatch.setenv("BEAM_THREADS", "1")
+    text = penalty_cfg(beta, dt)
+    cfg_file.write_text(text)
+    solo = solo_runs(text, values, tmp_path, capsys)
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "inv_eps", "--values", ",".join(values),
+                 "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    solo_code, _, solo_err = solo[failing]
+    assert solo_code == 1 and solo_err.strip()
+    assert f"inv_eps={failing}: {solo_err.strip()}" in err
+    assert not (out / f"inv_eps_{failing}.csv").exists()
+    for value in values:
+        if value != failing:
+            digest = hashlib.sha256((out / f"inv_eps_{value}.csv").read_bytes()).hexdigest()
+            assert digest == solo[value][1]
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == [f"inv_eps={v}" for v in values if v != failing]
+
+
+def test_sweep_repeated_value_fails_before_any_member_runs(cfg_file, tmp_path, capsys):
+    """Two tokens that read as the same value would run one configuration
+    twice and write one CSV from two members."""
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "5e-5,2.5e-5,5.0e-5",
+                 "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "'5e-5'" in err and "'5.0e-5'" in err
+    assert not out.exists()
 
 
 def test_sweep_empty_values_is_usage_error(cfg_file):

@@ -197,6 +197,17 @@ def test_non_finite_numbers_rejected_except_g_inf():
         RunConfig(L=1.0, J=2, k2=1.0, g=0.1, dt=0.1, T=math.inf)
 
 
+def test_output_the_file_format_cannot_carry_is_rejected():
+    """``#`` starts a comment and each line is stripped, so such an output
+    name would serialize to text that parses back to another name."""
+    base = dict(L=1.0, J=2, k2=1.0, g=0.1, dt=0.1, T=1.0)
+    for bad in ("run#1.csv", "a\nb.csv", "a\rb.csv", " out.csv", "out.csv ", "out.csv\t", ""):
+        with pytest.raises(ConfigError, match="'output'"):
+            RunConfig(**base, output=bad)
+    good = RunConfig(**base, output="runs/out 1=a.csv")
+    assert parse_config(serialize_config(good)) == good
+
+
 def test_override_replaces_single_field():
     cfg = parse_config(PIPE_TEXT)
     assert override(cfg, "dt", "1e-5").dt == 1e-5

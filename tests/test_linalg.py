@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from beamstops.fem import BeamModel, Mesh, SupportMotion, assemble
 from beamstops.linalg import (
     BandedSpd,
     BoxConstraint,
@@ -17,6 +18,7 @@ from beamstops.linalg import (
     pgs_box,
     solve_single_box,
 )
+from beamstops.steppers import SchemeParams, effective_matrix, transfer_matrix
 from conftest import box_qp_oracle, random_banded_spd
 
 
@@ -110,6 +112,55 @@ def test_solve_accepts_matrix_rhs():
     np.testing.assert_allclose(
         a.cholesky().solve(rhs), np.linalg.solve(dense, rhs), rtol=1e-11, atol=1e-12
     )
+
+
+def beam_matrices(J):
+    """A, B and S of the reference beam at beta = 1/4, dt = 1.5e-5 (J elements)."""
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
+    gm = assemble(Mesh(1.501, J), model)
+    params = SchemeParams(0.25, 1.5e-5, 0.1)
+    return (effective_matrix(gm.mass, gm.stiffness, params),
+            transfer_matrix(gm.mass, gm.stiffness, params), gm.stiffness)
+
+
+@pytest.mark.parametrize("J", [1, 2, 19, 320])
+def test_batched_calls_are_bit_identical_to_single_member_calls(J):
+    """The block stepping of run() rests on these: one multi-RHS solve and
+    one product with the stacked matrix give each member exactly the bits
+    of its own call.  Members of widely different scales, as in a sweep."""
+    rng = np.random.default_rng(J)
+    a, b, s = beam_matrices(J)
+    factor = a.cholesky()
+    n = a.n
+    for k in (1, 2, 4, 64):
+        pad = a.bw if k > 1 else 0
+        members = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 3, size=(k, 1))
+        block = np.zeros((k, n + pad))
+        block[:, :n] = members
+        solved = factor.solve(members.T).T
+        assert np.array_equal(solved, np.array([factor.solve(u) for u in members]))
+        for mat in (a, b, s):
+            stacked = mat.stacked(k, pad)
+            assert stacked.n == k * (n + pad)
+            product = stacked.matvec(block.ravel()).reshape(k, n + pad)[:, :n]
+            assert np.array_equal(product, np.array([mat.matvec(u) for u in members]))
+
+
+def test_stacked_product_isolates_a_blown_up_member():
+    """With bw zero pad entries after each member, an infinity in one member
+    leaves every other member's product finite and unchanged; without the
+    pad, 0 * inf in the coupling entries would leak NaN."""
+    a, _, _ = beam_matrices(19)
+    n, bw = a.n, a.bw
+    rng = np.random.default_rng(5)
+    block = np.zeros((3, n + bw))
+    block[:, :n] = rng.standard_normal((3, n))
+    block[1, n - 1] = np.inf
+    with np.errstate(invalid="ignore"):
+        product = a.stacked(3, bw).matvec(block.ravel()).reshape(3, n + bw)[:, :n]
+    for j in (0, 2):
+        assert np.array_equal(product[j], a.matvec(block[j, :n]))
+    assert a.stacked(1, 0) is a
 
 
 def test_not_positive_definite_reports_first_bad_pivot():

@@ -7,6 +7,7 @@ scheme re-run in plain dense numpy, with each constrained step solved by
 the brute-force box-QP enumeration from conftest.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,6 @@ from beamstops.fem import (
 from beamstops.linalg import PinnedDofSolver
 from beamstops.steppers import (
     NonFiniteRecordError,
-    PenaltyConsistencyError,
     PenaltyParams,
     PenaltyTipSolver,
     SchemeParams,
@@ -275,7 +275,8 @@ def test_penalty_solver_matches_root_finding_oracle(push):
     hist = (1.0 - 2.0 * params.beta) * solver.spring(u_curr[c]) + params.beta * solver.spring(
         u_prev[c]
     )
-    got = solver.advance(f_vec, u_prev, u_curr, 3)
+    got, failures = solver.advance(f_vec, u_prev, u_curr, 3)
+    assert failures == {}
     ref = dense_penalty_step(
         a.to_dense(), f_vec, c, -0.02, 0.02, params.dt**2, params.beta, 1e4, hist
     )
@@ -469,7 +470,8 @@ def fresh_products_oracle(model, mesh, params, kind):
         solver = PenaltyTipSolver(a, c, lo, hi, params)
 
         def step(f, up, uc, n):
-            u = solver.advance(f, up, uc, n)
+            u, failures = solver.advance(f, up, uc, n)
+            assert failures == {}
             return u, dt2 * solver.spring(u[c])
 
     else:
@@ -519,6 +521,66 @@ def test_carried_products_are_bit_identical_to_fresh_ones(kind, params):
     assert np.array_equal(traj.v_tip, vels)
     assert np.array_equal(traj.reaction, reactions)
     assert np.array_equal(traj.violation, violation)
+
+
+def penalty_members(beta, dt, T, values):
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    return model, Mesh(1.501, 19), [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
+
+
+def solo_outcome(model, mesh, params, stride):
+    try:
+        traj = run(model, mesh, params, kind="penalty", record_stride=stride)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return traj.to_csv(), traj.max_abs_tip, traj.max_violation
+
+
+@pytest.mark.parametrize(
+    "beta,dt,outcomes",
+    [
+        # all members reach a stop (first arrival t = 0.0068 s) and none fails
+        (0.25, 1.5e-5, {1e6: "ok", 1e7: "ok", 1e8: "ok", 1e9: "ok"}),
+        # 1e300 turns NaN between two records and its run raises; today a
+        # PenaltyConsistencyError, though the state has blown up, so only the
+        # equality with the solo run's error is asserted
+        (0.2, 1.4e-5, {1e6: "ok", 1e300: "raises", 1e9: "ok"}),
+        # 1e9 blows up at beta = 0.1 (t = 0.0279 s): its rows end at the first non-finite one
+        (0.1, 1.2e-5, {1e12: "ok", 1e9: "blown up", 1e6: "ok"}),
+    ],
+)
+def test_members_stepped_as_one_block_match_their_own_runs(beta, dt, outcomes):
+    """Penalty members that differ in inv_eps alone step as one block, and
+    each member's rows and extrema, or its error, equal its own run's, also
+    when another member fails on the way."""
+    model, mesh, members = penalty_members(beta, dt, 0.03, list(outcomes))
+    results = run(model, mesh, members, kind="penalty", record_stride=7)
+    assert len(results) == len(members)
+    for params, result, outcome in zip(members, results, outcomes.values()):
+        solo = solo_outcome(model, mesh, params, 7)
+        if outcome == "raises":
+            assert isinstance(result, Exception)
+            assert (type(result), str(result)) == solo
+            continue
+        assert (result.to_csv(), result.max_abs_tip, result.max_violation) == solo
+        if outcome == "blown up":
+            with pytest.raises(NonFiniteRecordError):
+                result.require_finite()
+        else:
+            result.require_finite()
+
+
+def test_block_run_accepts_only_penalty_members_differing_in_inv_eps():
+    model, mesh, members = penalty_members(0.25, 1.5e-5, 0.001, [1e6, 1e7])
+    with pytest.raises(ValueError, match="differ in inv_eps"):
+        run(model, mesh, [members[0], PenaltyParams(inv_eps=1e7, beta=0.25, dt=1e-5, T=0.001)],
+            kind="penalty")
+    with pytest.raises(ValueError, match="differ in inv_eps"):
+        run(model, mesh, [SchemeParams(0.5, 1e-5, 0.001)] * 2)
+    with pytest.raises(ValueError, match="differ in inv_eps"):
+        run(model, mesh, [], kind="penalty")
+    single = run(model, mesh, [members[0]], kind="penalty")
+    assert single[0].to_csv() == run(model, mesh, members[0], kind="penalty").to_csv()
 
 
 def test_free_energy_conservation_any_beta():
@@ -593,6 +655,27 @@ def test_trajectory_csv_round_trip():
     np.testing.assert_array_equal(data[:, 0], traj.t)       # %.17g round-trips
     np.testing.assert_array_equal(data[:, 1], traj.u_tip)
     np.testing.assert_array_equal(data[:, 3], traj.energy)
+
+
+def test_trajectory_csv_matches_per_cell_formatting():
+    """to_csv formats a chunk of columns at once; the text is that of
+    formatting each numpy cell with ``:.17g``, also for zeros of both signs,
+    subnormals, infinities and NaN, and across chunks (601 rows)."""
+    traj = run(small_model(g=0.02), Mesh(SMALL["L"], 3), SchemeParams(0.5, 0.004, 2.4))
+    assert traj.t.size == 601
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e300]
+    cols = rng.standard_normal((6, traj.t.size)) * 10.0 ** rng.integers(-12, 12, (6, traj.t.size))
+    cols[:, : len(special)] = special
+    odd = dataclasses.replace(
+        traj, t=cols[0], u_tip=cols[1], v_tip=cols[2], energy=cols[3], reaction=cols[4],
+        violation=cols[5],
+    )
+    for tr in (traj, odd):
+        names = ("t", "u_tip", "v_tip", "energy", "reaction", "violation")
+        rows = zip(*(getattr(tr, name) for name in names))
+        expected = [Trajectory.CSV_HEADER] + [",".join(f"{x:.17g}" for x in row) for row in rows]
+        assert tr.to_csv() == "\n".join(expected) + "\n"
 
 
 def test_run_energy_column_matches_pairwise_formula():

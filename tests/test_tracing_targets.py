@@ -57,15 +57,27 @@ def test_step_closures_call_the_wrapped_solvers(tracing):
         "linalg.solve": lambda: run(
             BeamModel(k2=1.0, L=1.0, phi=phi), mesh, SchemeParams(0.5, dt, n * dt), kind="linear"),
     }
-    for span, fn in runs.items():
+
+    def counts(fn):
         tracer = tracing.Tracer()
         with tracer:
             fn()
         calls = np.bincount(np.array(tracer.name), minlength=len(tracer.names))
-        count = dict(zip(tracer.names, calls))
+        return dict(zip(tracer.names, calls))
+
+    for span, fn in runs.items():
+        count = counts(fn)
         assert count["steppers.init_states"] == 1
         assert count[span] >= n - 1, span
         assert count["diagnostics.energy"] == n + 1
+
+    # four members stepped as one block: one penalty solve per step for all
+    # of them, and each member's energy at each of its records
+    members = [PenaltyParams(inv_eps=e, dt=dt, T=n * dt) for e in (1e2, 1e3, 1e4, 1e5)]
+    count = counts(lambda: run(tip_stops, mesh, members, kind="penalty"))
+    assert count["steppers.init_states"] == 1
+    assert count["steppers.penalty"] == n - 1
+    assert count["diagnostics.energy"] == 4 * (n + 1)
 
 
 @pytest.mark.parametrize("stride", [1, 4])
