@@ -9,7 +9,9 @@ Three subcommands share a flat config file (see :mod:`beamstops.config`):
 * ``stability <config>`` — print the time-step limits without running.
 
 Exit codes: 0 success, 2 stability veto (override with ``--force``),
-1 solver or configuration failure.
+1 solver or configuration failure.  A trajectory is written only if its
+records are finite and, for a run with an audited contact, its
+complementarity certificate holds.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .config import (
     parse_config,
     run_kwargs,
 )
-from .diagnostics import RunComparison, summary_row
+from .diagnostics import ComplementarityError, RunComparison, summary_row
 from .linalg import (
     NotPositiveDefiniteError,
     PenaltyConsistencyError,
@@ -50,6 +52,7 @@ SOLVER_ERRORS = (
     PowerIterationError,
     PenaltyConsistencyError,
     NonFiniteRecordError,
+    ComplementarityError,
 )
 
 
@@ -100,13 +103,21 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _certify(traj: Trajectory) -> None:
+    """Raise the error that forbids writing ``traj``: a non-finite record,
+    or a failed complementarity certificate where the run audited its contact."""
+    traj.require_finite()
+    if traj.audit is not None:
+        traj.audit.check()
+
+
 def cmd_run(cfg, output_dir: str, force: bool) -> int:
     model, mesh = build_model(cfg)
     params = build_params(cfg)
     try:
         traj = run(model, mesh, params, force=force, **run_kwargs(cfg))
         print(traj.stability.format())
-        traj.require_finite()
+        _certify(traj)
     except UnstableTimeStepError as exc:
         print(exc.report.format())
         print("stability veto: re-run with --force to override", file=sys.stderr)
@@ -139,8 +150,8 @@ def _sweep_child(payload):
         label = f"{key}={token}"
         if isinstance(traj, Trajectory):
             try:
-                traj.require_finite()
-            except NonFiniteRecordError as exc:
+                _certify(traj)
+            except SOLVER_ERRORS as exc:
                 traj = exc
         if isinstance(traj, UnstableTimeStepError):
             out.append((i, label, EXIT_VETO, str(traj), None))

@@ -40,22 +40,6 @@ class ComplementarityError(Exception):
     """A computed step violates the contact sign conditions."""
 
 
-@dataclass(frozen=True)
-class ContactRecord:
-    """Contact state of one accepted step.
-
-    ``reaction`` is the scheme-native, dt^2-scaled contact force
-    (A u - F) at the constrained DOF: zero off contact, <= 0 while
-    pressing the upper stop, >= 0 at the lower stop.  Divide by dt^2 for
-    the physical force.
-    """
-
-    tip: float
-    reaction: float
-    active: str  # "upper" | "lower" | "inactive"
-    offband_residual: float
-
-
 def active_sides(tips, lower: float, upper: float) -> np.ndarray:
     """"upper", "lower" or "inactive" for each tip; a tip within 1e-12
     (relative) of a finite stop rests on it, and a NaN tip is inactive."""
@@ -69,71 +53,43 @@ def active_sides(tips, lower: float, upper: float) -> np.ndarray:
     return np.where(on_upper, "upper", np.where(on_lower, "lower", "inactive"))
 
 
-def contact_residual(
-    u_next: np.ndarray,
-    au_next: np.ndarray,
-    f_n: np.ndarray,
-    index: int,
-    lower: float,
-    upper: float,
-    tol: float = 1e-9,
-) -> ContactRecord:
-    """Verify the complementarity conditions of one computed step.
-
-    Off the constrained DOF the equations must hold (residual <= tol);
-    at the constrained DOF the reaction must vanish off contact and
-    push away from the violated stop on contact.  The residual
-    r = A u - F is formed from the product ``au_next`` = A u; raises
-    :class:`ComplementarityError` on violation.
-    """
-    r = au_next - f_n
-    reaction = float(r[index])
-    r[index] = 0.0
-    offband = float(np.abs(r).max())
-    active = str(active_sides(u_next[index], lower, upper))
-    if offband > tol:
-        raise ComplementarityError(
-            f"off-contact residual {offband:.3e} exceeds {tol:.1e}"
-        )
-    if active == "inactive" and abs(reaction) > tol:
-        raise ComplementarityError(
-            f"nonzero reaction {reaction:.3e} without contact"
-        )
-    if active == "upper" and reaction > tol:
-        raise ComplementarityError(
-            f"reaction {reaction:.3e} pulls toward the upper stop"
-        )
-    if active == "lower" and reaction < -tol:
-        raise ComplementarityError(
-            f"reaction {reaction:.3e} pulls toward the lower stop"
-        )
-    return ContactRecord(
-        tip=float(u_next[index]), reaction=reaction, active=active, offband_residual=offband
-    )
-
-
 @dataclass
 class ContactAudit:
-    """Worst-case complementarity figures accumulated over a whole run."""
+    """The complementarity certificate of consecutive steps.
+
+    The reaction is the scheme-native, dt^2-scaled contact force, the
+    residual A u - F at the constrained DOF: zero off contact, <= 0 while
+    pressing the upper stop, >= 0 at the lower stop.  Off that DOF the
+    equations must hold.  :meth:`update` folds steps in, :meth:`check`
+    raises on the first condition the folded steps break; one step is
+    certified by one call of each.
+    """
 
     contact_steps: int = 0
     episodes: int = 0
     max_offband_residual: float = 0.0
-    # (A u - F) at the constrained DOF: <= 0 at the upper stop, >= 0 at
-    # the lower stop, = 0 inactive; track the worst signed excess.
+    # worst signed excess of the reaction on each side, and |reaction| off contact
     max_upper_reaction: float = -np.inf
     min_lower_reaction: float = np.inf
     max_inactive_reaction: float = 0.0
     _in_contact: bool = field(default=False, repr=False)
 
-    def update(self, active, reaction, offband) -> None:
-        """Fold in a run of consecutive steps: their active sides ("upper",
-        "lower" or "inactive"), reactions and off-contact residuals, as
-        arrays or as the scalars of one step.  NaN figures are skipped."""
-        active, reaction, offband = np.atleast_1d(active, reaction, offband)
-        if active.size == 0:
+    def update(self, tips, residuals, index: int, lower: float, upper: float) -> None:
+        """Fold in a run of consecutive steps: the constrained DOF's values
+        ``tips`` and the residual rows A u - F of the same steps, as arrays
+        or as the scalar and the vector of one step.  ``index`` is the
+        constrained DOF and [lower, upper] its stops.  NaN figures are
+        skipped."""
+        tips, residuals = np.atleast_1d(tips), np.atleast_2d(residuals)
+        if tips.size == 0:
             return
-        self.max_offband_residual = float(np.fmax.reduce(offband, initial=self.max_offband_residual))
+        reaction = residuals[:, index]
+        off = np.abs(residuals)
+        off[:, index] = 0.0
+        self.max_offband_residual = float(
+            np.fmax.reduce(off.max(axis=1), initial=self.max_offband_residual)
+        )
+        active = active_sides(tips, lower, upper)
         inactive = active == "inactive"
         self.max_inactive_reaction = float(
             np.fmax.reduce(np.abs(reaction[inactive]), initial=self.max_inactive_reaction)
@@ -150,15 +106,22 @@ class ContactAudit:
             np.fmin.reduce(reaction[active == "lower"], initial=self.min_lower_reaction)
         )
 
-    def satisfies(self, tol: float = 1e-9) -> bool:
-        ok = self.max_offband_residual <= tol
-        ok &= self.max_inactive_reaction <= tol
-        if np.isfinite(self.max_upper_reaction):
-            ok &= self.max_upper_reaction <= tol
-        if np.isfinite(self.min_lower_reaction):
-            ok &= self.min_lower_reaction >= -tol
-        return bool(ok)
-
+    def check(self, tol: float = 1e-9) -> None:
+        """Raise :class:`ComplementarityError` naming the first condition
+        the folded steps break by more than ``tol``: the equations off the
+        constrained DOF, no reaction off contact, and a reaction pushing
+        away from the stop on contact."""
+        if self.max_offband_residual > tol:
+            message = f"off-contact residual {self.max_offband_residual:.3e} exceeds {tol:.1e}"
+        elif self.max_inactive_reaction > tol:
+            message = f"nonzero reaction {self.max_inactive_reaction:.3e} without contact"
+        elif self.max_upper_reaction > tol:
+            message = f"reaction {self.max_upper_reaction:.3e} pulls toward the upper stop"
+        elif self.min_lower_reaction < -tol:
+            message = f"reaction {self.min_lower_reaction:.3e} pulls toward the lower stop"
+        else:
+            return
+        raise ComplementarityError(message)
 
 # ---------------------------------------------------------------------------
 # trajectory-level measures

@@ -419,7 +419,8 @@ class PenaltyTipSolver:
         failures = {}
         for m, tip in enumerate(u[c::width].tolist()):
             _, bump, bumped = self.members[m]
-            if bump == 0.0 or lower <= tip <= upper:
+            # a NaN tip steps on: the run's record check names the blow-up
+            if bump == 0.0 or not (tip > upper or tip < lower):
                 continue
             bound = upper if tip > upper else lower
             o = m * width

@@ -109,27 +109,15 @@ def check_matrices(
     """Stability report from pre-assembled matrices."""
     kb = kappa_bound(k2, dx)
     ke = kappa_exact(mass, stiffness)
-    if beta == 0.5:
-        return StabilityReport(
-            beta=beta,
-            dt=dt,
-            alpha=alpha,
-            kappa_bound=kb,
-            kappa_exact=ke,
-            dt_max_bound=math.inf,
-            dt_max_exact=math.inf,
-            verdict="unconditional",
-        )
-    dt_b = max_stable_dt(kb, beta, alpha)
     dt_e = max_stable_dt(ke, beta, alpha)
-    verdict = "violated" if dt >= dt_e else "stable"
+    verdict = "unconditional" if beta == 0.5 else "violated" if dt >= dt_e else "stable"
     return StabilityReport(
         beta=beta,
         dt=dt,
         alpha=alpha,
         kappa_bound=kb,
         kappa_exact=ke,
-        dt_max_bound=dt_b,
+        dt_max_bound=max_stable_dt(kb, beta, alpha),
         dt_max_exact=dt_e,
         verdict=verdict,
     )

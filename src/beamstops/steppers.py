@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ContactAudit, active_sides, discrete_energy
+from .diagnostics import ContactAudit, discrete_energy
 from .fem import (
     BeamModel,
     DofMap,
@@ -461,11 +461,7 @@ def run(
                 rows_of[row, 5] = viols[step_row][j]
             pending.clear()
         if contact_audit is not None:
-            r = resid[:rows]
-            reactions = r[:, c].copy()
-            r[:, c] = 0.0
-            tips = states[:, 0, c if watched > 1 else 0]
-            contact_audit.update(active_sides(tips, lo, hi), reactions, np.abs(r).max(axis=1))
+            contact_audit.update(states[:, 0, c if watched > 1 else 0], resid[:rows], c, lo, hi)
 
     def load_blocks():
         """dt^2 G^n for n = 1 .. n_total-1, one block of load windows at a time.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from beamstops.cli import main
+from beamstops.linalg import PinnedDofSolver
 
 PIPE_SHORT = """\
 L = 1.501
@@ -115,6 +116,40 @@ def test_run_blow_up_fails_and_keeps_existing_output(cfg_file, tmp_path, capsys)
                  "--output-dir", str(out), "--force"])
     assert code == 1
     assert "not finite" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_failed_complementarity_certificate_fails_and_writes_nothing(
+    cfg_file, tmp_path, monkeypatch, capsys
+):
+    """A pinned solve that clamps the tip onto the stop without the step
+    along A^{-1} e_c leaves the equations off the tip broken in contact:
+    the run's audit fails, and neither a run nor a sweep member writes a CSV."""
+
+    def clamp_only(self, f):
+        u = self.full_factor.solve(f)
+        if self.lower <= u[self.index] <= self.upper:
+            return u, 0
+        case = 1 if u[self.index] > self.upper else -1
+        u[self.index] = self.upper if case == 1 else self.lower
+        return u, case
+
+    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", clamp_only)
+    monkeypatch.setenv("BEAM_THREADS", "1")
+    # stops at +-0.002 m: the tip first arrives at t = 0.0068 s
+    cfg_file.write_text(PIPE_SHORT.replace("g = 0.1", "g = 0.002").replace("T = 0.05", "T = 0.01"))
+    code = main(["run", str(cfg_file), "--output-dir", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "solver error: off-contact residual" in err
+    assert not (tmp_path / "run" / "out.csv").exists()
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "5e-5,2.5e-5",
+                 "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "dt=5e-5: solver error: off-contact residual" in err
+    assert "dt=2.5e-5: solver error: off-contact residual" in err
     assert list(out.iterdir()) == []
 
 
@@ -293,9 +328,7 @@ def test_penalty_sweep_members_are_byte_identical_to_solo_runs(
     [
         # 1e9 blows up at beta = 0.1: its rows turn non-finite at t = 0.0279 s
         (0.1, 1.2e-5, ["1e12", "1e9", "1e6"], "1e9"),
-        # 1e300 turns NaN between two records; today its run fails with a
-        # PenaltyConsistencyError, though the state has blown up, so only the
-        # equality with the solo run is asserted
+        # 1e300 turns NaN between two records: its run names the first non-finite record
         (0.2, 1.4e-5, ["1e6", "1e300", "1e9"], "1e300"),
     ],
 )

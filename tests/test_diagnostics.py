@@ -6,9 +6,7 @@ import pytest
 from beamstops.diagnostics import (
     ComplementarityError,
     ContactAudit,
-    ContactRecord,
     compare_runs,
-    contact_residual,
     count_episodes,
     discrete_energy,
     violation,
@@ -59,20 +57,28 @@ def test_discrete_energy_zero_at_rest():
     assert discrete_energy((z, z), (z, z), gm.stiffness, 0.1) == 0.0
 
 
-# ------------------------------------------------------------- contact records
+# ------------------------------------------------ contact residual of one step
 
 def tiny_system():
     a, dense = random_banded_spd(np.random.default_rng(63), 4, 2)
     return a, dense
 
 
+def certify_step(a, u, f, tol=1e-9):
+    """The audit of one step with stops [-0.1, 0.1] on DOF 2, checked at ``tol``."""
+    audit = ContactAudit()
+    audit.update(u[2], a.matvec(u) - f, 2, -0.1, 0.1)
+    audit.check(tol)
+    return audit
+
+
 def test_contact_residual_accepts_clean_free_step():
     a, dense = tiny_system()
     u = np.array([0.01, -0.02, 0.005, 0.0])
     f = dense @ u  # exact equations, no reaction anywhere
-    rec = contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1)
-    assert rec.active == "inactive"
-    assert rec.reaction == pytest.approx(0.0, abs=1e-15)
+    audit = certify_step(a, u, f)
+    assert audit.contact_steps == 0
+    assert audit.max_inactive_reaction == pytest.approx(0.0, abs=1e-15)
 
 
 def test_contact_residual_accepts_upper_contact_with_negative_reaction():
@@ -80,9 +86,10 @@ def test_contact_residual_accepts_upper_contact_with_negative_reaction():
     u = np.array([0.01, -0.02, 0.1, 0.0])  # tip exactly on the upper stop
     f = dense @ u
     f[2] += 0.5  # load pressing up; reaction (A u - f)_2 = -0.5
-    rec = contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1)
-    assert rec.active == "upper"
-    assert rec.reaction == pytest.approx(-0.5)
+    audit = certify_step(a, u, f)
+    assert audit.contact_steps == 1 and audit.episodes == 1
+    assert audit.max_upper_reaction == pytest.approx(-0.5)
+    assert audit.min_lower_reaction == np.inf
 
 
 def test_contact_residual_rejects_wrong_sign():
@@ -90,8 +97,8 @@ def test_contact_residual_rejects_wrong_sign():
     u = np.array([0.01, -0.02, 0.1, 0.0])
     f = dense @ u
     f[2] -= 0.5  # would mean the stop pulls the beam toward itself
-    with pytest.raises(ComplementarityError):
-        contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1)
+    with pytest.raises(ComplementarityError, match="pulls toward the upper stop"):
+        certify_step(a, u, f)
 
 
 def test_contact_residual_rejects_reaction_without_contact():
@@ -99,8 +106,8 @@ def test_contact_residual_rejects_reaction_without_contact():
     u = np.array([0.01, -0.02, 0.03, 0.0])  # tip well inside the band
     f = dense @ u
     f[2] += 0.5
-    with pytest.raises(ComplementarityError):
-        contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1)
+    with pytest.raises(ComplementarityError, match="without contact"):
+        certify_step(a, u, f)
 
 
 def test_contact_residual_rejects_offband_violation():
@@ -108,11 +115,10 @@ def test_contact_residual_rejects_offband_violation():
     u = np.array([0.01, -0.02, 0.03, 0.0])
     f = dense @ u
     f[0] += 1e-3  # equation error on an unconstrained DOF
-    with pytest.raises(ComplementarityError):
-        contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1)
-    rec = contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1, tol=1e-2)
-    assert rec.offband_residual == pytest.approx(1e-3)
-    assert isinstance(rec, ContactRecord)
+    with pytest.raises(ComplementarityError, match="off-contact residual"):
+        certify_step(a, u, f)
+    audit = certify_step(a, u, f, tol=1e-2)
+    assert audit.max_offband_residual == pytest.approx(1e-3)
 
 
 def test_contact_residual_lower_stop_positive_reaction():
@@ -120,48 +126,89 @@ def test_contact_residual_lower_stop_positive_reaction():
     u = np.array([0.01, -0.02, -0.1, 0.0])
     f = dense @ u
     f[2] -= 0.25  # pressing down; reaction = +0.25 pushes back up
-    rec = contact_residual(u, a.matvec(u), f, 2, -0.1, 0.1)
-    assert rec.active == "lower"
-    assert rec.reaction == pytest.approx(0.25)
+    audit = certify_step(a, u, f)
+    assert audit.contact_steps == 1
+    assert audit.min_lower_reaction == pytest.approx(0.25)
+    assert audit.max_upper_reaction == -np.inf
+
+
+def test_contact_residual_names_the_first_broken_condition():
+    """Off-contact residual, reaction off contact, upper sign, lower sign."""
+    audit = ContactAudit(
+        max_offband_residual=1e-6, max_inactive_reaction=1e-6,
+        max_upper_reaction=1e-6, min_lower_reaction=-1e-6,
+    )
+    for field, fixed, message in [
+        ("max_offband_residual", 0.0, "off-contact residual 1.000e-06 exceeds 1.0e-09"),
+        ("max_inactive_reaction", 0.0, "nonzero reaction 1.000e-06 without contact"),
+        ("max_upper_reaction", -1.0, "reaction 1.000e-06 pulls toward the upper stop"),
+        ("min_lower_reaction", 1.0, "reaction -1.000e-06 pulls toward the lower stop"),
+    ]:
+        with pytest.raises(ComplementarityError) as info:
+            audit.check(1e-9)
+        assert str(info.value) == message
+        setattr(audit, field, fixed)
+    audit.check(1e-9)
 
 
 # ---------------------------------------------------------------------- audits
 
+#: (tip, reaction, off-contact residual) of consecutive steps, stops [-0.1, 0.1]
+#: on DOF 0 and the off-contact residual on DOF 1
+AUDIT_STEPS = [
+    (0.0, 0.0, 1e-14),
+    (0.1, -0.3, 2e-14),
+    (0.1, -0.6, -1e-15),
+    (0.05, 1e-12, 5e-15),
+    (-0.1, 0.2, 0.0),
+    (0.1, -0.1, 0.0),
+]
+
+
+def fold(audit, steps):
+    tips = np.array([s[0] for s in steps])
+    residuals = np.array([[s[1], s[2]] for s in steps])
+    audit.update(tips, residuals, 0, -0.1, 0.1)
+    return audit
+
+
 def test_audit_accumulates_episodes_and_extremes():
     audit = ContactAudit()
-    seq = [
-        ("inactive", 0.0, 1e-14),
-        ("upper", -0.3, 2e-14),
-        ("upper", -0.6, 1e-15),
-        ("inactive", 1e-12, 5e-15),
-        ("lower", 0.2, 0.0),
-        ("upper", -0.1, 0.0),
-    ]
-    for active, reaction, off in seq:
-        audit.update(active, reaction, off)
+    for step in AUDIT_STEPS:
+        fold(audit, [step])
     assert audit.contact_steps == 4
     assert audit.episodes == 2  # upper-upper, then lower-upper without a gap
     assert audit.max_offband_residual == 2e-14
     assert audit.max_upper_reaction == -0.1
     assert audit.min_lower_reaction == 0.2
     assert audit.max_inactive_reaction == 1e-12
-    assert audit.satisfies(1e-9)
+    audit.check(1e-9)
+    # two blocks give the same audit wherever the cut falls: the episode carries across it
+    for cut in range(len(AUDIT_STEPS) + 1):
+        assert fold(fold(ContactAudit(), AUDIT_STEPS[:cut]), AUDIT_STEPS[cut:]) == audit
 
 
 def test_audit_flags_sign_violations():
-    audit = ContactAudit()
-    audit.update("upper", +1e-6, 0.0)  # wrong sign at the upper stop
-    assert not audit.satisfies(1e-9)
-    audit2 = ContactAudit()
-    audit2.update("inactive", 1e-3, 0.0)
-    assert not audit2.satisfies(1e-9)
-    audit3 = ContactAudit()
-    audit3.update("lower", -1e-6, 0.0)
-    assert not audit3.satisfies(1e-9)
+    with pytest.raises(ComplementarityError, match="upper stop"):
+        fold(ContactAudit(), [(0.1, +1e-6, 0.0)]).check(1e-9)  # wrong sign at the upper stop
+    with pytest.raises(ComplementarityError, match="without contact"):
+        fold(ContactAudit(), [(0.0, 1e-3, 0.0)]).check(1e-9)
+    with pytest.raises(ComplementarityError, match="lower stop"):
+        fold(ContactAudit(), [(-0.1, -1e-6, 0.0)]).check(1e-9)
+
+
+def test_audit_skips_nan_figures():
+    audit = fold(ContactAudit(), [(np.nan, np.nan, np.nan), (0.1, -0.2, 1e-15)])
+    assert audit.contact_steps == 1 and audit.episodes == 1
+    assert audit.max_offband_residual == 1e-15
+    assert audit.max_upper_reaction == -0.2
+    assert audit.max_inactive_reaction == 0.0
 
 
 def test_audit_empty_run_satisfies():
-    assert ContactAudit().satisfies(1e-12)
+    ContactAudit().check(1e-12)
+    audit = fold(ContactAudit(), [])
+    assert audit == ContactAudit()
 
 
 # ----------------------------------------------------------- trajectory-level

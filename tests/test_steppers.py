@@ -16,6 +16,7 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from beamstops import fem
+from beamstops.diagnostics import ContactAudit
 from beamstops.fem import (
     BeamModel,
     DofMap,
@@ -450,7 +451,8 @@ def fresh_products_oracle(model, mesh, params, kind):
     """Tip rows of run() at record stride 1, stepped with every product
     formed fresh: F^n = B u^n - A u^{n-1} + dt^2 G^n from two new matvecs,
     and the Signorini reaction from a new A u^{n+1}.  The solvers are the
-    ones run() calls."""
+    ones run() calls.  Also returns the Signorini contact audit, folded one
+    step at a time (None for the other kinds)."""
     c = DofMap(mesh.J).tip_disp
     lo, hi = float(model.g_lower), float(model.g_upper)
     gm = assemble(mesh, model)
@@ -476,10 +478,13 @@ def fresh_products_oracle(model, mesh, params, kind):
 
     else:
         pinned = PinnedDofSolver(a, c, lo, hi)
+        audit = ContactAudit()
 
         def step(f, up, uc, n):
             u, _ = pinned.solve_with_case(f)
-            return u, float((a.matvec(u) - f)[c])
+            residual = a.matvec(u) - f
+            audit.update(u[c], residual, c, lo, hi)
+            return u, float(residual[c])
 
     def start_reaction(u):
         return dt2 * solver.spring(u[c]) if kind == "penalty" else 0.0
@@ -496,13 +501,13 @@ def fresh_products_oracle(model, mesh, params, kind):
         up, uc = uc, u
     tips = np.array(tips)
     violation = np.maximum(np.maximum(tips - hi, lo - tips), 0.0)
-    return tips, np.array(vels), np.array(reactions), violation
+    return tips, np.array(vels), np.array(reactions), violation, audit if kind == "signorini" else None
 
 
 @pytest.mark.parametrize(
     "kind,params",
     [
-        ("signorini", SchemeParams(beta=0.5, dt=5e-5, T=0.02)),
+        ("signorini", SchemeParams(beta=0.5, dt=5e-5, T=0.03)),
         ("penalty", PenaltyParams(inv_eps=1e9, dt=5e-6, T=0.012, beta=0.25)),
         ("linear", SchemeParams(beta=0.3, dt=1e-5, T=0.01)),
     ],
@@ -511,16 +516,21 @@ def test_carried_products_are_bit_identical_to_fresh_ones(kind, params):
     """run() carries A u with the state (F two steps later, the audit, the
     energy) and forms B u^n once per step; the tip rows are exactly those
     of a loop that forms each product anew.  Each horizon runs past the
-    tip's first arrival at a stop (t = 0.0068 s with g = 0.002)."""
+    tip's first arrival at a stop (t = 0.0068 s with g = 0.002).  The
+    Signorini audit, which run() folds once per load block, equals one
+    folded step by step; its 600 steps span two blocks of 431 windows."""
     mesh = Mesh(1.501, 19)
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     traj = run(model, mesh, params, kind=kind, record_stride=1)
-    tips, vels, reactions, violation = fresh_products_oracle(model, mesh, params, kind)
+    tips, vels, reactions, violation, audit = fresh_products_oracle(model, mesh, params, kind)
     assert np.max(np.abs(tips)) >= 0.002
     assert np.array_equal(traj.u_tip, tips)
     assert np.array_equal(traj.v_tip, vels)
     assert np.array_equal(traj.reaction, reactions)
     assert np.array_equal(traj.violation, violation)
+    assert traj.audit == audit
+    if audit is not None:
+        assert audit.episodes >= 2 and audit.contact_steps > 0
 
 
 def penalty_members(beta, dt, T, values):
@@ -528,41 +538,29 @@ def penalty_members(beta, dt, T, values):
     return model, Mesh(1.501, 19), [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
 
 
-def solo_outcome(model, mesh, params, stride):
-    try:
-        traj = run(model, mesh, params, kind="penalty", record_stride=stride)
-    except Exception as exc:
-        return type(exc), str(exc)
-    return traj.to_csv(), traj.max_abs_tip, traj.max_violation
-
-
 @pytest.mark.parametrize(
     "beta,dt,outcomes",
     [
         # all members reach a stop (first arrival t = 0.0068 s) and none fails
         (0.25, 1.5e-5, {1e6: "ok", 1e7: "ok", 1e8: "ok", 1e9: "ok"}),
-        # 1e300 turns NaN between two records and its run raises; today a
-        # PenaltyConsistencyError, though the state has blown up, so only the
-        # equality with the solo run's error is asserted
-        (0.2, 1.4e-5, {1e6: "ok", 1e300: "raises", 1e9: "ok"}),
+        # 1e300 turns NaN between two records: its rows end at the first non-finite one
+        (0.2, 1.4e-5, {1e6: "ok", 1e300: "blown up", 1e9: "ok"}),
         # 1e9 blows up at beta = 0.1 (t = 0.0279 s): its rows end at the first non-finite one
         (0.1, 1.2e-5, {1e12: "ok", 1e9: "blown up", 1e6: "ok"}),
     ],
 )
 def test_members_stepped_as_one_block_match_their_own_runs(beta, dt, outcomes):
     """Penalty members that differ in inv_eps alone step as one block, and
-    each member's rows and extrema, or its error, equal its own run's, also
-    when another member fails on the way."""
+    each member's rows and extrema equal its own run's, also when another
+    member blows up on the way."""
     model, mesh, members = penalty_members(beta, dt, 0.03, list(outcomes))
     results = run(model, mesh, members, kind="penalty", record_stride=7)
     assert len(results) == len(members)
     for params, result, outcome in zip(members, results, outcomes.values()):
-        solo = solo_outcome(model, mesh, params, 7)
-        if outcome == "raises":
-            assert isinstance(result, Exception)
-            assert (type(result), str(result)) == solo
-            continue
-        assert (result.to_csv(), result.max_abs_tip, result.max_violation) == solo
+        solo = run(model, mesh, params, kind="penalty", record_stride=7)
+        assert result.to_csv() == solo.to_csv()
+        extrema = [(r.max_abs_tip, r.max_violation) for r in (result, solo)]
+        assert np.array_equal(*extrema, equal_nan=True)
         if outcome == "blown up":
             with pytest.raises(NonFiniteRecordError):
                 result.require_finite()
