@@ -180,6 +180,14 @@ def _chunks(key, members, workers, output_dir, force):
 
 
 def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) -> int:
+    threads = os.environ.get("BEAM_THREADS", "").strip()
+    try:
+        workers = int(threads) if threads else os.cpu_count() or 1
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        print(f"BEAM_THREADS must be a positive integer, not {threads!r}", file=sys.stderr)
+        return EXIT_FAILURE
     results, members, seen = [], [], {}
     for i, token in enumerate(tokens):
         label = f"{key}={token}"
@@ -197,7 +205,6 @@ def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) ->
         members.append((i, token, child))
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    workers = int(os.environ.get("BEAM_THREADS", 0) or 0) or os.cpu_count() or 1
     payloads = _chunks(key, members, workers, str(out), force)
     workers = min(workers, len(payloads))
     if workers > 1:

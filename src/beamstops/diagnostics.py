@@ -10,7 +10,7 @@ import numpy as np
 from .linalg import BandedSpd
 
 
-def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float) -> float:
+def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float):
     """Discrete energy of a consecutive pair ``(u0, u1)`` = (u^{n-1}, u^n).
 
     E = |(u1 - u0)/dt|_M^2
@@ -19,16 +19,23 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float) -> float:
 
     evaluated as E = (w . A w)/dt^2 + u0 . S u1 with w = u1 - u0 and
     A = M + dt^2 beta S, from the products ``a_pair`` = (A u0, A u1)
-    that the run already holds: one product with S per call.
+    that the run already holds.  The four entries are vectors, giving
+    one float, or (m, n) stacks of m pairs, giving m energies; the S u1
+    of a stack are one product with S stacked m times, each copy padded
+    with bw zeros so that an infinity in one pair never reaches another.
 
     Exactly conserved by the unconstrained scheme with zero load; for
     beta = 1/2 the quadratic form is positive definite so boundedness of
     E bounds the state.
     """
-    u0, u1 = pair
-    au0, au1 = a_pair
-    w = u1 - u0
-    return float((w @ (au1 - au0)) / dt**2 + u0 @ stiffness.matvec(u1))
+    u0, u1, au0, au1 = (np.atleast_2d(x) for x in (*pair, *a_pair))
+    m, n = u1.shape
+    bw = stiffness.bw
+    padded = np.zeros((m, n + bw))
+    padded[:, :n] = u1
+    s_u1 = stiffness.stacked(m, bw).matvec(padded.reshape(-1)).reshape(m, n + bw)[:, :n]
+    energy = np.vecdot(u1 - u0, au1 - au0) / dt**2 + np.vecdot(u0, s_u1)
+    return float(energy[0]) if np.ndim(pair[1]) == 1 else energy
 
 
 # ---------------------------------------------------------------------------

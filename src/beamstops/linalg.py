@@ -198,10 +198,14 @@ class BandedSpd:
     def diagonal(self) -> np.ndarray:
         return self.ab[self.bw]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A x; written into ``out``, a contiguous float vector, when given."""
         if self.bw == 0:
-            return self.ab[0] * x
-        return _sbmv(self.bw, 1.0, self.ab, x)
+            return np.multiply(self.ab[0], x, out=out)
+        if out is None:
+            return _sbmv(self.bw, 1.0, self.ab, x)
+        # positional: sbmv's keyword parsing costs more than the product at this size
+        return _sbmv(self.bw, 1.0, self.ab, x, 1, 0, 0.0, out, 1, 0, 0, 1)
 
     # -- algebra ------------------------------------------------------------
 
@@ -232,11 +236,10 @@ class BandedSpd:
         block = self.ab.copy(order="F")
         for j in range(min(self.bw, self.n)):
             block[: self.bw - j, j] = 0.0  # unused corner: would couple to the rows before
-        width = self.n + pad
-        ab = np.zeros((self.bw + 1, k * width), order="F")
-        for j in range(k):
-            ab[:, j * width : j * width + self.n] = block
-        return BandedSpd(ab, copy=False)
+        # (k, width, bw + 1) in C order is the (bw + 1, k width) band in F order
+        copies = np.zeros((k, self.n + pad, self.bw + 1))
+        copies[:, : self.n] = block.T
+        return BandedSpd(copies.reshape(-1, self.bw + 1).T, copy=False)
 
     def with_diagonal_bump(self, index: int, value: float) -> "BandedSpd":
         """Copy with ``value`` added at diagonal entry ``index`` (rank-one e_c e_c^T)."""

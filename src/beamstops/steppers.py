@@ -180,8 +180,8 @@ class Trajectory:
     by 1/dt^2.  ``max_abs_tip``/``max_violation`` are tracked at every
     step, not just the recorded ones, and turn NaN once a step does.
     ``stability`` is the report the run's stability check produced.
-    A run stops at the first record whose tip or energy is not finite,
-    so the rows of a blown-up run end there, short of ``n_steps``.
+    The rows of a blown-up run end at its first record whose tip or
+    energy is not finite, short of ``n_steps``, and so do its extrema.
     """
 
     t: np.ndarray
@@ -263,12 +263,16 @@ def run(
     ``force`` is set.  Signorini runs with stops on one DOF audit the
     complementarity conditions of every step (``Trajectory.audit``).
     Loads are built a block of time windows at a time
-    (:meth:`~beamstops.fem.LoadAssembler.time_averaged`), and stepping
-    stops at the first recorded row with a non-finite tip or energy.
-    A step makes two banded products, B u^n and A u^{n+1}; A u is
-    carried with the state, so a recorded row adds only the energy's
-    product with S.  The extrema and the audit are folded in once per
-    load block, over that block's states.
+    (:meth:`~beamstops.fem.LoadAssembler.time_averaged`).  A step makes
+    two banded products, B u^n and A u^{n+1}, and writes u^{n+1},
+    A u^{n+1} and F^n into block buffers; A u is carried with the state.
+    Once per load block the block's states are folded in: its recorded
+    rows in one vectorized pass (their energies make one product with S
+    stacked over the rows), the extrema and the audit.  A member's rows
+    end at its first record with a non-finite tip or energy, its extrema
+    and the audit at that record's step, and a member that ends leaves
+    the block; a step failure counts only if no earlier record of its
+    member is non-finite.
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
@@ -319,25 +323,12 @@ def run(
     width = ndof + pad
     a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
 
-    def tiled(u):
-        """k copies of the vector ``u`` in the block layout."""
-        if pad == 0:
-            return u
-        out = np.zeros((k, width))
-        out[:, :ndof] = u
-        return out.reshape(-1)
-
-    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members);
-    # reaction(j, F^n, u^{n+1}, A u^{n+1}) is member j's recorded reaction
+    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members)
     single = box.single_bounded_dof()
     distributed = single is None and bool(np.any(box.finite_mask()))
     contact_audit = None
     penalty_solver = None
-
-    def no_reaction(j, f, u, au):
-        return 0.0
-
-    reaction = no_reaction
+    reaction_dof = None  # the DOF whose residual A u - F is the recorded reaction
     if kind == "linear":
         factor = a_mat.cholesky()
 
@@ -352,58 +343,37 @@ def run(
         def step(f, up, uc, n):
             return penalty_solver.advance(f, up, uc, n)
 
-        def reaction(j, f, u, au):
-            return dt2 * penalty_solver.spring(u[j * width + tip], j)
-
     elif distributed:
+        reaction_dof = tip
 
         def step(f, up, uc, n):
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
             return pgs_box(a_mat, f, box, x0=uc if n > 1 else None), {}
 
-        def reaction(j, f, u, au):
-            return float(au[tip] - f[tip])
-
     else:
         c, lo, hi = single if single is not None else (tip, tip_lo, tip_hi)
         direct_solver = PinnedDofSolver(a_mat, c, lo, hi)
         contact_audit = ContactAudit()
+        reaction_dof = c
 
         def step(f, up, uc, n):
             return direct_solver.solve_with_case(f)[0], {}
-
-        def reaction(j, f, u, au):
-            return float(au[c] - f[c])
-
-    # the entries of each accepted state that the fold of its load block
-    # reads: the members' tips, or the whole state (one member) where the
-    # violation or the audit needs more
-    if distributed or contact_audit is not None and c != tip:
-        watch, watched = slice(None), width
-    else:
-        watch, watched = slice(tip, None, width), 1
-    tip_w = tip if watched > 1 else 0
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
 
         def violations(states):
-            """Per-step violation of (..., k, watched) states, over every DOF."""
-            return np.maximum(np.maximum(states - hi_b, lo_b - states), 0.0).max(axis=-1)
+            """Violation of (..., width) states of the one member, over every DOF."""
+            excess = np.maximum(np.maximum(states - hi_b, lo_b - states), 0.0)
+            return excess.max(axis=-1, keepdims=True)
 
     else:
 
         def violations(states):
-            """Per-step violation of (..., k, watched) states, at the tip."""
-            u = states[..., tip_w]
+            """Violation of (..., k width) states at each member's tip, shape (..., k)."""
+            u = states[..., tip::width]
             return np.maximum(np.maximum(u - tip_hi, tip_lo - u), 0.0)
-
-    u_prev, u_curr = (tiled(u) for u in init_states(model, mesh, scheme, u0=u0, v0=v0))
-    # A u of each accepted state is formed once and carried: the audit
-    # residual of its step, the energy of its records, and the -A u^{n-1}
-    # of F two steps later
-    au_prev, au_curr = a_stack.matvec(u_prev), a_stack.matvec(u_curr)
 
     loads = LoadAssembler(mesh, model)
     horizon = scheme.T
@@ -416,52 +386,108 @@ def run(
 
     beta = scheme.beta
 
-    def start_reaction(j, u):
-        return reaction(j, None, u, None) if kind == "penalty" else 0.0
+    # Block buffers.  Rows r of u_buf and au_buf hold u^{t0+r} and A u^{t0+r}
+    # (A u is formed once per state and carried: F two steps later, the audit
+    # residual, the energy).  Rows 0 and 1 carry the last two states of the
+    # block before; row r + 2 is the state of the block's step r, whose
+    # right-hand side is f_buf row r where the fold reads the residual
+    # A u - F, and else the one row that every step reuses.  The step loop
+    # writes nothing else.
+    block_steps = min(loads.block_rows, max(n_total - 1, 0))
+    u_full = np.zeros((block_steps + 2, k * width))
+    au_full = np.empty_like(u_full)
+    f_full = np.empty((block_steps if reaction_dof is not None else 1, k * width))
 
-    # rows recorded in this block, whose violation the block's fold fills in
-    pending = []
+    def views(k):
+        """The buffers of k members, and the row views that the step loop uses."""
+        bufs = u_full[:, : k * width], au_full[:, : k * width], f_full[:, : k * width]
+        f_rows = list(bufs[2]) if reaction_dof is not None else [bufs[2][0]] * block_steps
+        # the load is added to the members' DOFs, not to the pads between them
+        g_rows = f_rows if pad == 0 else [f.reshape(k, width)[:, :ndof] for f in f_rows]
+        return (*bufs, list(bufs[0]), list(bufs[1]), f_rows, g_rows)
 
-    def record(j, n, up, uc, aup, auc, react, viol=None):
-        """Append member j's row of step n; False once its tip or energy is not finite.
+    u_buf, au_buf, f_buf, u_rows, au_rows, f_rows, g_rows = views(k)
+    for r, u in enumerate(init_states(model, mesh, scheme, u0=u0, v0=v0)):
+        u_buf[r].reshape(k, width)[:, :ndof] = u
+        a_stack.matvec(u_rows[r], out=au_rows[r])
 
-        Row 0 holds u^0 with the forward-difference velocity of the
-        starting pair, later rows u^n with the backward difference.  A
-        row without ``viol`` is the last kept step's.
+    def write_records(t0, cur, last, resid, failed=(), stop=None):
+        """Append the records of buffer rows ``cur`` (times t0 + cur) to the active members.
+
+        Record i takes its tip, reaction and violation from row cur[i],
+        and its velocity and energy from the pair of rows last[i] - 1 and
+        last[i].  A failed member gets only the records of rows before
+        ``stop``, the state of its failed step.  Returns, per member, the
+        row of its first record whose tip or energy is not finite, where
+        its rows end, or None.
         """
-        o = j * width
-        u0, u1 = up[o : o + ndof], uc[o : o + ndof]
-        u_tip = u0[tip] if n == 0 else u1[tip]
-        energy = discrete_energy((u0, u1), (aup[o : o + ndof], auc[o : o + ndof]), gm.stiffness, dt)
-        mem = active[j]
-        if viol is None:
-            pending.append((mem.rows, mem.count, i - 1, j))
-            viol = 0.0
-        mem.rows[mem.count] = (n * dt, u_tip, (u1[tip] - u0[tip]) / dt, energy, react, viol)
-        mem.count += 1
-        return math.isfinite(u_tip) and math.isfinite(energy)
+        m, k = cur.size, len(active)
+        if m == 0:
+            return [None] * k
+        u1, u0, au1, au0 = u_buf[last], u_buf[last - 1], au_buf[last], au_buf[last - 1]
+        states = u1 if cur is last else u_buf[cur]  # only the start rows differ
+        pairs = [x.reshape(m * k, width)[:, :ndof] for x in (u0, u1, au0, au1)]
+        energy = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt).reshape(m, k)
+        tips = states[:, tip::width]
+        rows = np.empty((m, k, 6))  # t, u_tip, v_tip, energy, reaction, violation
+        rows[:, :, 0] = ((t0 + cur) * dt)[:, None]
+        rows[:, :, 1] = tips
+        rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
+        rows[:, :, 3] = energy
+        if penalty_solver is not None:
+            spring = penalty_solver.spring
+            rows[:, :, 4] = [[dt2 * spring(x, j) for j, x in enumerate(row)] for row in tips.tolist()]
+        elif reaction_dof is not None and resid is not None:
+            rows[:, 0, 4] = resid[cur - 2, reaction_dof]
+        else:
+            rows[:, :, 4] = 0.0
+        rows[:, :, 5] = violations(states)
+        finite = np.isfinite(tips) & np.isfinite(energy)
+        ends = []
+        for j, mem in enumerate(active):
+            count = int(np.searchsorted(cur, stop)) if j in failed else m
+            bad = np.flatnonzero(~finite[:count, j])
+            if bad.size:
+                count = int(bad[0]) + 1
+            mem.rows[mem.count : mem.count + count] = rows[:count, j]
+            mem.count += count
+            ends.append(int(cur[bad[0]]) if bad.size else None)
+        return ends
 
-    # the watched entries of the steps not yet folded into the extrema and the audit
-    kept = np.empty((loads.block_rows, k * watched))
-    resid = np.empty((loads.block_rows, ndof)) if contact_audit is not None else None
-
-    def fold(rows):
-        """Fold the first ``rows`` kept steps into the members' extrema and the audit."""
-        if rows == 0:
-            return
-        states = kept[:rows].reshape(rows, len(active), watched)
-        viols = violations(states)
-        abs_tips = np.abs(states[:, :, tip_w]).max(axis=0).tolist()
-        for mem, abs_tip, viol in zip(active, abs_tips, viols.max(axis=0).tolist()):
+    def extend(mems, tips, viols):
+        """Fold (states, members) tips and violations into the members' extrema."""
+        abs_tips, viols = np.abs(tips).max(axis=0).tolist(), viols.max(axis=0).tolist()
+        for mem, abs_tip, viol in zip(mems, abs_tips, viols):
             mem.max_abs_tip = _max_nan(abs_tip, mem.max_abs_tip)
             mem.max_violation = _max_nan(viol, mem.max_violation)
-        if pending:
-            viols = viols.tolist()
-            for rows_of, row, step_row, j in pending:
-                rows_of[row, 5] = viols[step_row][j]
-            pending.clear()
+
+    def fold(t0, steps, failed):
+        """Fold the block's ``steps`` states (rows 2 .. steps + 1) into the members.
+
+        Writes their records, extrema and the audit.  ``failed`` maps the
+        members whose last step failed to their errors; such a failure
+        counts only if no earlier record of the member is non-finite.
+        Returns the indices of the active members that end here.
+        """
+        if steps == 0:
+            return []
+        last = steps + 1
+        times = np.arange(t0 + 2, t0 + last + 1)
+        cur = np.flatnonzero((times % stride == 0) | (times == n_total)) + 2
+        resid = np.subtract(au_buf[2 : last + 1], f_buf[:steps]) if reaction_dof is not None else None
+        ends = write_records(t0, cur, cur, resid, failed, last)
+        tips = u_buf[2 : last + 1, tip::width]
+        viols = violations(u_buf[2 : last + 1])
+        for j, mem in enumerate(active):
+            if ends[j] is None and j in failed:
+                mem.error = failed[j]
+            else:
+                e = (ends[j] or last) - 1  # the member's states in this block
+                extend([mem], tips[:e, j : j + 1], viols[:e, j : j + 1])
         if contact_audit is not None:
-            contact_audit.update(states[:, 0, c if watched > 1 else 0], resid[:rows], c, lo, hi)
+            e = (ends[0] or last) - 1
+            contact_audit.update(u_buf[2 : e + 2, c], resid[:e], c, lo, hi)
+        return [j for j, end in enumerate(ends) if end is not None or j in failed]
 
     def load_blocks():
         """dt^2 G^n for n = 1 .. n_total-1, one block of load windows at a time.
@@ -482,65 +508,55 @@ def run(
     active = list(member_runs)
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
-        start = (u_prev, u_curr, au_prev, au_curr)
-        viol_prev = violations(u_prev[watch].reshape(k, watched)).tolist()
-        viol_curr = violations(u_curr[watch].reshape(k, watched)).tolist()
-        for j, mem in enumerate(active):
-            mem.max_abs_tip = _max_nan(abs(u_prev[tip]), abs(u_curr[tip]))
-            mem.max_violation = _max_nan(viol_prev[j], viol_curr[j])
-            # the members share the starting pair: its rows are finite for all or none
-            finite = record(j, 0, *start, start_reaction(j, u_prev), viol_prev[j])
-            if finite and n_total >= 1 and (stride == 1 or n_total == 1):
-                finite = record(j, 1, *start, start_reaction(j, u_curr), viol_curr[j])
-        i = n = 0
+        # the start rows: u^0 with the forward difference of the starting pair,
+        # and u^1 when it is recorded; the members share them, so they are
+        # finite for all or none
+        extend(active, u_buf[:2, tip::width], violations(u_buf[:2]))
+        start = np.arange(2 if n_total >= 1 and (stride == 1 or n_total == 1) else 1)
+        finite = write_records(0, start, np.ones_like(start), None)[0] is None
+        t0 = 0
         for g_block in load_blocks() if finite else ():
-            for g in range(g_block.shape[0]):
-                n += 1
-                f_vec = b_stack.matvec(u_curr)
-                f_vec -= au_prev
-                if pad:
-                    f_vec.reshape(k, width)[:, :ndof] += g_block[g]
-                else:
-                    f_vec += g_block[g]
-                u_next, done = step(f_vec, u_prev, u_curr, n)
-                au_next = a_stack.matvec(u_next)
-                kept[i] = u_next[watch]
-                if resid is not None:
-                    np.subtract(au_next, f_vec, out=resid[i])
-                i += 1
-                if n + 1 == n_total or (n + 1) % stride == 0:
-                    for j in range(k):
-                        if j not in done and not record(
-                            j, n + 1, u_curr, u_next, au_curr, au_next,
-                            reaction(j, f_vec, u_next, au_next),
-                        ):
-                            done[j] = None
-
-                u_prev, au_prev = u_curr, au_curr
-                u_curr, au_curr = u_next, au_next
-                if done:
+            g = 0
+            while g < g_block.shape[0]:
+                # step until the block ends or a member's step fails
+                steps, failed, raised = 0, {}, None
+                for r, g_row in enumerate(g_block[g:], 2):
+                    f = f_rows[r - 2]
+                    b_stack.matvec(u_rows[r - 1], out=f)
+                    f -= au_rows[r - 2]
+                    g_rows[r - 2] += g_row
+                    try:
+                        u_next, failed = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
+                    except Exception as exc:  # noqa: BLE001 - raised below unless a blow-up came first
+                        raised = exc
+                        break
+                    u_rows[r][:] = u_next
+                    a_stack.matvec(u_rows[r], out=au_rows[r])
+                    steps += 1
+                    if failed:
+                        break
+                ended = fold(t0, steps, failed)
+                if raised is not None and not ended:
+                    raise raised
+                g += steps
+                t0 += steps
+                # the last two states carry into the next block
+                u_buf[:2], au_buf[:2] = u_buf[steps : steps + 2], au_buf[steps : steps + 2]
+                if ended:
                     # the members that ended leave the block; the others step on
-                    fold(i)
-                    i = 0
-                    for j, error in done.items():
-                        active[j].error = error
-                    keep = [j for j in range(k) if j not in done]
+                    keep = [j for j in range(k) if j not in ended]
+                    carried = [b[:2].reshape(2, k, width)[:, keep] for b in (u_buf, au_buf)]
                     active = [active[j] for j in keep]
                     k = len(active)
                     if k == 0:
                         break
-                    u_prev, u_curr, au_prev, au_curr = (
-                        x.reshape(-1, width)[keep].reshape(-1)
-                        for x in (u_prev, u_curr, au_prev, au_curr)
-                    )
+                    u_buf, au_buf, f_buf, u_rows, au_rows, f_rows, g_rows = views(k)
+                    u_buf[:2], au_buf[:2] = (x.reshape(2, -1) for x in carried)
                     a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
                     if penalty_solver is not None:
                         penalty_solver = penalty_solver.subset(keep)
-                    kept = np.empty((loads.block_rows, k * watched))
             if k == 0:
                 break
-            fold(i)
-            i = 0
 
     wall = (time.perf_counter() - t_begin) / len(members)
     results = [

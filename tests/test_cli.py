@@ -370,6 +370,19 @@ def test_sweep_repeated_value_fails_before_any_member_runs(cfg_file, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("threads", ["-1", "0", "0.5", "abc"])
+def test_sweep_rejects_a_bad_thread_count(cfg_file, tmp_path, monkeypatch, capsys, threads):
+    """BEAM_THREADS is a positive integer, or unset or empty for the CPU
+    count; anything else fails before a member runs or a directory is made."""
+    monkeypatch.setenv("BEAM_THREADS", threads)
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "5e-5,2.5e-5",
+                 "--output-dir", str(out)])
+    assert code == 1
+    assert "BEAM_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_empty_values_is_usage_error(cfg_file):
     with pytest.raises(SystemExit) as info:
         main(["sweep", str(cfg_file), "--key", "dt", "--values", ",,"])

@@ -127,7 +127,9 @@ def beam_matrices(J):
 def test_batched_calls_are_bit_identical_to_single_member_calls(J):
     """The block stepping of run() rests on these: one multi-RHS solve and
     one product with the stacked matrix give each member exactly the bits
-    of its own call.  Members of widely different scales, as in a sweep."""
+    of its own call, also written in place into a row of a buffer that is
+    a column slice of a wider one.  Members of widely different scales,
+    as in a sweep."""
     rng = np.random.default_rng(J)
     a, b, s = beam_matrices(J)
     factor = a.cholesky()
@@ -144,6 +146,9 @@ def test_batched_calls_are_bit_identical_to_single_member_calls(J):
             assert stacked.n == k * (n + pad)
             product = stacked.matvec(block.ravel()).reshape(k, n + pad)[:, :n]
             assert np.array_equal(product, np.array([mat.matvec(u) for u in members]))
+            rows = np.full((3, stacked.n + 7), np.nan)[:, : stacked.n]
+            stacked.matvec(block.ravel(), out=rows[1])
+            assert np.array_equal(rows[1].reshape(k, n + pad)[:, :n], product)
 
 
 def test_stacked_product_isolates_a_blown_up_member():

@@ -9,14 +9,15 @@ the brute-force box-QP enumeration from conftest.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
-from beamstops import fem
-from beamstops.diagnostics import ContactAudit
+from beamstops import fem, linalg
+from beamstops.diagnostics import ContactAudit, discrete_energy
 from beamstops.fem import (
     BeamModel,
     DofMap,
@@ -28,9 +29,10 @@ from beamstops.fem import (
     lifting,
     lifting_slope,
 )
-from beamstops.linalg import PinnedDofSolver
+from beamstops.linalg import PgsConvergenceError, PinnedDofSolver
 from beamstops.steppers import (
     NonFiniteRecordError,
+    PenaltyConsistencyError,
     PenaltyParams,
     PenaltyTipSolver,
     SchemeParams,
@@ -401,15 +403,20 @@ def test_blocked_loads_match_shorter_runs_and_smaller_blocks(monkeypatch):
     assert first_differing_row(small_blocks.to_csv().splitlines(), long_rows) is None
 
 
+def blow_up_model():
+    """The pipe model with stops at +-0.1 m; beta = 0 at dt = 1e-3 blows it up."""
+    return BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
+
+
 @pytest.mark.parametrize("stride", [1, 5])
 def test_run_stops_at_first_non_finite_record(stride):
     """beta = 0 far above the stability limit blows up: the run stops at
     the first recorded row whose tip or energy is not finite and returns
     the rows up to it, which ``require_finite`` names.  The overflow on
     that row raises no numpy warning (a RuntimeWarning fails the test)."""
-    model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
     params = SchemeParams(beta=0.0, dt=1e-3, T=0.5)
-    traj = run(model, Mesh(1.501, 19), params, kind="linear", force=True, record_stride=stride)
+    traj = run(blow_up_model(), Mesh(1.501, 19), params, kind="linear", force=True,
+               record_stride=stride)
     finite = np.isfinite(traj.u_tip) & np.isfinite(traj.energy)
     assert not finite[-1] and finite[:-1].all()
     assert traj.t[-1] < params.T
@@ -417,6 +424,138 @@ def test_run_stops_at_first_non_finite_record(stride):
     with pytest.raises(NonFiniteRecordError) as info:
         traj.require_finite()
     assert info.value.record == traj.t.size - 1
+
+
+@pytest.mark.parametrize("kind", ["linear", "signorini"])
+@pytest.mark.parametrize(
+    "stride,message",
+    [(1, "record 38 (t = 0.038 s)"), (5, "record 8 (t = 0.04 s)")],
+)
+def test_blow_up_mid_block_ends_at_the_same_record(monkeypatch, kind, stride, message):
+    """run() writes its records once per load block.  With 16-row blocks
+    the first non-finite record (step 37 or 39) falls mid-block; the rows,
+    extrema, contact audit and message equal those of the 431-row blocks,
+    which end the run in their first block."""
+    params = SchemeParams(beta=0.0, dt=1e-3, T=0.5)
+
+    def blow_up():
+        return run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True,
+                   record_stride=stride)
+
+    big = blow_up()
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    assert LoadAssembler(Mesh(1.501, 19), blow_up_model()).block_rows == 16
+    small = blow_up()
+    steps = int(round(small.t[-1] / params.dt)) - 1
+    assert steps % 16 not in (0, 15)  # neither the first nor the last step of a block
+    assert small.to_csv() == big.to_csv()
+    assert np.array_equal((small.max_abs_tip, small.max_violation),
+                          (big.max_abs_tip, big.max_violation), equal_nan=True)
+    assert repr(small.audit) == repr(big.audit)
+    with pytest.raises(NonFiniteRecordError, match=re.escape(message)):
+        small.require_finite()
+
+
+@pytest.mark.parametrize("block_samples", [None, 1])
+def test_a_step_error_counts_only_before_a_non_finite_record(monkeypatch, block_samples):
+    """A solve that raises once |F| reaches 1e156 fails the beta = 0 blow-up
+    after its energy overflowed.  At stride 1 that record came first: the
+    run ends there, as it does without the error.  At stride 5 no record
+    has seen the overflow yet, and the error propagates."""
+    params = SchemeParams(beta=0.0, dt=1e-3, T=0.5)
+
+    def blow_up(stride):
+        return run(blow_up_model(), Mesh(1.501, 19), params, kind="linear", force=True,
+                   record_stride=stride)
+
+    if block_samples is not None:
+        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
+    plain = blow_up(1)
+    solve = linalg.BandedCholesky.solve
+
+    def picky(self, rhs):
+        if not np.abs(rhs).max() < 1e156:
+            raise ArithmeticError("right-hand side too large")
+        return solve(self, rhs)
+
+    monkeypatch.setattr(linalg.BandedCholesky, "solve", picky)
+    ended = blow_up(1)
+    assert ended.to_csv() == plain.to_csv()
+    with pytest.raises(NonFiniteRecordError, match=re.escape("record 38 (t = 0.038 s)")):
+        ended.require_finite()
+    with pytest.raises(ArithmeticError, match="too large"):
+        blow_up(5)
+
+
+@pytest.mark.parametrize(
+    "stride,message",
+    [(1, "record 543 (t = 0.007602 s)"), (7, "record 78 (t = 0.007644 s)")],
+)
+def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
+    monkeypatch, stride, message
+):
+    """inv_eps = 1e300 at beta = 0.2 turns the tip NaN after the first
+    impact; its rows end at the first non-finite record, alone, in a block
+    of three members, and in a block of three stepped in 16-row load
+    blocks."""
+    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
+    solo = run(model, mesh, members[1], kind="penalty", record_stride=stride)
+    with pytest.raises(NonFiniteRecordError, match=re.escape(message)):
+        solo.require_finite()
+    blocks = [run(model, mesh, members, kind="penalty", record_stride=stride)[1]]
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    blocks.append(run(model, mesh, members, kind="penalty", record_stride=stride)[1])
+    for member in blocks:
+        assert member.to_csv() == solo.to_csv()
+        assert np.array_equal((member.max_abs_tip, member.max_violation),
+                              (solo.max_abs_tip, solo.max_violation), equal_nan=True)
+
+
+@pytest.mark.parametrize("stride", [2, 3])
+def test_a_penalty_failure_counts_only_before_a_non_finite_record(monkeypatch, stride):
+    """A penalty solver that fails a member once its tip u^n is not finite
+    fails the 1e300 member at step 544, whose tip u^544 is -inf.  At stride
+    2 that tip was recorded first, and the member's rows end there; at
+    stride 3 the step fails first, and the member ends with the error.
+    The same holds alone and in a block of three."""
+    advance = PenaltyTipSolver.advance
+
+    def strict(self, f_n, u_prev, u_curr, n):
+        u, failures = advance(self, f_n, u_prev, u_curr, n)
+        width = f_n.shape[0] // len(self.members)
+        for m, tip in enumerate(u_curr[self.index :: width].tolist()):
+            if not math.isfinite(tip):
+                failures[m] = PenaltyConsistencyError(f"no consistent contact case at step {n}")
+        return u, failures
+
+    monkeypatch.setattr(PenaltyTipSolver, "advance", strict)
+    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
+    block = run(model, mesh, members, kind="penalty", record_stride=stride)
+    assert all(isinstance(r, Trajectory) for r in block[::2])
+    if stride == 2:
+        solo = run(model, mesh, members[1], kind="penalty", record_stride=stride)
+        assert block[1].to_csv() == solo.to_csv()
+        assert solo.t[-1] == 544 * 1.4e-5 and not np.isfinite(solo.u_tip[-1])
+        assert math.isfinite(solo.u_tip[-2])
+    else:
+        message = "no consistent contact case at step 544"
+        assert isinstance(block[1], PenaltyConsistencyError) and str(block[1]) == message
+        with pytest.raises(PenaltyConsistencyError, match=message):
+            run(model, mesh, members[1], kind="penalty", record_stride=stride)
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+def test_forced_pgs_obstacle_raises_the_convergence_error(stride):
+    """beta = 0 far above the limit on a per-node band: projected
+    Gauss-Seidel runs out of sweeps before any record turns non-finite,
+    and the run raises its error."""
+    band = lambda x: 0.02 + 0.06 * np.asarray(x, dtype=float)  # noqa: E731
+    model = BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -band(x), g_upper=band,
+                      phi=SupportMotion.sine(0.2, 10.0))
+    with pytest.raises(PgsConvergenceError,
+                       match=re.escape("did not converge in 800 sweeps (natural residual 9.537e-07)")):
+        run(model, Mesh(1.501, 8), SchemeParams(beta=0.0, dt=1e-3, T=0.5), force=True,
+            record_stride=stride)
 
 
 def test_recorded_velocity_is_backward_difference():
@@ -451,8 +590,10 @@ def fresh_products_oracle(model, mesh, params, kind):
     """Tip rows of run() at record stride 1, stepped with every product
     formed fresh: F^n = B u^n - A u^{n-1} + dt^2 G^n from two new matvecs,
     and the Signorini reaction from a new A u^{n+1}.  The solvers are the
-    ones run() calls.  Also returns the Signorini contact audit, folded one
-    step at a time (None for the other kinds)."""
+    ones run() calls.  Also returns each row's energy, from
+    ``discrete_energy`` on that row's one pair with fresh products, and the
+    Signorini contact audit, folded one step at a time (None for the other
+    kinds)."""
     c = DofMap(mesh.J).tip_disp
     lo, hi = float(model.g_lower), float(model.g_upper)
     gm = assemble(mesh, model)
@@ -489,19 +630,25 @@ def fresh_products_oracle(model, mesh, params, kind):
     def start_reaction(u):
         return dt2 * solver.spring(u[c]) if kind == "penalty" else 0.0
 
+    def energy(u0, u1):
+        return discrete_energy((u0, u1), (a.matvec(u0), a.matvec(u1)), gm.stiffness, dt)
+
     up, uc = init_states(model, mesh, params)
     tips = [up[c], uc[c]]
     vels = [(uc[c] - up[c]) / dt] * 2
+    energies = [energy(up, uc)] * 2
     reactions = [start_reaction(up), start_reaction(uc)]
     for n in range(1, n_total):
         u, reaction = step(b.matvec(uc) - a.matvec(up) + g[n - 1], up, uc, n)
         tips.append(u[c])
         vels.append((u[c] - uc[c]) / dt)
+        energies.append(energy(uc, u))
         reactions.append(reaction)
         up, uc = uc, u
     tips = np.array(tips)
     violation = np.maximum(np.maximum(tips - hi, lo - tips), 0.0)
-    return tips, np.array(vels), np.array(reactions), violation, audit if kind == "signorini" else None
+    audit = audit if kind == "signorini" else None
+    return tips, np.array(vels), np.array(energies), np.array(reactions), violation, audit
 
 
 @pytest.mark.parametrize(
@@ -514,18 +661,23 @@ def fresh_products_oracle(model, mesh, params, kind):
 )
 def test_carried_products_are_bit_identical_to_fresh_ones(kind, params):
     """run() carries A u with the state (F two steps later, the audit, the
-    energy) and forms B u^n once per step; the tip rows are exactly those
-    of a loop that forms each product anew.  Each horizon runs past the
-    tip's first arrival at a stop (t = 0.0068 s with g = 0.002).  The
-    Signorini audit, which run() folds once per load block, equals one
-    folded step by step; its 600 steps span two blocks of 431 windows."""
+    energy) and forms B u^n once per step; the rows are exactly those of a
+    loop that forms each product anew.  Each horizon runs past the tip's
+    first arrival at a stop (t = 0.0068 s with g = 0.002).  The energies,
+    which run() computes for a whole load block at a time, equal the
+    pairwise ones, and the Signorini audit, which run() folds once per load
+    block, equals one folded step by step; its 600 steps span two blocks
+    of 431 windows."""
     mesh = Mesh(1.501, 19)
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     traj = run(model, mesh, params, kind=kind, record_stride=1)
-    tips, vels, reactions, violation, audit = fresh_products_oracle(model, mesh, params, kind)
+    tips, vels, energies, reactions, violation, audit = fresh_products_oracle(
+        model, mesh, params, kind
+    )
     assert np.max(np.abs(tips)) >= 0.002
     assert np.array_equal(traj.u_tip, tips)
     assert np.array_equal(traj.v_tip, vels)
+    assert np.array_equal(traj.energy, energies)
     assert np.array_equal(traj.reaction, reactions)
     assert np.array_equal(traj.violation, violation)
     assert traj.audit == audit
