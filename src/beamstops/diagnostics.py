@@ -47,17 +47,21 @@ class ComplementarityError(Exception):
     """A computed step violates the contact sign conditions."""
 
 
+#: The codes of :func:`active_sides`.
+UPPER, INACTIVE, LOWER = 1, 0, -1
+
+
 def active_sides(tips, lower: float, upper: float) -> np.ndarray:
-    """"upper", "lower" or "inactive" for each tip; a tip within 1e-12
-    (relative) of a finite stop rests on it, and a NaN tip is inactive."""
+    """int8 codes UPPER (+1), LOWER (-1) or INACTIVE (0) for each tip; a
+    tip within 1e-12 (relative) of a finite stop rests on it (the upper
+    one if both), and a NaN tip is inactive."""
     tips = np.asarray(tips, dtype=float)
-    on_upper = np.zeros(tips.shape, dtype=bool)
-    on_lower = np.zeros(tips.shape, dtype=bool)
-    if math.isfinite(upper):
-        on_upper = tips >= upper - 1e-12 * max(1.0, abs(upper))
+    sides = np.zeros(tips.shape, dtype=np.int8)
     if math.isfinite(lower):
-        on_lower = tips <= lower + 1e-12 * max(1.0, abs(lower))
-    return np.where(on_upper, "upper", np.where(on_lower, "lower", "inactive"))
+        sides[tips <= lower + 1e-12 * max(1.0, abs(lower))] = LOWER
+    if math.isfinite(upper):
+        sides[tips >= upper - 1e-12 * max(1.0, abs(upper))] = UPPER
+    return sides
 
 
 @dataclass
@@ -97,7 +101,7 @@ class ContactAudit:
             np.fmax.reduce(off.max(axis=1), initial=self.max_offband_residual)
         )
         active = active_sides(tips, lower, upper)
-        inactive = active == "inactive"
+        inactive = active == INACTIVE
         self.max_inactive_reaction = float(
             np.fmax.reduce(np.abs(reaction[inactive]), initial=self.max_inactive_reaction)
         )
@@ -107,10 +111,10 @@ class ContactAudit:
         self.episodes += int(np.count_nonzero(contact & ~before))
         self._in_contact = bool(contact[-1])
         self.max_upper_reaction = float(
-            np.fmax.reduce(reaction[active == "upper"], initial=self.max_upper_reaction)
+            np.fmax.reduce(reaction[active == UPPER], initial=self.max_upper_reaction)
         )
         self.min_lower_reaction = float(
-            np.fmin.reduce(reaction[active == "lower"], initial=self.min_lower_reaction)
+            np.fmin.reduce(reaction[active == LOWER], initial=self.min_lower_reaction)
         )
 
     def check(self, tol: float = 1e-9) -> None:
@@ -143,7 +147,7 @@ def violation(traj, g: float) -> float:
 
 
 def _active_flags(traj) -> np.ndarray:
-    return active_sides(traj.u_tip, traj.tip_lower, traj.tip_upper) != "inactive"
+    return active_sides(traj.u_tip, traj.tip_lower, traj.tip_upper) != INACTIVE
 
 
 def count_episodes(flags: np.ndarray) -> int:

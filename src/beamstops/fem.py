@@ -11,7 +11,13 @@ which turns the moving support into an equivalent distributed load
 
 Load vectors are integrated with fixed 4-point Gauss-Legendre quadrature
 per element (exact for the quartic lifting times the cubic basis) and
-averaged over each time step with 2-point Gauss quadrature.
+averaged over each time step with 2-point Gauss quadrature.  Without
+f_tilde the density is separable, -h(x) phi''(t) + (8 k2 / L^4) phi(t),
+so a window's load is its averages of phi'' and phi times two fixed
+scattered vectors (:meth:`LoadAssembler.coefficients` and
+:meth:`LoadAssembler.from_coefficients`); with f_tilde the density is
+sampled and scattered for every window
+(:meth:`LoadAssembler.time_averaged`).
 """
 
 from __future__ import annotations
@@ -407,6 +413,10 @@ class LoadAssembler:
     times each) is one density pass and one product.  Every entry is
     computed elementwise in the same order for one time as for a block,
     so a block is bit-identical to its windows one at a time.
+
+    ``basis`` holds the scatters of -h(x_q) and of 8 k2 / L^4, the loads
+    of phi'' = 1 and of phi = 1.  Without f_tilde a window's load is
+    their combination with the window's averages of phi'' and phi.
     """
 
     def __init__(self, mesh: Mesh, model: BeamModel):
@@ -422,6 +432,9 @@ class LoadAssembler:
         )[:, :, ::4]
         self._neg_h_q = -lifting(self.xq, mesh.L)[0]
         self._c_phi = 8.0 * model.k2 / mesh.L**4
+        dens = self._samples[0, :2, :-4]
+        dens[0], dens[1] = self._neg_h_q, self._c_phi
+        self.basis = (self._windows[0, :2] @ self.node_weights).reshape(2, -1)
 
     def _fill(self, ts: np.ndarray) -> np.ndarray:
         """Write f(x_q, t) for the (m, k) times ``ts`` into the sample buffer."""
@@ -475,6 +488,38 @@ class LoadAssembler:
             l0, l1 = self._scatter(ts).reshape(2, rows.size, -1)
             flat[rows] = (0.5 * w / dt)[:, None] * (l0 + l1)
         return out
+
+    def coefficients(self, n, dt: float, horizon: float | None = None) -> np.ndarray:
+        """Averages of phi'' and phi over the windows ``n``, shape n.shape + (2,).
+
+        The Gauss times, the horizon clipping and the 1/dt normalization
+        are those of :meth:`time_averaged`, and a window past T gives
+        zeros.  Every entry is computed elementwise, so a block of windows
+        is bit-identical to its windows one at a time.  Without f_tilde,
+        ``from_coefficients`` of them is the windows' load.
+        """
+        ns = np.asarray(n)
+        a = ns * dt
+        b = (ns + 1) * dt
+        if horizon is not None:
+            b = np.minimum(b, horizon)
+        width = b - a
+        t0, t1 = (a + p * width for p in GAUSS2_POINTS)
+        scale = 0.5 * width / dt
+        phi = self.model.phi
+        out = np.stack(
+            [scale * (phi.d2(t0) + phi.d2(t1)), scale * (phi.value(t0) + phi.value(t1))], axis=-1
+        )
+        out[width <= 0.0] = 0.0
+        return out
+
+    def from_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
+        """The (..., 2J) loads c0 * basis[0] + c1 * basis[1] of (..., 2) coefficients.
+
+        Formed elementwise, so a row's bits do not depend on the rows
+        around it.
+        """
+        return coeffs[..., :1] * self.basis[0] + coeffs[..., 1:] * self.basis[1]
 
 
 def assemble_load(mesh: Mesh, model: BeamModel, t: float) -> np.ndarray:

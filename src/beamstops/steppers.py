@@ -180,8 +180,9 @@ class Trajectory:
     by 1/dt^2.  ``max_abs_tip``/``max_violation`` are tracked at every
     step, not just the recorded ones, and turn NaN once a step does.
     ``stability`` is the report the run's stability check produced.
-    The rows of a blown-up run end at its first record whose tip or
-    energy is not finite, short of ``n_steps``, and so do its extrema.
+    The rows of a blown-up run end at its first record with a non-finite
+    value, which :meth:`require_finite` names, short of ``n_steps``, and so
+    do its extrema.
     """
 
     t: np.ndarray
@@ -262,14 +263,18 @@ def run(
     raised when dt exceeds the exact-kappa limit for beta < 1/2 unless
     ``force`` is set.  Signorini runs with stops on one DOF audit the
     complementarity conditions of every step (``Trajectory.audit``).
-    Loads are built a block of time windows at a time
-    (:meth:`~beamstops.fem.LoadAssembler.time_averaged`).  A step makes
+    Loads are built a block of time windows at a time.  Signorini and
+    linear runs without ``f_tilde`` form them from the windows' averages
+    of phi'' and phi, one rank-2 product per block
+    (:meth:`~beamstops.fem.LoadAssembler.coefficients`); penalty runs and
+    a callable ``f_tilde`` sample and scatter the load density of every
+    window (:meth:`~beamstops.fem.LoadAssembler.time_averaged`).  A step makes
     two banded products, B u^n and A u^{n+1}, and writes u^{n+1},
     A u^{n+1} and F^n into block buffers; A u is carried with the state.
     Once per load block the block's states are folded in: its recorded
     rows in one vectorized pass (their energies make one product with S
     stacked over the rows), the extrema and the audit.  A member's rows
-    end at its first record with a non-finite tip or energy, its extrema
+    end at its first record with a non-finite value, its extrema
     and the audit at that record's step, and a member that ends leaves
     the block; a step failure counts only if no earlier record of its
     member is non-finite.
@@ -418,8 +423,8 @@ def run(
         and its velocity and energy from the pair of rows last[i] - 1 and
         last[i].  A failed member gets only the records of rows before
         ``stop``, the state of its failed step.  Returns, per member, the
-        row of its first record whose tip or energy is not finite, where
-        its rows end, or None.
+        row of its first record with a non-finite value (the columns that
+        ``Trajectory.require_finite`` reads), where its rows end, or None.
         """
         m, k = cur.size, len(active)
         if m == 0:
@@ -442,7 +447,7 @@ def run(
         else:
             rows[:, :, 4] = 0.0
         rows[:, :, 5] = violations(states)
-        finite = np.isfinite(tips) & np.isfinite(energy)
+        finite = np.isfinite(rows).all(axis=2)
         ends = []
         for j, mem in enumerate(active):
             count = int(np.searchsorted(cur, stop)) if j in failed else m
@@ -489,20 +494,30 @@ def run(
             contact_audit.update(u_buf[2 : e + 2, c], resid[:e], c, lo, hi)
         return [j for j, end in enumerate(ends) if end is not None or j in failed]
 
+    # Without f_tilde a window's load is two coefficients times two fixed
+    # vectors.  Penalty runs keep the sampled loads, whose last bits their
+    # reference check still tracks, until that check measures accuracy
+    # instead (ROADMAP item 1).
+    separable = model.f_tilde is None and kind != "penalty"
+
     def load_blocks():
         """dt^2 G^n for n = 1 .. n_total-1, one block of load windows at a time.
 
         G^n reads the time-averaged loads of windows n-1, n and n+1, so
         each block carries the last two windows of the one before; memory
-        stays at one block whatever the horizon.
+        stays at one block whatever the horizon.  Separable loads carry
+        and combine the windows' (phi'', phi) coefficients, and one
+        rank-2 product per block turns them into dt^2 G^n.
         """
         if n_total < 2:
             return
-        f = np.empty((0, ndof))
+        windows = loads.coefficients if separable else loads.time_averaged
+        f = np.empty((0, 2 if separable else ndof))
         for w0 in range(0, n_total + 1, loads.block_rows):
             w1 = min(w0 + loads.block_rows, n_total + 1)
-            f = np.concatenate((f[-2:], loads.time_averaged(np.arange(w0, w1), dt, horizon)))
-            yield dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
+            f = np.concatenate((f[-2:], windows(np.arange(w0, w1), dt, horizon)))
+            g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
+            yield loads.from_coefficients(g) if separable else g
 
     member_runs = [_MemberRun(n_total // stride + 3) for _ in members]
     active = list(member_runs)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from beamstops.diagnostics import (
+    INACTIVE,
+    LOWER,
+    UPPER,
     ComplementarityError,
     ContactAudit,
+    active_sides,
     compare_runs,
     count_episodes,
     discrete_energy,
@@ -203,6 +207,19 @@ def test_audit_skips_nan_figures():
     assert audit.max_offband_residual == 1e-15
     assert audit.max_upper_reaction == -0.2
     assert audit.max_inactive_reaction == 0.0
+
+
+def test_active_sides_codes():
+    """A tip within 1e-12 (relative) of a finite stop rests on it, the upper
+    one if it is within reach of both; a NaN tip and a missing stop give
+    no contact."""
+    tips = [0.1, 0.1 - 1e-13, 0.0999, -0.1 + 1e-13, -0.2, np.nan]
+    sides = active_sides(tips, -0.1, 0.1)
+    assert sides.dtype == np.int8
+    assert sides.tolist() == [UPPER, UPPER, INACTIVE, LOWER, LOWER, INACTIVE]
+    assert active_sides(tips, -np.inf, 0.1).tolist() == [UPPER, UPPER] + [INACTIVE] * 4
+    assert active_sides([0.0], -1e-13, 1e-13).tolist() == [UPPER]
+    assert active_sides(np.zeros((2, 3)), -np.inf, np.inf).shape == (2, 3)
 
 
 def test_audit_empty_run_satisfies():

@@ -441,6 +441,59 @@ def test_blocked_time_average_is_bit_identical_to_per_window(J, external):
     assert np.array_equal(loads.time_averaged(ns[order], dt, horizon), ref[order])
 
 
+PHIS = {
+    "sine": SupportMotion.sine(0.2, 10.0),
+    "constant": SupportMotion.constant(0.3),
+    "zero": SupportMotion.zero(),
+}
+
+
+@pytest.mark.parametrize("J", [1, 2, 19, 320])
+@pytest.mark.parametrize("phi", sorted(PHIS))
+def test_separable_loads_match_the_sampled_time_average(J, phi):
+    """Without f_tilde the rank-2 loads, the window averages of phi'' and
+    phi times the scatters of -h and 8 k2 / L^4, agree with the sampled
+    density scattered window by window to 2e-15 of the largest load: full
+    windows, a horizon-clipped window and two windows past T (zeros)."""
+    mesh = Mesh(PIPE["L"], J)
+    model = BeamModel(k2=PIPE["k2"], L=PIPE["L"], phi=PHIS[phi])
+    loads = LoadAssembler(mesh, model)
+    dt = 1e-3
+    ns = np.arange(0, 40)
+    horizon = (ns[-3] + 0.4) * dt
+    coeffs = loads.coefficients(ns, dt, horizon)
+    assert coeffs.shape == (ns.size, 2)
+    assert np.all(coeffs[-2:] == 0.0)
+    got = loads.from_coefficients(coeffs)
+    ref = loads.time_averaged(ns, dt, horizon)
+    assert got.shape == ref.shape == (ns.size, 2 * J)
+    scale = np.abs(ref).max()
+    assert np.abs(got - ref).max() <= 2e-15 * scale
+    if phi == "zero":
+        assert scale == 0.0 and np.all(got == 0.0)
+    else:
+        assert np.all(got[-2:] == 0.0) and np.all(ref[-3] != 0.0)
+
+
+@pytest.mark.parametrize("J", [1, 19, 320])
+def test_block_coefficients_are_bit_identical_to_per_window(J):
+    """A block of window coefficients equals its windows one at a time, to
+    the last bit, in any index order; so do their rank-2 loads, row by
+    row, whatever the rows around them."""
+    mesh = Mesh(PIPE["L"], J)
+    loads = LoadAssembler(mesh, BeamModel(k2=PIPE["k2"], L=PIPE["L"], phi=PHIS["sine"]))
+    dt = 1e-3
+    ns = np.arange(loads.block_rows - 4, 2 * loads.block_rows + 3)
+    horizon = (ns[-3] + 0.4) * dt
+    ref = np.array([loads.coefficients(int(n), dt, horizon) for n in ns])
+    assert np.array_equal(loads.coefficients(ns, dt, horizon), ref)
+    order = np.random.default_rng(J).permutation(ns.size)
+    assert np.array_equal(loads.coefficients(ns[order], dt, horizon), ref[order])
+    rows = np.array([loads.from_coefficients(c) for c in ref])
+    assert np.array_equal(loads.from_coefficients(ref), rows)
+    assert np.array_equal(loads.from_coefficients(ref[order]), rows[order])
+
+
 def test_time_average_empty_window_is_zero():
     mesh = Mesh(1.0, 3)
     model = BeamModel(k2=1.0, L=1.0, phi=SupportMotion.sine(1.0, 2.0))

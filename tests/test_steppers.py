@@ -411,13 +411,14 @@ def blow_up_model():
 @pytest.mark.parametrize("stride", [1, 5])
 def test_run_stops_at_first_non_finite_record(stride):
     """beta = 0 far above the stability limit blows up: the run stops at
-    the first recorded row whose tip or energy is not finite and returns
-    the rows up to it, which ``require_finite`` names.  The overflow on
-    that row raises no numpy warning (a RuntimeWarning fails the test)."""
+    the first recorded row with a non-finite value and returns the rows up
+    to it, which ``require_finite`` names.  The overflow on that row raises
+    no numpy warning (a RuntimeWarning fails the test)."""
     params = SchemeParams(beta=0.0, dt=1e-3, T=0.5)
     traj = run(blow_up_model(), Mesh(1.501, 19), params, kind="linear", force=True,
                record_stride=stride)
-    finite = np.isfinite(traj.u_tip) & np.isfinite(traj.energy)
+    columns = (traj.t, traj.u_tip, traj.v_tip, traj.energy, traj.reaction, traj.violation)
+    finite = np.isfinite(np.column_stack(columns)).all(axis=1)
     assert not finite[-1] and finite[:-1].all()
     assert traj.t[-1] < params.T
     np.testing.assert_allclose(np.diff(traj.t), stride * params.dt, rtol=1e-9)
@@ -495,13 +496,15 @@ def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
     monkeypatch, stride, message
 ):
     """inv_eps = 1e300 at beta = 0.2 turns the tip NaN after the first
-    impact; its rows end at the first non-finite record, alone, in a block
-    of three members, and in a block of three stepped in 16-row load
-    blocks."""
+    impact; its rows end at the first non-finite record, the one that
+    ``require_finite`` names (at stride 1 its reaction is -inf while its
+    tip is still finite), alone, in a block of three members, and in a
+    block of three stepped in 16-row load blocks."""
     model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
     solo = run(model, mesh, members[1], kind="penalty", record_stride=stride)
-    with pytest.raises(NonFiniteRecordError, match=re.escape(message)):
+    with pytest.raises(NonFiniteRecordError, match=re.escape(message)) as info:
         solo.require_finite()
+    assert info.value.record == solo.t.size - 1
     blocks = [run(model, mesh, members, kind="penalty", record_stride=stride)[1]]
     monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
     blocks.append(run(model, mesh, members, kind="penalty", record_stride=stride)[1])
@@ -511,13 +514,15 @@ def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
                               (solo.max_abs_tip, solo.max_violation), equal_nan=True)
 
 
-@pytest.mark.parametrize("stride", [2, 3])
+@pytest.mark.parametrize("stride", [2, 3, 5])
 def test_a_penalty_failure_counts_only_before_a_non_finite_record(monkeypatch, stride):
     """A penalty solver that fails a member once its tip u^n is not finite
-    fails the 1e300 member at step 544, whose tip u^544 is -inf.  At stride
-    2 that tip was recorded first, and the member's rows end there; at
-    stride 3 the step fails first, and the member ends with the error.
-    The same holds alone and in a block of three."""
+    fails the 1e300 member at step 544, whose tip u^544 is -inf; the
+    reaction of step 543 is already -inf.  At stride 2 the tip of step 544
+    and at stride 3 the reaction of step 543 is recorded first, and the
+    member's rows end at that record; at stride 5 neither is recorded, the
+    step fails first, and the member ends with the error.  The same holds
+    alone and in a block of three."""
     advance = PenaltyTipSolver.advance
 
     def strict(self, f_n, u_prev, u_curr, n):
@@ -532,11 +537,14 @@ def test_a_penalty_failure_counts_only_before_a_non_finite_record(monkeypatch, s
     model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
     block = run(model, mesh, members, kind="penalty", record_stride=stride)
     assert all(isinstance(r, Trajectory) for r in block[::2])
-    if stride == 2:
+    if stride in (2, 3):
         solo = run(model, mesh, members[1], kind="penalty", record_stride=stride)
         assert block[1].to_csv() == solo.to_csv()
-        assert solo.t[-1] == 544 * 1.4e-5 and not np.isfinite(solo.u_tip[-1])
-        assert math.isfinite(solo.u_tip[-2])
+        rows = np.column_stack(
+            [solo.t, solo.u_tip, solo.v_tip, solo.energy, solo.reaction, solo.violation]
+        )
+        assert solo.t[-1] == 544 // stride * stride * 1.4e-5
+        assert not np.isfinite(rows[-1]).all() and np.isfinite(rows[:-1]).all()
     else:
         message = "no consistent contact case at step 544"
         assert isinstance(block[1], PenaltyConsistencyError) and str(block[1]) == message
@@ -590,7 +598,9 @@ def fresh_products_oracle(model, mesh, params, kind):
     """Tip rows of run() at record stride 1, stepped with every product
     formed fresh: F^n = B u^n - A u^{n-1} + dt^2 G^n from two new matvecs,
     and the Signorini reaction from a new A u^{n+1}.  The solvers are the
-    ones run() calls.  Also returns each row's energy, from
+    ones run() calls.  The loads are formed over the whole horizon at once:
+    from the windows' (phi'', phi) coefficients for signorini and linear,
+    sampled for penalty.  Also returns each row's energy, from
     ``discrete_energy`` on that row's one pair with fresh products, and the
     Signorini contact audit, folded one step at a time (None for the other
     kinds)."""
@@ -601,8 +611,15 @@ def fresh_products_oracle(model, mesh, params, kind):
     b = transfer_matrix(gm.mass, gm.stiffness, params)
     dt, beta, n_total = params.dt, params.beta, params.n_steps
     dt2 = dt * dt
-    f_bar = LoadAssembler(mesh, model).time_averaged(np.arange(n_total + 1), dt, params.T)
+    loads = LoadAssembler(mesh, model)
+    windows = np.arange(n_total + 1)
+    if kind == "penalty":
+        f_bar = loads.time_averaged(windows, dt, params.T)
+    else:
+        f_bar = loads.coefficients(windows, dt, params.T)
     g = dt2 * (beta * (f_bar[2:] + f_bar[:-2]) + (1.0 - 2.0 * beta) * f_bar[1:-1])
+    if kind != "penalty":
+        g = loads.from_coefficients(g)
     if kind == "linear":
         factor = a.cholesky()
 

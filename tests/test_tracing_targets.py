@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamstops import linalg, steppers
+from beamstops import fem, linalg, steppers
 from beamstops.fem import BeamModel, LoadAssembler, Mesh, SupportMotion
 from beamstops.steppers import PenaltyParams, SchemeParams, run
 
@@ -81,6 +81,47 @@ def test_step_closures_call_the_wrapped_solvers(tracing):
     assert count["steppers.init_states"] == 1
     assert count["steppers.penalty"] == n - 1
     assert count["diagnostics.energy"] == 2
+
+
+def test_loads_take_the_route_of_their_run(tracing, monkeypatch):
+    """Signorini and linear runs without f_tilde form their loads from window
+    coefficients, which the tracer does not time: no ``fem.loads`` span.
+    Penalty runs and a callable f_tilde sample the load density, one
+    ``LoadAssembler.time_averaged`` call per load block."""
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    mesh = Mesh(1.0, 3)
+    phi = SupportMotion.sine(0.3, 3.0)
+    n, dt = 40, 0.002
+    scheme = SchemeParams(0.5, dt, n * dt)
+
+    def external(x, t):
+        return 0.5 * np.cos(3.0 * x) * (1.0 + t)
+
+    def models(f_tilde):
+        tip = BeamModel.symmetric_stops(1.0, 1.0, 0.02, phi, f_tilde=f_tilde)
+        band = BeamModel(k2=1.0, L=1.0, g_lower=lambda x: -0.01 - 0.05 * x,
+                         g_upper=lambda x: 0.01 + 0.05 * x, phi=phi, f_tilde=f_tilde)
+        free = BeamModel(k2=1.0, L=1.0, phi=phi, f_tilde=f_tilde)
+        return tip, band, free
+
+    def load_calls(fn):
+        tracer = tracing.Tracer()
+        with tracer:
+            fn()
+        return int(np.count_nonzero(np.array(tracer.name) == tracer.names.index("fem.loads")))
+
+    blocks = math.ceil((n + 1) / LoadAssembler(mesh, models(None)[0]).block_rows)
+    assert blocks == 3
+    tip, band, free = models(None)
+    for fn in (lambda: run(tip, mesh, scheme), lambda: run(band, mesh, scheme),
+               lambda: run(free, mesh, scheme, kind="linear")):
+        assert load_calls(fn) == 0
+    penalty = PenaltyParams(inv_eps=1e4, dt=dt, T=n * dt)
+    assert load_calls(lambda: run(tip, mesh, penalty, kind="penalty")) == blocks
+    tip, band, free = models(external)
+    for fn in (lambda: run(tip, mesh, scheme), lambda: run(band, mesh, scheme),
+               lambda: run(free, mesh, scheme, kind="linear")):
+        assert load_calls(fn) == blocks
 
 
 @pytest.mark.parametrize("stride", [1, 4])
