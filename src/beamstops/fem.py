@@ -14,15 +14,16 @@ per element (exact for the quartic lifting times the cubic basis) and
 averaged over each time step with 2-point Gauss quadrature.  Without
 f_tilde the density is separable, -h(x) phi''(t) + (8 k2 / L^4) phi(t),
 so a window's load is its averages of phi'' and phi times two fixed
-scattered vectors (:meth:`LoadAssembler.coefficients` and
-:meth:`LoadAssembler.from_coefficients`); with f_tilde the density is
-sampled and scattered for every window
+scattered vectors (:meth:`LoadAssembler.time_averaged` with
+``separable`` and :meth:`LoadAssembler.from_coefficients`); with f_tilde
+the density is sampled and scattered for every window
 (:meth:`LoadAssembler.time_averaged`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -432,9 +433,13 @@ class LoadAssembler:
         )[:, :, ::4]
         self._neg_h_q = -lifting(self.xq, mesh.L)[0]
         self._c_phi = 8.0 * model.k2 / mesh.L**4
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Built on first use, so runs that sample their loads never pay for it."""
         dens = self._samples[0, :2, :-4]
         dens[0], dens[1] = self._neg_h_q, self._c_phi
-        self.basis = (self._windows[0, :2] @ self.node_weights).reshape(2, -1)
+        return (self._windows[0, :2] @ self.node_weights).reshape(2, -1)
 
     def _fill(self, ts: np.ndarray) -> np.ndarray:
         """Write f(x_q, t) for the (m, k) times ``ts`` into the sample buffer."""
@@ -462,7 +467,9 @@ class LoadAssembler:
     def at_time(self, t: float) -> np.ndarray:
         return self._scatter(np.full((1, 1), t))[0, 0].ravel()
 
-    def time_averaged(self, n, dt: float, horizon: float | None = None) -> np.ndarray:
+    def time_averaged(
+        self, n, dt: float, horizon: float | None = None, *, separable: bool = False
+    ) -> np.ndarray:
         """Average load over [n dt, (n+1) dt], normalized by 1/dt.
 
         If the window runs past the horizon T the integral stops at T
@@ -471,46 +478,41 @@ class LoadAssembler:
         one window index, giving one vector, or an array of k indices,
         giving the (k x 2J) block of their vectors, built ``block_rows``
         windows per pass.
+
+        With ``separable`` (no f_tilde) the density is not sampled: the
+        result is the windows' averages of phi'' and phi, shape
+        n.shape + (2,), the load's coefficients over ``basis``, which
+        :meth:`from_coefficients` turns into the load.  They are computed
+        elementwise at the same Gauss times, so a block of windows is
+        bit-identical to its windows one at a time.
         """
+        if separable and self.model.f_tilde is not None:
+            raise ValueError("a load with f_tilde is not separable")
         ns = np.asarray(n)
         a = ns * dt
         b = (ns + 1) * dt
         if horizon is not None:
             b = np.minimum(b, horizon)
         width = b - a
+        scale = 0.5 * width / dt
+        if separable:
+            t0, t1 = (a + p * width for p in GAUSS2_POINTS)
+            phi = self.model.phi
+            out = np.stack(
+                [scale * (phi.d2(t0) + phi.d2(t1)), scale * (phi.value(t0) + phi.value(t1))],
+                axis=-1,
+            )
+            out[width <= 0.0] = 0.0
+            return out
         out = np.zeros(ns.shape + (2 * self.mesh.J,))
-        flat, a, width = out.reshape(-1, out.shape[-1]), a.ravel(), width.ravel()
+        flat = out.reshape(-1, out.shape[-1])
+        a, width, scale = a.ravel(), width.ravel(), scale.ravel()
         live = np.flatnonzero(width > 0.0)
         for i in range(0, live.size, self.block_rows):
             rows = live[i : i + self.block_rows]
-            w = width[rows]
-            ts = a[rows] + GAUSS2_POINTS[:, None] * w
+            ts = a[rows] + GAUSS2_POINTS[:, None] * width[rows]
             l0, l1 = self._scatter(ts).reshape(2, rows.size, -1)
-            flat[rows] = (0.5 * w / dt)[:, None] * (l0 + l1)
-        return out
-
-    def coefficients(self, n, dt: float, horizon: float | None = None) -> np.ndarray:
-        """Averages of phi'' and phi over the windows ``n``, shape n.shape + (2,).
-
-        The Gauss times, the horizon clipping and the 1/dt normalization
-        are those of :meth:`time_averaged`, and a window past T gives
-        zeros.  Every entry is computed elementwise, so a block of windows
-        is bit-identical to its windows one at a time.  Without f_tilde,
-        ``from_coefficients`` of them is the windows' load.
-        """
-        ns = np.asarray(n)
-        a = ns * dt
-        b = (ns + 1) * dt
-        if horizon is not None:
-            b = np.minimum(b, horizon)
-        width = b - a
-        t0, t1 = (a + p * width for p in GAUSS2_POINTS)
-        scale = 0.5 * width / dt
-        phi = self.model.phi
-        out = np.stack(
-            [scale * (phi.d2(t0) + phi.d2(t1)), scale * (phi.value(t0) + phi.value(t1))], axis=-1
-        )
-        out[width <= 0.0] = 0.0
+            flat[rows] = scale[rows, None] * (l0 + l1)
         return out
 
     def from_coefficients(self, coeffs: np.ndarray) -> np.ndarray:

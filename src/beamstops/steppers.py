@@ -263,12 +263,12 @@ def run(
     raised when dt exceeds the exact-kappa limit for beta < 1/2 unless
     ``force`` is set.  Signorini runs with stops on one DOF audit the
     complementarity conditions of every step (``Trajectory.audit``).
-    Loads are built a block of time windows at a time.  Signorini and
-    linear runs without ``f_tilde`` form them from the windows' averages
-    of phi'' and phi, one rank-2 product per block
-    (:meth:`~beamstops.fem.LoadAssembler.coefficients`); penalty runs and
-    a callable ``f_tilde`` sample and scatter the load density of every
-    window (:meth:`~beamstops.fem.LoadAssembler.time_averaged`).  A step makes
+    Loads are built a block of time windows at a time, one
+    :meth:`~beamstops.fem.LoadAssembler.time_averaged` call per block.
+    Signorini and linear runs without ``f_tilde`` take the windows'
+    averages of phi'' and phi from it (``separable``) and form the loads
+    with one rank-2 product per block; penalty runs and a callable
+    ``f_tilde`` sample and scatter the load density of every window.  A step makes
     two banded products, B u^n and A u^{n+1}, and writes u^{n+1},
     A u^{n+1} and F^n into block buffers; A u is carried with the state.
     Once per load block the block's states are folded in: its recorded
@@ -511,11 +511,11 @@ def run(
         """
         if n_total < 2:
             return
-        windows = loads.coefficients if separable else loads.time_averaged
         f = np.empty((0, 2 if separable else ndof))
         for w0 in range(0, n_total + 1, loads.block_rows):
             w1 = min(w0 + loads.block_rows, n_total + 1)
-            f = np.concatenate((f[-2:], windows(np.arange(w0, w1), dt, horizon)))
+            ns = np.arange(w0, w1)
+            f = np.concatenate((f[-2:], loads.time_averaged(ns, dt, horizon, separable=separable)))
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
             yield loads.from_coefficients(g) if separable else g
 

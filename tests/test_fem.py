@@ -461,7 +461,7 @@ def test_separable_loads_match_the_sampled_time_average(J, phi):
     dt = 1e-3
     ns = np.arange(0, 40)
     horizon = (ns[-3] + 0.4) * dt
-    coeffs = loads.coefficients(ns, dt, horizon)
+    coeffs = loads.time_averaged(ns, dt, horizon, separable=True)
     assert coeffs.shape == (ns.size, 2)
     assert np.all(coeffs[-2:] == 0.0)
     got = loads.from_coefficients(coeffs)
@@ -479,19 +479,24 @@ def test_separable_loads_match_the_sampled_time_average(J, phi):
 def test_block_coefficients_are_bit_identical_to_per_window(J):
     """A block of window coefficients equals its windows one at a time, to
     the last bit, in any index order; so do their rank-2 loads, row by
-    row, whatever the rows around them."""
+    row, whatever the rows around them.  A load with f_tilde has no
+    coefficients."""
     mesh = Mesh(PIPE["L"], J)
     loads = LoadAssembler(mesh, BeamModel(k2=PIPE["k2"], L=PIPE["L"], phi=PHIS["sine"]))
     dt = 1e-3
     ns = np.arange(loads.block_rows - 4, 2 * loads.block_rows + 3)
     horizon = (ns[-3] + 0.4) * dt
-    ref = np.array([loads.coefficients(int(n), dt, horizon) for n in ns])
-    assert np.array_equal(loads.coefficients(ns, dt, horizon), ref)
+    ref = np.array([loads.time_averaged(int(n), dt, horizon, separable=True) for n in ns])
+    assert np.array_equal(loads.time_averaged(ns, dt, horizon, separable=True), ref)
     order = np.random.default_rng(J).permutation(ns.size)
-    assert np.array_equal(loads.coefficients(ns[order], dt, horizon), ref[order])
+    assert np.array_equal(loads.time_averaged(ns[order], dt, horizon, separable=True), ref[order])
     rows = np.array([loads.from_coefficients(c) for c in ref])
     assert np.array_equal(loads.from_coefficients(ref), rows)
     assert np.array_equal(loads.from_coefficients(ref[order]), rows[order])
+    external = BeamModel(k2=PIPE["k2"], L=PIPE["L"], phi=PHIS["sine"],
+                         f_tilde=lambda x, t: np.cos(x) * t)
+    with pytest.raises(ValueError, match="not separable"):
+        LoadAssembler(mesh, external).time_averaged(ns, dt, horizon, separable=True)
 
 
 def test_time_average_empty_window_is_zero():

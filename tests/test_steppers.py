@@ -613,10 +613,7 @@ def fresh_products_oracle(model, mesh, params, kind):
     dt2 = dt * dt
     loads = LoadAssembler(mesh, model)
     windows = np.arange(n_total + 1)
-    if kind == "penalty":
-        f_bar = loads.time_averaged(windows, dt, params.T)
-    else:
-        f_bar = loads.coefficients(windows, dt, params.T)
+    f_bar = loads.time_averaged(windows, dt, params.T, separable=kind != "penalty")
     g = dt2 * (beta * (f_bar[2:] + f_bar[:-2]) + (1.0 - 2.0 * beta) * f_bar[1:-1])
     if kind != "penalty":
         g = loads.from_coefficients(g)

@@ -84,10 +84,10 @@ def test_step_closures_call_the_wrapped_solvers(tracing):
 
 
 def test_loads_take_the_route_of_their_run(tracing, monkeypatch):
-    """Signorini and linear runs without f_tilde form their loads from window
-    coefficients, which the tracer does not time: no ``fem.loads`` span.
-    Penalty runs and a callable f_tilde sample the load density, one
-    ``LoadAssembler.time_averaged`` call per load block."""
+    """Every run makes one ``LoadAssembler.time_averaged`` call, one
+    ``fem.loads`` span, per load block: for the window coefficients of
+    signorini and linear runs without f_tilde, and for the sampled loads
+    of penalty runs and of a callable f_tilde."""
     monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
     mesh = Mesh(1.0, 3)
     phi = SupportMotion.sine(0.3, 3.0)
@@ -110,18 +110,34 @@ def test_loads_take_the_route_of_their_run(tracing, monkeypatch):
             fn()
         return int(np.count_nonzero(np.array(tracer.name) == tracer.names.index("fem.loads")))
 
+    def separable_calls(fn):
+        seen = []
+        time_averaged = LoadAssembler.time_averaged
+
+        def spy(self, *args, separable=False, **kwargs):
+            seen.append(separable)
+            return time_averaged(self, *args, separable=separable, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(LoadAssembler, "time_averaged", spy)
+            fn()
+        return seen
+
     blocks = math.ceil((n + 1) / LoadAssembler(mesh, models(None)[0]).block_rows)
     assert blocks == 3
     tip, band, free = models(None)
     for fn in (lambda: run(tip, mesh, scheme), lambda: run(band, mesh, scheme),
                lambda: run(free, mesh, scheme, kind="linear")):
-        assert load_calls(fn) == 0
-    penalty = PenaltyParams(inv_eps=1e4, dt=dt, T=n * dt)
-    assert load_calls(lambda: run(tip, mesh, penalty, kind="penalty")) == blocks
-    tip, band, free = models(external)
-    for fn in (lambda: run(tip, mesh, scheme), lambda: run(band, mesh, scheme),
-               lambda: run(free, mesh, scheme, kind="linear")):
         assert load_calls(fn) == blocks
+        assert separable_calls(fn) == [True] * blocks
+    penalty = PenaltyParams(inv_eps=1e4, dt=dt, T=n * dt)
+    ext_tip, ext_band, ext_free = models(external)
+    sampled = (lambda: run(tip, mesh, penalty, kind="penalty"),
+               lambda: run(ext_tip, mesh, scheme), lambda: run(ext_band, mesh, scheme),
+               lambda: run(ext_free, mesh, scheme, kind="linear"))
+    for fn in sampled:
+        assert load_calls(fn) == blocks
+        assert separable_calls(fn) == [False] * blocks
 
 
 @pytest.mark.parametrize("stride", [1, 4])
