@@ -14,7 +14,6 @@ pair.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -377,12 +376,6 @@ class PenaltyTipSolver:
             bumped = a.with_diagonal_bump(index, bump).cholesky() if bump > 0.0 else self.full_factor
             self.members.append((p.inv_eps, bump, bumped))
 
-    def subset(self, rows) -> "PenaltyTipSolver":
-        """The solver of the members in ``rows``, in that order, sharing the factors."""
-        out = copy.copy(self)
-        out.members = [self.members[r] for r in rows]
-        return out
-
     def spring(self, tip: float, member: int = 0) -> float:
         """Penalty force of the stops on the tip (negative at the upper stop)."""
         inv_eps = self.members[member][0]
@@ -402,8 +395,9 @@ class PenaltyTipSolver:
         tip left the stops is solved again with its bumped factor.
         Returns (u^{n+1}, failures), u^{n+1} in the same layout:
         ``failures`` maps each member with no consistent contact case to
-        its :class:`PenaltyConsistencyError`, and that member's entries
-        of u^{n+1} are void.
+        its :class:`PenaltyConsistencyError`.  That member's entries of
+        u^{n+1} are void, and its block keeps stepping them with the
+        others; void or NaN entries never make this method raise.
         """
         c, lower, upper, beta = self.index, self.lower, self.upper, self.beta
         k, ndof = len(self.members), self.full_factor.n

@@ -243,6 +243,7 @@ class _MemberRun:
         self.max_abs_tip = 0.0
         self.max_violation = 0.0
         self.error = None
+        self.done = False  # the member ended: its error or last record is in
 
 
 def run(
@@ -274,10 +275,13 @@ def run(
     Once per load block the block's states are folded in: its recorded
     rows in one vectorized pass (their energies make one product with S
     stacked over the rows), the extrema and the audit.  A member's rows
-    end at its first record with a non-finite value, its extrema
-    and the audit at that record's step, and a member that ends leaves
-    the block; a step failure counts only if no earlier record of its
-    member is non-finite.
+    end at its first record with a non-finite value, its extrema and the
+    audit at that record's step; a failed step ends it with its error if
+    no record before the failed state is non-finite.  A member that ends
+    steps on in its block, unrecorded, until every member has ended or
+    the run does.  A step that raises ends the run: the block is folded
+    up to that step, and the error propagates unless every member has
+    already ended.
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
@@ -299,6 +303,15 @@ def run(
     if len(members) > 1 and (kind != "penalty" or len(shared) > 1) or not members:
         raise ValueError("only penalty members that differ in inv_eps alone step together")
     scheme = members[0]
+    n_total = scheme.n_steps
+    stride = record_stride
+    if stride is None:
+        stride = max(1, math.ceil(n_total / 20000)) if n_total else 1
+    if stride < 1:
+        raise ValueError("record_stride must be >= 1")
+    if kind == "penalty" and not model.tip_only:
+        raise ValueError("penalty stops act on the tip only")
+    start_pair = init_states(model, mesh, scheme, u0=u0, v0=v0)
 
     dofs = DofMap(mesh.J)
     gm = assemble(mesh, model)
@@ -317,7 +330,6 @@ def run(
     b_mat = transfer_matrix(gm.mass, gm.stiffness, scheme)
     dt = scheme.dt
     dt2 = dt * dt
-    n_total = scheme.n_steps
 
     # Block layout: member j's state is entries [j w, j w + ndof) of one flat
     # vector, w = ndof + pad.  The pad zeros isolate the members in the
@@ -328,7 +340,9 @@ def run(
     width = ndof + pad
     a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
 
-    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members)
+    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members).
+    # Members that have ended step on with the others, so their void or
+    # non-finite entries must not make a step raise.
     single = box.single_bounded_dof()
     distributed = single is None and bool(np.any(box.finite_mask()))
     contact_audit = None
@@ -341,8 +355,6 @@ def run(
             return factor.solve(f), {}
 
     elif kind == "penalty":
-        if not model.tip_only:
-            raise ValueError("penalty stops act on the tip only")
         penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
 
         def step(f, up, uc, n):
@@ -382,13 +394,6 @@ def run(
 
     loads = LoadAssembler(mesh, model)
     horizon = scheme.T
-
-    stride = record_stride
-    if stride is None:
-        stride = max(1, math.ceil(n_total / 20000)) if n_total else 1
-    if stride < 1:
-        raise ValueError("record_stride must be >= 1")
-
     beta = scheme.beta
 
     # Block buffers.  Rows r of u_buf and au_buf hold u^{t0+r} and A u^{t0+r}
@@ -399,34 +404,27 @@ def run(
     # A u - F, and else the one row that every step reuses.  The step loop
     # writes nothing else.
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
-    u_full = np.zeros((block_steps + 2, k * width))
-    au_full = np.empty_like(u_full)
-    f_full = np.empty((block_steps if reaction_dof is not None else 1, k * width))
-
-    def views(k):
-        """The buffers of k members, and the row views that the step loop uses."""
-        bufs = u_full[:, : k * width], au_full[:, : k * width], f_full[:, : k * width]
-        f_rows = list(bufs[2]) if reaction_dof is not None else [bufs[2][0]] * block_steps
-        # the load is added to the members' DOFs, not to the pads between them
-        g_rows = f_rows if pad == 0 else [f.reshape(k, width)[:, :ndof] for f in f_rows]
-        return (*bufs, list(bufs[0]), list(bufs[1]), f_rows, g_rows)
-
-    u_buf, au_buf, f_buf, u_rows, au_rows, f_rows, g_rows = views(k)
-    for r, u in enumerate(init_states(model, mesh, scheme, u0=u0, v0=v0)):
+    u_buf = np.zeros((block_steps + 2, k * width))
+    au_buf = np.empty_like(u_buf)
+    f_buf = np.empty((block_steps if reaction_dof is not None else 1, k * width))
+    u_rows, au_rows = list(u_buf), list(au_buf)
+    f_rows = list(f_buf) if reaction_dof is not None else [f_buf[0]] * block_steps
+    # the load is added to the members' DOFs, not to the pads between them
+    g_rows = f_rows if pad == 0 else [f.reshape(k, width)[:, :ndof] for f in f_rows]
+    for r, u in enumerate(start_pair):
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
 
-    def write_records(t0, cur, last, resid, failed=(), stop=None):
-        """Append the records of buffer rows ``cur`` (times t0 + cur) to the active members.
+    def write_records(t0, cur, last, resid):
+        """Append the records of buffer rows ``cur`` (times t0 + cur) to the members not done.
 
         Record i takes its tip, reaction and violation from row cur[i],
         and its velocity and energy from the pair of rows last[i] - 1 and
-        last[i].  A failed member gets only the records of rows before
-        ``stop``, the state of its failed step.  Returns, per member, the
-        row of its first record with a non-finite value (the columns that
-        ``Trajectory.require_finite`` reads), where its rows end, or None.
+        last[i].  Returns, per member, the row of its first record with a
+        non-finite value (the columns that ``Trajectory.require_finite``
+        reads), where its rows end, or None.
         """
-        m, k = cur.size, len(active)
+        m = cur.size
         if m == 0:
             return [None] * k
         u1, u0, au1, au0 = u_buf[last], u_buf[last - 1], au_buf[last], au_buf[last - 1]
@@ -449,14 +447,13 @@ def run(
         rows[:, :, 5] = violations(states)
         finite = np.isfinite(rows).all(axis=2)
         ends = []
-        for j, mem in enumerate(active):
-            count = int(np.searchsorted(cur, stop)) if j in failed else m
-            bad = np.flatnonzero(~finite[:count, j])
-            if bad.size:
-                count = int(bad[0]) + 1
-            mem.rows[mem.count : mem.count + count] = rows[:count, j]
-            mem.count += count
+        for j, mem in enumerate(member_runs):
+            bad = np.flatnonzero(~finite[:, j])
             ends.append(int(cur[bad[0]]) if bad.size else None)
+            if not mem.done:
+                count = int(bad[0]) + 1 if bad.size else m
+                mem.rows[mem.count : mem.count + count] = rows[:count, j]
+                mem.count += count
         return ends
 
     def extend(mems, tips, viols):
@@ -467,32 +464,35 @@ def run(
             mem.max_violation = _max_nan(viol, mem.max_violation)
 
     def fold(t0, steps, failed):
-        """Fold the block's ``steps`` states (rows 2 .. steps + 1) into the members.
+        """Fold the block's ``steps`` states (rows 2 .. steps + 1) into the members not done.
 
-        Writes their records, extrema and the audit.  ``failed`` maps the
-        members whose last step failed to their errors; such a failure
-        counts only if no earlier record of the member is non-finite.
-        Returns the indices of the active members that end here.
+        Writes their records, extrema and the audit, and marks done the
+        members that end here.  ``failed`` maps a member to the state row
+        and error of its first failed step in the block: the error ends
+        the member if none of its records before that row is non-finite,
+        and else its rows end at that record.
         """
         if steps == 0:
-            return []
+            return
         last = steps + 1
         times = np.arange(t0 + 2, t0 + last + 1)
         cur = np.flatnonzero((times % stride == 0) | (times == n_total)) + 2
         resid = np.subtract(au_buf[2 : last + 1], f_buf[:steps]) if reaction_dof is not None else None
-        ends = write_records(t0, cur, cur, resid, failed, last)
+        ends = write_records(t0, cur, cur, resid)
         tips = u_buf[2 : last + 1, tip::width]
         viols = violations(u_buf[2 : last + 1])
-        for j, mem in enumerate(active):
-            if ends[j] is None and j in failed:
-                mem.error = failed[j]
+        for j, (mem, end) in enumerate(zip(member_runs, ends)):
+            if mem.done:
+                continue
+            if j in failed and (end is None or end >= failed[j][0]):
+                mem.error = failed[j][1]
             else:
-                e = (ends[j] or last) - 1  # the member's states in this block
+                e = (end or last) - 1  # the member's states in this block
                 extend([mem], tips[:e, j : j + 1], viols[:e, j : j + 1])
+            mem.done = mem.error is not None or end is not None
         if contact_audit is not None:
             e = (ends[0] or last) - 1
             contact_audit.update(u_buf[2 : e + 2, c], resid[:e], c, lo, hi)
-        return [j for j, end in enumerate(ends) if end is not None or j in failed]
 
     # Without f_tilde a window's load is two coefficients times two fixed
     # vectors.  Penalty runs keep the sampled loads, whose last bits their
@@ -520,58 +520,43 @@ def run(
             yield loads.from_coefficients(g) if separable else g
 
     member_runs = [_MemberRun(n_total // stride + 3) for _ in members]
-    active = list(member_runs)
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
         # the start rows: u^0 with the forward difference of the starting pair,
         # and u^1 when it is recorded; the members share them, so they are
         # finite for all or none
-        extend(active, u_buf[:2, tip::width], violations(u_buf[:2]))
+        extend(member_runs, u_buf[:2, tip::width], violations(u_buf[:2]))
         start = np.arange(2 if n_total >= 1 and (stride == 1 or n_total == 1) else 1)
         finite = write_records(0, start, np.ones_like(start), None)[0] is None
         t0 = 0
         for g_block in load_blocks() if finite else ():
-            g = 0
-            while g < g_block.shape[0]:
-                # step until the block ends or a member's step fails
-                steps, failed, raised = 0, {}, None
-                for r, g_row in enumerate(g_block[g:], 2):
-                    f = f_rows[r - 2]
-                    b_stack.matvec(u_rows[r - 1], out=f)
-                    f -= au_rows[r - 2]
-                    g_rows[r - 2] += g_row
-                    try:
-                        u_next, failed = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
-                    except Exception as exc:  # noqa: BLE001 - raised below unless a blow-up came first
-                        raised = exc
-                        break
-                    u_rows[r][:] = u_next
-                    a_stack.matvec(u_rows[r], out=au_rows[r])
-                    steps += 1
-                    if failed:
-                        break
-                ended = fold(t0, steps, failed)
-                if raised is not None and not ended:
-                    raise raised
-                g += steps
-                t0 += steps
-                # the last two states carry into the next block
-                u_buf[:2], au_buf[:2] = u_buf[steps : steps + 2], au_buf[steps : steps + 2]
-                if ended:
-                    # the members that ended leave the block; the others step on
-                    keep = [j for j in range(k) if j not in ended]
-                    carried = [b[:2].reshape(2, k, width)[:, keep] for b in (u_buf, au_buf)]
-                    active = [active[j] for j in keep]
-                    k = len(active)
-                    if k == 0:
-                        break
-                    u_buf, au_buf, f_buf, u_rows, au_rows, f_rows, g_rows = views(k)
-                    u_buf[:2], au_buf[:2] = (x.reshape(2, -1) for x in carried)
-                    a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
-                    if penalty_solver is not None:
-                        penalty_solver = penalty_solver.subset(keep)
-            if k == 0:
+            # a member whose step fails or whose state blows up steps on in
+            # place: the pads keep its columns away from the others, and
+            # the fold ends it
+            steps, failed, raised = 0, {}, None
+            for r, g_row in enumerate(g_block, 2):
+                f = f_rows[r - 2]
+                b_stack.matvec(u_rows[r - 1], out=f)
+                f -= au_rows[r - 2]
+                g_rows[r - 2] += g_row
+                try:
+                    u_next, fails = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
+                except Exception as exc:  # noqa: BLE001 - raised below unless every member has ended
+                    raised = exc
+                    break
+                u_rows[r][:] = u_next
+                a_stack.matvec(u_rows[r], out=au_rows[r])
+                steps += 1
+                if fails:  # a member's first failure in the block is the one that counts
+                    failed = {**{j: (r, error) for j, error in fails.items()}, **failed}
+            fold(t0, steps, failed)
+            if all(mem.done for mem in member_runs):
                 break
+            if raised is not None:
+                raise raised
+            t0 += steps
+            # the last two states carry into the next block
+            u_buf[:2], au_buf[:2] = u_buf[steps : steps + 2], au_buf[steps : steps + 2]
 
     wall = (time.perf_counter() - t_begin) / len(members)
     results = [

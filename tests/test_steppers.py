@@ -16,7 +16,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
-from beamstops import fem, linalg
+from beamstops import fem, linalg, stability, steppers
 from beamstops.diagnostics import ContactAudit, discrete_energy
 from beamstops.fem import (
     BeamModel,
@@ -334,12 +334,73 @@ def test_run_rejects_unknown_kind():
         run(small_model(), mesh, SchemeParams(beta=0.5, dt=0.01, T=0.1), kind="magic")
 
 
+@pytest.mark.parametrize("case", ["stride", "penalty band", "infeasible start"])
+def test_run_checks_its_arguments_before_the_set_up(monkeypatch, case):
+    """dt = 1e-3 at beta = 0 is far above the stability limit and no run
+    forces it, yet each bad argument raises its own ValueError: run()
+    checks its arguments before it assembles the matrices or runs a
+    power iteration."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("run() began its set-up")
+
+    monkeypatch.setattr(steppers, "assemble", never)
+    monkeypatch.setattr(stability, "max_generalized_eig", never)
+    mesh, scheme = Mesh(1.501, 19), SchemeParams(0.0, 1e-3, 0.01)
+    band = lambda x: 0.02 + 0.06 * np.asarray(x, dtype=float)  # noqa: E731
+    far_off = np.zeros(DofMap(19).ndof)
+    far_off[DofMap(19).tip_disp] = 0.5
+    cases = {
+        "stride": (
+            lambda: run(blow_up_model(), mesh, scheme, kind="linear", record_stride=0),
+            "record_stride must be >= 1",
+        ),
+        "penalty band": (
+            lambda: run(BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -band(x), g_upper=band),
+                        mesh, PenaltyParams(inv_eps=1e6, beta=0.0, dt=1e-3, T=0.01), kind="penalty"),
+            "penalty stops act on the tip only",
+        ),
+        "infeasible start": (
+            lambda: run(blow_up_model(), mesh, scheme, u0=far_off),
+            "initial displacement violates the stops",
+        ),
+    }
+    call, message = cases[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_zero_horizon_gives_single_record():
     mesh = Mesh(SMALL["L"], 3)
     traj = run(small_model(g=0.1), mesh, SchemeParams(beta=0.5, dt=0.01, T=0.0))
     assert traj.t.shape == (1,)
     assert traj.t[0] == 0.0 and traj.u_tip[0] == 0.0
     assert traj.n_steps == 0
+
+
+@pytest.mark.parametrize("stride", [1, 5])
+@pytest.mark.parametrize("kind", ["signorini", "linear", "penalty", "penalty block"])
+def test_one_step_runs_record_the_starting_pair(kind, stride):
+    """A run of one step records u^0 and u^1 at any stride, alone and for
+    each member of a block, and the two rows equal the first two rows of
+    a longer run at stride 1."""
+    dt = 1.5e-5
+    model, mesh, members = penalty_members(0.25, dt, dt, [1e6, 1e9])
+
+    def csv_rows(T, stride):
+        if kind.startswith("penalty"):
+            params = [dataclasses.replace(p, T=T) for p in members]
+            out = run(model, mesh, params if kind == "penalty block" else params[0],
+                      kind="penalty", record_stride=stride)
+        else:
+            out = run(model, mesh, SchemeParams(0.5, dt, T), kind=kind, record_stride=stride)
+        return [r.to_csv().splitlines() for r in (out if isinstance(out, list) else [out])]
+
+    one = csv_rows(dt, stride)
+    assert len(one) == (2 if kind == "penalty block" else 1)
+    for short, longer in zip(one, csv_rows(20 * dt, 1), strict=True):
+        assert len(short) == 3  # the header and two rows
+        assert short == longer[:3]
 
 
 def test_record_stride_timestamps():
@@ -401,6 +462,12 @@ def test_blocked_loads_match_shorter_runs_and_smaller_blocks(monkeypatch):
     assert LoadAssembler(mesh, model).block_rows == 16
     small_blocks = run(model, mesh, SchemeParams(0.5, dt, n_long * dt), record_stride=1)
     assert first_differing_row(small_blocks.to_csv().splitlines(), long_rows) is None
+
+
+#: (block_samples, id suffix): the default load blocks keep a case's plain
+#: id; ``fem.LOAD_BLOCK_SAMPLES = 1`` cuts 16-row blocks, so that a member
+#: that ended rides through many later blocks.
+LOAD_BLOCKS = ((None, ""), (1, "-16-row-blocks"))
 
 
 def blow_up_model():
@@ -514,15 +581,24 @@ def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
                               (solo.max_abs_tip, solo.max_violation), equal_nan=True)
 
 
-@pytest.mark.parametrize("stride", [2, 3, 5])
-def test_a_penalty_failure_counts_only_before_a_non_finite_record(monkeypatch, stride):
+@pytest.mark.parametrize(
+    "stride,block_samples",
+    [pytest.param(stride, samples, id=f"{stride}{suffix}")
+     for samples, suffix in LOAD_BLOCKS for stride in (2, 3, 5)],
+)
+def test_a_penalty_failure_counts_only_before_a_non_finite_record(
+    monkeypatch, stride, block_samples
+):
     """A penalty solver that fails a member once its tip u^n is not finite
     fails the 1e300 member at step 544, whose tip u^544 is -inf; the
     reaction of step 543 is already -inf.  At stride 2 the tip of step 544
     and at stride 3 the reaction of step 543 is recorded first, and the
     member's rows end at that record; at stride 5 neither is recorded, the
     step fails first, and the member ends with the error.  The same holds
-    alone and in a block of three."""
+    alone and in a block of three, where the failed member steps on (and
+    fails again at every later step) to the end of the run."""
+    if block_samples is not None:
+        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
     advance = PenaltyTipSolver.advance
 
     def strict(self, f_n, u_prev, u_curr, n):
@@ -550,6 +626,33 @@ def test_a_penalty_failure_counts_only_before_a_non_finite_record(monkeypatch, s
         assert isinstance(block[1], PenaltyConsistencyError) and str(block[1]) == message
         with pytest.raises(PenaltyConsistencyError, match=message):
             run(model, mesh, members[1], kind="penalty", record_stride=stride)
+
+
+@pytest.mark.parametrize("block_samples", [None, 1])
+def test_a_step_that_raises_ends_a_block_run(monkeypatch, block_samples):
+    """A step that raises ends the run.  While a member of the block has
+    not ended, run() raises the error; once every member has ended (two
+    1e300 members blow up at step 543), a later raise is not reached or
+    not raised, and each member's rows equal its own run's."""
+    if block_samples is not None:
+        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
+    advance = PenaltyTipSolver.advance
+
+    def raising(self, f_n, u_prev, u_curr, n):
+        if n == 600:
+            raise ArithmeticError(f"step {n} raised")
+        return advance(self, f_n, u_prev, u_curr, n)
+
+    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
+    solo = run(model, mesh, members[1], kind="penalty", record_stride=7)
+    monkeypatch.setattr(PenaltyTipSolver, "advance", raising)
+    with pytest.raises(ArithmeticError, match="step 600 raised"):
+        run(model, mesh, members, kind="penalty", record_stride=7)
+    ended = run(model, mesh, [members[1]] * 2, kind="penalty", record_stride=7)
+    for member in ended:
+        assert member.to_csv() == solo.to_csv()
+        assert np.array_equal((member.max_abs_tip, member.max_violation),
+                              (solo.max_abs_tip, solo.max_violation), equal_nan=True)
 
 
 @pytest.mark.parametrize("stride", [1, 5])
@@ -704,21 +807,32 @@ def penalty_members(beta, dt, T, values):
     return model, Mesh(1.501, 19), [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
 
 
+MEMBER_OUTCOMES = [
+    # all members reach a stop (first arrival t = 0.0068 s) and none fails
+    (0.25, 1.5e-5, {1e6: "ok", 1e7: "ok", 1e8: "ok", 1e9: "ok"}),
+    # 1e300 turns NaN between two records: its rows end at the first non-finite one
+    (0.2, 1.4e-5, {1e6: "ok", 1e300: "blown up", 1e9: "ok"}),
+    # 1e9 blows up at beta = 0.1 (t = 0.0279 s): its rows end at the first non-finite one
+    (0.1, 1.2e-5, {1e12: "ok", 1e9: "blown up", 1e6: "ok"}),
+]
+
+
 @pytest.mark.parametrize(
-    "beta,dt,outcomes",
+    "beta,dt,outcomes,block_samples",
     [
-        # all members reach a stop (first arrival t = 0.0068 s) and none fails
-        (0.25, 1.5e-5, {1e6: "ok", 1e7: "ok", 1e8: "ok", 1e9: "ok"}),
-        # 1e300 turns NaN between two records: its rows end at the first non-finite one
-        (0.2, 1.4e-5, {1e6: "ok", 1e300: "blown up", 1e9: "ok"}),
-        # 1e9 blows up at beta = 0.1 (t = 0.0279 s): its rows end at the first non-finite one
-        (0.1, 1.2e-5, {1e12: "ok", 1e9: "blown up", 1e6: "ok"}),
+        pytest.param(beta, dt, outcomes, samples, id=f"{beta}-{dt}-outcomes{i}{suffix}")
+        for samples, suffix in LOAD_BLOCKS
+        for i, (beta, dt, outcomes) in enumerate(MEMBER_OUTCOMES)
     ],
 )
-def test_members_stepped_as_one_block_match_their_own_runs(beta, dt, outcomes):
+def test_members_stepped_as_one_block_match_their_own_runs(
+    monkeypatch, beta, dt, outcomes, block_samples
+):
     """Penalty members that differ in inv_eps alone step as one block, and
     each member's rows and extrema equal its own run's, also when another
-    member blows up on the way."""
+    member blows up on the way and steps on in the block."""
+    if block_samples is not None:
+        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
     model, mesh, members = penalty_members(beta, dt, 0.03, list(outcomes))
     results = run(model, mesh, members, kind="penalty", record_stride=7)
     assert len(results) == len(members)
