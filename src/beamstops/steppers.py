@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import ContactAudit, discrete_energy
+from .diagnostics import INACTIVE, ContactAudit, active_sides, count_episodes, discrete_energy
 from .fem import (
     BeamModel,
     DofMap,
@@ -177,8 +177,9 @@ class Trajectory:
     at the tip; ``reaction`` is the scheme-native dt^2-scaled contact
     force at the tip DOF ((A u - F) for the stops, dt^2 times the spring
     force for the penalty scheme) and ``reaction_physical`` rescales it
-    by 1/dt^2.  ``max_abs_tip``/``max_violation`` are tracked at every
-    step, not just the recorded ones, and turn NaN once a step does.
+    by 1/dt^2.  ``max_abs_tip``/``max_violation`` and the tip's
+    ``contact_episodes`` are tracked at every step, not just the recorded
+    ones; the extrema turn NaN once a step does.
     ``stability`` is the report the run's stability check produced.
     The rows of a blown-up run end at its first record with a non-finite
     value, which :meth:`require_finite` names, short of ``n_steps``, and so
@@ -200,6 +201,7 @@ class Trajectory:
     record_stride: int
     max_abs_tip: float
     max_violation: float
+    contact_episodes: int
     audit: ContactAudit | None
     stability: StabilityReport
     wall_time: float
@@ -229,19 +231,16 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _max_nan(a, b):
-    """max(a, b), NaN if either is (the builtin drops a NaN second argument)."""
-    return a if a != a or a > b else b
-
-
 class _MemberRun:
-    """One member of a run: its recorded rows, per-step extrema and error."""
+    """One member of a run: its recorded rows, per-step extrema, episodes and error."""
 
     def __init__(self, capacity):
         self.rows = np.empty((capacity, 6))  # t, u_tip, v_tip, energy, reaction, violation
         self.count = 0
         self.max_abs_tip = 0.0
         self.max_violation = 0.0
+        self.episodes = 0  # contact episodes of the tip over every state
+        self.contact = False  # the tip of its last folded state is on a stop
         self.error = None
         self.done = False  # the member ended: its error or last record is in
 
@@ -272,11 +271,13 @@ def run(
     ``f_tilde`` sample and scatter the load density of every window.  A step makes
     two banded products, B u^n and A u^{n+1}, and writes u^{n+1},
     A u^{n+1} and F^n into block buffers; A u is carried with the state.
-    Once per load block the block's states are folded in: its recorded
-    rows in one vectorized pass (their energies make one product with S
-    stacked over the rows), the extrema and the audit.  A member's rows
-    end at its first record with a non-finite value, its extrema and the
-    audit at that record's step; a failed step ends it with its error if
+    One fold turns buffer rows into records, extrema, contact episodes,
+    audit entries and member exits: the starting pair (u^0, u^1) is
+    folded as the first pair of states, and then each load block's
+    states, the recorded rows in one vectorized pass (their energies make
+    one product with S stacked over the rows).  A member's rows
+    end at its first record with a non-finite value, its extrema, contact
+    episodes and the audit at that record's step; a failed step ends it with its error if
     no record before the failed state is non-finite.  A member that ends
     steps on in its block, unrecorded, until every member has ended or
     the run does.  A step that raises ends the run: the block is folded
@@ -299,8 +300,10 @@ def run(
         raise ValueError(f"unknown scheme kind {kind!r}")
     if kind == "penalty" and not all(isinstance(p, PenaltyParams) for p in members):
         raise ValueError("penalty runs need PenaltyParams")
+    if not members:
+        raise ValueError("a list of params needs at least one member")
     shared = {(p.beta, p.dt, p.T) for p in members}
-    if len(members) > 1 and (kind != "penalty" or len(shared) > 1) or not members:
+    if len(members) > 1 and (kind != "penalty" or len(shared) > 1):
         raise ValueError("only penalty members that differ in inv_eps alone step together")
     scheme = members[0]
     n_total = scheme.n_steps
@@ -396,103 +399,88 @@ def run(
     horizon = scheme.T
     beta = scheme.beta
 
-    # Block buffers.  Rows r of u_buf and au_buf hold u^{t0+r} and A u^{t0+r}
-    # (A u is formed once per state and carried: F two steps later, the audit
-    # residual, the energy).  Rows 0 and 1 carry the last two states of the
-    # block before; row r + 2 is the state of the block's step r, whose
-    # right-hand side is f_buf row r where the fold reads the residual
-    # A u - F, and else the one row that every step reuses.  The step loop
-    # writes nothing else.
+    # Block buffers.  Row r of u_buf, au_buf and f_buf holds u^{t0+r},
+    # A u^{t0+r} (formed once per state and carried: F two steps later, the
+    # audit residual, the energy) and the right-hand side F that gave
+    # u^{t0+r}.  Rows 0 and 1 carry the last two states of the block before,
+    # or the starting pair; rows 2 .. are the block's steps.  Runs that read
+    # no residual A u - F reuse one F row.  The step loop writes nothing else.
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
     u_buf = np.zeros((block_steps + 2, k * width))
     au_buf = np.empty_like(u_buf)
-    f_buf = np.empty((block_steps if reaction_dof is not None else 1, k * width))
+    f_buf = np.empty((block_steps + 2 if reaction_dof is not None else 1, k * width))
     u_rows, au_rows = list(u_buf), list(au_buf)
-    f_rows = list(f_buf) if reaction_dof is not None else [f_buf[0]] * block_steps
+    f_rows = list(f_buf) if reaction_dof is not None else [f_buf[0]] * (block_steps + 2)
     # the load is added to the members' DOFs, not to the pads between them
     g_rows = f_rows if pad == 0 else [f.reshape(k, width)[:, :ndof] for f in f_rows]
     for r, u in enumerate(start_pair):
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
 
-    def write_records(t0, cur, last, resid):
-        """Append the records of buffer rows ``cur`` (times t0 + cur) to the members not done.
+    def fold(t0, first, last, failed):
+        """Fold buffer rows ``first`` .. ``last`` (times t0 + row) into the members not done.
 
-        Record i takes its tip, reaction and violation from row cur[i],
-        and its velocity and energy from the pair of rows last[i] - 1 and
-        last[i].  Returns, per member, the row of its first record with a
-        non-finite value (the columns that ``Trajectory.require_finite``
-        reads), where its rows end, or None.
+        Writes their records, extrema and contact episodes and the audit,
+        and marks done the members that end here.  Time t is recorded if
+        t <= n_total and t is a multiple of the stride or n_total; the
+        record of row r takes its velocity and energy from rows
+        max(r, 1) - 1 and max(r, 1), so u^0 takes those of the starting
+        pair.  Only step rows (r >= 2) have a residual A u - F, the
+        reaction and the audit read.  A member's rows end at its first
+        record with a non-finite value (the columns that
+        ``Trajectory.require_finite`` reads), and its extrema and episodes
+        at the last row that record reads.  ``failed`` maps a member to the
+        state row and error of its first failed step: the error ends the
+        member if none of its records before that row is non-finite.
         """
-        m = cur.size
-        if m == 0:
-            return [None] * k
-        u1, u0, au1, au0 = u_buf[last], u_buf[last - 1], au_buf[last], au_buf[last - 1]
-        states = u1 if cur is last else u_buf[cur]  # only the start rows differ
-        pairs = [x.reshape(m * k, width)[:, :ndof] for x in (u0, u1, au0, au1)]
-        energy = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt).reshape(m, k)
-        tips = states[:, tip::width]
-        rows = np.empty((m, k, 6))  # t, u_tip, v_tip, energy, reaction, violation
-        rows[:, :, 0] = ((t0 + cur) * dt)[:, None]
-        rows[:, :, 1] = tips
-        rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
-        rows[:, :, 3] = energy
-        if penalty_solver is not None:
-            spring = penalty_solver.spring
-            rows[:, :, 4] = [[dt2 * spring(x, j) for j, x in enumerate(row)] for row in tips.tolist()]
-        elif reaction_dof is not None and resid is not None:
-            rows[:, 0, 4] = resid[cur - 2, reaction_dof]
-        else:
-            rows[:, :, 4] = 0.0
-        rows[:, :, 5] = violations(states)
-        finite = np.isfinite(rows).all(axis=2)
-        ends = []
-        for j, mem in enumerate(member_runs):
-            bad = np.flatnonzero(~finite[:, j])
-            ends.append(int(cur[bad[0]]) if bad.size else None)
-            if not mem.done:
-                count = int(bad[0]) + 1 if bad.size else m
-                mem.rows[mem.count : mem.count + count] = rows[:count, j]
-                mem.count += count
-        return ends
-
-    def extend(mems, tips, viols):
-        """Fold (states, members) tips and violations into the members' extrema."""
-        abs_tips, viols = np.abs(tips).max(axis=0).tolist(), viols.max(axis=0).tolist()
-        for mem, abs_tip, viol in zip(mems, abs_tips, viols):
-            mem.max_abs_tip = _max_nan(abs_tip, mem.max_abs_tip)
-            mem.max_violation = _max_nan(viol, mem.max_violation)
-
-    def fold(t0, steps, failed):
-        """Fold the block's ``steps`` states (rows 2 .. steps + 1) into the members not done.
-
-        Writes their records, extrema and the audit, and marks done the
-        members that end here.  ``failed`` maps a member to the state row
-        and error of its first failed step in the block: the error ends
-        the member if none of its records before that row is non-finite,
-        and else its rows end at that record.
-        """
-        if steps == 0:
+        if last < first:
             return
-        last = steps + 1
-        times = np.arange(t0 + 2, t0 + last + 1)
-        cur = np.flatnonzero((times % stride == 0) | (times == n_total)) + 2
-        resid = np.subtract(au_buf[2 : last + 1], f_buf[:steps]) if reaction_dof is not None else None
-        ends = write_records(t0, cur, cur, resid)
-        tips = u_buf[2 : last + 1, tip::width]
-        viols = violations(u_buf[2 : last + 1])
-        for j, (mem, end) in enumerate(zip(member_runs, ends)):
+        states = u_buf[first : last + 1]
+        tips, viols = states[:, tip::width], violations(states)
+        contact = active_sides(tips, tip_lo, tip_hi) != INACTIVE
+        times = t0 + np.arange(first, last + 1)
+        at = np.flatnonzero((times <= n_total) & ((times % stride == 0) | (times == n_total)))
+        m = at.size
+        resid = None
+        if reaction_dof is not None and first >= 2:
+            resid = np.subtract(au_buf[first : last + 1], f_buf[first : last + 1])
+        rows = np.zeros((m, k, 6))  # t, u_tip, v_tip, energy, reaction, violation
+        if m:
+            pair = np.maximum(at + first, 1)
+            u1, u0, au1, au0 = u_buf[pair], u_buf[pair - 1], au_buf[pair], au_buf[pair - 1]
+            pairs = [x.reshape(m * k, width)[:, :ndof] for x in (u0, u1, au0, au1)]
+            rows[:, :, 0] = (times[at] * dt)[:, None]
+            rows[:, :, 1] = tips[at]
+            rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
+            rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt).reshape(m, k)
+            if penalty_solver is not None:
+                spring = penalty_solver.spring
+                rows[:, :, 4] = [[dt2 * spring(x, j) for j, x in enumerate(row)]
+                                 for row in tips[at].tolist()]
+            elif resid is not None:
+                rows[:, 0, 4] = resid[at, reaction_dof]
+            rows[:, :, 5] = viols[at]
+        finite = np.isfinite(rows).all(axis=2)
+        for j, mem in enumerate(member_runs):
             if mem.done:
                 continue
+            bad = np.flatnonzero(~finite[:, j])
+            count = int(bad[0]) + 1 if bad.size else m
+            mem.rows[mem.count : mem.count + count] = rows[:count, j]
+            mem.count += count
+            end = int(at[bad[0]]) + first if bad.size else None  # its first non-finite record's row
             if j in failed and (end is None or end >= failed[j][0]):
                 mem.error = failed[j][1]
-            else:
-                e = (end or last) - 1  # the member's states in this block
-                extend([mem], tips[:e, j : j + 1], viols[:e, j : j + 1])
+            # its states here run to the last row that its first non-finite record reads
+            n = last - first + 1 if end is None else max(end, 1) - first + 1
+            mem.max_abs_tip = np.maximum(mem.max_abs_tip, np.abs(tips[:n, j]).max())
+            mem.max_violation = np.maximum(mem.max_violation, viols[:n, j].max())
+            on = contact[:n, j]  # an episode that goes on from the last fold is not new
+            mem.episodes += count_episodes(on) - int(mem.contact and on[0])
+            mem.contact = bool(on[-1])
+            if contact_audit is not None and resid is not None:  # one member
+                contact_audit.update(states[:n, c], resid[:n], c, lo, hi)
             mem.done = mem.error is not None or end is not None
-        if contact_audit is not None:
-            e = (ends[0] or last) - 1
-            contact_audit.update(u_buf[2 : e + 2, c], resid[:e], c, lo, hi)
 
     # Without f_tilde a window's load is two coefficients times two fixed
     # vectors.  Penalty runs keep the sampled loads, whose last bits their
@@ -522,23 +510,18 @@ def run(
     member_runs = [_MemberRun(n_total // stride + 3) for _ in members]
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
-        # the start rows: u^0 with the forward difference of the starting pair,
-        # and u^1 when it is recorded; the members share them, so they are
-        # finite for all or none
-        extend(member_runs, u_buf[:2, tip::width], violations(u_buf[:2]))
-        start = np.arange(2 if n_total >= 1 and (stride == 1 or n_total == 1) else 1)
-        finite = write_records(0, start, np.ones_like(start), None)[0] is None
+        fold(0, 0, 1, {})  # the starting pair, shared by the members
         t0 = 0
-        for g_block in load_blocks() if finite else ():
+        for g_block in () if all(mem.done for mem in member_runs) else load_blocks():
             # a member whose step fails or whose state blows up steps on in
             # place: the pads keep its columns away from the others, and
             # the fold ends it
             steps, failed, raised = 0, {}, None
             for r, g_row in enumerate(g_block, 2):
-                f = f_rows[r - 2]
+                f = f_rows[r]
                 b_stack.matvec(u_rows[r - 1], out=f)
                 f -= au_rows[r - 2]
-                g_rows[r - 2] += g_row
+                g_rows[r] += g_row
                 try:
                     u_next, fails = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
                 except Exception as exc:  # noqa: BLE001 - raised below unless every member has ended
@@ -549,7 +532,7 @@ def run(
                 steps += 1
                 if fails:  # a member's first failure in the block is the one that counts
                     failed = {**{j: (r, error) for j, error in fails.items()}, **failed}
-            fold(t0, steps, failed)
+            fold(t0, 2, steps + 1, failed)
             if all(mem.done for mem in member_runs):
                 break
             if raised is not None:
@@ -572,6 +555,7 @@ def run(
             record_stride=stride,
             max_abs_tip=float(mem.max_abs_tip),
             max_violation=float(mem.max_violation),
+            contact_episodes=mem.episodes,
             audit=contact_audit,
             stability=report,
             wall_time=wall,

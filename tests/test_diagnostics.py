@@ -17,7 +17,7 @@ from beamstops.diagnostics import (
 )
 from beamstops.fem import BeamModel, Mesh, SupportMotion, assemble
 from beamstops.linalg import BandedSpd
-from beamstops.steppers import SchemeParams, run
+from beamstops.steppers import PenaltyParams, SchemeParams, run
 from conftest import random_banded_spd
 
 
@@ -246,6 +246,23 @@ def test_violation_measures_overshoot():
     assert violation(Fake(), 0.2) == 0.0
     with pytest.raises(ValueError):
         violation(Fake(), 0.0)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 7, 20])
+def test_summary_counts_the_contact_episodes_of_every_step(stride):
+    """The summary's contact episodes do not depend on the record stride:
+    the README scenario counts the audit's 103 per-step episodes at every
+    stride, and a penalty member the episodes of its stride-1 run."""
+    phi = SupportMotion.sine(0.2, 10.0)
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, phi)
+    traj = run(model, Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.6), record_stride=stride)
+    assert compare_runs([("s", traj)]).rows[0].contact_episodes == traj.audit.episodes == 103
+    tight = BeamModel.symmetric_stops(282.84, 1.501, 0.002, phi)
+    params = PenaltyParams(inv_eps=1e9, beta=0.25, dt=1.5e-5, T=0.1)
+    every = run(tight, Mesh(1.501, 19), params, kind="penalty", record_stride=1)
+    sparse = run(tight, Mesh(1.501, 19), params, kind="penalty", record_stride=stride)
+    flags = active_sides(every.u_tip, every.tip_lower, every.tip_upper) != INACTIVE
+    assert compare_runs([("s", sparse)]).rows[0].contact_episodes == count_episodes(flags) == 82
 
 
 def test_compare_runs_table():

@@ -403,6 +403,48 @@ def test_one_step_runs_record_the_starting_pair(kind, stride):
         assert short == longer[:3]
 
 
+def start_run(kind, T, dt, v0=None):
+    """A run of the penalty test model with the starting pair of ``v0``; for
+    "penalty block" the list of the two members' results, else one."""
+    model, mesh, members = penalty_members(0.25, dt, T, [1e6, 1e9])
+    if kind == "penalty block":
+        return run(model, mesh, members, kind="penalty", v0=v0)
+    if kind == "penalty":
+        return [run(model, mesh, members[0], kind="penalty", v0=v0)]
+    return [run(model, mesh, SchemeParams(0.5, dt, T), kind=kind, v0=v0)]
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear", "penalty", "penalty block"])
+def test_zero_horizon_extrema_include_the_second_state(kind):
+    """T = 0 records u^0 alone, but the extrema cover the whole starting
+    pair: u^1 = dt v^0 moves the tip off its rest position u^0 = 0."""
+    dt = 1.5e-5
+    model, mesh, members = penalty_members(0.25, dt, 0.0, [1e6])
+    u1_tip = init_states(model, mesh, members[0])[1][DofMap(mesh.J).tip_disp]
+    for traj in start_run(kind, 0.0, dt):
+        assert traj.t.tolist() == [0.0] and traj.u_tip[0] == 0.0
+        assert traj.max_abs_tip == abs(u1_tip) > 0.0
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear", "penalty", "penalty block"])
+def test_a_non_finite_starting_pair_ends_at_record_0(monkeypatch, kind):
+    """v^0 = 1e305 overflows the energy of the starting pair: the run gives
+    the one row of u^0, ``require_finite`` names record 0, the extrema
+    cover u^1 (its tip projected onto the upper stop), and no load block
+    is built."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a load block was built")
+
+    monkeypatch.setattr(LoadAssembler, "time_averaged", never)
+    v0 = np.full(DofMap(19).ndof, 1e305)
+    for traj in start_run(kind, 0.1, 1.5e-5, v0=v0):
+        assert traj.t.tolist() == [0.0]
+        with pytest.raises(NonFiniteRecordError, match=re.escape("record 0 (t = 0 s)")):
+            traj.require_finite()
+        assert traj.max_abs_tip == traj.tip_upper == 0.002
+
+
 def test_record_stride_timestamps():
     mesh = Mesh(SMALL["L"], 3)
     params = SchemeParams(beta=0.5, dt=0.01, T=0.12)
@@ -522,6 +564,67 @@ def test_blow_up_mid_block_ends_at_the_same_record(monkeypatch, kind, stride, me
     assert repr(small.audit) == repr(big.audit)
     with pytest.raises(NonFiniteRecordError, match=re.escape(message)):
         small.require_finite()
+
+
+def subsampled(rows, n_steps, stride):
+    """The CSV lines of the records at times t with t % stride == 0 or t == n_steps."""
+    return [row for t, row in enumerate(rows) if t % stride == 0 or t == n_steps]
+
+
+@pytest.mark.parametrize("stride", [20, 40])
+@pytest.mark.parametrize("kind", ["signorini", "linear", "penalty", "penalty block"])
+def test_blocks_without_a_record_fold_their_states(monkeypatch, kind, stride):
+    """With 16-row load blocks one block in five at stride 20 and three in
+    five at stride 40 hold no record; their states still reach the
+    extrema, the episodes and the audit.  Rows, extrema, episodes and audit equal the stride-1 run's,
+    its rows subsampled."""
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    dt, T = 1.5e-5, 0.01
+    model, mesh, members = penalty_members(0.25, dt, T, [1e6, 1e9])
+    assert LoadAssembler(mesh, model).block_rows == 16
+
+    def results(stride):
+        if kind == "penalty block":
+            return run(model, mesh, members, kind="penalty", record_stride=stride)
+        if kind == "penalty":
+            return [run(model, mesh, members[1], kind="penalty", record_stride=stride)]
+        return [run(model, mesh, SchemeParams(0.5, dt, T), kind=kind, record_stride=stride)]
+
+    for every, sparse in zip(results(1), results(stride), strict=True):
+        rows = every.to_csv().splitlines()[1:]
+        assert sparse.to_csv().splitlines()[1:] == subsampled(rows, every.n_steps, stride)
+        assert (sparse.max_abs_tip, sparse.max_violation) == (every.max_abs_tip, every.max_violation)
+        assert sparse.contact_episodes == every.contact_episodes > 0
+        assert repr(sparse.audit) == repr(every.audit)
+
+
+@pytest.mark.parametrize("stride", [20, 40])
+@pytest.mark.parametrize("kind", ["linear", "signorini"])
+def test_a_blow_up_in_a_block_without_a_record_ends_at_the_next_record(monkeypatch, kind, stride):
+    """beta = 0 at dt = 1e-4 turns the first record non-finite at step 68
+    (linear) or 71 (signorini), inside the 16-row load block of states
+    64 .. 79, which holds no record at strides 20 and 40.  The run ends
+    at the next recorded time, 80, with the rows of the stride-1 run
+    before it and the same rows as with the default blocks."""
+    params = SchemeParams(beta=0.0, dt=1e-4, T=0.5)
+
+    def blow_up(stride):
+        return run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True,
+                   record_stride=stride)
+
+    big = blow_up(stride)
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    every, sparse = blow_up(1), blow_up(stride)
+    assert every.t.size - 1 == {"linear": 68, "signorini": 71}[kind]
+    assert not any(t % stride == 0 for t in range(64, 80))
+    assert round(sparse.t[-1] / params.dt) == 80
+    rows = sparse.to_csv().splitlines()
+    assert rows[1:-1] == subsampled(every.to_csv().splitlines()[1:], params.n_steps, stride)
+    assert sparse.to_csv() == big.to_csv()
+    assert repr(sparse.audit) == repr(big.audit)
+    with pytest.raises(NonFiniteRecordError) as info:
+        sparse.require_finite()
+    assert info.value.record == sparse.t.size - 1
 
 
 @pytest.mark.parametrize("block_samples", [None, 1])
@@ -855,8 +958,10 @@ def test_block_run_accepts_only_penalty_members_differing_in_inv_eps():
             kind="penalty")
     with pytest.raises(ValueError, match="differ in inv_eps"):
         run(model, mesh, [SchemeParams(0.5, 1e-5, 0.001)] * 2)
-    with pytest.raises(ValueError, match="differ in inv_eps"):
+    with pytest.raises(ValueError, match="needs at least one member"):
         run(model, mesh, [], kind="penalty")
+    with pytest.raises(ValueError, match="needs at least one member"):
+        run(model, mesh, [])
     single = run(model, mesh, [members[0]], kind="penalty")
     assert single[0].to_csv() == run(model, mesh, members[0], kind="penalty").to_csv()
 

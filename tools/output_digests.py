@@ -1,0 +1,208 @@
+"""Print one digest line for each run of a fixed list of beamstops cases.
+
+    python3 tools/output_digests.py SRC_DIR > digests.txt
+
+SRC_DIR is the ``src`` directory of the checkout to run.  Running it on
+two checkouts and diffing the outputs shows whether a change kept every
+trajectory bit for bit.  A line names the case and then gives the
+SHA-256 of ``to_csv()``, the row count, the extrema and
+``repr(audit)``, or the type and text of the error the run returned or
+raised.  There is no golden file: the last bits depend on the BLAS
+build, so only two checkouts on one machine compare.
+
+The cases cover signorini, linear and penalty runs, penalty members
+stepped as one block, blow-ups, failing and raising steps, the forced
+PGS obstacle, a callable load, T = 0, one-step runs and a non-finite
+starting pair, at strides 1 to 7, 20 and 40.  Each runs at the default
+load blocks and at 16-row blocks (``fem.LOAD_BLOCK_SAMPLES = 1``).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import hashlib
+import math
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
+
+import numpy as np  # noqa: E402
+
+from beamstops import fem, linalg, steppers  # noqa: E402
+from beamstops.fem import BeamModel, DofMap, Mesh, SupportMotion  # noqa: E402
+from beamstops.steppers import PenaltyParams, PenaltyTipSolver, SchemeParams, run  # noqa: E402
+
+MESH = Mesh(1.501, 19)
+#: the README model: stops at +-0.1 m; beta = 0 at dt >= 1e-4 blows it up
+PIPE = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
+#: stops at +-2 mm, first reached at t = 0.0068 s
+TIGHT = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+TIGHT_LOADED = dataclasses.replace(TIGHT, f_tilde=lambda x, t: 2.0 * np.cos(15.0 * t) * x / 1.501)
+
+#: (beta, dt, inv_eps values) of the penalty blocks: none fails; 1e300 turns
+#: NaN between two records; 1e9 blows up at beta = 0.1
+OUTCOMES = [
+    (0.25, 1.5e-5, [1e6, 1e7, 1e8, 1e9]),
+    (0.2, 1.4e-5, [1e6, 1e300, 1e9]),
+    (0.1, 1.2e-5, [1e12, 1e9, 1e6]),
+]
+
+
+def members(beta, dt, values, T=0.03):
+    return [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
+
+
+@contextlib.contextmanager
+def patched(owner, name, value):
+    saved = getattr(owner, name)
+    setattr(owner, name, value)
+    try:
+        yield
+    finally:
+        setattr(owner, name, saved)
+
+
+def strict_advance(self, f_n, u_prev, u_curr, n):
+    """The penalty step, failing each member whose tip u^n is not finite."""
+    u, failures = ADVANCE(self, f_n, u_prev, u_curr, n)
+    width = f_n.shape[0] // len(self.members)
+    for m, tip in enumerate(u_curr[self.index :: width].tolist()):
+        if not math.isfinite(tip):
+            failures[m] = steppers.PenaltyConsistencyError(f"no consistent contact case at step {n}")
+    return u, failures
+
+
+def raising_advance(self, f_n, u_prev, u_curr, n):
+    if n == 600:
+        raise ArithmeticError(f"step {n} raised")
+    return ADVANCE(self, f_n, u_prev, u_curr, n)
+
+
+def picky_solve(self, rhs):
+    if not np.abs(rhs).max() < 1e156:
+        raise ArithmeticError("right-hand side too large")
+    return SOLVE(self, rhs)
+
+
+ADVANCE, SOLVE = PenaltyTipSolver.advance, linalg.BandedCholesky.solve
+
+
+def describe(result) -> str:
+    if isinstance(result, Exception):
+        return f"error {type(result).__name__}: {result}"
+    sha = hashlib.sha256(result.to_csv().encode()).hexdigest()
+    return (f"{sha} rows={result.t.size} max_abs_tip={result.max_abs_tip!r} "
+            f"max_violation={result.max_violation!r} audit={result.audit!r}")
+
+
+def emit(case: str, call) -> None:
+    try:
+        out = call()
+    except Exception as exc:  # noqa: BLE001 - the error is the case's output
+        out = exc
+    if isinstance(out, list):
+        for j, result in enumerate(out):
+            print(f"{case}[{j}] {describe(result)}")
+    else:
+        print(f"{case} {describe(out)}")
+
+
+def penalty_cases(blocks: str) -> None:
+    for i, (beta, dt, values) in enumerate(OUTCOMES):
+        params = members(beta, dt, values)
+        for stride in (1, 2, 3, 5, 7) if i == 1 else (1, 7):
+            for p in params:
+                emit(f"{blocks} outcome{i} {p.inv_eps:g} stride={stride}",
+                     lambda p=p: run(TIGHT, MESH, p, kind="penalty", record_stride=stride))
+            emit(f"{blocks} outcome{i} block stride={stride}",
+                 lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
+    params = members(*OUTCOMES[1])
+    with patched(PenaltyTipSolver, "advance", strict_advance):
+        for stride in (2, 3, 5):
+            emit(f"{blocks} strict 1e300 stride={stride}",
+                 lambda: run(TIGHT, MESH, params[1], kind="penalty", record_stride=stride))
+            emit(f"{blocks} strict block stride={stride}",
+                 lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
+    with patched(PenaltyTipSolver, "advance", raising_advance):
+        emit(f"{blocks} raising block", lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=7))
+        emit(f"{blocks} raising ended block",
+             lambda: run(TIGHT, MESH, [params[1]] * 2, kind="penalty", record_stride=7))
+
+
+def blow_up_cases(blocks: str) -> None:
+    for kind in ("linear", "signorini"):
+        # at dt = 1e-4 the first non-finite record at stride 1 (68 linear, 71
+        # signorini) falls in a 16-row block without a record at strides 20 and 40
+        for dt in (1e-3, 1e-4):
+            for stride in (1, 5, 20, 40):
+                emit(f"{blocks} blow-up {kind} dt={dt:g} stride={stride}",
+                     lambda: run(PIPE, MESH, SchemeParams(0.0, dt, 0.5), kind=kind, force=True,
+                                 record_stride=stride))
+    with patched(linalg.BandedCholesky, "solve", picky_solve):
+        for stride in (1, 5):
+            emit(f"{blocks} picky solve stride={stride}",
+                 lambda: run(PIPE, MESH, SchemeParams(0.0, 1e-3, 0.5), kind="linear", force=True,
+                             record_stride=stride))
+    band = lambda x: 0.02 + 0.06 * np.asarray(x, dtype=float)  # noqa: E731
+    obstacle = BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -band(x), g_upper=band,
+                         phi=SupportMotion.sine(0.2, 10.0))
+    for stride in (1, 5):
+        emit(f"{blocks} forced pgs stride={stride}",
+             lambda: run(obstacle, Mesh(1.501, 8), SchemeParams(0.0, 1e-3, 0.5), force=True,
+                         record_stride=stride))
+
+
+def stride_cases(blocks: str) -> None:
+    dt = 1.5e-5
+    for stride in (1, 2, 3, 4, 5, 6, 7, 20, 40):
+        for kind in ("signorini", "linear"):
+            emit(f"{blocks} {kind} stride={stride}",
+                 lambda: run(TIGHT, MESH, SchemeParams(0.5, dt, 0.01), kind=kind, record_stride=stride))
+        pair = members(0.25, dt, [1e6, 1e9], T=0.01)
+        emit(f"{blocks} penalty stride={stride}",
+             lambda: run(TIGHT, MESH, pair[1], kind="penalty", record_stride=stride))
+        emit(f"{blocks} penalty pair stride={stride}",
+             lambda: run(TIGHT, MESH, pair, kind="penalty", record_stride=stride))
+
+
+def start_cases(blocks: str) -> None:
+    dt = 1.5e-5
+    for T in (0.0, dt, 2 * dt, 3 * dt):
+        for stride in (1, 2, 5):
+            emit(f"{blocks} T={T:g} signorini stride={stride}",
+                 lambda: run(TIGHT, MESH, SchemeParams(0.5, dt, T), record_stride=stride))
+            emit(f"{blocks} T={T:g} penalty pair stride={stride}",
+                 lambda: run(TIGHT, MESH, members(0.25, dt, [1e6, 1e9], T=T), kind="penalty",
+                             record_stride=stride))
+    fast = np.full(DofMap(MESH.J).ndof, 1e305)
+    for kind in ("signorini", "linear"):
+        emit(f"{blocks} non-finite start {kind}",
+             lambda: run(TIGHT, MESH, SchemeParams(0.5, 1e-4, 0.1), kind=kind, v0=fast))
+    emit(f"{blocks} non-finite start penalty pair",
+         lambda: run(TIGHT, MESH, members(0.25, dt, [1e6, 1e9]), kind="penalty", v0=fast))
+
+
+def load_cases(blocks: str) -> None:
+    dt = 1.5e-5
+    for model, name in ((TIGHT, "plain"), (TIGHT_LOADED, "f_tilde")):
+        for stride in (1, 3, 5):
+            for kind in ("signorini", "linear"):
+                emit(f"{blocks} {name} {kind} stride={stride}",
+                     lambda: run(model, MESH, SchemeParams(0.5, dt, 0.01), kind=kind,
+                                 record_stride=stride))
+            emit(f"{blocks} {name} penalty stride={stride}",
+                 lambda: run(model, MESH, members(0.25, dt, [1e7], T=0.01)[0], kind="penalty",
+                             record_stride=stride))
+
+
+def main() -> None:
+    for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
+        with patched(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
+            for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases):
+                cases(blocks)
+
+
+if __name__ == "__main__":
+    main()
