@@ -201,13 +201,13 @@ class RunComparison:
 
 def summary_row(label, traj) -> RunSummaryRow:
     """One labelled trajectory's summary: the maximum violation and the
-    contact episodes of the tip, both tracked by the run over every
-    state, not only the recorded ones."""
+    tip's extremes and contact episodes, all tracked by the run over
+    every state, not only the recorded ones."""
     return RunSummaryRow(
         label=str(label),
         max_violation=traj.max_violation,
-        tip_min=float(np.min(traj.u_tip)),
-        tip_max=float(np.max(traj.u_tip)),
+        tip_min=traj.tip_min,
+        tip_max=traj.tip_max,
         contact_episodes=traj.contact_episodes,
         wall_seconds=traj.wall_time,
     )

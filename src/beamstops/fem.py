@@ -238,7 +238,9 @@ class BeamModel:
     ``g_lower``/``g_upper`` are either plain numbers — stops acting on
     the tip displacement only, the standard setup — or callables of x
     giving per-node bounds for a distributed obstacle (either may be
-    +-inf / return +-inf for one-sided or absent constraints).
+    +-inf / return +-inf for one-sided or absent constraints).  Numeric
+    stops step through the tip solvers, callable ones through projected
+    Gauss-Seidel on the whole box, however many bounds are finite.
     """
 
     k2: float
@@ -280,8 +282,6 @@ class BeamModel:
     def box(self, dofs: DofMap, mesh: Mesh | None = None) -> BoxConstraint:
         """Box constraint on the DOF vector induced by the stops."""
         if self.tip_only:
-            if not (np.isfinite(self.g_lower) or np.isfinite(self.g_upper)):
-                return BoxConstraint.unbounded(dofs.ndof)
             return BoxConstraint.single(
                 dofs.ndof, dofs.tip_disp, float(self.g_lower), float(self.g_upper)
             )

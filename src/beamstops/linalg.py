@@ -106,17 +106,6 @@ class BoxConstraint:
         hi[index] = upper
         return cls(lo, hi)
 
-    def finite_mask(self) -> np.ndarray:
-        return np.isfinite(self.lower) | np.isfinite(self.upper)
-
-    def single_bounded_dof(self):
-        """(index, lower, upper) if exactly one coordinate is constrained, else None."""
-        idx = np.flatnonzero(self.finite_mask())
-        if idx.size != 1:
-            return None
-        c = int(idx[0])
-        return c, float(self.lower[c]), float(self.upper[c])
-
     def project(self, u: np.ndarray) -> np.ndarray:
         return np.clip(u, self.lower, self.upper)
 

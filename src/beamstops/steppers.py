@@ -12,9 +12,10 @@ ways to close the step at the stops:
 
 * ``linear``    — no stops, plain banded solve;
 * ``signorini`` — the step minimizes the quadratic over the admissible
-  box: unconstrained solve, and if the constrained DOF left its bounds
-  a scalar step along A^{-1} e_c back onto the violated bound (or
-  projected Gauss-Seidel for distributed obstacles);
+  box.  Numeric stops bound the tip displacement: unconstrained solve,
+  and if the tip left its stops a scalar step along A^{-1} e_c back onto
+  the violated stop.  Callable stops bound every node (a distributed
+  obstacle) and take projected Gauss-Seidel;
 * ``penalty``   — the stops are stiff one-sided springs of compliance
   eps, treated implicitly at level n+1 through an exact three-case
   analysis (the spring force is piecewise linear, so each case is one
@@ -119,7 +120,8 @@ def init_states(
     ``u0``/``v0`` are (value, slope) callable pairs or raw DOF vectors;
     omitted, they default to the beam at rest in the lab frame:
     u0 = -phi(0) h(x), v0 = -phi'(0) h(x) with h the lifting profile.
-    u0 must satisfy the stops; u1 = u0 + dt v0 is projected onto them.
+    Raw vectors must have shape (2J,).  u0 must be finite and satisfy the
+    stops; u1 = u0 + dt v0 is projected onto them.
     """
     dofs = DofMap(mesh.J)
     box = model.box(dofs, mesh)
@@ -133,13 +135,15 @@ def init_states(
                 lambda x: -c * lifting_slope(x, model.L),
             )
         if isinstance(data, np.ndarray):
-            if data.shape[0] != dofs.ndof:
-                raise ValueError("initial DOF vector has the wrong length")
+            if data.shape != (dofs.ndof,):
+                raise ValueError(f"an initial DOF vector must have shape ({dofs.ndof},)")
             return np.asarray(data, dtype=float).copy()
         value_fn, slope_fn = data
         return interpolate_profile(mesh, value_fn, slope_fn)
 
     vec_u0 = as_vector(u0, float(model.phi.value(0.0)))
+    if not np.isfinite(vec_u0).all():
+        raise ValueError("initial displacement is not finite")
     if not box.contains(vec_u0):
         raise ValueError("initial displacement violates the stops")
     vec_v0 = as_vector(v0, float(model.phi.d1(0.0)))
@@ -177,9 +181,10 @@ class Trajectory:
     at the tip; ``reaction`` is the scheme-native dt^2-scaled contact
     force at the tip DOF ((A u - F) for the stops, dt^2 times the spring
     force for the penalty scheme) and ``reaction_physical`` rescales it
-    by 1/dt^2.  ``max_abs_tip``/``max_violation`` and the tip's
-    ``contact_episodes`` are tracked at every step, not just the recorded
-    ones; the extrema turn NaN once a step does.
+    by 1/dt^2.  ``max_abs_tip``/``max_violation``, the tip's
+    ``tip_min``/``tip_max`` and its ``contact_episodes`` are tracked at
+    every step, not just the recorded ones; the extrema turn NaN once a
+    step does.
     ``stability`` is the report the run's stability check produced.
     The rows of a blown-up run end at its first record with a non-finite
     value, which :meth:`require_finite` names, short of ``n_steps``, and so
@@ -201,6 +206,8 @@ class Trajectory:
     record_stride: int
     max_abs_tip: float
     max_violation: float
+    tip_min: float
+    tip_max: float
     contact_episodes: int
     audit: ContactAudit | None
     stability: StabilityReport
@@ -239,6 +246,7 @@ class _MemberRun:
         self.count = 0
         self.max_abs_tip = 0.0
         self.max_violation = 0.0
+        self.tip_min, self.tip_max = math.inf, -math.inf
         self.episodes = 0  # contact episodes of the tip over every state
         self.contact = False  # the tip of its last folded state is on a stop
         self.error = None
@@ -261,8 +269,11 @@ def run(
     ``kind`` picks the step closure ("signorini", "linear", "penalty" —
     the latter requires :class:`PenaltyParams`).  A stability veto is
     raised when dt exceeds the exact-kappa limit for beta < 1/2 unless
-    ``force`` is set.  Signorini runs with stops on one DOF audit the
-    complementarity conditions of every step (``Trajectory.audit``).
+    ``force`` is set.  The stops pick the contact path: numeric stops act
+    on the tip, and signorini runs with them step through the pinned tip
+    solver and audit the complementarity conditions of every step
+    (``Trajectory.audit``); callable stops step through projected
+    Gauss-Seidel on the whole box, without an audit.
     Loads are built a block of time windows at a time, one
     :meth:`~beamstops.fem.LoadAssembler.time_averaged` call per block.
     Signorini and linear runs without ``f_tilde`` take the windows'
@@ -346,11 +357,9 @@ def run(
     # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members).
     # Members that have ended step on with the others, so their void or
     # non-finite entries must not make a step raise.
-    single = box.single_bounded_dof()
-    distributed = single is None and bool(np.any(box.finite_mask()))
+    distributed = not model.tip_only
     contact_audit = None
     penalty_solver = None
-    reaction_dof = None  # the DOF whose residual A u - F is the recorded reaction
     if kind == "linear":
         factor = a_mat.cholesky()
 
@@ -364,18 +373,14 @@ def run(
             return penalty_solver.advance(f, up, uc, n)
 
     elif distributed:
-        reaction_dof = tip
-
         def step(f, up, uc, n):
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
             return pgs_box(a_mat, f, box, x0=uc if n > 1 else None), {}
 
     else:
-        c, lo, hi = single if single is not None else (tip, tip_lo, tip_hi)
-        direct_solver = PinnedDofSolver(a_mat, c, lo, hi)
+        direct_solver = PinnedDofSolver(a_mat, tip, tip_lo, tip_hi)
         contact_audit = ContactAudit()
-        reaction_dof = c
 
         def step(f, up, uc, n):
             return direct_solver.solve_with_case(f)[0], {}
@@ -408,9 +413,9 @@ def run(
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
     u_buf = np.zeros((block_steps + 2, k * width))
     au_buf = np.empty_like(u_buf)
-    f_buf = np.empty((block_steps + 2 if reaction_dof is not None else 1, k * width))
+    f_buf = np.empty((block_steps + 2 if kind == "signorini" else 1, k * width))
     u_rows, au_rows = list(u_buf), list(au_buf)
-    f_rows = list(f_buf) if reaction_dof is not None else [f_buf[0]] * (block_steps + 2)
+    f_rows = list(f_buf) if kind == "signorini" else [f_buf[0]] * (block_steps + 2)
     # the load is added to the members' DOFs, not to the pads between them
     g_rows = f_rows if pad == 0 else [f.reshape(k, width)[:, :ndof] for f in f_rows]
     for r, u in enumerate(start_pair):
@@ -442,7 +447,7 @@ def run(
         at = np.flatnonzero((times <= n_total) & ((times % stride == 0) | (times == n_total)))
         m = at.size
         resid = None
-        if reaction_dof is not None and first >= 2:
+        if kind == "signorini" and first >= 2:
             resid = np.subtract(au_buf[first : last + 1], f_buf[first : last + 1])
         rows = np.zeros((m, k, 6))  # t, u_tip, v_tip, energy, reaction, violation
         if m:
@@ -458,7 +463,7 @@ def run(
                 rows[:, :, 4] = [[dt2 * spring(x, j) for j, x in enumerate(row)]
                                  for row in tips[at].tolist()]
             elif resid is not None:
-                rows[:, 0, 4] = resid[at, reaction_dof]
+                rows[:, 0, 4] = resid[at, tip]
             rows[:, :, 5] = viols[at]
         finite = np.isfinite(rows).all(axis=2)
         for j, mem in enumerate(member_runs):
@@ -475,11 +480,13 @@ def run(
             n = last - first + 1 if end is None else max(end, 1) - first + 1
             mem.max_abs_tip = np.maximum(mem.max_abs_tip, np.abs(tips[:n, j]).max())
             mem.max_violation = np.maximum(mem.max_violation, viols[:n, j].max())
+            mem.tip_min = np.minimum(mem.tip_min, tips[:n, j].min())
+            mem.tip_max = np.maximum(mem.tip_max, tips[:n, j].max())
             on = contact[:n, j]  # an episode that goes on from the last fold is not new
             mem.episodes += count_episodes(on) - int(mem.contact and on[0])
             mem.contact = bool(on[-1])
             if contact_audit is not None and resid is not None:  # one member
-                contact_audit.update(states[:n, c], resid[:n], c, lo, hi)
+                contact_audit.update(tips[:n, 0], resid[:n], tip, tip_lo, tip_hi)
             mem.done = mem.error is not None or end is not None
 
     # Without f_tilde a window's load is two coefficients times two fixed
@@ -555,6 +562,8 @@ def run(
             record_stride=stride,
             max_abs_tip=float(mem.max_abs_tip),
             max_violation=float(mem.max_violation),
+            tip_min=float(mem.tip_min),
+            tip_max=float(mem.tip_max),
             contact_episodes=mem.episodes,
             audit=contact_audit,
             stability=report,

@@ -265,6 +265,21 @@ def test_summary_counts_the_contact_episodes_of_every_step(stride):
     assert compare_runs([("s", sparse)]).rows[0].contact_episodes == count_episodes(flags) == 82
 
 
+def test_summary_tip_extremes_do_not_depend_on_the_record_stride():
+    """The summary's tip_min and tip_max are tracked over every state: a
+    penalty block gives each member the same extremes at strides 1, 7 and
+    20, those of its stride-1 rows."""
+    tight = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    params = [PenaltyParams(inv_eps=e, beta=0.25, dt=1.5e-5, T=0.1) for e in (1e6, 1e9)]
+    runs = {stride: run(tight, Mesh(1.501, 19), params, kind="penalty", record_stride=stride)
+            for stride in (1, 7, 20)}
+    for j, every in enumerate(runs[1]):
+        expected = (every.u_tip.min(), every.u_tip.max())
+        for stride, members in runs.items():
+            row = compare_runs([("s", members[j])]).rows[0]
+            assert (row.tip_min, row.tip_max) == expected, (j, stride)
+
+
 def test_compare_runs_table():
     mesh = Mesh(1.0, 3)
     model = BeamModel.symmetric_stops(1.0, 1.0, 0.02, SupportMotion.sine(0.3, 3.0))

@@ -39,17 +39,16 @@ def test_box_project_and_contains():
     assert np.array_equal(p, [0.5, -7.0])
     assert box.contains(p)
     assert not box.contains(u)
-    assert np.array_equal(box.finite_mask(), [True, False])
 
 
 def test_box_single_classmethod_reports_dof():
     box = BoxConstraint.single(5, 3, -0.1, 0.1)
-    assert box.single_bounded_dof() == (3, -0.1, 0.1)
-    assert BoxConstraint.unbounded(4).single_bounded_dof() is None
-    two = BoxConstraint(
-        lower=np.array([-1.0, -1.0, -np.inf]), upper=np.array([1.0, 1.0, np.inf])
-    )
-    assert two.single_bounded_dof() is None
+    assert box.lower.tolist() == [-np.inf] * 3 + [-0.1, -np.inf]
+    assert box.upper.tolist() == [np.inf] * 3 + [0.1, np.inf]
+    free = BoxConstraint.single(4, 1, -np.inf, np.inf)  # no stops: the unbounded box
+    unbounded = BoxConstraint.unbounded(4)
+    assert np.array_equal(free.lower, unbounded.lower)
+    assert np.array_equal(free.upper, unbounded.upper)
 
 
 # ------------------------------------------------------------------- BandedSpd

@@ -131,8 +131,18 @@ def test_init_states_rejects_infeasible_start():
     bad = interpolate_profile(mesh, lambda x: x, lambda x: np.ones_like(x))
     with pytest.raises(ValueError):
         init_states(model, mesh, params, u0=bad)
-    with pytest.raises(ValueError):
-        init_states(model, mesh, params, u0=np.zeros(3))  # wrong length
+    ndof = DofMap(3).ndof
+    cases = {
+        "wrong length": (dict(u0=np.zeros(3)), "must have shape"),
+        "u0 matrix": (dict(u0=np.zeros((ndof, 2))), "must have shape"),
+        "v0 matrix": (dict(v0=np.zeros((ndof, 2))), "must have shape"),
+        "NaN u0": (dict(u0=np.full(ndof, np.nan)), "initial displacement is not finite"),
+    }
+    for name, (kwargs, message) in cases.items():
+        with pytest.raises(ValueError, match=message):
+            init_states(model, mesh, params, **kwargs)
+        with pytest.raises(ValueError, match=message):  # the same without stops
+            init_states(small_model(), mesh, params, **kwargs)
 
 
 # ------------------------------------------------------------ scheme matrices

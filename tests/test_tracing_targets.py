@@ -83,6 +83,27 @@ def test_step_closures_call_the_wrapped_solvers(tracing):
     assert count["diagnostics.energy"] == 2
 
 
+def test_callable_stops_step_through_pgs(tracing):
+    """Callable stops take PGS however many of their bounds are finite: an
+    obstacle on node 10 of 19 alone makes one ``linalg.pgs`` span a step,
+    never touches the pinned tip solver, and gives no audit."""
+    mesh, n, dt = Mesh(1.501, 19), 20, 5e-5
+    node = mesh.nodes[10]
+
+    def stop(x):
+        return 0.01 if x == node else np.inf
+
+    model = BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -stop(x), g_upper=stop,
+                      phi=SupportMotion.sine(0.2, 10.0))
+    tracer = tracing.Tracer()
+    with tracer:
+        traj = run(model, mesh, SchemeParams(0.5, dt, n * dt))
+    count = dict(zip(tracer.names, np.bincount(np.array(tracer.name), minlength=len(tracer.names))))
+    assert count["linalg.pgs"] == n - 1
+    assert count.get("linalg.pinned", 0) == count.get("linalg.pinned.init", 0) == 0
+    assert traj.audit is None
+
+
 def test_loads_take_the_route_of_their_run(tracing, monkeypatch):
     """Every run makes one ``LoadAssembler.time_averaged`` call, one
     ``fem.loads`` span, per load block: for the window coefficients of

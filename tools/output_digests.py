@@ -13,7 +13,9 @@ build, so only two checkouts on one machine compare.
 The cases cover signorini, linear and penalty runs, penalty members
 stepped as one block, blow-ups, failing and raising steps, the forced
 PGS obstacle, a callable load, T = 0, one-step runs and a non-finite
-starting pair, at strides 1 to 7, 20 and 40.  Each runs at the default
+starting pair, at strides 1 to 7, 20 and 40; and for the contact path
+the stops pick, signorini without stops (g = inf), an unforced PGS
+obstacle and a callable obstacle that bounds one node alone.  Each runs at the default
 load blocks and at 16-row blocks (``fem.LOAD_BLOCK_SAMPLES = 1``).
 """
 
@@ -197,10 +199,30 @@ def load_cases(blocks: str) -> None:
                              record_stride=stride))
 
 
+def contact_path_cases(blocks: str) -> None:
+    free = BeamModel.symmetric_stops(282.84, 1.501, math.inf, SupportMotion.sine(0.2, 10.0))
+    for stride in (1, 7):
+        emit(f"{blocks} signorini g=inf stride={stride}",
+             lambda: run(free, MESH, SchemeParams(0.5, 1.5e-5, 0.01), record_stride=stride))
+    band = lambda x: 0.001 + 0.001 * np.asarray(x, dtype=float)  # noqa: E731
+    obstacle = BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -band(x), g_upper=band,
+                         phi=SupportMotion.sine(0.2, 10.0))
+    for stride in (1, 5):
+        emit(f"{blocks} pgs obstacle stride={stride}",
+             lambda: run(obstacle, MESH, SchemeParams(0.5, 5e-5, 0.01), record_stride=stride))
+    node = MESH.nodes[10]
+    one_node = BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -0.01 if x == node else -math.inf,
+                         g_upper=lambda x: 0.01 if x == node else math.inf,
+                         phi=SupportMotion.sine(0.2, 10.0))
+    emit(f"{blocks} one-node obstacle",
+         lambda: run(one_node, MESH, SchemeParams(0.5, 5e-5, 0.05), record_stride=1))
+
+
 def main() -> None:
     for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
         with patched(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
-            for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases):
+            for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases,
+                          contact_path_cases):
                 cases(blocks)
 
 
