@@ -40,7 +40,6 @@ from .linalg import (
     BandedSpd,
     BoxConstraint,
     NotPositiveDefiniteError,
-    PenaltyConsistencyError,
     PgsConvergenceError,
     PowerIterationError,
     pgs_box,
@@ -72,7 +71,6 @@ __all__ = [
     "GlobalMatrices",
     "Mesh",
     "NotPositiveDefiniteError",
-    "PenaltyConsistencyError",
     "PenaltyParams",
     "PgsConvergenceError",
     "PowerIterationError",

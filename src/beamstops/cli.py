@@ -33,7 +33,6 @@ from .config import (
 from .diagnostics import ComplementarityError, RunComparison, summary_row
 from .linalg import (
     NotPositiveDefiniteError,
-    PenaltyConsistencyError,
     PgsConvergenceError,
     PowerIterationError,
 )
@@ -50,7 +49,6 @@ SOLVER_ERRORS = (
     NotPositiveDefiniteError,
     PgsConvergenceError,
     PowerIterationError,
-    PenaltyConsistencyError,
     NonFiniteRecordError,
     ComplementarityError,
 )

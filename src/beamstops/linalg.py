@@ -43,10 +43,6 @@ class PgsConvergenceError(Exception):
         )
 
 
-class PenaltyConsistencyError(Exception):
-    """No contact case of the implicit penalty solve was self-consistent."""
-
-
 class PowerIterationError(Exception):
     """Generalized eigenvalue power iteration did not meet its certificate."""
 
@@ -375,18 +371,18 @@ class PenaltyTipSolver:
         return 0.0
 
     def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int):
-        """u^{n+1} from F^n and the pair (u^{n-1}, u^n); ``n`` names the step in errors.
+        """u^{n+1} from F^n and the pair (u^{n-1}, u^n) of step ``n``.
 
         The float arrays are flat blocks of the k members: member j's
         vector is entries [j w, j w + 2J), w = len / k, and any rest of
         its w entries is zero padding (one member: its plain vectors).
         One multi-RHS solve with A serves every member; a member whose
         tip left the stops is solved again with its bumped factor.
-        Returns (u^{n+1}, failures), u^{n+1} in the same layout:
-        ``failures`` maps each member with no consistent contact case to
-        its :class:`PenaltyConsistencyError`.  That member's entries of
-        u^{n+1} are void, and its block keeps stepping them with the
-        others; void or NaN entries never make this method raise.
+        Returns u^{n+1} in the same layout.  A member whose bumped tip
+        falls on the free side of its stop has no consistent contact
+        case: its 2J entries of u^{n+1} are NaN, and its pad stays zero,
+        so the run's record check ends it and no other member sees it.
+        Non-finite entries never make this method raise.
         """
         c, lower, upper, beta = self.index, self.lower, self.upper, self.beta
         k, ndof = len(self.members), self.full_factor.n
@@ -402,7 +398,6 @@ class PenaltyTipSolver:
         u = np.zeros(k * width)
         rows = self.full_factor.solve(base.reshape(k, width)[:, :ndof].T)
         u.reshape(k, width)[:, :ndof] = rows.T
-        failures = {}
         for m, tip in enumerate(u[c::width].tolist()):
             _, bump, bumped = self.members[m]
             # a NaN tip steps on: the run's record check names the blow-up
@@ -418,10 +413,8 @@ class PenaltyTipSolver:
             ):
                 u[o : o + ndof] = u2
             else:
-                failures[m] = PenaltyConsistencyError(
-                    f"no consistent contact case at step {n} (tip {tip:.6g} vs {u2[c]:.6g})"
-                )
-        return u, failures
+                u[o : o + ndof] = np.nan
+        return u
 
 
 def pgs_box(

@@ -50,13 +50,7 @@ from .fem import (
     lifting,
     lifting_slope,
 )
-from .linalg import (  # PenaltyConsistencyError: run() returns it, so it is importable here
-    BandedSpd,
-    PenaltyConsistencyError,
-    PenaltyTipSolver,
-    PinnedDofSolver,
-    pgs_box,
-)
+from .linalg import BandedSpd, PenaltyTipSolver, PinnedDofSolver, pgs_box
 from .stability import StabilityReport, UnstableTimeStepError, check_matrices
 
 
@@ -239,7 +233,7 @@ class Trajectory:
 
 
 class _MemberRun:
-    """One member of a run: its recorded rows, per-step extrema, episodes and error."""
+    """One member of a run: its recorded rows, per-step extrema and episodes."""
 
     def __init__(self, capacity):
         self.rows = np.empty((capacity, 6))  # t, u_tip, v_tip, energy, reaction, violation
@@ -249,8 +243,7 @@ class _MemberRun:
         self.tip_min, self.tip_max = math.inf, -math.inf
         self.episodes = 0  # contact episodes of the tip over every state
         self.contact = False  # the tip of its last folded state is on a stop
-        self.error = None
-        self.done = False  # the member ended: its error or last record is in
+        self.done = False  # the member ended: its last record is in
 
 
 def run(
@@ -286,24 +279,23 @@ def run(
     audit entries and member exits: the starting pair (u^0, u^1) is
     folded as the first pair of states, and then each load block's
     states, the recorded rows in one vectorized pass (their energies make
-    one product with S stacked over the rows).  A member's rows
-    end at its first record with a non-finite value, its extrema, contact
-    episodes and the audit at that record's step; a failed step ends it with its error if
-    no record before the failed state is non-finite.  A member that ends
-    steps on in its block, unrecorded, until every member has ended or
-    the run does.  A step that raises ends the run: the block is folded
-    up to that step, and the error propagates unless every member has
-    already ended.
+    one product with S stacked over the rows).  A member's rows end at
+    its first record with a non-finite value, its extrema, contact
+    episodes and the audit at that record's step.  A penalty member with
+    no consistent contact case ends the same way: its state turns NaN.
+    A member that ends steps on in its block, unrecorded, until every
+    member has ended or the run does.  A step that raises ends the run:
+    the block is folded up to that step, and the error propagates unless
+    every member has already ended.
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
     step as one (k x 2J) block: per step one product call for each of
     B U and A U and one multi-RHS solve serve all of them, and only the
     tip work is per member.  The result is then a list with each
-    member's Trajectory, or the :class:`PenaltyConsistencyError` that
-    ended it; each member's rows are bit-identical to its own run, and
-    its ``wall_time`` is the block's divided by k.  One ``params`` gives
-    its Trajectory, or raises.
+    member's Trajectory; each member's rows are bit-identical to its own
+    run, and its ``wall_time`` is the block's divided by k.  One
+    ``params`` gives its Trajectory.
     """
     t_begin = time.perf_counter()
     members = list(params) if isinstance(params, (list, tuple)) else [params]
@@ -354,9 +346,9 @@ def run(
     width = ndof + pad
     a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
 
-    # step closure: step(F^n, u^{n-1}, u^n, n) -> (u^{n+1}, failed members).
-    # Members that have ended step on with the others, so their void or
-    # non-finite entries must not make a step raise.
+    # step closure: step(F^n, u^{n-1}, u^n, n) -> u^{n+1}.  Members that
+    # have ended step on with the others, so their non-finite entries must
+    # not make a step raise.
     distributed = not model.tip_only
     contact_audit = None
     penalty_solver = None
@@ -364,26 +356,24 @@ def run(
         factor = a_mat.cholesky()
 
         def step(f, up, uc, n):
-            return factor.solve(f), {}
+            return factor.solve(f)
 
     elif kind == "penalty":
         penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
-
-        def step(f, up, uc, n):
-            return penalty_solver.advance(f, up, uc, n)
+        step = penalty_solver.advance
 
     elif distributed:
         def step(f, up, uc, n):
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
-            return pgs_box(a_mat, f, box, x0=uc if n > 1 else None), {}
+            return pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
 
     else:
         direct_solver = PinnedDofSolver(a_mat, tip, tip_lo, tip_hi)
         contact_audit = ContactAudit()
 
         def step(f, up, uc, n):
-            return direct_solver.solve_with_case(f)[0], {}
+            return direct_solver.solve_with_case(f)[0]
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
@@ -422,7 +412,7 @@ def run(
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
 
-    def fold(t0, first, last, failed):
+    def fold(t0, first, last):
         """Fold buffer rows ``first`` .. ``last`` (times t0 + row) into the members not done.
 
         Writes their records, extrema and contact episodes and the audit,
@@ -434,9 +424,7 @@ def run(
         reaction and the audit read.  A member's rows end at its first
         record with a non-finite value (the columns that
         ``Trajectory.require_finite`` reads), and its extrema and episodes
-        at the last row that record reads.  ``failed`` maps a member to the
-        state row and error of its first failed step: the error ends the
-        member if none of its records before that row is non-finite.
+        at the last row that record reads.
         """
         if last < first:
             return
@@ -474,8 +462,6 @@ def run(
             mem.rows[mem.count : mem.count + count] = rows[:count, j]
             mem.count += count
             end = int(at[bad[0]]) + first if bad.size else None  # its first non-finite record's row
-            if j in failed and (end is None or end >= failed[j][0]):
-                mem.error = failed[j][1]
             # its states here run to the last row that its first non-finite record reads
             n = last - first + 1 if end is None else max(end, 1) - first + 1
             mem.max_abs_tip = np.maximum(mem.max_abs_tip, np.abs(tips[:n, j]).max())
@@ -487,7 +473,7 @@ def run(
             mem.contact = bool(on[-1])
             if contact_audit is not None and resid is not None:  # one member
                 contact_audit.update(tips[:n, 0], resid[:n], tip, tip_lo, tip_hi)
-            mem.done = mem.error is not None or end is not None
+            mem.done = end is not None
 
     # Without f_tilde a window's load is two coefficients times two fixed
     # vectors.  Penalty runs keep the sampled loads, whose last bits their
@@ -517,29 +503,25 @@ def run(
     member_runs = [_MemberRun(n_total // stride + 3) for _ in members]
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
-        fold(0, 0, 1, {})  # the starting pair, shared by the members
+        fold(0, 0, 1)  # the starting pair, shared by the members
         t0 = 0
         for g_block in () if all(mem.done for mem in member_runs) else load_blocks():
-            # a member whose step fails or whose state blows up steps on in
-            # place: the pads keep its columns away from the others, and
-            # the fold ends it
-            steps, failed, raised = 0, {}, None
+            # a member whose state turns non-finite steps on in place: the
+            # pads keep its columns away from the others, and the fold ends it
+            steps, raised = 0, None
             for r, g_row in enumerate(g_block, 2):
                 f = f_rows[r]
                 b_stack.matvec(u_rows[r - 1], out=f)
                 f -= au_rows[r - 2]
                 g_rows[r] += g_row
                 try:
-                    u_next, fails = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
+                    u_rows[r][:] = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
                 except Exception as exc:  # noqa: BLE001 - raised below unless every member has ended
                     raised = exc
                     break
-                u_rows[r][:] = u_next
                 a_stack.matvec(u_rows[r], out=au_rows[r])
                 steps += 1
-                if fails:  # a member's first failure in the block is the one that counts
-                    failed = {**{j: (r, error) for j, error in fails.items()}, **failed}
-            fold(t0, 2, steps + 1, failed)
+            fold(t0, 2, steps + 1)
             if all(mem.done for mem in member_runs):
                 break
             if raised is not None:
@@ -550,8 +532,7 @@ def run(
 
     wall = (time.perf_counter() - t_begin) / len(members)
     results = [
-        mem.error
-        or Trajectory(
+        Trajectory(
             *mem.rows[: mem.count].T.copy(),
             scheme=kind,
             beta=scheme.beta,
@@ -571,8 +552,4 @@ def run(
         )
         for mem in member_runs
     ]
-    if isinstance(params, (list, tuple)):
-        return results
-    if isinstance(results[0], Exception):
-        raise results[0]
-    return results[0]
+    return results if isinstance(params, (list, tuple)) else results[0]

@@ -1,11 +1,12 @@
-"""Shared helpers for the test suite: random SPD builders and a brute-force
-box-QP oracle used to cross-check the production solvers."""
+"""Shared helpers for the test suite: random SPD builders, a brute-force
+box-QP oracle used to cross-check the production solvers, and a penalty
+step with an inconsistent contact branch."""
 
 import itertools
 
 import numpy as np
 
-from beamstops.linalg import BandedSpd
+from beamstops.linalg import BandedSpd, PenaltyTipSolver
 
 
 def random_banded_spd(rng, n, bw):
@@ -62,3 +63,36 @@ def box_qp_oracle(a, f, lower, upper, tol=1e-9):
             best_u, best_obj = u, obj
     assert best_u is not None, "no feasible pattern (bounds inconsistent?)"
     return best_u
+
+
+class _FreeTipFactor:
+    """A bumped factor whose solve puts the tip at 0, on the free side of any stop."""
+
+    def __init__(self, factor, index):
+        self.factor, self.index = factor, index
+
+    def solve(self, rhs):
+        u = self.factor.solve(rhs)
+        u[self.index] = 0.0
+        return u
+
+
+def wrong_branch_advance(inv_eps, step):
+    """A ``PenaltyTipSolver.advance`` whose bumped solve, for the member of
+    stiffness ``inv_eps`` at step ``step`` alone, returns a finite tip on
+    the wrong side of the stop it presses: that member has no consistent
+    contact case there, and every other call is the real one."""
+    advance = PenaltyTipSolver.advance
+
+    def wrong_branch(self, f_n, u_prev, u_curr, n):
+        if n != step:
+            return advance(self, f_n, u_prev, u_curr, n)
+        saved = list(self.members)
+        self.members[:] = [(value, bump, _FreeTipFactor(bumped, self.index) if value == inv_eps
+                            else bumped) for value, bump, bumped in saved]
+        try:
+            return advance(self, f_n, u_prev, u_curr, n)
+        finally:
+            self.members[:] = saved
+
+    return wrong_branch

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from beamstops.cli import main
-from beamstops.linalg import PinnedDofSolver
+from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
+from conftest import wrong_branch_advance
 
 PIPE_SHORT = """\
 L = 1.501
@@ -356,6 +357,37 @@ def test_sweep_member_failure_leaves_the_others_byte_identical(
             assert digest == solo[value][1]
     rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
     assert [r.split(",")[0] for r in rows] == [f"inv_eps={v}" for v in values if v != failing]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_member_with_an_inconsistent_penalty_branch_writes_no_csv(
+    cfg_file, tmp_path, monkeypatch, capsys, threads
+):
+    """At step 450 the 1e7 member's bumped solve returns its tip on the
+    free side of the stop it presses.  Its state u^451 turns NaN, so the
+    sweep exits 1 naming its first record at or after t = 451 dt (record
+    65, t = 455 dt at stride 7) and writes no CSV for it; every other
+    member's CSV is its solo run's, byte for byte."""
+    monkeypatch.setenv("BEAM_THREADS", threads)
+    text = penalty_cfg(0.25, 1.5e-5)
+    cfg_file.write_text(text)
+    values = ["1e6", "1e7", "1e8", "1e9"]
+    solo = solo_runs(text, values, tmp_path, capsys)
+    monkeypatch.setattr(PenaltyTipSolver, "advance", wrong_branch_advance(1e7, 450))
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(cfg_file), "--key", "inv_eps", "--values", ",".join(values),
+                 "--output-dir", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.strip() == ("inv_eps=1e7: solver error: record 65 (t = 0.006825 s) "
+                           "is not finite: the run blew up")
+    assert not (out / "inv_eps_1e7.csv").exists()
+    for value in ("1e6", "1e8", "1e9"):
+        assert solo[value][0] == 0
+        digest = hashlib.sha256((out / f"inv_eps_{value}.csv").read_bytes()).hexdigest()
+        assert digest == solo[value][1]
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert [r.split(",")[0] for r in rows] == ["inv_eps=1e6", "inv_eps=1e8", "inv_eps=1e9"]
 
 
 def test_sweep_repeated_value_fails_before_any_member_runs(cfg_file, tmp_path, capsys):

@@ -32,7 +32,6 @@ from beamstops.fem import (
 from beamstops.linalg import PgsConvergenceError, PinnedDofSolver
 from beamstops.steppers import (
     NonFiniteRecordError,
-    PenaltyConsistencyError,
     PenaltyParams,
     PenaltyTipSolver,
     SchemeParams,
@@ -42,7 +41,7 @@ from beamstops.steppers import (
     run,
     transfer_matrix,
 )
-from conftest import box_qp_oracle
+from conftest import box_qp_oracle, wrong_branch_advance
 
 SMALL = dict(L=1.0, k2=1.0)
 
@@ -288,12 +287,43 @@ def test_penalty_solver_matches_root_finding_oracle(push):
     hist = (1.0 - 2.0 * params.beta) * solver.spring(u_curr[c]) + params.beta * solver.spring(
         u_prev[c]
     )
-    got, failures = solver.advance(f_vec, u_prev, u_curr, 3)
-    assert failures == {}
+    got = solver.advance(f_vec, u_prev, u_curr, 3)
     ref = dense_penalty_step(
         a.to_dense(), f_vec, c, -0.02, 0.02, params.dt**2, params.beta, 1e4, hist
     )
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-13)
+
+
+@pytest.mark.parametrize("J", [1, 19, 320])
+def test_penalty_consistency_check_never_fires_on_finite_states(J):
+    """The reduced tip equation is strictly increasing, so one contact
+    branch is always consistent.  A seeded probe of ``advance`` over
+    finite blocks of four members (random stops, stiffnesses 1e-5 to
+    1e303, states up to 1 and loads up to 1e200 in size) never poisons a
+    member: every entry of u^{n+1} is finite and every pad is zero.  More
+    than half of the member steps take the bumped branch."""
+    rng = np.random.default_rng(J)
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    gm = assemble(Mesh(1.501, J), model)
+    c, ndof, k = DofMap(J).tip_disp, 2 * J, 4
+    calls = contacts = 0
+    for beta, dt in [(0.25, 1.5e-5), (0.5, 1e-3), (0.1, 1e-4), (0.5, 1e-6)] * 3:
+        lo, hi = -(10.0 ** rng.uniform(-5, 0)), 10.0 ** rng.uniform(-5, 0)
+        members = [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=1.0)
+                   for v in 10.0 ** rng.uniform(-5, 303, size=k)]
+        a = effective_matrix(gm.mass, gm.stiffness, members[0])
+        solver = PenaltyTipSolver(a, c, lo, hi, members)
+        width = ndof + a.bw
+        for _ in range(100):
+            f, up, uc = (np.zeros((k, width)) for _ in range(3))
+            for x, top in ((f, 200), (up, 0), (uc, 0)):
+                x[:, :ndof] = 10.0 ** rng.uniform(-12, top, size=(k, 1)) * rng.standard_normal((k, ndof))
+            u = solver.advance(f.ravel(), up.ravel(), uc.ravel(), 1).reshape(k, width)
+            assert np.isfinite(u).all()
+            assert not u[:, ndof:].any()
+            calls += k
+            contacts += int(((u[:, c] > hi * (1 - 1e-9)) | (u[:, c] < lo * (1 - 1e-9))).sum())
+    assert calls == 4800 and contacts > calls // 2
 
 
 def test_penalty_spring_sign_convention():
@@ -699,46 +729,35 @@ def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
     [pytest.param(stride, samples, id=f"{stride}{suffix}")
      for samples, suffix in LOAD_BLOCKS for stride in (2, 3, 5)],
 )
-def test_a_penalty_failure_counts_only_before_a_non_finite_record(
-    monkeypatch, stride, block_samples
-):
-    """A penalty solver that fails a member once its tip u^n is not finite
-    fails the 1e300 member at step 544, whose tip u^544 is -inf; the
-    reaction of step 543 is already -inf.  At stride 2 the tip of step 544
-    and at stride 3 the reaction of step 543 is recorded first, and the
-    member's rows end at that record; at stride 5 neither is recorded, the
-    step fails first, and the member ends with the error.  The same holds
-    alone and in a block of three, where the failed member steps on (and
-    fails again at every later step) to the end of the run."""
+def test_an_inconsistent_penalty_branch_ends_only_its_member(monkeypatch, stride, block_samples):
+    """At step 500 the bumped solve of the 1e6 member, whose tip presses a
+    stop, returns its tip on the free side: no contact case is consistent,
+    and its state u^501 turns NaN.  Its rows end at its first record at or
+    after t = 501 dt, the one ``require_finite`` names, and the rows before
+    it are those of its run without the fault; the same holds in a block
+    of three, where the 1e300 member blows up at step 543 and the other
+    members' rows are their own runs', byte for byte."""
+    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
+    solos = [run(model, mesh, p, kind="penalty", record_stride=stride) for p in members]
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    advance = PenaltyTipSolver.advance
-
-    def strict(self, f_n, u_prev, u_curr, n):
-        u, failures = advance(self, f_n, u_prev, u_curr, n)
-        width = f_n.shape[0] // len(self.members)
-        for m, tip in enumerate(u_curr[self.index :: width].tolist()):
-            if not math.isfinite(tip):
-                failures[m] = PenaltyConsistencyError(f"no consistent contact case at step {n}")
-        return u, failures
-
-    monkeypatch.setattr(PenaltyTipSolver, "advance", strict)
-    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
+    monkeypatch.setattr(PenaltyTipSolver, "advance", wrong_branch_advance(1e6, 500))
+    alone = run(model, mesh, members[0], kind="penalty", record_stride=stride)
+    record = -(-501 // stride)  # the first record at or after state 501
+    with pytest.raises(NonFiniteRecordError,
+                       match=re.escape(f"record {record} (t = {record * stride * 1.4e-5:.6g} s)")):
+        alone.require_finite()
+    assert alone.t.size == record + 1
+    lines = alone.to_csv().splitlines()
+    assert lines[:-1] == solos[0].to_csv().splitlines()[: record + 1]
     block = run(model, mesh, members, kind="penalty", record_stride=stride)
-    assert all(isinstance(r, Trajectory) for r in block[::2])
-    if stride in (2, 3):
-        solo = run(model, mesh, members[1], kind="penalty", record_stride=stride)
-        assert block[1].to_csv() == solo.to_csv()
-        rows = np.column_stack(
-            [solo.t, solo.u_tip, solo.v_tip, solo.energy, solo.reaction, solo.violation]
-        )
-        assert solo.t[-1] == 544 // stride * stride * 1.4e-5
-        assert not np.isfinite(rows[-1]).all() and np.isfinite(rows[:-1]).all()
-    else:
-        message = "no consistent contact case at step 544"
-        assert isinstance(block[1], PenaltyConsistencyError) and str(block[1]) == message
-        with pytest.raises(PenaltyConsistencyError, match=message):
-            run(model, mesh, members[1], kind="penalty", record_stride=stride)
+    assert all(isinstance(member, Trajectory) for member in block)
+    for member, own in zip(block, [alone, *solos[1:]]):
+        assert member.to_csv() == own.to_csv()
+        assert np.array_equal(
+            (member.max_abs_tip, member.max_violation, member.tip_min, member.tip_max),
+            (own.max_abs_tip, own.max_violation, own.tip_min, own.tip_max), equal_nan=True)
+        assert member.contact_episodes == own.contact_episodes
 
 
 @pytest.mark.parametrize("block_samples", [None, 1])
@@ -843,8 +862,7 @@ def fresh_products_oracle(model, mesh, params, kind):
         solver = PenaltyTipSolver(a, c, lo, hi, params)
 
         def step(f, up, uc, n):
-            u, failures = solver.advance(f, up, uc, n)
-            assert failures == {}
+            u = solver.advance(f, up, uc, n)
             return u, dt2 * solver.spring(u[c])
 
     else:

@@ -5,18 +5,20 @@
 SRC_DIR is the ``src`` directory of the checkout to run.  Running it on
 two checkouts and diffing the outputs shows whether a change kept every
 trajectory bit for bit.  A line names the case and then gives the
-SHA-256 of ``to_csv()``, the row count, the extrema and
-``repr(audit)``, or the type and text of the error the run returned or
-raised.  There is no golden file: the last bits depend on the BLAS
-build, so only two checkouts on one machine compare.
+SHA-256 of ``to_csv()``, the row count, the extrema, the tip's range,
+the contact episodes and ``repr(audit)``, or the type and text of the
+error the run raised.  There is no golden file: the last bits depend on
+the BLAS build, so only two checkouts on one machine compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
-stepped as one block, blow-ups, failing and raising steps, the forced
-PGS obstacle, a callable load, T = 0, one-step runs and a non-finite
-starting pair, at strides 1 to 7, 20 and 40; and for the contact path
-the stops pick, signorini without stops (g = inf), an unforced PGS
-obstacle and a callable obstacle that bounds one node alone.  Each runs at the default
-load blocks and at 16-row blocks (``fem.LOAD_BLOCK_SAMPLES = 1``).
+stepped as one block, blow-ups, a penalty step whose bumped solve
+returns the wrong contact branch (alone and in a block), a raising step,
+the forced PGS obstacle, a callable load, T = 0, one-step runs and a
+non-finite starting pair, at strides 1 to 7, 20 and 40; and for the
+contact path the stops pick, signorini without stops (g = inf), an
+unforced PGS obstacle and a callable obstacle that bounds one node
+alone.  Each runs at the default load blocks and at 16-row blocks
+(``fem.LOAD_BLOCK_SAMPLES = 1``).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 
 import numpy as np  # noqa: E402
 
-from beamstops import fem, linalg, steppers  # noqa: E402
+from beamstops import fem, linalg  # noqa: E402
 from beamstops.fem import BeamModel, DofMap, Mesh, SupportMotion  # noqa: E402
 from beamstops.steppers import PenaltyParams, PenaltyTipSolver, SchemeParams, run  # noqa: E402
 
@@ -66,14 +68,30 @@ def patched(owner, name, value):
         setattr(owner, name, saved)
 
 
-def strict_advance(self, f_n, u_prev, u_curr, n):
-    """The penalty step, failing each member whose tip u^n is not finite."""
-    u, failures = ADVANCE(self, f_n, u_prev, u_curr, n)
-    width = f_n.shape[0] // len(self.members)
-    for m, tip in enumerate(u_curr[self.index :: width].tolist()):
-        if not math.isfinite(tip):
-            failures[m] = steppers.PenaltyConsistencyError(f"no consistent contact case at step {n}")
-    return u, failures
+class FreeTipFactor:
+    """A bumped factor whose solve puts the tip at 0, on the free side of any stop."""
+
+    def __init__(self, factor, index):
+        self.factor, self.index = factor, index
+
+    def solve(self, rhs):
+        u = self.factor.solve(rhs)
+        u[self.index] = 0.0
+        return u
+
+
+def wrong_branch_advance(self, f_n, u_prev, u_curr, n):
+    """The penalty step, whose bumped solve for the 1e6 member at step 500,
+    while its tip presses a stop, returns the tip on the wrong side of it."""
+    if n != 500:
+        return ADVANCE(self, f_n, u_prev, u_curr, n)
+    saved = list(self.members)
+    self.members[:] = [(value, bump, FreeTipFactor(bumped, self.index) if value == 1e6 else bumped)
+                       for value, bump, bumped in saved]
+    try:
+        return ADVANCE(self, f_n, u_prev, u_curr, n)
+    finally:
+        self.members[:] = saved
 
 
 def raising_advance(self, f_n, u_prev, u_curr, n):
@@ -96,7 +114,9 @@ def describe(result) -> str:
         return f"error {type(result).__name__}: {result}"
     sha = hashlib.sha256(result.to_csv().encode()).hexdigest()
     return (f"{sha} rows={result.t.size} max_abs_tip={result.max_abs_tip!r} "
-            f"max_violation={result.max_violation!r} audit={result.audit!r}")
+            f"max_violation={result.max_violation!r} tip_min={result.tip_min!r} "
+            f"tip_max={result.tip_max!r} contact_episodes={result.contact_episodes} "
+            f"audit={result.audit!r}")
 
 
 def emit(case: str, call) -> None:
@@ -121,11 +141,11 @@ def penalty_cases(blocks: str) -> None:
             emit(f"{blocks} outcome{i} block stride={stride}",
                  lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
     params = members(*OUTCOMES[1])
-    with patched(PenaltyTipSolver, "advance", strict_advance):
+    with patched(PenaltyTipSolver, "advance", wrong_branch_advance):
         for stride in (2, 3, 5):
-            emit(f"{blocks} strict 1e300 stride={stride}",
-                 lambda: run(TIGHT, MESH, params[1], kind="penalty", record_stride=stride))
-            emit(f"{blocks} strict block stride={stride}",
+            emit(f"{blocks} wrong-branch 1e6 stride={stride}",
+                 lambda: run(TIGHT, MESH, params[0], kind="penalty", record_stride=stride))
+            emit(f"{blocks} wrong-branch block stride={stride}",
                  lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
     with patched(PenaltyTipSolver, "advance", raising_advance):
         emit(f"{blocks} raising block", lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=7))
