@@ -23,7 +23,6 @@ from .diagnostics import (
     RunComparison,
     compare_runs,
     discrete_energy,
-    violation,
 )
 from .fem import (
     BeamModel,
@@ -32,8 +31,6 @@ from .fem import (
     Mesh,
     SupportMotion,
     assemble,
-    assemble_load,
-    evaluate,
     lifting,
 )
 from .linalg import (
@@ -43,7 +40,6 @@ from .linalg import (
     PgsConvergenceError,
     PowerIterationError,
     pgs_box,
-    solve_single_box,
 )
 from .stability import (
     StabilityReport,
@@ -82,11 +78,9 @@ __all__ = [
     "Trajectory",
     "UnstableTimeStepError",
     "assemble",
-    "assemble_load",
     "check",
     "compare_runs",
     "discrete_energy",
-    "evaluate",
     "kappa_bound",
     "kappa_exact",
     "lifting",
@@ -95,8 +89,6 @@ __all__ = [
     "pgs_box",
     "run",
     "serialize_config",
-    "solve_single_box",
-    "violation",
 ]
 
 __version__ = "0.1.0"

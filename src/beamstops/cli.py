@@ -67,6 +67,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("config", help="path to a flat key = value config file")
+        if name == "stability":
+            continue
         p.add_argument(
             "--force",
             action="store_true",

@@ -139,13 +139,6 @@ class ContactAudit:
 # ---------------------------------------------------------------------------
 
 
-def violation(traj, g: float) -> float:
-    """Max recorded overshoot beyond the symmetric stops [-g, g]."""
-    if not g > 0.0:
-        raise ValueError("gap g must be positive")
-    return float(np.max(np.maximum(np.abs(traj.u_tip) - g, 0.0)))
-
-
 def count_episodes(flags: np.ndarray) -> int:
     """Number of maximal runs of consecutive set flags."""
     f = np.asarray(flags, dtype=bool)

@@ -140,19 +140,6 @@ def hermite_shape(s, h: float) -> np.ndarray:
     )
 
 
-def hermite_shape_d1(s, h: float) -> np.ndarray:
-    """First x-derivatives of the Hermite basis at local coordinate s."""
-    s = np.asarray(s, dtype=float)
-    return np.array(
-        [
-            (-6.0 * s + 6.0 * s**2) / h,
-            1.0 - 4.0 * s + 3.0 * s**2,
-            (6.0 * s - 6.0 * s**2) / h,
-            3.0 * s**2 - 2.0 * s,
-        ]
-    )
-
-
 def elemental_mass(h: float) -> np.ndarray:
     """Consistent mass matrix of one Hermite element of length h (unit density)."""
     if h <= 0.0:
@@ -378,16 +365,6 @@ def lifting_slope(x, L: float):
     return (-4.0 * xi + 4.0 * xi**2 - (4.0 / 3.0) * xi**3) / L
 
 
-def forcing(model: BeamModel, x, t: float):
-    """Equivalent load density f(x,t) after lifting the support motion."""
-    x = _check_domain(x, model.L)
-    h_val, h_d4 = lifting(x, model.L)
-    out = -h_val * model.phi.d2(t) - model.k2 * h_d4 * model.phi.value(t)
-    if model.f_tilde is not None:
-        out = out + model.f_tilde(x, t)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # load vectors
 # ---------------------------------------------------------------------------
@@ -460,13 +437,6 @@ class LoadAssembler:
         self._fill(ts)
         return self._windows[:m, :k] @ self.node_weights
 
-    def density(self, t: float) -> np.ndarray:
-        """f(x_q, t) at all quadrature points."""
-        return self._fill(np.full((1, 1), t))[0, 0].copy()
-
-    def at_time(self, t: float) -> np.ndarray:
-        return self._scatter(np.full((1, 1), t))[0, 0].ravel()
-
     def time_averaged(
         self, n, dt: float, horizon: float | None = None, *, separable: bool = False
     ) -> np.ndarray:
@@ -524,48 +494,9 @@ class LoadAssembler:
         return coeffs[..., :1] * self.basis[0] + coeffs[..., 1:] * self.basis[1]
 
 
-def assemble_load(mesh: Mesh, model: BeamModel, t: float) -> np.ndarray:
-    """Load vector (f(., t), basis_i) by per-element Gauss quadrature."""
-    return LoadAssembler(mesh, model).at_time(t)
-
-
-def time_averaged_load(
-    mesh: Mesh, model: BeamModel, n: int, dt: float, horizon: float | None = None
-) -> np.ndarray:
-    """Load vector averaged over the n-th time window (1/dt normalization)."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if n < 0:
-        raise ValueError("window index must be non-negative")
-    return LoadAssembler(mesh, model).time_averaged(n, dt, horizon)
-
-
 # ---------------------------------------------------------------------------
-# evaluation and interpolation
+# interpolation
 # ---------------------------------------------------------------------------
-
-
-def evaluate(dofs: np.ndarray, mesh: Mesh, x):
-    """Displacement and slope of the FE function at positions x.
-
-    Exactly reproduces the nodal DOF values at nodes; the clamped node
-    contributes zeros.
-    """
-    dofs = np.asarray(dofs, dtype=float)
-    if dofs.shape[0] != 2 * mesh.J:
-        raise ValueError("DOF vector length must be 2J")
-    x = _check_domain(x, mesh.L)
-    scalar = x.ndim == 0
-    xv = np.atleast_1d(x)
-    e = np.minimum((xv / mesh.h).astype(int), mesh.J - 1)
-    s = xv / mesh.h - e
-    padded = np.concatenate([[0.0, 0.0], dofs])
-    vals = np.stack([padded[2 * e + k] for k in range(4)])
-    disp = np.einsum("kq,kq->q", hermite_shape(s, mesh.h), vals)
-    slope = np.einsum("kq,kq->q", hermite_shape_d1(s, mesh.h), vals)
-    if scalar:
-        return float(disp[0]), float(slope[0])
-    return disp, slope
 
 
 def interpolate_profile(mesh: Mesh, value_fn, slope_fn) -> np.ndarray:

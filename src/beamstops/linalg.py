@@ -90,10 +90,6 @@ class BoxConstraint:
         return self.lower.shape[0]
 
     @classmethod
-    def unbounded(cls, n: int) -> "BoxConstraint":
-        return cls(np.full(n, -np.inf), np.full(n, np.inf))
-
-    @classmethod
     def single(cls, n: int, index: int, lower: float, upper: float) -> "BoxConstraint":
         """Bounds on one coordinate only (the tip-displacement case)."""
         lo = np.full(n, -np.inf)
@@ -137,36 +133,6 @@ class BandedSpd:
         self.bw = ab.shape[0] - 1
         self.n = ab.shape[1]
         self._factor: BandedCholesky | None = None
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, n: int, bw: int) -> "BandedSpd":
-        bw = min(bw, max(n - 1, 0))
-        return cls(np.zeros((bw + 1, n), order="F"), copy=False)
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, bw: int | None = None) -> "BandedSpd":
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        if a.shape != (n, n):
-            raise ValueError("matrix must be square")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-            raise ValueError("matrix must be symmetric")
-        nz = np.nonzero(a)
-        occupied = int(np.max(np.abs(nz[0] - nz[1]))) if nz[0].size else 0
-        if bw is None:
-            bw = occupied
-        elif occupied > bw:
-            raise ValueError(
-                f"matrix has entries {occupied} off the diagonal, outside bandwidth {bw}"
-            )
-        bw = min(bw, n - 1)
-        out = cls.zeros(n, bw)
-        for j in range(n):
-            i0 = max(0, j - bw)
-            out.ab[bw + i0 - j : bw + 1, j] = a[i0 : j + 1, j]
-        return out
 
     # -- conversions and access --------------------------------------------
 
@@ -305,9 +271,6 @@ class PinnedDofSolver:
         e_c[index] = 1.0
         self._w = self.full_factor.solve(e_c)
 
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        return self.solve_with_case(f)[0]
-
     def solve_with_case(self, f: np.ndarray):
         """Solution plus which case fired: -1 lower stop, 0 free, +1 upper."""
         u = self.full_factor.solve(f)
@@ -319,13 +282,6 @@ class PinnedDofSolver:
         u += ((bound - uc) / self._w[self.index]) * self._w
         u[self.index] = bound
         return u, case
-
-
-def solve_single_box(a: BandedSpd, f: np.ndarray, c: int, g: float) -> np.ndarray:
-    """Minimize 0.5 u'Au - f'u subject to -g <= u_c <= g (g may be inf)."""
-    if not np.isfinite(g):
-        return a.cholesky().solve(np.asarray(f, dtype=float))
-    return PinnedDofSolver(a, c, -g, g).solve(np.asarray(f, dtype=float))
 
 
 class PenaltyTipSolver:

@@ -115,7 +115,7 @@ def init_states(
     omitted, they default to the beam at rest in the lab frame:
     u0 = -phi(0) h(x), v0 = -phi'(0) h(x) with h the lifting profile.
     Raw vectors must have shape (2J,).  u0 must be finite and satisfy the
-    stops; u1 = u0 + dt v0 is projected onto them.
+    stops, v0 must be finite; u1 = u0 + dt v0 is projected onto them.
     """
     dofs = DofMap(mesh.J)
     box = model.box(dofs, mesh)
@@ -141,6 +141,8 @@ def init_states(
     if not box.contains(vec_u0):
         raise ValueError("initial displacement violates the stops")
     vec_v0 = as_vector(v0, float(model.phi.d1(0.0)))
+    if not np.isfinite(vec_v0).all():
+        raise ValueError("initial velocity is not finite")
     vec_u1 = box.project(vec_u0 + params.dt * vec_v0)
     return vec_u0, vec_u1
 
@@ -478,7 +480,7 @@ def run(
     # Without f_tilde a window's load is two coefficients times two fixed
     # vectors.  Penalty runs keep the sampled loads, whose last bits their
     # reference check still tracks, until that check measures accuracy
-    # instead (ROADMAP item 1).
+    # instead (ROADMAP item 4).
     separable = model.f_tilde is None and kind != "penalty"
 
     def load_blocks():

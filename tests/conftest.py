@@ -1,12 +1,41 @@
-"""Shared helpers for the test suite: random SPD builders, a brute-force
-box-QP oracle used to cross-check the production solvers, and a penalty
-step with an inconsistent contact branch."""
+"""Shared helpers for the test suite: dense-to-banded conversion, random
+SPD builders, a brute-force box-QP oracle used to cross-check the
+production solvers, and a penalty step with an inconsistent contact
+branch."""
 
 import itertools
 
 import numpy as np
 
 from beamstops.linalg import BandedSpd, PenaltyTipSolver
+
+
+def from_dense(a, bw=None):
+    """The upper band of a symmetric dense matrix as a BandedSpd.
+
+    ``bw`` defaults to the farthest occupied diagonal; a non-zero entry
+    outside a given ``bw`` is an error.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    if a.shape != (n, n):
+        raise ValueError("matrix must be square")
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
+        raise ValueError("matrix must be symmetric")
+    nz = np.nonzero(a)
+    occupied = int(np.max(np.abs(nz[0] - nz[1]))) if nz[0].size else 0
+    if bw is None:
+        bw = occupied
+    elif occupied > bw:
+        raise ValueError(
+            f"matrix has entries {occupied} off the diagonal, outside bandwidth {bw}"
+        )
+    bw = min(bw, n - 1)
+    ab = np.zeros((bw + 1, n))
+    for j in range(n):
+        i0 = max(0, j - bw)
+        ab[bw + i0 - j : bw + 1, j] = a[i0 : j + 1, j]
+    return BandedSpd(ab)
 
 
 def random_banded_spd(rng, n, bw):
@@ -20,7 +49,7 @@ def random_banded_spd(rng, n, bw):
         off = rng.standard_normal(n - d)
         dense += np.diag(off, d) + np.diag(off, -d)
     dense += np.diag(np.abs(dense).sum(axis=1) + rng.uniform(0.5, 2.0, size=n))
-    return BandedSpd.from_dense(dense, bw), dense
+    return from_dense(dense, bw), dense
 
 
 def box_qp_oracle(a, f, lower, upper, tol=1e-9):

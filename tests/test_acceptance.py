@@ -23,10 +23,11 @@ from beamstops.fem import (
     elemental_mass,
     elemental_stiffness,
 )
-from beamstops.linalg import BoxConstraint, pgs_box, solve_single_box
+from beamstops.linalg import BoxConstraint, pgs_box
 from beamstops.stability import kappa_bound, kappa_exact
 from beamstops.steppers import PenaltyParams, SchemeParams, run
 from conftest import box_qp_oracle, random_banded_spd
+from oracles import solve_single_box
 
 L, J, K2, GAP = 1.501, 19, 282.84, 0.1
 

@@ -442,6 +442,14 @@ def test_stability_unconditional_beta_half(cfg_file, capsys):
     assert "unconditional" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag", [["--force"], ["--output-dir", "."]])
+def test_stability_rejects_run_only_flags(cfg_file, flag):
+    """stability neither runs nor writes, so it takes neither flag."""
+    with pytest.raises(SystemExit) as info:
+        main(["stability", str(cfg_file), *flag])
+    assert info.value.code == 2
+
+
 def test_stability_coarser_mesh_larger_limit(cfg_file, tmp_path, capsys):
     cfg_file.write_text(PIPE_SHORT.replace("beta = 0.5", "beta = 0.25"))
     main(["stability", str(cfg_file)])

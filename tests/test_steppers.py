@@ -42,6 +42,7 @@ from beamstops.steppers import (
     transfer_matrix,
 )
 from conftest import box_qp_oracle, wrong_branch_advance
+from oracles import at_time
 
 SMALL = dict(L=1.0, k2=1.0)
 
@@ -136,6 +137,7 @@ def test_init_states_rejects_infeasible_start():
         "u0 matrix": (dict(u0=np.zeros((ndof, 2))), "must have shape"),
         "v0 matrix": (dict(v0=np.zeros((ndof, 2))), "must have shape"),
         "NaN u0": (dict(u0=np.full(ndof, np.nan)), "initial displacement is not finite"),
+        "NaN v0": (dict(v0=np.full(ndof, np.nan)), "initial velocity is not finite"),
     }
     for name, (kwargs, message) in cases.items():
         with pytest.raises(ValueError, match=message):
@@ -1122,7 +1124,7 @@ def test_linear_run_matches_modal_superposition():
     mesh = Mesh(L, J)
     gm = assemble(mesh, model)
     m_dense, s_dense = gm.mass.to_dense(), gm.stiffness.to_dense()
-    f0 = LoadAssembler(mesh, model).at_time(np.pi / 2.0 / w)  # sin(w t) = 1
+    f0 = at_time(LoadAssembler(mesh, model), np.pi / 2.0 / w)  # sin(w t) = 1
     lam, modes = scipy.linalg.eigh(s_dense, m_dense)          # modes^T M modes = I
     v0 = interpolate_profile(mesh, lambda x: -2.0 * lifting(x, L)[0],
                              lambda x: -2.0 * lifting_slope(x, L))
