@@ -107,8 +107,7 @@ class ContactAudit:
         )
         contact = ~inactive
         self.contact_steps += int(np.count_nonzero(contact))
-        before = np.concatenate(([self._in_contact], contact[:-1]))
-        self.episodes += int(np.count_nonzero(contact & ~before))
+        self.episodes += count_episodes(contact, self._in_contact)
         self._in_contact = bool(contact[-1])
         self.max_upper_reaction = float(
             np.fmax.reduce(reaction[active == UPPER], initial=self.max_upper_reaction)
@@ -139,12 +138,13 @@ class ContactAudit:
 # ---------------------------------------------------------------------------
 
 
-def count_episodes(flags: np.ndarray) -> int:
-    """Number of maximal runs of consecutive set flags."""
+def count_episodes(flags: np.ndarray, carried: bool = False) -> int:
+    """Number of maximal runs of consecutive set flags.  With ``carried``
+    the flags continue a run already counted, so a leading run is not new."""
     f = np.asarray(flags, dtype=bool)
     if f.size == 0:
         return 0
-    return int(f[0]) + int(np.count_nonzero(~f[:-1] & f[1:]))
+    return int(f[0] and not carried) + int(np.count_nonzero(~f[:-1] & f[1:]))
 
 
 @dataclass(frozen=True)

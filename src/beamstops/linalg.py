@@ -132,7 +132,6 @@ class BandedSpd:
         self.ab = ab
         self.bw = ab.shape[0] - 1
         self.n = ab.shape[1]
-        self._factor: BandedCholesky | None = None
 
     # -- conversions and access --------------------------------------------
 
@@ -198,10 +197,8 @@ class BandedSpd:
         return out
 
     def cholesky(self) -> "BandedCholesky":
-        """Factorize once and cache; see :func:`cholesky`."""
-        if self._factor is None:
-            self._factor = cholesky(self)
-        return self._factor
+        """See :func:`cholesky`."""
+        return cholesky(self)
 
 
 class BandedCholesky:
@@ -436,16 +433,17 @@ def max_generalized_eig(
 
     Each step multiplies by S and solves with M's Cholesky factor; the
     Rayleigh quotient is accepted once the residual certificate
-    ``||Sv - kappa Mv|| <= tol * kappa * ||Mv||`` holds.  If the iteration
-    stagnates, it restarts once from a fixed pseudo-random direction
-    (seed 0); raises :class:`PowerIterationError` on failure.
+    ``||Sv - kappa Mv|| <= tol * kappa * ||Mv||`` holds.  Any eigenpair
+    meets it, so it starts from a fixed pseudo-random direction (seed 0),
+    not from one like the ones vector, which can be another eigenvector;
+    raises :class:`PowerIterationError` on failure.
     """
     if s.n != m.n:
         raise ValueError("size mismatch")
     n = s.n
     mf = m.cholesky()
-    v = np.ones(n) / np.sqrt(n)
-    restarted = False
+    v = np.random.default_rng(0).standard_normal(n)
+    v /= np.linalg.norm(v)
     best_resid = np.inf
     lam = 0.0
     for it in range(max_iter):
@@ -456,13 +454,6 @@ def max_generalized_eig(
         if resid <= tol * abs(lam) * float(np.linalg.norm(mv)):
             return lam
         best_resid = min(best_resid, resid)
-        if not restarted and it == max_iter // 2:
-            # stagnating: restart once from a fixed pseudo-random direction
-            rng = np.random.default_rng(0)
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            restarted = True
-            continue
         y = mf.solve(sv)
         nrm = np.linalg.norm(y)
         if nrm == 0.0:

@@ -51,9 +51,9 @@ def kappa_bound(k2: float, dx: float) -> float:
     return KAPPA_BOUND_COEF * k2 / dx**4
 
 
-def kappa_exact(mass: BandedSpd, stiffness: BandedSpd, tol: float = 1e-10) -> float:
+def kappa_exact(mass: BandedSpd, stiffness: BandedSpd) -> float:
     """Largest generalized eigenvalue of (S, M) by power iteration."""
-    return max_generalized_eig(stiffness, mass, tol=tol)
+    return max_generalized_eig(stiffness, mass)
 
 
 def max_stable_dt(kappa: float, beta: float, alpha: float) -> float:

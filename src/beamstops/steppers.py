@@ -173,26 +173,23 @@ def transfer_matrix(mass: BandedSpd, stiffness: BandedSpd, params) -> BandedSpd:
 class Trajectory:
     """Recorded run output plus per-step extrema.
 
-    The recorded velocity is the backward difference (u^n - u^{n-1})/dt
-    at the tip; ``reaction`` is the scheme-native dt^2-scaled contact
-    force at the tip DOF ((A u - F) for the stops, dt^2 times the spring
-    force for the penalty scheme) and ``reaction_physical`` rescales it
-    by 1/dt^2.  ``max_abs_tip``/``max_violation``, the tip's
-    ``tip_min``/``tip_max`` and its ``contact_episodes`` are tracked at
-    every step, not just the recorded ones; the extrema turn NaN once a
-    step does.
+    ``records`` holds the ``CSV_HEADER`` columns as the rows of one (6, n)
+    array, read one by one as ``t`` .. ``violation``.  The recorded
+    velocity is the backward difference (u^n - u^{n-1})/dt at the tip;
+    ``reaction`` is the scheme-native dt^2-scaled contact force at the
+    tip DOF ((A u - F) for the stops, dt^2 times the spring force for
+    the penalty scheme) and ``reaction_physical`` rescales it by 1/dt^2.
+    ``max_abs_tip``/``max_violation``, the tip's ``tip_min``/``tip_max``
+    and its ``contact_episodes`` are tracked at every step, not just the
+    recorded ones, from defaults that hold before any state; the extrema
+    turn NaN once a step does.
     ``stability`` is the report the run's stability check produced.
     The rows of a blown-up run end at its first record with a non-finite
     value, which :meth:`require_finite` names, short of ``n_steps``, and so
     do its extrema.
     """
 
-    t: np.ndarray
-    u_tip: np.ndarray
-    v_tip: np.ndarray
-    energy: np.ndarray
-    reaction: np.ndarray
-    violation: np.ndarray
+    records: np.ndarray
     scheme: str
     beta: float
     dt: float
@@ -200,16 +197,23 @@ class Trajectory:
     tip_upper: float
     n_steps: int
     record_stride: int
-    max_abs_tip: float
-    max_violation: float
-    tip_min: float
-    tip_max: float
-    contact_episodes: int
     audit: ContactAudit | None
     stability: StabilityReport
-    wall_time: float
+    max_abs_tip: float = 0.0
+    max_violation: float = 0.0
+    tip_min: float = math.inf
+    tip_max: float = -math.inf
+    contact_episodes: int = 0
+    wall_time: float = 0.0
 
     CSV_HEADER = "t,u_tip,v_tip,energy,reaction,violation"
+
+    t = property(lambda self: self.records[0])
+    u_tip = property(lambda self: self.records[1])
+    v_tip = property(lambda self: self.records[2])
+    energy = property(lambda self: self.records[3])
+    reaction = property(lambda self: self.records[4])
+    violation = property(lambda self: self.records[5])
 
     @property
     def reaction_physical(self) -> np.ndarray:
@@ -217,35 +221,17 @@ class Trajectory:
 
     def require_finite(self) -> None:
         """Raise :class:`NonFiniteRecordError` naming the first record with a non-finite value."""
-        rows = np.column_stack(
-            [self.t, self.u_tip, self.v_tip, self.energy, self.reaction, self.violation]
-        )
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(self.records).all(axis=0))
         if bad.size:
             raise NonFiniteRecordError(int(bad[0]), float(self.t[bad[0]]))
 
     def to_csv(self) -> str:
         row = ",".join(["%.17g"] * 6)
-        cols = (self.t, self.u_tip, self.v_tip, self.energy, self.reaction, self.violation)
         lines = [self.CSV_HEADER]
         # a few hundred rows of Python floats at a time keeps the peak memory down
-        for i in range(0, self.t.size, 256):
-            lines.extend(row % values for values in zip(*(col[i : i + 256].tolist() for col in cols)))
+        for i in range(0, self.records.shape[1], 256):
+            lines.extend(row % values for values in zip(*self.records[:, i : i + 256].tolist()))
         return "\n".join(lines) + "\n"
-
-
-class _MemberRun:
-    """One member of a run: its recorded rows, per-step extrema and episodes."""
-
-    def __init__(self, capacity):
-        self.rows = np.empty((capacity, 6))  # t, u_tip, v_tip, energy, reaction, violation
-        self.count = 0
-        self.max_abs_tip = 0.0
-        self.max_violation = 0.0
-        self.tip_min, self.tip_max = math.inf, -math.inf
-        self.episodes = 0  # contact episodes of the tip over every state
-        self.contact = False  # the tip of its last folded state is on a stop
-        self.done = False  # the member ended: its last record is in
 
 
 def run(
@@ -274,12 +260,13 @@ def run(
     Signorini and linear runs without ``f_tilde`` take the windows'
     averages of phi'' and phi from it (``separable``) and form the loads
     with one rank-2 product per block; penalty runs and a callable
-    ``f_tilde`` sample and scatter the load density of every window.  A step makes
-    two banded products, B u^n and A u^{n+1}, and writes u^{n+1},
-    A u^{n+1} and F^n into block buffers; A u is carried with the state.
-    One fold turns buffer rows into records, extrema, contact episodes,
-    audit entries and member exits: the starting pair (u^0, u^1) is
-    folded as the first pair of states, and then each load block's
+    ``f_tilde`` sample and scatter the load density of every window.  A
+    step makes two banded products, B u^n and A u^{n+1}, and writes
+    u^{n+1}, A u^{n+1} and F^n into block buffers; A u is carried with
+    the state.  Each member's Trajectory is made before the first step,
+    and one fold writes into it (``records``, extrema, contact episodes)
+    and into the audit, and ends members: it folds the starting pair
+    (u^0, u^1) as the first pair of states, and then each load block's
     states, the recorded rows in one vectorized pass (their energies make
     one product with S stacked over the rows).  A member's rows end at
     its first record with a non-finite value, its extrema, contact
@@ -414,17 +401,24 @@ def run(
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
 
+    # fold writes into these and keeps, per member, its record count, contact carry and end
+    results = [
+        Trajectory(np.empty((6, n_total // stride + 3)), scheme=kind, beta=beta, dt=dt,
+                   tip_lower=tip_lo, tip_upper=tip_hi, n_steps=n_total, record_stride=stride,
+                   audit=contact_audit, stability=report) for _ in members]
+    counts, carried, done = [0] * k, [False] * k, [False] * k
+
     def fold(t0, first, last):
         """Fold buffer rows ``first`` .. ``last`` (times t0 + row) into the members not done.
 
-        Writes their records, extrema and contact episodes and the audit,
-        and marks done the members that end here.  Time t is recorded if
-        t <= n_total and t is a multiple of the stride or n_total; the
-        record of row r takes its velocity and energy from rows
-        max(r, 1) - 1 and max(r, 1), so u^0 takes those of the starting
-        pair.  Only step rows (r >= 2) have a residual A u - F, the
-        reaction and the audit read.  A member's rows end at its first
-        record with a non-finite value (the columns that
+        Writes their records, extrema and contact episodes into their
+        Trajectories, and the audit, and marks done the members that end
+        here.  Time t is recorded if t <= n_total and t is a multiple of
+        the stride or n_total; the record of row r takes its velocity and
+        energy from rows max(r, 1) - 1 and max(r, 1), so u^0 takes those
+        of the starting pair.  Only step rows (r >= 2) have a residual
+        A u - F, the reaction and the audit read.  A member's rows end at
+        its first record with a non-finite value (the columns that
         ``Trajectory.require_finite`` reads), and its extrema and episodes
         at the last row that record reads.
         """
@@ -456,26 +450,26 @@ def run(
                 rows[:, 0, 4] = resid[at, tip]
             rows[:, :, 5] = viols[at]
         finite = np.isfinite(rows).all(axis=2)
-        for j, mem in enumerate(member_runs):
-            if mem.done:
+        for j, traj in enumerate(results):
+            if done[j]:
                 continue
             bad = np.flatnonzero(~finite[:, j])
             count = int(bad[0]) + 1 if bad.size else m
-            mem.rows[mem.count : mem.count + count] = rows[:count, j]
-            mem.count += count
+            traj.records[:, counts[j] : counts[j] + count] = rows[:count, j].T
+            counts[j] += count
             end = int(at[bad[0]]) + first if bad.size else None  # its first non-finite record's row
             # its states here run to the last row that its first non-finite record reads
             n = last - first + 1 if end is None else max(end, 1) - first + 1
-            mem.max_abs_tip = np.maximum(mem.max_abs_tip, np.abs(tips[:n, j]).max())
-            mem.max_violation = np.maximum(mem.max_violation, viols[:n, j].max())
-            mem.tip_min = np.minimum(mem.tip_min, tips[:n, j].min())
-            mem.tip_max = np.maximum(mem.tip_max, tips[:n, j].max())
+            traj.max_abs_tip = float(np.maximum(traj.max_abs_tip, np.abs(tips[:n, j]).max()))
+            traj.max_violation = float(np.maximum(traj.max_violation, viols[:n, j].max()))
+            traj.tip_min = float(np.minimum(traj.tip_min, tips[:n, j].min()))
+            traj.tip_max = float(np.maximum(traj.tip_max, tips[:n, j].max()))
             on = contact[:n, j]  # an episode that goes on from the last fold is not new
-            mem.episodes += count_episodes(on) - int(mem.contact and on[0])
-            mem.contact = bool(on[-1])
+            traj.contact_episodes += count_episodes(on, carried[j])
+            carried[j] = bool(on[-1])
             if contact_audit is not None and resid is not None:  # one member
                 contact_audit.update(tips[:n, 0], resid[:n], tip, tip_lo, tip_hi)
-            mem.done = end is not None
+            done[j] = end is not None
 
     # Without f_tilde a window's load is two coefficients times two fixed
     # vectors.  Penalty runs keep the sampled loads, whose last bits their
@@ -502,12 +496,11 @@ def run(
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
             yield loads.from_coefficients(g) if separable else g
 
-    member_runs = [_MemberRun(n_total // stride + 3) for _ in members]
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
         fold(0, 0, 1)  # the starting pair, shared by the members
         t0 = 0
-        for g_block in () if all(mem.done for mem in member_runs) else load_blocks():
+        for g_block in () if all(done) else load_blocks():
             # a member whose state turns non-finite steps on in place: the
             # pads keep its columns away from the others, and the fold ends it
             steps, raised = 0, None
@@ -524,7 +517,7 @@ def run(
                 a_stack.matvec(u_rows[r], out=au_rows[r])
                 steps += 1
             fold(t0, 2, steps + 1)
-            if all(mem.done for mem in member_runs):
+            if all(done):
                 break
             if raised is not None:
                 raise raised
@@ -533,25 +526,7 @@ def run(
             u_buf[:2], au_buf[:2] = u_buf[steps : steps + 2], au_buf[steps : steps + 2]
 
     wall = (time.perf_counter() - t_begin) / len(members)
-    results = [
-        Trajectory(
-            *mem.rows[: mem.count].T.copy(),
-            scheme=kind,
-            beta=scheme.beta,
-            dt=dt,
-            tip_lower=tip_lo,
-            tip_upper=tip_hi,
-            n_steps=n_total,
-            record_stride=stride,
-            max_abs_tip=float(mem.max_abs_tip),
-            max_violation=float(mem.max_violation),
-            tip_min=float(mem.tip_min),
-            tip_max=float(mem.tip_max),
-            contact_episodes=mem.episodes,
-            audit=contact_audit,
-            stability=report,
-            wall_time=wall,
-        )
-        for mem in member_runs
-    ]
+    for traj, count in zip(results, counts):
+        traj.records = traj.records[:, :count].copy()
+        traj.wall_time = wall
     return results if isinstance(params, (list, tuple)) else results[0]

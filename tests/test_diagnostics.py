@@ -235,6 +235,12 @@ def test_count_episodes_patterns():
     assert count_episodes(np.array([True])) == 1
     assert count_episodes(np.array([True, True, False, True])) == 2
     assert count_episodes(np.array([False, True, False, True, True, False, True])) == 3
+    # carried: the flags continue a run already counted, so a leading run is not new
+    assert count_episodes(np.array([], dtype=bool), carried=True) == 0
+    assert count_episodes(np.array([True]), carried=True) == 0
+    assert count_episodes(np.array([False, True]), carried=True) == 1
+    assert count_episodes(np.array([True, True, False, True]), carried=True) == 1
+    assert count_episodes(np.array([False, True, False, True, True, False, True]), carried=True) == 3
 
 
 def violation(traj, g: float) -> float:

@@ -332,6 +332,14 @@ def test_power_iteration_matches_dense_eigenvalue():
         assert abs(lam - expect) <= 1e-8 * expect
 
 
+def test_power_iteration_finds_the_largest_eigenvalue_from_an_eigenvector_start():
+    """The ones vector is an eigenvector of [[2, -1], [-1, 2]] (eigenvalue 1),
+    which the certificate accepts; the largest eigenvalue is 3."""
+    s = BandedSpd(np.array([[0.0, -1.0], [2.0, 2.0]]))
+    m = BandedSpd(np.array([[1.0, 1.0]]))
+    assert max_generalized_eig(s, m) == pytest.approx(3.0, abs=1e-12)
+
+
 def test_power_iteration_certificate_failure():
     rng = np.random.default_rng(52)
     s, _ = random_banded_spd(rng, 8, 2)

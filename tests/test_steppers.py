@@ -516,6 +516,21 @@ def test_per_step_extrema_independent_of_stride():
     assert coarse.t.size < fine.t.size
 
 
+def test_extrema_are_floats_and_episodes_an_int():
+    """The run stores its extrema as Python floats and its contact episodes
+    as an int, for a solo signorini run, a member of a penalty block and a
+    member of that block that blows up."""
+    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.01, [1e6, 1e300])
+    solo = run(model, mesh, SchemeParams(0.5, 1.4e-5, 0.01))
+    member, blown = run(model, mesh, members, kind="penalty", record_stride=7)
+    with pytest.raises(NonFiniteRecordError):
+        blown.require_finite()
+    for traj in (solo, member, blown):
+        extrema = (traj.max_abs_tip, traj.max_violation, traj.tip_min, traj.tip_max)
+        assert [type(x) for x in extrema] == [float] * 4
+        assert type(traj.contact_episodes) is int and traj.contact_episodes > 0
+
+
 def first_differing_row(a, b):
     """Index of the first row where two CSV row lists differ, None if equal
     (a plain ``==`` on thousands of rows makes pytest's failure diff crawl)."""
@@ -1080,10 +1095,7 @@ def test_trajectory_csv_matches_per_cell_formatting():
     special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, np.inf, -np.inf, np.nan, 1e300]
     cols = rng.standard_normal((6, traj.t.size)) * 10.0 ** rng.integers(-12, 12, (6, traj.t.size))
     cols[:, : len(special)] = special
-    odd = dataclasses.replace(
-        traj, t=cols[0], u_tip=cols[1], v_tip=cols[2], energy=cols[3], reaction=cols[4],
-        violation=cols[5],
-    )
+    odd = dataclasses.replace(traj, records=cols)
     for tr in (traj, odd):
         names = ("t", "u_tip", "v_tip", "energy", "reaction", "violation")
         rows = zip(*(getattr(tr, name) for name in names))

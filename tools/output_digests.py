@@ -6,8 +6,8 @@ SRC_DIR is the ``src`` directory of the checkout to run.  Running it on
 two checkouts and diffing the outputs shows whether a change kept every
 trajectory bit for bit.  A line names the case and then gives the
 SHA-256 of ``to_csv()``, the row count, the extrema, the tip's range,
-the contact episodes and ``repr(audit)``, or the type and text of the
-error the run raised.  There is no golden file: the last bits depend on
+the contact episodes, ``repr(audit)`` and the stability verdict, or the
+type and text of the error the run raised.  There is no golden file: the last bits depend on
 the BLAS build, so only two checkouts on one machine compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
@@ -116,7 +116,7 @@ def describe(result) -> str:
     return (f"{sha} rows={result.t.size} max_abs_tip={result.max_abs_tip!r} "
             f"max_violation={result.max_violation!r} tip_min={result.tip_min!r} "
             f"tip_max={result.tip_max!r} contact_episodes={result.contact_episodes} "
-            f"audit={result.audit!r}")
+            f"audit={result.audit!r} stability={result.stability.verdict}")
 
 
 def emit(case: str, call) -> None:
