@@ -14,7 +14,7 @@ Typical use::
         k2=282.84, L=1.501, g=0.1, phi=SupportMotion.sine(0.2, 10.0)
     )
     traj = run(model, Mesh(1.501, 19), SchemeParams(beta=0.5, dt=5e-5, T=2.0))
-    print(traj.max_abs_tip, traj.audit.episodes)
+    print(traj.max_abs_tip, traj.contact_episodes)
 """
 
 from .diagnostics import (

@@ -9,9 +9,9 @@ Three subcommands share a flat config file (see :mod:`beamstops.config`):
 * ``stability <config>`` — print the time-step limits without running.
 
 Exit codes: 0 success, 2 stability veto (override with ``--force``),
-1 solver or configuration failure.  A trajectory is written only if its
-records are finite and, for a run with an audited contact, its
-complementarity certificate holds.
+1 solver or configuration failure or an output that cannot be written.
+A trajectory is written only if its records are finite and, for a run
+with an audited contact, its complementarity certificate holds.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 from .config import (
@@ -126,8 +125,12 @@ def cmd_run(cfg, output_dir: str, force: bool) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     out_path = Path(output_dir) / cfg.output
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_path, traj.to_csv())
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_atomic(out_path, traj.to_csv())
+    except OSError as exc:
+        print(f"cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_FAILURE
     n_rows = traj.t.size
     print(f"wrote {out_path} ({n_rows} records, {traj.wall_time:.2f} s)")
     return EXIT_OK
@@ -159,24 +162,25 @@ def _sweep_child(payload):
             out.append((i, label, EXIT_FAILURE, f"solver error: {traj}", None))
         else:
             out_path = Path(output_dir) / f"{key}_{token}.csv"
-            _write_atomic(out_path, traj.to_csv())
-            out.append((i, label, EXIT_OK, str(out_path), summary_row(label, traj)))
+            try:
+                _write_atomic(out_path, traj.to_csv())
+            except OSError as exc:
+                message = f"cannot write {out_path}: {exc.strerror or exc}"
+                out.append((i, label, EXIT_FAILURE, message, None))
+            else:
+                out.append((i, label, EXIT_OK, str(out_path), summary_row(label, traj)))
     return out
 
 
 def _chunks(key, members, workers, output_dir, force):
-    """Members that differ in ``inv_eps`` alone form one group; each group is
-    cut into at most ``workers`` contiguous chunks, one run each."""
-    groups = {}
-    for member in members:
-        _, _, cfg = member
-        shared = tuple(getattr(cfg, f.name) for f in fields(cfg) if f.name != "inv_eps")
-        groups.setdefault(shared, []).append(member)
-    chunks = []
-    for group in groups.values():
-        parts = min(workers, len(group))
-        chunks += [group[j * len(group) // parts : (j + 1) * len(group) // parts] for j in range(parts)]
-    return [(key, chunk, output_dir, force) for chunk in chunks]
+    """The members of a sweep differ in ``key`` alone.  An ``inv_eps`` sweep
+    is cut into at most ``workers`` contiguous chunks, which each step as
+    one block; any other key runs one member per chunk."""
+    if key != "inv_eps":
+        return [(key, [member], output_dir, force) for member in members]
+    n, parts = len(members), min(workers, len(members))
+    return [(key, members[j * n // parts : (j + 1) * n // parts], output_dir, force)
+            for j in range(parts)]
 
 
 def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
+from pathlib import PurePath
 
 from .fem import BeamModel, Mesh, SupportMotion
 from .steppers import PenaltyParams, SchemeParams
@@ -113,7 +114,8 @@ def _validate(cfg: RunConfig):
     if cfg.phi != "sin" and (cfg.phi_amplitude is not None or cfg.phi_omega is not None):
         _fail("phi_amplitude", "only meaningful when phi = sin")
     out = cfg.output
-    if not out or out != out.strip() or "#" in out or "".join(out.splitlines()) != out:
+    if (not out or out != out.strip() or "#" in out or "".join(out.splitlines()) != out
+            or PurePath(out).name in ("", "..")):  # pathlib gives "." no name
         _fail("output", "must be a file name without '#', line breaks or surrounding blanks")
     if cfg.record_stride != "auto":
         if not isinstance(cfg.record_stride, int) or cfg.record_stride < 1:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,26 +73,23 @@ class ContactAudit:
     pressing the upper stop, >= 0 at the lower stop.  Off that DOF the
     equations must hold.  :meth:`update` folds steps in, :meth:`check`
     raises on the first condition the folded steps break; one step is
-    certified by one call of each.
+    certified by one call of each; the run, not the audit, counts episodes.
     """
 
     contact_steps: int = 0
-    episodes: int = 0
     max_offband_residual: float = 0.0
     # worst signed excess of the reaction on each side, and |reaction| off contact
     max_upper_reaction: float = -np.inf
     min_lower_reaction: float = np.inf
     max_inactive_reaction: float = 0.0
-    _in_contact: bool = field(default=False, repr=False)
 
-    def update(self, tips, residuals, index: int, lower: float, upper: float) -> None:
-        """Fold in a run of consecutive steps: the constrained DOF's values
-        ``tips`` and the residual rows A u - F of the same steps, as arrays
-        or as the scalar and the vector of one step.  ``index`` is the
-        constrained DOF and [lower, upper] its stops.  NaN figures are
-        skipped."""
-        tips, residuals = np.atleast_1d(tips), np.atleast_2d(residuals)
-        if tips.size == 0:
+    def update(self, sides, residuals, index: int) -> None:
+        """Fold in a run of consecutive steps: their :func:`active_sides`
+        codes ``sides`` and their residual rows A u - F, as arrays or as
+        the code and the vector of one step.  ``index`` is the constrained
+        DOF.  NaN figures are skipped."""
+        sides, residuals = np.atleast_1d(sides), np.atleast_2d(residuals)
+        if sides.size == 0:
             return
         reaction = residuals[:, index]
         off = np.abs(residuals)
@@ -100,20 +97,16 @@ class ContactAudit:
         self.max_offband_residual = float(
             np.fmax.reduce(off.max(axis=1), initial=self.max_offband_residual)
         )
-        active = active_sides(tips, lower, upper)
-        inactive = active == INACTIVE
+        inactive = sides == INACTIVE
         self.max_inactive_reaction = float(
             np.fmax.reduce(np.abs(reaction[inactive]), initial=self.max_inactive_reaction)
         )
-        contact = ~inactive
-        self.contact_steps += int(np.count_nonzero(contact))
-        self.episodes += count_episodes(contact, self._in_contact)
-        self._in_contact = bool(contact[-1])
+        self.contact_steps += int(np.count_nonzero(~inactive))
         self.max_upper_reaction = float(
-            np.fmax.reduce(reaction[active == UPPER], initial=self.max_upper_reaction)
+            np.fmax.reduce(reaction[sides == UPPER], initial=self.max_upper_reaction)
         )
         self.min_lower_reaction = float(
-            np.fmin.reduce(reaction[active == LOWER], initial=self.min_lower_reaction)
+            np.fmin.reduce(reaction[sides == LOWER], initial=self.min_lower_reaction)
         )
 
     def check(self, tol: float = 1e-9) -> None:

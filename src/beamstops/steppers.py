@@ -179,10 +179,10 @@ class Trajectory:
     ``reaction`` is the scheme-native dt^2-scaled contact force at the
     tip DOF ((A u - F) for the stops, dt^2 times the spring force for
     the penalty scheme) and ``reaction_physical`` rescales it by 1/dt^2.
-    ``max_abs_tip``/``max_violation``, the tip's ``tip_min``/``tip_max``
-    and its ``contact_episodes`` are tracked at every step, not just the
-    recorded ones, from defaults that hold before any state; the extrema
-    turn NaN once a step does.
+    ``max_violation``, ``tip_min``/``tip_max`` (and so ``max_abs_tip``)
+    and ``contact_episodes``, the run's one count, are tracked at every
+    step, not just the recorded ones, from defaults that hold before any
+    state; the extrema turn NaN once a step does.
     ``stability`` is the report the run's stability check produced.
     The rows of a blown-up run end at its first record with a non-finite
     value, which :meth:`require_finite` names, short of ``n_steps``, and so
@@ -199,7 +199,6 @@ class Trajectory:
     record_stride: int
     audit: ContactAudit | None
     stability: StabilityReport
-    max_abs_tip: float = 0.0
     max_violation: float = 0.0
     tip_min: float = math.inf
     tip_max: float = -math.inf
@@ -214,6 +213,7 @@ class Trajectory:
     energy = property(lambda self: self.records[3])
     reaction = property(lambda self: self.records[4])
     violation = property(lambda self: self.records[5])
+    max_abs_tip = property(lambda self: float(np.maximum(abs(self.tip_min), abs(self.tip_max))))
 
     @property
     def reaction_physical(self) -> np.ndarray:
@@ -265,13 +265,13 @@ def run(
     u^{n+1}, A u^{n+1} and F^n into block buffers; A u is carried with
     the state.  Each member's Trajectory is made before the first step,
     and one fold writes into it (``records``, extrema, contact episodes)
-    and into the audit, and ends members: it folds the starting pair
-    (u^0, u^1) as the first pair of states, and then each load block's
-    states, the recorded rows in one vectorized pass (their energies make
-    one product with S stacked over the rows).  A member's rows end at
-    its first record with a non-finite value, its extrema, contact
-    episodes and the audit at that record's step.  A penalty member with
-    no consistent contact case ends the same way: its state turns NaN.
+    and into the audit, from one contact code per tip, and ends members:
+    it folds the starting pair (u^0, u^1) as the first pair of states,
+    then each load block's states, the recorded rows in one vectorized
+    pass (their energies make one product with S stacked over the rows).
+    A member's rows end at its first record with a non-finite value, and
+    its extrema, episodes and the audit at that record's step.  A penalty
+    member with no consistent contact case ends alike: its state turns NaN.
     A member that ends steps on in its block, unrecorded, until every
     member has ended or the run does.  A step that raises ends the run:
     the block is folded up to that step, and the error propagates unless
@@ -412,11 +412,12 @@ def run(
         """Fold buffer rows ``first`` .. ``last`` (times t0 + row) into the members not done.
 
         Writes their records, extrema and contact episodes into their
-        Trajectories, and the audit, and marks done the members that end
-        here.  Time t is recorded if t <= n_total and t is a multiple of
-        the stride or n_total; the record of row r takes its velocity and
-        energy from rows max(r, 1) - 1 and max(r, 1), so u^0 takes those
-        of the starting pair.  Only step rows (r >= 2) have a residual
+        Trajectories, and the audit, both from one :func:`active_sides`
+        code per tip, and marks done the members that end here.  Time t is
+        recorded if t <= n_total and t is a multiple of the stride or
+        n_total; the record of row r takes its velocity and energy from
+        rows max(r, 1) - 1 and max(r, 1), so u^0 takes those of the
+        starting pair.  Only step rows (r >= 2) have a residual
         A u - F, the reaction and the audit read.  A member's rows end at
         its first record with a non-finite value (the columns that
         ``Trajectory.require_finite`` reads), and its extrema and episodes
@@ -426,7 +427,7 @@ def run(
             return
         states = u_buf[first : last + 1]
         tips, viols = states[:, tip::width], violations(states)
-        contact = active_sides(tips, tip_lo, tip_hi) != INACTIVE
+        sides = active_sides(tips, tip_lo, tip_hi)
         times = t0 + np.arange(first, last + 1)
         at = np.flatnonzero((times <= n_total) & ((times % stride == 0) | (times == n_total)))
         m = at.size
@@ -460,15 +461,14 @@ def run(
             end = int(at[bad[0]]) + first if bad.size else None  # its first non-finite record's row
             # its states here run to the last row that its first non-finite record reads
             n = last - first + 1 if end is None else max(end, 1) - first + 1
-            traj.max_abs_tip = float(np.maximum(traj.max_abs_tip, np.abs(tips[:n, j]).max()))
             traj.max_violation = float(np.maximum(traj.max_violation, viols[:n, j].max()))
             traj.tip_min = float(np.minimum(traj.tip_min, tips[:n, j].min()))
             traj.tip_max = float(np.maximum(traj.tip_max, tips[:n, j].max()))
-            on = contact[:n, j]  # an episode that goes on from the last fold is not new
+            on = sides[:n, j] != INACTIVE  # an episode that goes on from the last fold is not new
             traj.contact_episodes += count_episodes(on, carried[j])
             carried[j] = bool(on[-1])
             if contact_audit is not None and resid is not None:  # one member
-                contact_audit.update(tips[:n, 0], resid[:n], tip, tip_lo, tip_hi)
+                contact_audit.update(sides[:n, 0], resid[:n], tip)
             done[j] = end is not None
 
     # Without f_tilde a window's load is two coefficients times two fixed

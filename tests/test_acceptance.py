@@ -217,7 +217,7 @@ def test_criterion_09_complementarity_certified(pipe_run):
     traj, _ = pipe_run
     audit = traj.audit
     assert audit is not None
-    assert audit.episodes >= 1
+    assert traj.contact_episodes >= 1
     audit.check(1e-9)
     assert audit.max_offband_residual <= 1e-9
     assert audit.max_inactive_reaction <= 1e-9

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from beamstops.cli import main
+from beamstops.cli import _chunks, main
+from beamstops.config import override, parse_config
 from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
 from conftest import wrong_branch_advance
 
@@ -185,6 +186,23 @@ def test_run_infinite_horizon_is_bad_config(cfg_file, tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_run_output_without_a_file_name_is_bad_config(cfg_file, tmp_path, capsys):
+    """An output of '.' or '..' names no file: the config is rejected
+    before the run, not after it."""
+    for bad in (".", ".."):
+        cfg_file.write_text(PIPE_SHORT.replace("output = out.csv", f"output = {bad}"))
+        assert main(["run", str(cfg_file), "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "bad config" in err and "'output'" in err
+
+
+def test_run_output_that_is_a_directory_fails_with_a_message(cfg_file, tmp_path, capsys):
+    (tmp_path / "out.csv").mkdir()
+    assert main(["run", str(cfg_file), "--output-dir", str(tmp_path)]) == 1
+    assert f"cannot write {tmp_path / 'out.csv'}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "run.cfg"]
+
+
 # ----------------------------------------------------------------------- sweep
 
 def test_sweep_writes_children_and_summary(cfg_file, tmp_path, monkeypatch):
@@ -243,6 +261,38 @@ def test_sweep_bad_token_fails_its_member_only(cfg_file, tmp_path, monkeypatch, 
     assert sorted(p.name for p in out.iterdir()) == ["dt_5e-5.csv", "summary.csv", "summary.txt"]
     rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
     assert len(rows) == 1 and rows[0].startswith("dt=5e-5,")
+
+
+def test_sweep_member_that_cannot_be_written_fails_alone(
+    cfg_file, tmp_path, monkeypatch, capsys
+):
+    """A member whose CSV path is a directory fails with a message; the
+    other member and the summary are still written."""
+    monkeypatch.setenv("BEAM_THREADS", "1")
+    cfg_file.write_text(PIPE_SHORT.replace("T = 0.05", "T = 0.002"))
+    out = tmp_path / "sweep"
+    (out / "dt_5e-5.csv").mkdir(parents=True)
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "5e-5,2.5e-5",
+                 "--output-dir", str(out)])
+    assert code == 1
+    assert f"dt=5e-5: cannot write {out / 'dt_5e-5.csv'}: " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "dt_2.5e-5.csv", "dt_5e-5.csv", "summary.csv", "summary.txt"]
+    rows = (out / "summary.csv").read_text().strip().split("\n")[1:]
+    assert len(rows) == 1 and rows[0].startswith("dt=2.5e-5,")
+
+
+def test_sweep_chunks_come_from_the_swept_key():
+    """Sweep members differ in the swept key alone: a dt sweep runs one
+    member per chunk, and an inv_eps sweep is cut into at most one
+    contiguous chunk per worker, in order."""
+    cfg = parse_config(PIPE_SHORT)
+    dts = [(i, v, override(cfg, "dt", v)) for i, v in enumerate(("5e-5", "2.5e-5", "1e-5"))]
+    assert _chunks("dt", dts, 4, "out", False) == [("dt", [m], "out", False) for m in dts]
+    penalty = parse_config(PIPE_SHORT.replace("scheme = signorini", "scheme = penalty\ninv_eps = 1"))
+    stiff = [(i, v, override(penalty, "inv_eps", v))
+             for i, v in enumerate(("1e6", "1e7", "1e8", "1e9", "1e10"))]
+    assert [c[1] for c in _chunks("inv_eps", stiff, 2, "out", True)] == [stiff[:2], stiff[2:]]
 
 
 def test_penalty_sweep_nan_stiffness_fails(cfg_file, tmp_path, monkeypatch, capsys):

@@ -70,7 +70,7 @@ def tiny_system():
 def certify_step(a, u, f, tol=1e-9):
     """The audit of one step with stops [-0.1, 0.1] on DOF 2, checked at ``tol``."""
     audit = ContactAudit()
-    audit.update(u[2], a.matvec(u) - f, 2, -0.1, 0.1)
+    audit.update(active_sides(u[2], -0.1, 0.1), a.matvec(u) - f, 2)
     audit.check(tol)
     return audit
 
@@ -90,7 +90,7 @@ def test_contact_residual_accepts_upper_contact_with_negative_reaction():
     f = dense @ u
     f[2] += 0.5  # load pressing up; reaction (A u - f)_2 = -0.5
     audit = certify_step(a, u, f)
-    assert audit.contact_steps == 1 and audit.episodes == 1
+    assert audit.contact_steps == 1
     assert audit.max_upper_reaction == pytest.approx(-0.5)
     assert audit.min_lower_reaction == np.inf
 
@@ -171,7 +171,7 @@ AUDIT_STEPS = [
 def fold(audit, steps):
     tips = np.array([s[0] for s in steps])
     residuals = np.array([[s[1], s[2]] for s in steps])
-    audit.update(tips, residuals, 0, -0.1, 0.1)
+    audit.update(active_sides(tips, -0.1, 0.1), residuals, 0)
     return audit
 
 
@@ -180,13 +180,12 @@ def test_audit_accumulates_episodes_and_extremes():
     for step in AUDIT_STEPS:
         fold(audit, [step])
     assert audit.contact_steps == 4
-    assert audit.episodes == 2  # upper-upper, then lower-upper without a gap
     assert audit.max_offband_residual == 2e-14
     assert audit.max_upper_reaction == -0.1
     assert audit.min_lower_reaction == 0.2
     assert audit.max_inactive_reaction == 1e-12
     audit.check(1e-9)
-    # two blocks give the same audit wherever the cut falls: the episode carries across it
+    # two blocks give the same audit wherever the cut falls
     for cut in range(len(AUDIT_STEPS) + 1):
         assert fold(fold(ContactAudit(), AUDIT_STEPS[:cut]), AUDIT_STEPS[cut:]) == audit
 
@@ -202,7 +201,7 @@ def test_audit_flags_sign_violations():
 
 def test_audit_skips_nan_figures():
     audit = fold(ContactAudit(), [(np.nan, np.nan, np.nan), (0.1, -0.2, 1e-15)])
-    assert audit.contact_steps == 1 and audit.episodes == 1
+    assert audit.contact_steps == 1
     assert audit.max_offband_residual == 1e-15
     assert audit.max_upper_reaction == -0.2
     assert audit.max_inactive_reaction == 0.0
@@ -263,12 +262,15 @@ def test_violation_measures_overshoot():
 @pytest.mark.parametrize("stride", [1, 2, 7, 20])
 def test_summary_counts_the_contact_episodes_of_every_step(stride):
     """The summary's contact episodes do not depend on the record stride:
-    the README scenario counts the audit's 103 per-step episodes at every
-    stride, and a penalty member the episodes of its stride-1 run."""
+    the README scenario and a penalty member count, at every stride, the
+    episodes of every state of their stride-1 runs."""
     phi = SupportMotion.sine(0.2, 10.0)
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, phi)
-    traj = run(model, Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.6), record_stride=stride)
-    assert compare_runs([("s", traj)]).rows[0].contact_episodes == traj.audit.episodes == 103
+    readme = SchemeParams(0.5, 5e-5, 0.6)
+    traj = run(model, Mesh(1.501, 19), readme, record_stride=stride)
+    every = run(model, Mesh(1.501, 19), readme, record_stride=1)
+    flags = active_sides(every.u_tip, every.tip_lower, every.tip_upper) != INACTIVE
+    assert compare_runs([("s", traj)]).rows[0].contact_episodes == count_episodes(flags) == 103
     tight = BeamModel.symmetric_stops(282.84, 1.501, 0.002, phi)
     params = PenaltyParams(inv_eps=1e9, beta=0.25, dt=1.5e-5, T=0.1)
     every = run(tight, Mesh(1.501, 19), params, kind="penalty", record_stride=1)
