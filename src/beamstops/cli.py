@@ -208,7 +208,11 @@ def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) ->
         seen[value] = token
         members.append((i, token, child))
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_FAILURE
     payloads = _chunks(key, members, workers, str(out), force)
     workers = min(workers, len(payloads))
     if workers > 1:
@@ -232,9 +236,15 @@ def cmd_sweep(cfg, key: str, tokens: list[str], output_dir: str, force: bool) ->
             worst = EXIT_FAILURE if EXIT_FAILURE in (worst, code) else EXIT_VETO
     if rows:
         summary = RunComparison(rows=tuple(rows))
-        _write_atomic(out / "summary.csv", summary.to_csv())
-        _write_atomic(out / "summary.txt", summary.to_text())
-        print(f"wrote {out / 'summary.csv'} and {out / 'summary.txt'}")
+        for path, text in ((out / "summary.csv", summary.to_csv()),
+                           (out / "summary.txt", summary.to_text())):
+            try:
+                _write_atomic(path, text)
+            except OSError as exc:
+                print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+                worst = EXIT_FAILURE
+            else:
+                print(f"wrote {path}")
     return worst
 
 

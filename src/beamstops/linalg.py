@@ -309,6 +309,7 @@ class PenaltyTipSolver:
         self.full_factor = a.cholesky()
         # per member: (inv_eps, bump, factor of the bumped matrix)
         self.members = []
+        self.inv_eps = np.array([p.inv_eps for p in members])
         for p in members:
             bump = self.dt2 * self.beta * p.inv_eps
             bumped = a.with_diagonal_bump(index, bump).cholesky() if bump > 0.0 else self.full_factor
@@ -322,6 +323,15 @@ class PenaltyTipSolver:
         if tip < self.lower:
             return -inv_eps * (tip - self.lower)
         return 0.0
+
+    def springs(self, tips: np.ndarray) -> np.ndarray:
+        """:meth:`spring` of every member at once: (..., k) tips, member j in
+        the last axis, give their (..., k) forces, bit for bit (+0.0 inside
+        the stops and for a NaN tip, -0.0 * excess at inv_eps = 0)."""
+        above, below = tips > self.upper, tips < self.lower
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, as in spring
+            excess = np.where(above, tips - self.upper, tips - self.lower)
+            return np.where(above | below, -self.inv_eps * excess, 0.0)
 
     def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int):
         """u^{n+1} from F^n and the pair (u^{n-1}, u^n) of step ``n``.

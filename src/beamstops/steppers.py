@@ -25,7 +25,9 @@ ways to close the step at the stops:
 and calls the solver objects of :mod:`beamstops.linalg` (the banded
 factor, :class:`~beamstops.linalg.PinnedDofSolver`,
 :func:`~beamstops.linalg.pgs_box` or
-:class:`~beamstops.linalg.PenaltyTipSolver`) directly.  Penalty members
+:class:`~beamstops.linalg.PenaltyTipSolver`) directly.  Between contacts
+a signorini or linear run may instead step in closed form, in the modes
+of (S, M) (:class:`ModalBasis`).  Penalty members
 that differ only in inv_eps step through it together, as one block.  Runs
 are vetoed up front when dt exceeds the stability limit for the chosen
 beta (overridable with ``force``).
@@ -38,6 +40,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .diagnostics import INACTIVE, ContactAudit, active_sides, count_episodes, discrete_energy
 from .fem import (
@@ -165,6 +168,71 @@ def transfer_matrix(mass: BandedSpd, stiffness: BandedSpd, params) -> BandedSpd:
 
 
 # ---------------------------------------------------------------------------
+# free flight in closed form: the modal kernel's basis
+# ---------------------------------------------------------------------------
+
+#: The modal kernel's chunk: the most steps it sums before it reads the tips.
+MODAL_CHUNK = 256
+#: The worst relative eigen-residual ||S phi - kappa M phi|| / (kappa ||M phi||)
+#: of the modes that the modal kernel runs on.  Measured on the README model:
+#: 4.1e-9 at J=19, whose tip stays within 1.1e-11 m of the banded kernel's
+#: before the first impact, 2.9e-8 at J=40 (1.1e-10 m) and 3.0e-7 at J=80
+#: (9.5e-10 m), so only the coarse meshes qualify.
+MODAL_RESIDUAL_BOUND = 1e-8
+
+
+@dataclass(frozen=True)
+class ModalBasis:
+    """The M-orthonormal modes of (S, M) and the constants of a run's modal steps.
+
+    In the modes q = Phi^T M u the scheme is 2J scalar recurrences
+    q^{n+1} = c q^n - q^{n-1} + h^n with c = 2 cos(theta) and
+    h^n = Phi^T dt^2 G^n / a, a = 1 + dt^2 beta kappa.  With z = e^{i theta},
+    p^n = q^n - conj(z) q^{n-1} obeys p^{n+1} = z p^n + h^n, so a chunk of
+    m steps is p^j = z^j (p^0 + sum_{l<j} z^{-(l+1)} h^l), one cumulative
+    sum, and q^j = Re p^j + cot(theta) Im p^j.  Rows j - 1 of ``inverse``
+    and ``weights`` hold z^{-j} and z^j (1 - i cot(theta)) for
+    j = 1 .. :data:`MODAL_CHUNK`, so q^j = Re(weights_j (p^0 + sum ...)).
+    """
+
+    modes: np.ndarray  # Phi, one mode per column
+    project: np.ndarray  # Phi^T M: q = project @ u
+    load: np.ndarray  # Phi / a: h = dt^2 G @ load
+    inverse: np.ndarray
+    weights: np.ndarray
+    a_dense: np.ndarray
+    b_dense: np.ndarray
+
+
+def modal_basis(mass: BandedSpd, stiffness: BandedSpd, a_mat: BandedSpd, b_mat: BandedSpd,
+                params) -> ModalBasis | None:
+    """The modes of (S, M) for the modal kernel, or None where it must not run.
+
+    None when a mode has |c| >= 2, so its recurrence grows (a run forced
+    past its stability limit), or when the eigendecomposition is not
+    accurate enough: its worst relative eigen-residual exceeds
+    :data:`MODAL_RESIDUAL_BOUND`.  The dense eigendecomposition costs
+    O((2J)^3).
+    """
+    m, s = mass.to_dense(), stiffness.to_dense()
+    kappa, modes = scipy.linalg.eigh(s, m)
+    m_modes = m @ modes
+    residual = np.linalg.norm(s @ modes - m_modes * kappa, axis=0)
+    a = 1.0 + params.dt**2 * params.beta * kappa
+    half = 0.5 * params.dt * np.sqrt(kappa / a)  # sin(theta / 2); |c| < 2 is half < 1
+    worst = np.max(residual / (kappa * np.linalg.norm(m_modes, axis=0)))
+    if not (kappa.min() > 0.0 and half.max() < 1.0 and worst <= MODAL_RESIDUAL_BOUND):
+        return None
+    theta = 2.0 * np.arcsin(half)
+    powers = np.exp(1j * np.outer(np.arange(1, MODAL_CHUNK + 1), theta))
+    return ModalBasis(
+        modes=modes, project=m_modes.T, load=modes / a, inverse=powers.conj(),
+        weights=powers * (1.0 - 1j / np.tan(theta)),
+        a_dense=a_mat.to_dense(), b_dense=b_mat.to_dense(),
+    )
+
+
+# ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
@@ -261,11 +329,17 @@ def run(
     averages of phi'' and phi from it (``separable``) and form the loads
     with one rank-2 product per block; penalty runs and a callable
     ``f_tilde`` sample and scatter the load density of every window.  A
-    step makes two banded products, B u^n and A u^{n+1}, and writes
-    u^{n+1}, A u^{n+1} and F^n into block buffers; A u is carried with
-    the state.  Each member's Trajectory is made before the first step,
-    and one fold writes into it (``records``, extrema, contact episodes)
-    and into the audit, from one contact code per tip, and ends members:
+    kernel fills a load block's buffers with u^{n+1}, A u^{n+1} and F^n.
+    The banded kernel's step makes two banded products, B u^n and
+    A u^{n+1}, and carries A u with the state.  The modal kernel steps
+    free flight in chunks of closed-form modal steps (:class:`ModalBasis`)
+    and hands contact to the banded kernel; it serves one signorini member
+    with tip stops and linear runs, once the run is long enough to pay
+    for the eigendecomposition ((2J)^2 <= N) and :func:`modal_basis`
+    finds the modes stable and accurate.  Each member's Trajectory is
+    made before the first step, and one fold writes into it (``records``,
+    extrema, contact episodes) and into the audit, from one contact code
+    per tip, and ends members:
     it folds the starting pair (u^0, u^1) as the first pair of states,
     then each load block's states, the recorded rows in one vectorized
     pass (their energies make one product with S stacked over the rows).
@@ -444,9 +518,7 @@ def run(
             rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
             rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt).reshape(m, k)
             if penalty_solver is not None:
-                spring = penalty_solver.spring
-                rows[:, :, 4] = [[dt2 * spring(x, j) for j, x in enumerate(row)]
-                                 for row in tips[at].tolist()]
+                rows[:, :, 4] = dt2 * penalty_solver.springs(tips[at])
             elif resid is not None:
                 rows[:, 0, 4] = resid[at, tip]
             rows[:, :, 5] = viols[at]
@@ -496,6 +568,90 @@ def run(
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
             yield loads.from_coefficients(g) if separable else g
 
+    def banded(g_block, t0, r=2, until_free=False):
+        """The banded kernel: steps rows r .. of a load block, each by one step
+        closure call, and returns (rows stepped, the error a step raised or
+        None).  With ``until_free`` it stops after the first step whose tip
+        lies strictly inside the stops."""
+        steps = 0
+        for r, g_row in enumerate(g_block[r - 2 :], r):
+            f = f_rows[r]
+            b_stack.matvec(u_rows[r - 1], out=f)
+            f -= au_rows[r - 2]
+            g_rows[r] += g_row
+            try:
+                u_rows[r][:] = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
+            except Exception as exc:  # noqa: BLE001 - raised by run() unless every member has ended
+                return steps, exc
+            a_stack.matvec(u_rows[r], out=au_rows[r])
+            steps += 1
+            if until_free and lo < u_rows[r][tip] < hi:
+                break
+        return steps, None
+
+    # The modal kernel (one signorini member with tip stops, or a linear run)
+    # steps free flight in closed form.  Its eigendecomposition costs
+    # O((2J)^3), so it is tried only where the run's steps pay for it, and
+    # chosen at the first chunk: a run without one never computes it.  A
+    # chunk ends where the tip leaves [lo, hi], which a linear run ignores.
+    lo, hi = (tip_lo, tip_hi) if kind == "signorini" else (-math.inf, math.inf)
+    modal_ok = (kind == "linear" or kind == "signorini" and not distributed) and ndof**2 <= n_total
+    basis, pinned = None, False
+
+    def chunk(g_block, forcing, r, r_end):
+        """Modal steps for rows r .. r_end - 1 from the states of rows r - 2 and
+        r - 1.  Accepts the rows before the first whose tip leaves [lo, hi]
+        and fills their u, A u and (for the audit) F rows from those states;
+        returns how many it accepted."""
+        m = r_end - r
+        p = basis.inverse[:m] * forcing[r - 2 : r_end - 2]
+        np.cumsum(p, axis=0, out=p)
+        p += basis.project @ u_buf[r - 1] - basis.inverse[0] * (basis.project @ u_buf[r - 2])
+        w = basis.weights[:m]
+        q = np.multiply(w.real, p.real)
+        q -= np.multiply(w.imag, p.imag)
+        states = q @ basis.modes.T
+        tips = states[:, tip]
+        out = np.flatnonzero(~((tips >= lo) & (tips <= hi)))
+        n = int(out[0]) if out.size else m
+        u_buf[r : r + n] = states[:n]
+        np.matmul(u_buf[r : r + n], basis.a_dense, out=au_buf[r : r + n])
+        if kind == "signorini":
+            f = f_buf[r : r + n]
+            np.matmul(u_buf[r - 1 : r + n - 1], basis.b_dense, out=f)
+            f -= au_buf[r - 2 : r + n - 2]
+            f += g_block[r - 2 : r + n - 2]
+        return n
+
+    def modal(g_block, t0):
+        """The modal kernel: chunks of free flight, and the banded kernel for a
+        step whose tip left the stops and the pinned steps after it, until a
+        step is free.  Falls back to the banded kernel for the rest of the
+        run where :func:`modal_basis` gives no basis."""
+        nonlocal basis, pinned
+        rows, r, forcing = len(g_block) + 2, 2, None
+        while r < rows:
+            if pinned:
+                steps, raised = banded(g_block, t0, r, until_free=True)
+                r += steps
+                if raised is not None:
+                    return r - 2, raised
+                pinned = not lo < u_buf[r - 1, tip] < hi
+                continue
+            if basis is None:
+                basis = modal_basis(gm.mass, gm.stiffness, a_mat, b_mat, scheme) or False
+            if basis is False:
+                steps, raised = banded(g_block, t0, r)
+                return r - 2 + steps, raised
+            if forcing is None:  # the block's dt^2 G^n, projected once
+                forcing = g_block @ basis.load
+            r_end = min(r + MODAL_CHUNK, rows)
+            r += chunk(g_block, forcing, r, r_end)
+            pinned = r < r_end
+        return r - 2, None
+
+    kernel = modal if modal_ok else banded
+
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
         fold(0, 0, 1)  # the starting pair, shared by the members
@@ -503,19 +659,7 @@ def run(
         for g_block in () if all(done) else load_blocks():
             # a member whose state turns non-finite steps on in place: the
             # pads keep its columns away from the others, and the fold ends it
-            steps, raised = 0, None
-            for r, g_row in enumerate(g_block, 2):
-                f = f_rows[r]
-                b_stack.matvec(u_rows[r - 1], out=f)
-                f -= au_rows[r - 2]
-                g_rows[r] += g_row
-                try:
-                    u_rows[r][:] = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
-                except Exception as exc:  # noqa: BLE001 - raised below unless every member has ended
-                    raised = exc
-                    break
-                a_stack.matvec(u_rows[r], out=au_rows[r])
-                steps += 1
+            steps, raised = kernel(g_block, t0)
             fold(t0, 2, steps + 1)
             if all(done):
                 break

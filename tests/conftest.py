@@ -1,13 +1,22 @@
 """Shared helpers for the test suite: dense-to-banded conversion, random
 SPD builders, a brute-force box-QP oracle used to cross-check the
-production solvers, and a penalty step with an inconsistent contact
-branch."""
+production solvers, a penalty step with an inconsistent contact
+branch, and a fixture that pins run() to the banded kernel."""
 
 import itertools
 
 import numpy as np
+import pytest
 
+from beamstops import steppers
 from beamstops.linalg import BandedSpd, PenaltyTipSolver
+
+
+@pytest.fixture
+def banded_kernel(monkeypatch):
+    """Every run() steps with the banded kernel: the modal kernel's chooser
+    finds no basis.  For tests that pin the banded kernel's bits."""
+    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
 
 
 def from_dense(a, bw=None):

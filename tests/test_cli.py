@@ -282,6 +282,36 @@ def test_sweep_member_that_cannot_be_written_fails_alone(
     assert len(rows) == 1 and rows[0].startswith("dt=2.5e-5,")
 
 
+def test_sweep_summary_that_cannot_be_written_fails_with_a_message(
+    cfg_file, tmp_path, monkeypatch, capsys
+):
+    """A summary.csv path that is a directory fails the sweep with a
+    message; the member CSVs and summary.txt are still written."""
+    monkeypatch.setenv("BEAM_THREADS", "1")
+    cfg_file.write_text(PIPE_SHORT.replace("T = 0.05", "T = 0.002"))
+    out = tmp_path / "sweep"
+    (out / "summary.csv").mkdir(parents=True)
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "5e-5,2.5e-5",
+                 "--output-dir", str(out)])
+    assert code == 1
+    assert f"cannot write {out / 'summary.csv'}: " in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == [
+        "dt_2.5e-5.csv", "dt_5e-5.csv", "summary.csv", "summary.txt"]
+    assert (out / "summary.csv").is_dir()
+    assert len((out / "summary.txt").read_text().strip().split("\n")) == 3
+
+
+def test_sweep_output_dir_that_is_a_file_fails_with_a_message(cfg_file, tmp_path, capsys):
+    """``--output-dir F`` with F an existing file fails before any member runs."""
+    taken = tmp_path / "taken"
+    taken.write_text("keep me\n")
+    code = main(["sweep", str(cfg_file), "--key", "dt", "--values", "5e-5,2.5e-5",
+                 "--output-dir", str(taken)])
+    assert code == 1
+    assert f"cannot write {taken}: " in capsys.readouterr().err
+    assert taken.read_text() == "keep me\n"
+
+
 def test_sweep_chunks_come_from_the_swept_key():
     """Sweep members differ in the swept key alone: a dt sweep runs one
     member per chunk, and an inv_eps sweep is cut into at most one

@@ -345,7 +345,8 @@ def test_penalty_spring_sign_convention():
     assert solver.spring(0.05) == 0.0
 
 
-def test_penalty_zero_stiffness_is_linear_run():
+def test_penalty_zero_stiffness_is_linear_run(banded_kernel):
+    """Bit for bit the banded linear run: the penalty scheme steps banded."""
     mesh = Mesh(SMALL["L"], 3)
     model = small_model(g=0.02)
     free = small_model(g=np.inf)
@@ -945,10 +946,10 @@ def fresh_products_oracle(model, mesh, params, kind):
         ("linear", SchemeParams(beta=0.3, dt=1e-5, T=0.01)),
     ],
 )
-def test_carried_products_are_bit_identical_to_fresh_ones(kind, params):
-    """run() carries A u with the state (F two steps later, the audit, the
-    energy) and forms B u^n once per step; the rows are exactly those of a
-    loop that forms each product anew.  Each horizon runs past the tip's
+def test_carried_products_are_bit_identical_to_fresh_ones(banded_kernel, kind, params):
+    """run()'s banded kernel carries A u with the state (F two steps later,
+    the audit, the energy) and forms B u^n once per step; the rows are
+    exactly those of a loop that forms each product anew.  Each horizon runs past the tip's
     first arrival at a stop (t = 0.0068 s with g = 0.002).  The energies,
     which run() computes for a whole load block at a time, equal the
     pairwise ones, and the Signorini audit, which run() folds once per load
@@ -1176,3 +1177,144 @@ def test_linear_run_matches_modal_superposition():
     cross_num = traj.t[np.argmax(np.abs(traj.u_tip) >= 0.1)]
     cross_exact = traj.t[np.argmax(np.abs(tip_exact) >= 0.1)]
     assert abs(cross_num - cross_exact) <= 1e-4
+
+
+# ----------------------------------------------------------------- step kernels
+
+def chooser_spy(monkeypatch):
+    """The list of what every call of the modal kernel's chooser returned."""
+    chosen, choose = [], steppers.modal_basis
+
+    def spy(*args):
+        chosen.append(choose(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(steppers, "modal_basis", spy)
+    return chosen
+
+
+def refuse_eigendecompositions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigendecomposition was computed")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", refuse)
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear"])
+def test_modal_and_banded_kernels_agree_before_the_first_impact(monkeypatch, kind):
+    """The README run at J=19, cut to T=0.15, takes the modal kernel.  Its
+    tip stays within 1e-10 m of the banded kernel's until the banded run
+    first reaches a stop (row 1757); both Signorini runs carry a passing
+    certificate and a violation column of exact zeros."""
+    model, mesh, params = blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15)
+    chosen = chooser_spy(monkeypatch)
+    modal = run(model, mesh, params, kind=kind, record_stride=1)
+    assert len(chosen) == 1 and chosen[0] is not None
+    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
+    banded = run(model, mesh, params, kind=kind, record_stride=1)
+    impact = 1757
+    assert np.all(np.abs(banded.u_tip[:impact]) < 0.1) and abs(banded.u_tip[impact]) >= 0.1 - 1e-12
+    assert np.max(np.abs(modal.u_tip[:impact] - banded.u_tip[:impact])) <= 1e-10
+    if kind == "signorini":
+        for traj in (modal, banded):
+            traj.audit.check()
+            assert traj.max_violation == 0.0 and not traj.violation.any()
+            assert traj.contact_episodes >= 1
+
+
+def test_pipe_config_takes_the_modal_kernel(monkeypatch):
+    """The pipe workload's run (J=19, dt=5e-5, T=0.15, stride 2) steps its
+    free flight in modal chunks: the pinned solver sees only the steps
+    around contact, under a tenth of all steps."""
+    chosen = chooser_spy(monkeypatch)
+    pinned = []
+    solve = PinnedDofSolver.solve_with_case
+
+    def counted(self, f):
+        pinned.append(1)
+        return solve(self, f)
+
+    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", counted)
+    params = SchemeParams(0.5, 5e-5, 0.15)
+    traj = run(blow_up_model(), Mesh(1.501, 19), params, record_stride=2)
+    assert len(chosen) == 1 and chosen[0] is not None
+    assert 0 < len(pinned) < params.n_steps // 10
+    assert traj.audit.contact_steps > 0 and traj.max_violation == 0.0
+
+
+def test_an_inaccurate_basis_keeps_the_run_banded(monkeypatch):
+    """At J=80 the eigendecomposition's worst relative residual is about
+    3e-7, above MODAL_RESIDUAL_BOUND: a run long enough to try the modal
+    kernel ((2J)^2 = 25 600 <= N) steps banded, bit for bit."""
+    mesh, params = Mesh(1.501, 80), SchemeParams(0.5, 5e-5, 25600 * 5e-5)
+    chosen = chooser_spy(monkeypatch)
+    tried = run(blow_up_model(), mesh, params, record_stride=50)
+    assert chosen == [None]
+    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
+    banded = run(blow_up_model(), mesh, params, record_stride=50)
+    assert tried.to_csv() == banded.to_csv() and tried.audit == banded.audit
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear"])
+def test_a_fine_mesh_computes_no_eigendecomposition(monkeypatch, kind):
+    """At J=320 the (2J)^3 eigendecomposition would cost more than the
+    run's steps save, so the run never computes one."""
+    refuse_eigendecompositions(monkeypatch)
+    traj = run(blow_up_model(), Mesh(1.501, 320), SchemeParams(0.5, 5e-5, 0.02), kind=kind)
+    assert traj.t.size == 401
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear"])
+def test_a_run_forced_past_its_stability_limit_stays_banded(monkeypatch, kind):
+    """beta = 0 at dt = 1e-4 is far past the J=19 limit: some mode has
+    |c| >= 2 and would grow in the modal recurrence, so the chooser gives no
+    basis and the run blows up exactly as the banded kernel does."""
+    params = SchemeParams(0.0, 1e-4, 0.5)
+    chosen = chooser_spy(monkeypatch)
+    forced = run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True, record_stride=5)
+    assert chosen == [None]
+    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
+    banded = run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True, record_stride=5)
+    assert forced.to_csv() == banded.to_csv()
+    with pytest.raises(NonFiniteRecordError):
+        forced.require_finite()
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear"])
+def test_a_one_step_run_computes_no_eigendecomposition(monkeypatch, kind):
+    refuse_eigendecompositions(monkeypatch)
+    traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 5e-5), kind=kind)
+    assert traj.t.size == 2
+
+
+def test_penalty_springs_match_spring_bit_for_bit():
+    """The recorded penalty reactions take every member's springs at once;
+    they equal ``spring`` member by member, signed zeros included: +0.0
+    inside the stops and for a NaN tip, -0.0 * excess at inv_eps = 0."""
+    mesh = Mesh(SMALL["L"], 2)
+    gm = assemble(mesh, small_model(g=0.1))
+    members = [PenaltyParams(inv_eps=v, dt=0.01, T=1.0) for v in (0.0, 1e8, 3.0)]
+    a = effective_matrix(gm.mass, gm.stiffness, members[0])
+    solver = PenaltyTipSolver(a, DofMap(2).tip_disp, -0.1, 0.1, members)
+    values = [0.0, 0.05, -0.1, 0.1, 0.1 + 1e-17, 0.12, -0.12, -0.3, np.nan, np.inf, -np.inf]
+    tips = np.array([[x] * len(members) for x in values])
+    got = solver.springs(tips)
+    want = np.array([[solver.spring(x, j) for j in range(len(members))] for x in values])
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.signbit(got[5, 0]) and not np.signbit(got[6, 0]) and not np.signbit(got[8]).any()
+
+
+def test_a_step_that_raises_in_a_modal_run_ends_it(monkeypatch):
+    """The modal kernel hands the first impact of the pipe run (step 1757)
+    to the pinned solver; a solve that raises there ends the run with its
+    error, as it ends a banded run."""
+    chosen = chooser_spy(monkeypatch)
+
+    def fail(self, f):
+        raise ArithmeticError("pinned solve failed")
+
+    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", fail)
+    with pytest.raises(ArithmeticError, match="pinned solve failed"):
+        run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15), record_stride=2)
+    assert len(chosen) == 1 and chosen[0] is not None

@@ -2,13 +2,19 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 414
-lines in about 15 s.  Running it on two checkouts and diffing the
-outputs shows whether a change kept every trajectory bit for bit.  A
-line names the case and then gives the SHA-256 of ``to_csv()``, the row
-count, the extrema, the tip's range, the contact episodes,
-``repr(audit)`` and the stability verdict, or the type and text of the
-error the run raised.  There is no golden file: the last bits depend on
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 470
+lines in about 20 s.  Every case runs with the banded kernel pinned (the
+modal kernel's chooser, ``steppers.modal_basis``, patched to find no
+basis), so running it on two checkouts and diffing the outputs shows
+whether a change kept every banded trajectory bit for bit.  A line names
+the case and then gives the SHA-256 of ``to_csv()``, the row count, the
+extrema, the tip's range, the contact episodes, ``repr(audit)`` and the
+stability verdict, or the type and text of the error the run raised.
+Each of the 28 cases that takes the modal kernel when left to choose
+gets one more line, ``<case> modal``, with the modal run's largest tip
+gap to the banded run over their common records, its row count and
+``repr(audit)``.  A checkout without the modal kernel prints the 442
+banded lines alone.  There is no golden file: the last bits depend on
 the BLAS build, so only two checkouts on one machine compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
@@ -18,7 +24,10 @@ the forced PGS obstacle, a callable load, T = 0, one-step runs, a start
 at rest on a stop and a non-finite starting pair, at strides 1 to 7, 20
 and 40; and for the contact path the stops pick, signorini without stops
 (g = inf), an unforced PGS obstacle and a callable obstacle that bounds
-one node alone.  Each runs at the default load blocks and at 16-row blocks
+one node alone; and, long enough to take the modal kernel at J=19, the
+README run cut to T = 0.15, 0.05 s runs between the 2 mm stops with and
+without a callable load, a start on a stop and a beta = 0.3 run.  Each
+runs at the default load blocks and at 16-row blocks
 (``fem.LOAD_BLOCK_SAMPLES = 1``).
 """
 
@@ -35,7 +44,7 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 
 import numpy as np  # noqa: E402
 
-from beamstops import fem, linalg  # noqa: E402
+from beamstops import fem, linalg, steppers  # noqa: E402
 from beamstops.fem import BeamModel, DofMap, Mesh, SupportMotion  # noqa: E402
 from beamstops.steppers import PenaltyParams, PenaltyTipSolver, SchemeParams, run  # noqa: E402
 
@@ -108,6 +117,8 @@ def picky_solve(self, rhs):
 
 
 ADVANCE, SOLVE = PenaltyTipSolver.advance, linalg.BandedCholesky.solve
+#: the modal kernel's chooser; a checkout without one steps every run banded
+CHOOSER = getattr(steppers, "modal_basis", None)
 
 
 def describe(result) -> str:
@@ -120,16 +131,52 @@ def describe(result) -> str:
             f"audit={result.audit!r} stability={result.stability.verdict}")
 
 
-def emit(case: str, call) -> None:
+def outcome(call):
     try:
-        out = call()
+        return call()
     except Exception as exc:  # noqa: BLE001 - the error is the case's output
-        out = exc
+        return exc
+
+
+def tip_gap(banded, modal) -> str:
+    """The modal run's largest tip gap to the banded one, over their common
+    records, and its audit; or the modal run's own digest where a run raised."""
+    if isinstance(banded, Exception) or isinstance(modal, Exception):
+        return describe(modal)
+    n = min(banded.t.size, modal.t.size)
+    gap = float(np.max(np.abs(modal.u_tip[:n] - banded.u_tip[:n]), initial=0.0))
+    return f"tip_gap={gap!r} rows={modal.t.size} audit={modal.audit!r}"
+
+
+def emit(case: str, call) -> None:
+    """Print the case's digest lines with the banded kernel pinned, and, if
+    the case takes the modal kernel, one more line comparing the two."""
+    asked, chosen = [], []
+
+    def banded_only(*args):
+        asked.append(True)
+        return None
+
+    def modal(*args):
+        basis = CHOOSER(*args)
+        chosen.append(basis is not None)
+        return basis
+
+    if CHOOSER is None:  # a checkout without the modal kernel
+        out = outcome(call)
+    else:
+        with patched(steppers, "modal_basis", banded_only):
+            out = outcome(call)
     if isinstance(out, list):
         for j, result in enumerate(out):
             print(f"{case}[{j}] {describe(result)}")
     else:
         print(f"{case} {describe(out)}")
+    if asked:
+        with patched(steppers, "modal_basis", modal):
+            other = outcome(call)
+        if any(chosen):
+            print(f"{case} modal {tip_gap(out, other)}")
 
 
 def penalty_cases(blocks: str) -> None:
@@ -250,11 +297,34 @@ def contact_path_cases(blocks: str) -> None:
          lambda: run(one_node, MESH, SchemeParams(0.5, 5e-5, 0.05), record_stride=1))
 
 
+def modal_cases(blocks: str) -> None:
+    # long enough to pay for an eigendecomposition at J=19: (2J)^2 <= N
+    for stride in (1, 2):
+        for kind in ("signorini", "linear"):
+            emit(f"{blocks} pipe {kind} stride={stride}",
+                 lambda: run(PIPE, MESH, SchemeParams(0.5, 5e-5, 0.15), kind=kind,
+                             record_stride=stride))
+    for model, name in ((TIGHT, "plain"), (TIGHT_LOADED, "f_tilde")):
+        for stride in (1, 7):
+            for kind in ("signorini", "linear"):
+                emit(f"{blocks} {name} long {kind} stride={stride}",
+                     lambda: run(model, MESH, SchemeParams(0.5, 1.5e-5, 0.05), kind=kind,
+                                 record_stride=stride))
+    dofs = DofMap(MESH.J)
+    on_stop, leaving = np.zeros(dofs.ndof), np.zeros(dofs.ndof)
+    on_stop[dofs.tip_disp], leaving[dofs.tip_disp] = 0.002, -10.0
+    emit(f"{blocks} long start on stop signorini",
+         lambda: run(TIGHT, MESH, SchemeParams(0.5, 1.5e-5, 0.05), u0=on_stop, v0=leaving,
+                     record_stride=1))
+    emit(f"{blocks} long beta=0.3 signorini",
+         lambda: run(TIGHT, MESH, SchemeParams(0.3, 1e-5, 0.05), record_stride=3))
+
+
 def main() -> None:
     for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
         with patched(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
             for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases,
-                          contact_path_cases):
+                          contact_path_cases, modal_cases):
                 cases(blocks)
 
 
