@@ -214,14 +214,24 @@ class BandedCholesky:
         self.n = n
         self.bw = bw
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        if rhs.shape[0] != self.n:
-            raise ValueError(
-                f"rhs length {rhs.shape[0]} does not match system size {self.n}"
-            )
-        x, info = _pbtrs(self.cb, rhs, lower=0)
+    def solve(self, rhs: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """A^{-1} rhs, one column per right-hand side.
+
+        With ``in_place`` the solution overwrites ``rhs`` and ``rhs`` is
+        returned.  It is then a contiguous float vector or an F-ordered
+        (ldb x k) float block with ldb >= n, whose rows from n on are left
+        as they are: the padded (k x width) member block of
+        :func:`~beamstops.steppers.run`, seen as (width x k), is one.
+        """
+        rows = rhs.shape[0]
+        if rows < self.n or rows > self.n and not in_place:
+            raise ValueError(f"rhs length {rows} does not match system size {self.n}")
+        # positional (lower, ldab, overwrite_b): keyword parsing costs a third of a solve
+        x, info = _pbtrs(self.cb, rhs, 0, self.cb.shape[0], in_place)
         if info != 0:  # pragma: no cover - pbtrs only fails on bad inputs
             raise RuntimeError(f"pbtrs failed with info={info}")
+        if in_place and x is not rhs:
+            raise ValueError("an in-place solve needs an F-ordered float64 right-hand side")
         return x
 
 
@@ -333,51 +343,66 @@ class PenaltyTipSolver:
             excess = np.where(above, tips - self.upper, tips - self.lower)
             return np.where(above | below, -self.inv_eps * excess, 0.0)
 
-    def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int):
-        """u^{n+1} from F^n and the pair (u^{n-1}, u^n) of step ``n``.
+    def history(self, member: int, tip_prev: float, tip_curr: float) -> float:
+        """dt^2 times the springs' explicit part of one member's step, which
+        ``advance`` adds to its tip entry of F^n."""
+        return self.dt2 * (
+            (1.0 - 2.0 * self.beta) * self.spring(tip_curr, member)
+            + self.beta * self.spring(tip_prev, member)
+        )
+
+    def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Write u^{n+1} of step ``n`` into ``out`` from F^n and (u^{n-1}, u^n); returns ``out``.
 
         The float arrays are flat blocks of the k members: member j's
         vector is entries [j w, j w + 2J), w = len / k, and any rest of
         its w entries is zero padding (one member: its plain vectors).
-        One multi-RHS solve with A serves every member; a member whose
-        tip left the stops is solved again with its bumped factor.
-        Returns u^{n+1} in the same layout.  A member whose bumped tip
-        falls on the free side of its stop has no consistent contact
-        case: its 2J entries of u^{n+1} are NaN, and its pad stays zero,
-        so the run's record check ends it and no other member sees it.
-        Non-finite entries never make this method raise.
+        ``out`` (a new zero block if None) takes the members' entries of
+        F^n plus the springs' explicit part at the tips, its pads stay
+        zero, and one in-place multi-RHS solve with A serves every member.
+        That part is +0.0, added to every tip at once (it turns a -0.0
+        into +0.0), unless a tip of u^{n-1} or u^n is past a stop (a NaN
+        tip is not): only then is :meth:`spring` called.  A member whose
+        new tip is past a stop is solved again with its bumped factor,
+        from its entries of F^n.  If that tip falls on the free side of
+        its stop, no contact case is consistent: its 2J entries turn NaN
+        and its pad stays zero, so the run's record check ends it and no
+        other member sees it.  Non-finite entries never make this method
+        raise.
         """
-        c, lower, upper, beta = self.index, self.lower, self.upper, self.beta
+        c, lower, upper = self.index, self.lower, self.upper
         k, ndof = len(self.members), self.full_factor.n
         width = f_n.shape[0] // k
-        base = f_n.copy()
-        tips_curr = u_curr[c::width].tolist()
-        tips_prev = u_prev[c::width].tolist()
-        for m in range(k):
-            hist = (1.0 - 2.0 * beta) * self.spring(tips_curr[m], m) + beta * self.spring(
-                tips_prev[m], m
-            )
-            base[m * width + c] += self.dt2 * hist
-        u = np.zeros(k * width)
-        rows = self.full_factor.solve(base.reshape(k, width)[:, :ndof].T)
-        u.reshape(k, width)[:, :ndof] = rows.T
-        for m, tip in enumerate(u[c::width].tolist()):
-            _, bump, bumped = self.members[m]
+        if out is None:
+            out = np.zeros(k * width)
+        block = out.reshape(k, width)
+        block[:, :ndof] = f_n.reshape(k, width)[:, :ndof]
+        tips = out[c::width]
+        tips += 0.0
+        tips_prev, tips_curr = u_prev[c::width].tolist(), u_curr[c::width].tolist()
+        for m, (tip_prev, tip_curr) in enumerate(zip(tips_prev, tips_curr)):
+            if tip_prev > upper or tip_prev < lower or tip_curr > upper or tip_curr < lower:
+                tips[m] = f_n[m * width + c] + self.history(m, tip_prev, tip_curr)
+        self.full_factor.solve(block.T, True)
+        for m, tip in enumerate(tips.tolist()):
             # a NaN tip steps on: the run's record check names the blow-up
-            if bump == 0.0 or not (tip > upper or tip < lower):
+            if not (tip > upper or tip < lower):
+                continue
+            _, bump, bumped = self.members[m]
+            if bump == 0.0:
                 continue
             bound = upper if tip > upper else lower
             o = m * width
-            base[o + c] += bump * bound
-            u2 = bumped.solve(base[o : o + ndof])
+            u = out[o : o + ndof]
+            u[:] = f_n[o : o + ndof]
+            u[c] += self.history(m, tips_prev[m], tips_curr[m])
+            u[c] += bump * bound
+            tip = bumped.solve(u, True)[c]
             tiny = 1e-12 * max(1.0, abs(bound))
-            if (bound == upper and u2[c] >= bound - tiny) or (
-                bound == lower and u2[c] <= bound + tiny
-            ):
-                u[o : o + ndof] = u2
-            else:
-                u[o : o + ndof] = np.nan
-        return u
+            if not (bound == upper and tip >= bound - tiny or bound == lower and tip <= bound + tiny):
+                u[:] = np.nan
+        return out
 
 
 def pgs_box(

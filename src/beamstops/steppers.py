@@ -331,10 +331,13 @@ def run(
     ``f_tilde`` sample and scatter the load density of every window.  A
     kernel fills a load block's buffers with u^{n+1}, A u^{n+1} and F^n.
     The banded kernel's step makes two banded products, B u^n and
-    A u^{n+1}, and carries A u with the state.  The modal kernel steps
-    free flight in chunks of closed-form modal steps (:class:`ModalBasis`)
-    and hands contact to the banded kernel; it serves one signorini member
-    with tip stops and linear runs, once the run is long enough to pay
+    A u^{n+1}, carries A u with the state, and calls the run's step
+    closure, step(F^n, u^{n-1}, u^n, n, out), which writes u^{n+1} into
+    ``out``, its buffer row, and allocates nothing in the penalty and
+    linear closures.  The modal kernel steps free flight in chunks of
+    closed-form modal steps (:class:`ModalBasis`) and hands contact to
+    the banded kernel; it serves one signorini member with tip stops and
+    linear runs, once the run is long enough to pay
     for the eigendecomposition ((2J)^2 <= N) and :func:`modal_basis`
     finds the modes stable and accurate.  Each member's Trajectory is
     made before the first step, and one fold writes into it (``records``,
@@ -354,11 +357,11 @@ def run(
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
     step as one (k x 2J) block: per step one product call for each of
-    B U and A U and one multi-RHS solve serve all of them, and only the
-    tip work is per member.  The result is then a list with each
-    member's Trajectory; each member's rows are bit-identical to its own
-    run, and its ``wall_time`` is the block's divided by k.  One
-    ``params`` gives its Trajectory.
+    B U and A U and one in-place multi-RHS solve serve all of them, and
+    only a member with a tip past a stop gets per-member tip work.  The
+    result is then a list with each member's Trajectory; each member's
+    rows are bit-identical to its own run, and its ``wall_time`` is the
+    block's divided by k.  One ``params`` gives its Trajectory.
     """
     t_begin = time.perf_counter()
     members = list(params) if isinstance(params, (list, tuple)) else [params]
@@ -409,34 +412,36 @@ def run(
     width = ndof + pad
     a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
 
-    # step closure: step(F^n, u^{n-1}, u^n, n) -> u^{n+1}.  Members that
-    # have ended step on with the others, so their non-finite entries must
-    # not make a step raise.
+    # step closure: step(F^n, u^{n-1}, u^n, n, out) writes u^{n+1} into
+    # ``out``, the state's buffer row, whose pads it leaves zero.  Members
+    # that have ended step on with the others, so their non-finite entries
+    # must not make a step raise.
     distributed = not model.tip_only
     contact_audit = None
     penalty_solver = None
     if kind == "linear":
         factor = a_mat.cholesky()
 
-        def step(f, up, uc, n):
-            return factor.solve(f)
+        def step(f, up, uc, n, out):
+            out[:] = f
+            factor.solve(out, True)
 
     elif kind == "penalty":
         penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
         step = penalty_solver.advance
 
     elif distributed:
-        def step(f, up, uc, n):
+        def step(f, up, uc, n, out):
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
-            return pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
+            out[:] = pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
 
     else:
         direct_solver = PinnedDofSolver(a_mat, tip, tip_lo, tip_hi)
         contact_audit = ContactAudit()
 
-        def step(f, up, uc, n):
-            return direct_solver.solve_with_case(f)[0]
+        def step(f, up, uc, n, out):
+            out[:] = direct_solver.solve_with_case(f)[0]
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
@@ -469,8 +474,8 @@ def run(
     f_buf = np.empty((block_steps + 2 if kind == "signorini" else 1, k * width))
     u_rows, au_rows = list(u_buf), list(au_buf)
     f_rows = list(f_buf) if kind == "signorini" else [f_buf[0]] * (block_steps + 2)
-    # the load is added to the members' DOFs, not to the pads between them
-    g_rows = f_rows if pad == 0 else [f.reshape(k, width)[:, :ndof] for f in f_rows]
+    # a padded block's loads in the layout of its states, pads zero (load_blocks)
+    g_wide = np.zeros((block_steps, k * width)) if pad else None
     for r, u in enumerate(start_pair):
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
@@ -556,7 +561,10 @@ def run(
         each block carries the last two windows of the one before; memory
         stays at one block whatever the horizon.  Separable loads carry
         and combine the windows' (phi'', phi) coefficients, and one
-        rank-2 product per block turns them into dt^2 G^n.
+        rank-2 product per block turns them into dt^2 G^n.  A padded
+        block gets each row copied to every member in the states' (k w)
+        layout, in one buffer for the run, so a step adds one contiguous
+        row.
         """
         if n_total < 2:
             return
@@ -566,7 +574,12 @@ def run(
             ns = np.arange(w0, w1)
             f = np.concatenate((f[-2:], loads.time_averaged(ns, dt, horizon, separable=separable)))
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
-            yield loads.from_coefficients(g) if separable else g
+            if separable:
+                g = loads.from_coefficients(g)
+            if pad:
+                g_wide[: len(g)].reshape(len(g), k, width)[:, :, :ndof] = g[:, None]
+                g = g_wide[: len(g)]
+            yield g
 
     def banded(g_block, t0, r=2, until_free=False):
         """The banded kernel: steps rows r .. of a load block, each by one step
@@ -578,9 +591,9 @@ def run(
             f = f_rows[r]
             b_stack.matvec(u_rows[r - 1], out=f)
             f -= au_rows[r - 2]
-            g_rows[r] += g_row
+            f += g_row
             try:
-                u_rows[r][:] = step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1)
+                step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1, u_rows[r])
             except Exception as exc:  # noqa: BLE001 - raised by run() unless every member has ended
                 return steps, exc
             a_stack.matvec(u_rows[r], out=au_rows[r])

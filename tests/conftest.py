@@ -109,8 +109,8 @@ class _FreeTipFactor:
     def __init__(self, factor, index):
         self.factor, self.index = factor, index
 
-    def solve(self, rhs):
-        u = self.factor.solve(rhs)
+    def solve(self, rhs, *rest):
+        u = self.factor.solve(rhs, *rest)
         u[self.index] = 0.0
         return u
 
@@ -122,14 +122,14 @@ def wrong_branch_advance(inv_eps, step):
     contact case there, and every other call is the real one."""
     advance = PenaltyTipSolver.advance
 
-    def wrong_branch(self, f_n, u_prev, u_curr, n):
+    def wrong_branch(self, f_n, u_prev, u_curr, n, *out):
         if n != step:
-            return advance(self, f_n, u_prev, u_curr, n)
+            return advance(self, f_n, u_prev, u_curr, n, *out)
         saved = list(self.members)
         self.members[:] = [(value, bump, _FreeTipFactor(bumped, self.index) if value == inv_eps
                             else bumped) for value, bump, bumped in saved]
         try:
-            return advance(self, f_n, u_prev, u_curr, n)
+            return advance(self, f_n, u_prev, u_curr, n, *out)
         finally:
             self.members[:] = saved
 

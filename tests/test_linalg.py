@@ -132,7 +132,10 @@ def test_batched_calls_are_bit_identical_to_single_member_calls(J):
     one product with the stacked matrix give each member exactly the bits
     of its own call, also written in place into a row of a buffer that is
     a column slice of a wider one.  Members of widely different scales,
-    as in a sweep."""
+    as in a sweep.  The solve also runs in place on the padded (k x width)
+    block seen as the F-ordered (width x k) one, whose pad entries keep
+    what they held, and on one plain vector; a block with fewer than n
+    rows, or one that is not F-ordered, is rejected."""
     rng = np.random.default_rng(J)
     a, b, s = beam_matrices(J)
     factor = a.cholesky()
@@ -144,6 +147,13 @@ def test_batched_calls_are_bit_identical_to_single_member_calls(J):
         block[:, :n] = members
         solved = factor.solve(members.T).T
         assert np.array_equal(solved, np.array([factor.solve(u) for u in members]))
+        in_place = np.full((k, n + a.bw), 7.0)
+        in_place[:, :n] = members
+        view = in_place.T
+        assert factor.solve(view, True) is view
+        assert np.array_equal(in_place[:, :n], solved) and np.all(in_place[:, n:] == 7.0)
+        row = members[0].copy()
+        assert factor.solve(row, True) is row and np.array_equal(row, solved[0])
         for mat in (a, b, s):
             stacked = mat.stacked(k, pad)
             assert stacked.n == k * (n + pad)
@@ -152,6 +162,10 @@ def test_batched_calls_are_bit_identical_to_single_member_calls(J):
             rows = np.full((3, stacked.n + 7), np.nan)[:, : stacked.n]
             stacked.matvec(block.ravel(), out=rows[1])
             assert np.array_equal(rows[1].reshape(k, n + pad)[:, :n], product)
+    with pytest.raises(ValueError, match="does not match"):
+        factor.solve(np.zeros((n - 1, 2), order="F"), True)
+    with pytest.raises(ValueError, match="F-ordered"):
+        factor.solve(np.zeros((n + a.bw, 2)), True)
 
 
 def test_stacked_product_isolates_a_blown_up_member():

@@ -345,6 +345,65 @@ def test_penalty_spring_sign_convention():
     assert solver.spring(0.05) == 0.0
 
 
+def test_penalty_step_adds_the_zero_history_term_with_its_sign():
+    """With every tip at rest the springs' explicit part is +0.0, and adding
+    it to an F^n of -0.0 turns the tip entry into +0.0: ``advance`` returns
+    the bits of A^{-1}(F + 0.0 e_c), whose signs alternate, not those of
+    A^{-1} F.  Alone and as the middle member of three, whose pads of F
+    hold NaN: only the members' entries of F are read, and the pads of
+    u^{n+1} stay zero."""
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    gm = assemble(Mesh(1.501, 19), model)
+    members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e9)]
+    a = effective_matrix(gm.mass, gm.stiffness, members[0])
+    c, ndof, factor = DofMap(19).tip_disp, a.n, a.cholesky()
+    f = np.full(ndof, -0.0)
+    rhs = f.copy()
+    rhs[c] += 0.0
+    want = np.signbit(factor.solve(rhs))
+    assert not np.array_equal(want, np.signbit(factor.solve(f)))
+    rest = np.zeros(ndof)
+    alone = PenaltyTipSolver(a, c, -0.002, 0.002, members[1]).advance(f, rest, rest, 1)
+    assert not alone.any() and np.array_equal(np.signbit(alone), want)
+    width = ndof + a.bw
+    block = np.full((3, width), np.nan)
+    block[:, :ndof] = f
+    out = np.zeros(3 * width)
+    solver = PenaltyTipSolver(a, c, -0.002, 0.002, members)
+    assert solver.advance(block.ravel(), np.zeros(3 * width), np.zeros(3 * width), 1, out) is out
+    out = out.reshape(3, width)
+    assert not out.any() and not np.signbit(out[:, ndof:]).any()
+    assert np.array_equal(np.signbit(out[1, :ndof]), want)
+
+
+def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop(monkeypatch):
+    """Off the stops the springs' explicit part is 0.0 without a ``spring``
+    call: a block of four that ends before the first contact (t = 0.0068 s)
+    calls it never.  A member whose state turned NaN counts as off the
+    stops, so once the 1e300 member has ended (step 543) it makes no more
+    calls, and the calls of the members beside it are those they make
+    without it."""
+    calls = []
+    spring = PenaltyTipSolver.spring
+
+    def counted(self, tip, member=0):
+        calls.append(self.members[member][0])
+        return spring(self, tip, member)
+
+    monkeypatch.setattr(PenaltyTipSolver, "spring", counted)
+    run(*penalty_members(0.25, 1.5e-5, 0.0065, [1e6, 1e7, 1e8, 1e9]), kind="penalty")
+    assert calls == []
+    counts = {}
+    for T, values in ((0.03, [1e6, 1e300, 1e9]), (0.0077, [1e300]), (0.03, [1e6, 1e9])):
+        calls.clear()
+        run(*penalty_members(0.2, 1.4e-5, T, values), kind="penalty")
+        counts[T, len(values)] = {v: calls.count(v) for v in values}
+    block = counts[0.03, 3]
+    assert block[1e300] == counts[0.0077, 1][1e300] > 0
+    assert {v: block[v] for v in (1e6, 1e9)} == counts[0.03, 2]
+    assert min(counts[0.03, 2].values()) > 0
+
+
 def test_penalty_zero_stiffness_is_linear_run(banded_kernel):
     """Bit for bit the banded linear run: the penalty scheme steps banded."""
     mesh = Mesh(SMALL["L"], 3)
@@ -723,10 +782,10 @@ def test_a_step_error_counts_only_before_a_non_finite_record(monkeypatch, block_
     plain = blow_up(1)
     solve = linalg.BandedCholesky.solve
 
-    def picky(self, rhs):
+    def picky(self, rhs, *in_place):
         if not np.abs(rhs).max() < 1e156:
             raise ArithmeticError("right-hand side too large")
-        return solve(self, rhs)
+        return solve(self, rhs, *in_place)
 
     monkeypatch.setattr(linalg.BandedCholesky, "solve", picky)
     ended = blow_up(1)
@@ -809,10 +868,10 @@ def test_a_step_that_raises_ends_a_block_run(monkeypatch, block_samples):
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
     advance = PenaltyTipSolver.advance
 
-    def raising(self, f_n, u_prev, u_curr, n):
+    def raising(self, f_n, u_prev, u_curr, n, *out):
         if n == 600:
             raise ArithmeticError(f"step {n} raised")
-        return advance(self, f_n, u_prev, u_curr, n)
+        return advance(self, f_n, u_prev, u_curr, n, *out)
 
     model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
     solo = run(model, mesh, members[1], kind="penalty", record_stride=7)

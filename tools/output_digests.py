@@ -2,7 +2,7 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 470
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 478
 lines in about 20 s.  Every case runs with the banded kernel pinned (the
 modal kernel's chooser, ``steppers.modal_basis``, patched to find no
 basis), so running it on two checkouts and diffing the outputs shows
@@ -13,16 +13,16 @@ stability verdict, or the type and text of the error the run raised.
 Each of the 28 cases that takes the modal kernel when left to choose
 gets one more line, ``<case> modal``, with the modal run's largest tip
 gap to the banded run over their common records, its row count and
-``repr(audit)``.  A checkout without the modal kernel prints the 442
+``repr(audit)``.  A checkout without the modal kernel prints the 450
 banded lines alone.  There is no golden file: the last bits depend on
 the BLAS build, so only two checkouts on one machine compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
-stepped as one block, blow-ups, a penalty step whose bumped solve
-returns the wrong contact branch (alone and in a block), a raising step,
-the forced PGS obstacle, a callable load, T = 0, one-step runs, a start
-at rest on a stop and a non-finite starting pair, at strides 1 to 7, 20
-and 40; and for the contact path the stops pick, signorini without stops
+stepped as one block (one of them holds a zero-stiffness member),
+blow-ups, a penalty step whose bumped solve returns the wrong contact
+branch (alone and in a block), a raising step, the forced PGS obstacle,
+a callable load, T = 0, one-step runs, a start at rest on a stop and a
+non-finite starting pair, at strides 1 to 7, 20 and 40; and for the contact path the stops pick, signorini without stops
 (g = inf), an unforced PGS obstacle and a callable obstacle that bounds
 one node alone; and, long enough to take the modal kernel at J=19, the
 README run cut to T = 0.15, 0.05 s runs between the 2 mm stops with and
@@ -84,36 +84,40 @@ class FreeTipFactor:
     def __init__(self, factor, index):
         self.factor, self.index = factor, index
 
-    def solve(self, rhs):
-        u = self.factor.solve(rhs)
+    def solve(self, rhs, *rest):
+        u = self.factor.solve(rhs, *rest)
         u[self.index] = 0.0
         return u
 
 
-def wrong_branch_advance(self, f_n, u_prev, u_curr, n):
+# The wrappers pass on any arguments past the ones they read, so that they
+# run on checkouts whose step and solve take more (an ``out`` row, an
+# in-place flag) and on those that take none.
+
+def wrong_branch_advance(self, f_n, u_prev, u_curr, n, *rest):
     """The penalty step, whose bumped solve for the 1e6 member at step 500,
     while its tip presses a stop, returns the tip on the wrong side of it."""
     if n != 500:
-        return ADVANCE(self, f_n, u_prev, u_curr, n)
+        return ADVANCE(self, f_n, u_prev, u_curr, n, *rest)
     saved = list(self.members)
     self.members[:] = [(value, bump, FreeTipFactor(bumped, self.index) if value == 1e6 else bumped)
                        for value, bump, bumped in saved]
     try:
-        return ADVANCE(self, f_n, u_prev, u_curr, n)
+        return ADVANCE(self, f_n, u_prev, u_curr, n, *rest)
     finally:
         self.members[:] = saved
 
 
-def raising_advance(self, f_n, u_prev, u_curr, n):
+def raising_advance(self, f_n, u_prev, u_curr, n, *rest):
     if n == 600:
         raise ArithmeticError(f"step {n} raised")
-    return ADVANCE(self, f_n, u_prev, u_curr, n)
+    return ADVANCE(self, f_n, u_prev, u_curr, n, *rest)
 
 
-def picky_solve(self, rhs):
+def picky_solve(self, rhs, *rest):
     if not np.abs(rhs).max() < 1e156:
         raise ArithmeticError("right-hand side too large")
-    return SOLVE(self, rhs)
+    return SOLVE(self, rhs, *rest)
 
 
 ADVANCE, SOLVE = PenaltyTipSolver.advance, linalg.BandedCholesky.solve
@@ -195,6 +199,11 @@ def penalty_cases(blocks: str) -> None:
                  lambda: run(TIGHT, MESH, params[0], kind="penalty", record_stride=stride))
             emit(f"{blocks} wrong-branch block stride={stride}",
                  lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
+    # a zero spring is -0.0 * excess past a stop, which leaves a -0.0 entry of F as it is
+    zero = members(0.25, 1.5e-5, [0.0, 1e7])
+    for stride in (1, 7):
+        emit(f"{blocks} zero-stiffness block stride={stride}",
+             lambda: run(TIGHT, MESH, zero, kind="penalty", record_stride=stride))
     with patched(PenaltyTipSolver, "advance", raising_advance):
         emit(f"{blocks} raising block", lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=7))
         emit(f"{blocks} raising ended block",
