@@ -277,18 +277,24 @@ class PinnedDofSolver:
         e_c = np.zeros(a.n)
         e_c[index] = 1.0
         self._w = self.full_factor.solve(e_c)
+        self._step = np.empty(a.n)  # the contact case's move along w
 
-    def solve_with_case(self, f: np.ndarray):
-        """Solution plus which case fired: -1 lower stop, 0 free, +1 upper."""
-        u = self.full_factor.solve(f)
-        uc = u[self.index]
-        if self.lower <= uc <= self.upper:
-            return u, 0
+    def solve_with_case(self, f: np.ndarray, out: np.ndarray):
+        """Write the solution into ``out`` (a contiguous float vector); returns
+        ``out`` and the case that fired: -1 lower stop, 0 free, +1 upper.
+        A NaN at c is free, as in :class:`PenaltyTipSolver`; so is every
+        solution under open stops (-inf, +inf), a linear run's step."""
+        out[:] = f
+        self.full_factor.solve(out, True)
+        uc = out[self.index]
+        if not (uc > self.upper or uc < self.lower):
+            return out, 0
         case = 1 if uc > self.upper else -1
         bound = self.upper if case == 1 else self.lower
-        u += ((bound - uc) / self._w[self.index]) * self._w
-        u[self.index] = bound
-        return u, case
+        np.multiply(self._w, (bound - uc) / self._w[self.index], out=self._step)
+        out += self._step
+        out[self.index] = bound
+        return out, case
 
 
 class PenaltyTipSolver:
@@ -352,15 +358,16 @@ class PenaltyTipSolver:
         )
 
     def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray) -> np.ndarray:
         """Write u^{n+1} of step ``n`` into ``out`` from F^n and (u^{n-1}, u^n); returns ``out``.
 
         The float arrays are flat blocks of the k members: member j's
         vector is entries [j w, j w + 2J), w = len / k, and any rest of
         its w entries is zero padding (one member: its plain vectors).
-        ``out`` (a new zero block if None) takes the members' entries of
-        F^n plus the springs' explicit part at the tips, its pads stay
-        zero, and one in-place multi-RHS solve with A serves every member.
+        ``out``, a block of the same layout with zero pads, takes the
+        members' entries of F^n plus the springs' explicit part at the
+        tips, its pads stay zero, and one in-place multi-RHS solve with A
+        serves every member.
         That part is +0.0, added to every tip at once (it turns a -0.0
         into +0.0), unless a tip of u^{n-1} or u^n is past a stop (a NaN
         tip is not): only then is :meth:`spring` called.  A member whose
@@ -374,8 +381,6 @@ class PenaltyTipSolver:
         c, lower, upper = self.index, self.lower, self.upper
         k, ndof = len(self.members), self.full_factor.n
         width = f_n.shape[0] // k
-        if out is None:
-            out = np.zeros(k * width)
         block = out.reshape(k, width)
         block[:, :ndof] = f_n.reshape(k, width)[:, :ndof]
         tips = out[c::width]

@@ -10,12 +10,13 @@ with gamma = 1/2):
 with G^n the beta-weighted combination of time-averaged loads.  Three
 ways to close the step at the stops:
 
-* ``linear``    — no stops, plain banded solve;
 * ``signorini`` — the step minimizes the quadratic over the admissible
   box.  Numeric stops bound the tip displacement: unconstrained solve,
   and if the tip left its stops a scalar step along A^{-1} e_c back onto
   the violated stop.  Callable stops bound every node (a distributed
   obstacle) and take projected Gauss-Seidel;
+* ``linear``    — the same tip step with the stops open, (-inf, +inf),
+  so it is one banded solve;
 * ``penalty``   — the stops are stiff one-sided springs of compliance
   eps, treated implicitly at level n+1 through an exact three-case
   analysis (the spring force is piecewise linear, so each case is one
@@ -322,7 +323,9 @@ def run(
     on the tip, and signorini runs with them step through the pinned tip
     solver and audit the complementarity conditions of every step
     (``Trajectory.audit``); callable stops step through projected
-    Gauss-Seidel on the whole box, without an audit.
+    Gauss-Seidel on the whole box, without an audit.  Linear runs step
+    through the pinned tip solver with open stops, whatever the model's
+    stops, and measure violations and contact episodes against them.
     Loads are built a block of time windows at a time, one
     :meth:`~beamstops.fem.LoadAssembler.time_averaged` call per block.
     Signorini and linear runs without ``f_tilde`` take the windows'
@@ -333,13 +336,12 @@ def run(
     The banded kernel's step makes two banded products, B u^n and
     A u^{n+1}, carries A u with the state, and calls the run's step
     closure, step(F^n, u^{n-1}, u^n, n, out), which writes u^{n+1} into
-    ``out``, its buffer row, and allocates nothing in the penalty and
-    linear closures.  The modal kernel steps free flight in chunks of
-    closed-form modal steps (:class:`ModalBasis`) and hands contact to
-    the banded kernel; it serves one signorini member with tip stops and
-    linear runs, once the run is long enough to pay
-    for the eigendecomposition ((2J)^2 <= N) and :func:`modal_basis`
-    finds the modes stable and accurate.  Each member's Trajectory is
+    ``out``, its buffer row; the tip solvers' closures allocate nothing.
+    The modal kernel steps free flight in chunks of closed-form modal
+    steps (:class:`ModalBasis`) and hands contact to the banded kernel.
+    It serves the runs of the pinned tip solver; their basis is chosen at
+    set-up, where the run pays for the eigendecomposition ((2J)^2 <= N)
+    and :func:`modal_basis` finds the modes stable and accurate.  Each member's Trajectory is
     made before the first step, and one fold writes into it (``records``,
     extrema, contact episodes) and into the audit, from one contact code
     per tip, and ends members:
@@ -415,33 +417,30 @@ def run(
     # step closure: step(F^n, u^{n-1}, u^n, n, out) writes u^{n+1} into
     # ``out``, the state's buffer row, whose pads it leaves zero.  Members
     # that have ended step on with the others, so their non-finite entries
-    # must not make a step raise.
+    # must not make a step raise.  Signorini runs step against the tip
+    # stops, linear runs against open ones; violations and contact episodes
+    # measure against the model's stops either way.
     distributed = not model.tip_only
+    pgs = kind == "signorini" and distributed
+    lo, hi = (tip_lo, tip_hi) if kind == "signorini" else (-math.inf, math.inf)
     contact_audit = None
     penalty_solver = None
-    if kind == "linear":
-        factor = a_mat.cholesky()
-
-        def step(f, up, uc, n, out):
-            out[:] = f
-            factor.solve(out, True)
-
-    elif kind == "penalty":
+    if kind == "penalty":
         penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
         step = penalty_solver.advance
 
-    elif distributed:
+    elif pgs:
         def step(f, up, uc, n, out):
             # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
             # the starting point shows in the last bits of every later step)
             out[:] = pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
 
     else:
-        direct_solver = PinnedDofSolver(a_mat, tip, tip_lo, tip_hi)
-        contact_audit = ContactAudit()
+        solve = PinnedDofSolver(a_mat, tip, lo, hi).solve_with_case
+        contact_audit = ContactAudit() if kind == "signorini" else None
 
         def step(f, up, uc, n, out):
-            out[:] = direct_solver.solve_with_case(f)[0]
+            solve(f, out)
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
@@ -602,14 +601,13 @@ def run(
                 break
         return steps, None
 
-    # The modal kernel (one signorini member with tip stops, or a linear run)
-    # steps free flight in closed form.  Its eigendecomposition costs
-    # O((2J)^3), so it is tried only where the run's steps pay for it, and
-    # chosen at the first chunk: a run without one never computes it.  A
-    # chunk ends where the tip leaves [lo, hi], which a linear run ignores.
-    lo, hi = (tip_lo, tip_hi) if kind == "signorini" else (-math.inf, math.inf)
-    modal_ok = (kind == "linear" or kind == "signorini" and not distributed) and ndof**2 <= n_total
+    # The modal kernel (the runs that step through the pinned solver) steps
+    # free flight in closed form.  Its eigendecomposition costs O((2J)^3), so
+    # it is tried only where the run's steps pay for it.  A chunk ends where
+    # the tip leaves [lo, hi], which a linear run's open stops never do.
     basis, pinned = None, False
+    if kind != "penalty" and not pgs and ndof**2 <= n_total:
+        basis = modal_basis(gm.mass, gm.stiffness, a_mat, b_mat, scheme)
 
     def chunk(g_block, forcing, r, r_end):
         """Modal steps for rows r .. r_end - 1 from the states of rows r - 2 and
@@ -639,9 +637,8 @@ def run(
     def modal(g_block, t0):
         """The modal kernel: chunks of free flight, and the banded kernel for a
         step whose tip left the stops and the pinned steps after it, until a
-        step is free.  Falls back to the banded kernel for the rest of the
-        run where :func:`modal_basis` gives no basis."""
-        nonlocal basis, pinned
+        step is free."""
+        nonlocal pinned
         rows, r, forcing = len(g_block) + 2, 2, None
         while r < rows:
             if pinned:
@@ -651,11 +648,6 @@ def run(
                     return r - 2, raised
                 pinned = not lo < u_buf[r - 1, tip] < hi
                 continue
-            if basis is None:
-                basis = modal_basis(gm.mass, gm.stiffness, a_mat, b_mat, scheme) or False
-            if basis is False:
-                steps, raised = banded(g_block, t0, r)
-                return r - 2 + steps, raised
             if forcing is None:  # the block's dt^2 G^n, projected once
                 forcing = g_block @ basis.load
             r_end = min(r + MODAL_CHUNK, rows)
@@ -663,7 +655,7 @@ def run(
             pinned = r < r_end
         return r - 2, None
 
-    kernel = modal if modal_ok else banded
+    kernel = banded if basis is None else modal
 
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):

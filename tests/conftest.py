@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: dense-to-banded conversion, random
 SPD builders, a brute-force box-QP oracle used to cross-check the
-production solvers, a penalty step with an inconsistent contact
-branch, and a fixture that pins run() to the banded kernel."""
+production solvers, and a fixture that pins run() to the banded kernel.
+The fault injectors are in ``faults``."""
 
 import itertools
 
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from beamstops import steppers
-from beamstops.linalg import BandedSpd, PenaltyTipSolver
+from beamstops.linalg import BandedSpd
 
 
 @pytest.fixture
@@ -101,36 +101,3 @@ def box_qp_oracle(a, f, lower, upper, tol=1e-9):
             best_u, best_obj = u, obj
     assert best_u is not None, "no feasible pattern (bounds inconsistent?)"
     return best_u
-
-
-class _FreeTipFactor:
-    """A bumped factor whose solve puts the tip at 0, on the free side of any stop."""
-
-    def __init__(self, factor, index):
-        self.factor, self.index = factor, index
-
-    def solve(self, rhs, *rest):
-        u = self.factor.solve(rhs, *rest)
-        u[self.index] = 0.0
-        return u
-
-
-def wrong_branch_advance(inv_eps, step):
-    """A ``PenaltyTipSolver.advance`` whose bumped solve, for the member of
-    stiffness ``inv_eps`` at step ``step`` alone, returns a finite tip on
-    the wrong side of the stop it presses: that member has no consistent
-    contact case there, and every other call is the real one."""
-    advance = PenaltyTipSolver.advance
-
-    def wrong_branch(self, f_n, u_prev, u_curr, n, *out):
-        if n != step:
-            return advance(self, f_n, u_prev, u_curr, n, *out)
-        saved = list(self.members)
-        self.members[:] = [(value, bump, _FreeTipFactor(bumped, self.index) if value == inv_eps
-                            else bumped) for value, bump, bumped in saved]
-        try:
-            return advance(self, f_n, u_prev, u_curr, n, *out)
-        finally:
-            self.members[:] = saved
-
-    return wrong_branch

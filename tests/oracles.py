@@ -16,4 +16,4 @@ def solve_single_box(a, f, c, g):
     """Minimize 0.5 u'Au - f'u subject to -g <= u_c <= g (g may be inf)."""
     if not np.isfinite(g):
         return a.cholesky().solve(np.asarray(f, dtype=float))
-    return PinnedDofSolver(a, c, -g, g).solve_with_case(np.asarray(f, dtype=float))[0]
+    return PinnedDofSolver(a, c, -g, g).solve_with_case(f, np.empty(a.n))[0]

@@ -11,7 +11,7 @@ import pytest
 from beamstops.cli import _chunks, main
 from beamstops.config import override, parse_config
 from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
-from conftest import wrong_branch_advance
+from faults import wrong_branch_advance
 
 PIPE_SHORT = """\
 L = 1.501
@@ -128,8 +128,9 @@ def test_failed_complementarity_certificate_fails_and_writes_nothing(
     along A^{-1} e_c leaves the equations off the tip broken in contact:
     the run's audit fails, and neither a run nor a sweep member writes a CSV."""
 
-    def clamp_only(self, f):
-        u = self.full_factor.solve(f)
+    def clamp_only(self, f, out):
+        u = out
+        u[:] = self.full_factor.solve(f)
         if self.lower <= u[self.index] <= self.upper:
             return u, 0
         case = 1 if u[self.index] > self.upper else -1

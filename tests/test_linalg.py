@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from beamstops.fem import BeamModel, Mesh, SupportMotion, assemble
+from beamstops.fem import BeamModel, DofMap, Mesh, SupportMotion, assemble
 from beamstops.linalg import (
     BandedSpd,
     BoxConstraint,
@@ -254,7 +254,7 @@ def test_pinned_solver_multiplier_sign():
         f = rng.standard_normal(n) * 5.0
         c = int(rng.integers(0, n))
         solver = PinnedDofSolver(a, c, -0.2, 0.2)
-        u, case = solver.solve_with_case(f)
+        u, case = solver.solve_with_case(f, np.empty(n))
         grad_c = (dense @ u - f)[c]
         if case == 1:
             assert u[c] == 0.2 and grad_c <= 1e-10
@@ -265,6 +265,28 @@ def test_pinned_solver_multiplier_sign():
         else:
             assert abs(grad_c) <= 1e-9 * max(1.0, np.abs(f).max())
     assert seen > 10
+
+
+def test_pinned_solver_counts_a_nan_tip_as_free():
+    """A NaN tip is free, as in the penalty solver: the J=19 README solve of
+    an F with NaN at the tip keeps it NaN in case 0 (the run's record check
+    names the blow-up), not on a stop.  With open stops, the linear step,
+    a tip of +-inf is free too.  The solution goes into the caller's row."""
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
+    gm = assemble(Mesh(1.501, 19), model)
+    a = effective_matrix(gm.mass, gm.stiffness, SchemeParams(0.5, 5e-5, 0.15))
+    c = DofMap(19).tip_disp
+    f = np.zeros(a.n)
+    f[c] = np.nan
+    out = np.zeros(a.n)
+    u, case = PinnedDofSolver(a, c, -0.1, 0.1).solve_with_case(f, out)
+    assert u is out and np.isnan(u[c]) and case == 0
+    open_stops = PinnedDofSolver(a, c, -np.inf, np.inf)
+    for tip in (np.inf, -np.inf):
+        f[c] = tip
+        with np.errstate(invalid="ignore"):
+            u, case = open_stops.solve_with_case(f, out)
+        assert u[c] == tip and case == 0
 
 
 def test_single_dof_n_equals_one():

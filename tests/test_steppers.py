@@ -47,7 +47,8 @@ from beamstops.steppers import (
     run,
     transfer_matrix,
 )
-from conftest import box_qp_oracle, wrong_branch_advance
+from conftest import box_qp_oracle
+from faults import picky_solve, raising_advance, wrong_branch_advance
 from oracles import at_time
 
 SMALL = dict(L=1.0, k2=1.0)
@@ -295,7 +296,7 @@ def test_penalty_solver_matches_root_finding_oracle(push):
     hist = (1.0 - 2.0 * params.beta) * solver.spring(u_curr[c]) + params.beta * solver.spring(
         u_prev[c]
     )
-    got = solver.advance(f_vec, u_prev, u_curr, 3)
+    got = solver.advance(f_vec, u_prev, u_curr, 3, np.zeros(4))
     ref = dense_penalty_step(
         a.to_dense(), f_vec, c, -0.02, 0.02, params.dt**2, params.beta, 1e4, hist
     )
@@ -326,7 +327,8 @@ def test_penalty_consistency_check_never_fires_on_finite_states(J):
             f, up, uc = (np.zeros((k, width)) for _ in range(3))
             for x, top in ((f, 200), (up, 0), (uc, 0)):
                 x[:, :ndof] = 10.0 ** rng.uniform(-12, top, size=(k, 1)) * rng.standard_normal((k, ndof))
-            u = solver.advance(f.ravel(), up.ravel(), uc.ravel(), 1).reshape(k, width)
+            u = solver.advance(f.ravel(), up.ravel(), uc.ravel(), 1, np.zeros(k * width))
+            u = u.reshape(k, width)
             assert np.isfinite(u).all()
             assert not u[:, ndof:].any()
             calls += k
@@ -363,7 +365,8 @@ def test_penalty_step_adds_the_zero_history_term_with_its_sign():
     want = np.signbit(factor.solve(rhs))
     assert not np.array_equal(want, np.signbit(factor.solve(f)))
     rest = np.zeros(ndof)
-    alone = PenaltyTipSolver(a, c, -0.002, 0.002, members[1]).advance(f, rest, rest, 1)
+    alone = np.zeros(ndof)
+    PenaltyTipSolver(a, c, -0.002, 0.002, members[1]).advance(f, rest, rest, 1, alone)
     assert not alone.any() and np.array_equal(np.signbit(alone), want)
     width = ndof + a.bw
     block = np.full((3, width), np.nan)
@@ -780,14 +783,7 @@ def test_a_step_error_counts_only_before_a_non_finite_record(monkeypatch, block_
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
     plain = blow_up(1)
-    solve = linalg.BandedCholesky.solve
-
-    def picky(self, rhs, *in_place):
-        if not np.abs(rhs).max() < 1e156:
-            raise ArithmeticError("right-hand side too large")
-        return solve(self, rhs, *in_place)
-
-    monkeypatch.setattr(linalg.BandedCholesky, "solve", picky)
+    monkeypatch.setattr(linalg.BandedCholesky, "solve", picky_solve(1e156))
     ended = blow_up(1)
     assert ended.to_csv() == plain.to_csv()
     with pytest.raises(NonFiniteRecordError, match=re.escape("record 38 (t = 0.038 s)")):
@@ -866,16 +862,9 @@ def test_a_step_that_raises_ends_a_block_run(monkeypatch, block_samples):
     not raised, and each member's rows equal its own run's."""
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    advance = PenaltyTipSolver.advance
-
-    def raising(self, f_n, u_prev, u_curr, n, *out):
-        if n == 600:
-            raise ArithmeticError(f"step {n} raised")
-        return advance(self, f_n, u_prev, u_curr, n, *out)
-
     model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
     solo = run(model, mesh, members[1], kind="penalty", record_stride=7)
-    monkeypatch.setattr(PenaltyTipSolver, "advance", raising)
+    monkeypatch.setattr(PenaltyTipSolver, "advance", raising_advance(600))
     with pytest.raises(ArithmeticError, match="step 600 raised"):
         run(model, mesh, members, kind="penalty", record_stride=7)
     ended = run(model, mesh, [members[1]] * 2, kind="penalty", record_stride=7)
@@ -960,7 +949,7 @@ def fresh_products_oracle(model, mesh, params, kind):
         solver = PenaltyTipSolver(a, c, lo, hi, params)
 
         def step(f, up, uc, n):
-            u = solver.advance(f, up, uc, n)
+            u = solver.advance(f, up, uc, n, np.zeros(f.size))
             return u, dt2 * solver.spring(u[c])
 
     else:
@@ -968,7 +957,7 @@ def fresh_products_oracle(model, mesh, params, kind):
         audit = ContactAudit()
 
         def step(f, up, uc, n):
-            u, _ = pinned.solve_with_case(f)
+            u, _ = pinned.solve_with_case(f, np.empty(f.size))
             residual = a.matvec(u) - f
             audit.update(active_sides(u[c], lo, hi), residual, c)
             return u, float(residual[c])
@@ -1259,6 +1248,67 @@ def refuse_eigendecompositions(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh", refuse)
 
 
+def test_a_linear_run_steps_through_the_pinned_solver_with_open_stops(monkeypatch):
+    """A linear run is the signorini step with its stops open.  Between the
+    +-2 mm stops its tip passes them (first at t = 0.0068 s), yet the pinned
+    solver, which takes every step of this banded run (N = 667 < (2J)^2),
+    finds each one free; violations and contact episodes still measure
+    against the model's stops, and there is no audit."""
+    cases = []
+    solve = PinnedDofSolver.solve_with_case
+
+    def spy(self, f, out):
+        u, case = solve(self, f, out)
+        cases.append(case)
+        return u, case
+
+    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", spy)
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    params = SchemeParams(0.5, 1.5e-5, 0.01)
+    traj = run(model, Mesh(1.501, 19), params, kind="linear", record_stride=1)
+    assert cases == [0] * (params.n_steps - 1)
+    assert traj.max_abs_tip > 0.002 and traj.violation.max() > 0.0 and traj.max_violation > 0.0
+    assert traj.contact_episodes >= 1 and traj.audit is None
+
+
+def test_a_linear_run_on_a_callable_obstacle_takes_no_pgs(monkeypatch):
+    """The obstacle's kind does not matter to a linear run: on per-node
+    bounds it steps through the pinned solver with open stops, never through
+    projected Gauss-Seidel, bit for bit as without stops, and its violation
+    column measures over every node."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("pgs_box was called")
+
+    monkeypatch.setattr(steppers, "pgs_box", never)
+    mesh, params = Mesh(SMALL["L"], 4), SchemeParams(beta=0.5, dt=0.005, T=1.0)
+    obstacle = dataclasses.replace(small_model(), g_lower=lambda x: -0.01 - 0.05 * x,
+                                   g_upper=lambda x: 0.01 + 0.05 * x)
+    traj = run(obstacle, mesh, params, kind="linear", record_stride=1)
+    free = run(small_model(), mesh, params, kind="linear", record_stride=1)
+    assert np.array_equal(traj.u_tip, free.u_tip)
+    assert traj.max_violation > 0.0
+
+
+@pytest.mark.parametrize("kind", ["signorini", "linear"])
+def test_the_modal_basis_is_chosen_once_at_set_up(monkeypatch, kind):
+    """16-row load blocks (``fem.LOAD_BLOCK_SAMPLES = 1``) cut the pipe run
+    into many; the chooser runs once, before the first block's loads."""
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    chosen = chooser_spy(monkeypatch)
+    blocks = []
+    time_averaged = LoadAssembler.time_averaged
+
+    def spy(self, *args, **kwargs):
+        blocks.append(len(chosen))
+        return time_averaged(self, *args, **kwargs)
+
+    monkeypatch.setattr(LoadAssembler, "time_averaged", spy)
+    run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15), kind=kind, record_stride=2)
+    assert len(chosen) == 1 and chosen[0] is not None
+    assert len(blocks) > 100 and set(blocks) == {1}
+
+
 @pytest.mark.parametrize("kind", ["signorini", "linear"])
 def test_modal_and_banded_kernels_agree_before_the_first_impact(monkeypatch, kind):
     """The README run at J=19, cut to T=0.15, takes the modal kernel.  Its
@@ -1289,9 +1339,9 @@ def test_pipe_config_takes_the_modal_kernel(monkeypatch):
     pinned = []
     solve = PinnedDofSolver.solve_with_case
 
-    def counted(self, f):
+    def counted(self, f, out):
         pinned.append(1)
-        return solve(self, f)
+        return solve(self, f, out)
 
     monkeypatch.setattr(PinnedDofSolver, "solve_with_case", counted)
     params = SchemeParams(0.5, 5e-5, 0.15)
@@ -1370,7 +1420,7 @@ def test_a_step_that_raises_in_a_modal_run_ends_it(monkeypatch):
     error, as it ends a banded run."""
     chosen = chooser_spy(monkeypatch)
 
-    def fail(self, f):
+    def fail(self, f, out):
         raise ArithmeticError("pinned solve failed")
 
     monkeypatch.setattr(PinnedDofSolver, "solve_with_case", fail)

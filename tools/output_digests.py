@@ -13,8 +13,7 @@ stability verdict, or the type and text of the error the run raised.
 Each of the 28 cases that takes the modal kernel when left to choose
 gets one more line, ``<case> modal``, with the modal run's largest tip
 gap to the banded run over their common records, its row count and
-``repr(audit)``.  A checkout without the modal kernel prints the 450
-banded lines alone.  There is no golden file: the last bits depend on
+``repr(audit)``.  There is no golden file: the last bits depend on
 the BLAS build, so only two checkouts on one machine compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
@@ -22,27 +21,34 @@ stepped as one block (one of them holds a zero-stiffness member),
 blow-ups, a penalty step whose bumped solve returns the wrong contact
 branch (alone and in a block), a raising step, the forced PGS obstacle,
 a callable load, T = 0, one-step runs, a start at rest on a stop and a
-non-finite starting pair, at strides 1 to 7, 20 and 40; and for the contact path the stops pick, signorini without stops
-(g = inf), an unforced PGS obstacle and a callable obstacle that bounds
-one node alone; and, long enough to take the modal kernel at J=19, the
-README run cut to T = 0.15, 0.05 s runs between the 2 mm stops with and
-without a callable load, a start on a stop and a beta = 0.3 run.  Each
-runs at the default load blocks and at 16-row blocks
-(``fem.LOAD_BLOCK_SAMPLES = 1``).
+non-finite starting pair, at strides 1 to 7, 20 and 40; and for the
+contact path the stops pick, signorini without stops (g = inf), an
+unforced PGS obstacle and a callable obstacle that bounds one node
+alone; and, long enough to take the modal kernel at J=19, the README run
+cut to T = 0.15, 0.05 s runs between the 2 mm stops with and without a
+callable load, a start on a stop and a beta = 0.3 run.  Linear runs step
+through the pinned tip solver with open stops, so they cover its free
+case.  Each runs at the default load blocks and at 16-row blocks
+(``fem.LOAD_BLOCK_SAMPLES = 1``).  The wrong branch, the raising step and
+a solve that raises on a large right-hand side are the fault injectors
+of ``tests/faults.py``, which the tests share; they call the checkout's
+methods, so the tool also runs on another checkout's ``src``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import math
 import sys
 from pathlib import Path
+from unittest.mock import patch
 
-sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
+# the checkout to run comes first, so that the tests' fault injectors import it
+sys.path[:0] = [str(Path(sys.argv[1]).resolve()), str(Path(__file__).resolve().parents[1] / "tests")]
 
 import numpy as np  # noqa: E402
+from faults import picky_solve, raising_advance, wrong_branch_advance  # noqa: E402
 
 from beamstops import fem, linalg, steppers  # noqa: E402
 from beamstops.fem import BeamModel, DofMap, Mesh, SupportMotion  # noqa: E402
@@ -68,61 +74,8 @@ def members(beta, dt, values, T=0.03):
     return [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
 
 
-@contextlib.contextmanager
-def patched(owner, name, value):
-    saved = getattr(owner, name)
-    setattr(owner, name, value)
-    try:
-        yield
-    finally:
-        setattr(owner, name, saved)
-
-
-class FreeTipFactor:
-    """A bumped factor whose solve puts the tip at 0, on the free side of any stop."""
-
-    def __init__(self, factor, index):
-        self.factor, self.index = factor, index
-
-    def solve(self, rhs, *rest):
-        u = self.factor.solve(rhs, *rest)
-        u[self.index] = 0.0
-        return u
-
-
-# The wrappers pass on any arguments past the ones they read, so that they
-# run on checkouts whose step and solve take more (an ``out`` row, an
-# in-place flag) and on those that take none.
-
-def wrong_branch_advance(self, f_n, u_prev, u_curr, n, *rest):
-    """The penalty step, whose bumped solve for the 1e6 member at step 500,
-    while its tip presses a stop, returns the tip on the wrong side of it."""
-    if n != 500:
-        return ADVANCE(self, f_n, u_prev, u_curr, n, *rest)
-    saved = list(self.members)
-    self.members[:] = [(value, bump, FreeTipFactor(bumped, self.index) if value == 1e6 else bumped)
-                       for value, bump, bumped in saved]
-    try:
-        return ADVANCE(self, f_n, u_prev, u_curr, n, *rest)
-    finally:
-        self.members[:] = saved
-
-
-def raising_advance(self, f_n, u_prev, u_curr, n, *rest):
-    if n == 600:
-        raise ArithmeticError(f"step {n} raised")
-    return ADVANCE(self, f_n, u_prev, u_curr, n, *rest)
-
-
-def picky_solve(self, rhs, *rest):
-    if not np.abs(rhs).max() < 1e156:
-        raise ArithmeticError("right-hand side too large")
-    return SOLVE(self, rhs, *rest)
-
-
-ADVANCE, SOLVE = PenaltyTipSolver.advance, linalg.BandedCholesky.solve
-#: the modal kernel's chooser; a checkout without one steps every run banded
-CHOOSER = getattr(steppers, "modal_basis", None)
+#: the modal kernel's chooser
+CHOOSER = steppers.modal_basis
 
 
 def describe(result) -> str:
@@ -166,18 +119,15 @@ def emit(case: str, call) -> None:
         chosen.append(basis is not None)
         return basis
 
-    if CHOOSER is None:  # a checkout without the modal kernel
+    with patch.object(steppers, "modal_basis", banded_only):
         out = outcome(call)
-    else:
-        with patched(steppers, "modal_basis", banded_only):
-            out = outcome(call)
     if isinstance(out, list):
         for j, result in enumerate(out):
             print(f"{case}[{j}] {describe(result)}")
     else:
         print(f"{case} {describe(out)}")
     if asked:
-        with patched(steppers, "modal_basis", modal):
+        with patch.object(steppers, "modal_basis", modal):
             other = outcome(call)
         if any(chosen):
             print(f"{case} modal {tip_gap(out, other)}")
@@ -193,7 +143,7 @@ def penalty_cases(blocks: str) -> None:
             emit(f"{blocks} outcome{i} block stride={stride}",
                  lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
     params = members(*OUTCOMES[1])
-    with patched(PenaltyTipSolver, "advance", wrong_branch_advance):
+    with patch.object(PenaltyTipSolver, "advance", wrong_branch_advance(1e6, 500)):
         for stride in (2, 3, 5):
             emit(f"{blocks} wrong-branch 1e6 stride={stride}",
                  lambda: run(TIGHT, MESH, params[0], kind="penalty", record_stride=stride))
@@ -204,7 +154,7 @@ def penalty_cases(blocks: str) -> None:
     for stride in (1, 7):
         emit(f"{blocks} zero-stiffness block stride={stride}",
              lambda: run(TIGHT, MESH, zero, kind="penalty", record_stride=stride))
-    with patched(PenaltyTipSolver, "advance", raising_advance):
+    with patch.object(PenaltyTipSolver, "advance", raising_advance(600)):
         emit(f"{blocks} raising block", lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=7))
         emit(f"{blocks} raising ended block",
              lambda: run(TIGHT, MESH, [params[1]] * 2, kind="penalty", record_stride=7))
@@ -219,7 +169,7 @@ def blow_up_cases(blocks: str) -> None:
                 emit(f"{blocks} blow-up {kind} dt={dt:g} stride={stride}",
                      lambda: run(PIPE, MESH, SchemeParams(0.0, dt, 0.5), kind=kind, force=True,
                                  record_stride=stride))
-    with patched(linalg.BandedCholesky, "solve", picky_solve):
+    with patch.object(linalg.BandedCholesky, "solve", picky_solve(1e156)):
         for stride in (1, 5):
             emit(f"{blocks} picky solve stride={stride}",
                  lambda: run(PIPE, MESH, SchemeParams(0.0, 1e-3, 0.5), kind="linear", force=True,
@@ -331,7 +281,7 @@ def modal_cases(blocks: str) -> None:
 
 def main() -> None:
     for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
-        with patched(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
+        with patch.object(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
             for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases,
                           contact_path_cases, modal_cases):
                 cases(blocks)
