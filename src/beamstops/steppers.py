@@ -26,9 +26,9 @@ ways to close the step at the stops:
 and calls the solver objects of :mod:`beamstops.linalg` (the banded
 factor, :class:`~beamstops.linalg.PinnedDofSolver`,
 :func:`~beamstops.linalg.pgs_box` or
-:class:`~beamstops.linalg.PenaltyTipSolver`) directly.  Between contacts
-a signorini or linear run may instead step in closed form, in the modes
-of (S, M) (:class:`ModalBasis`).  Penalty members
+:class:`~beamstops.linalg.PenaltyTipSolver`) directly, from one step loop.
+Between contacts the same loop may step a signorini or linear run in
+closed form, in the modes of (S, M) (:class:`ModalBasis`).  Penalty members
 that differ only in inv_eps step through it together, as one block.  Runs
 are vetoed up front when dt exceeds the stability limit for the chosen
 beta (overridable with ``force``).
@@ -169,14 +169,14 @@ def transfer_matrix(mass: BandedSpd, stiffness: BandedSpd, params) -> BandedSpd:
 
 
 # ---------------------------------------------------------------------------
-# free flight in closed form: the modal kernel's basis
+# free flight in closed form: the basis of the modal steps
 # ---------------------------------------------------------------------------
 
-#: The modal kernel's chunk: the most steps it sums before it reads the tips.
+#: A modal chunk: the most steps that run() sums before it reads the tips.
 MODAL_CHUNK = 256
 #: The worst relative eigen-residual ||S phi - kappa M phi|| / (kappa ||M phi||)
-#: of the modes that the modal kernel runs on.  Measured on the README model:
-#: 4.1e-9 at J=19, whose tip stays within 1.1e-11 m of the banded kernel's
+#: of the modes that the modal steps run on.  Measured on the README model:
+#: 4.1e-9 at J=19, whose tip stays within 1.1e-11 m of an all-banded run's
 #: before the first impact, 2.9e-8 at J=40 (1.1e-10 m) and 3.0e-7 at J=80
 #: (9.5e-10 m), so only the coarse meshes qualify.
 MODAL_RESIDUAL_BOUND = 1e-8
@@ -207,7 +207,7 @@ class ModalBasis:
 
 def modal_basis(mass: BandedSpd, stiffness: BandedSpd, a_mat: BandedSpd, b_mat: BandedSpd,
                 params) -> ModalBasis | None:
-    """The modes of (S, M) for the modal kernel, or None where it must not run.
+    """The modes of (S, M) for a run's modal steps, or None where they must not run.
 
     None when a mode has |c| >= 2, so its recurrence grows (a run forced
     past its stability limit), or when the eigendecomposition is not
@@ -331,17 +331,19 @@ def run(
     Signorini and linear runs without ``f_tilde`` take the windows'
     averages of phi'' and phi from it (``separable``) and form the loads
     with one rank-2 product per block; penalty runs and a callable
-    ``f_tilde`` sample and scatter the load density of every window.  A
-    kernel fills a load block's buffers with u^{n+1}, A u^{n+1} and F^n.
-    The banded kernel's step makes two banded products, B u^n and
-    A u^{n+1}, carries A u with the state, and calls the run's step
-    closure, step(F^n, u^{n-1}, u^n, n, out), which writes u^{n+1} into
-    ``out``, its buffer row; the tip solvers' closures allocate nothing.
-    The modal kernel steps free flight in chunks of closed-form modal
-    steps (:class:`ModalBasis`) and hands contact to the banded kernel.
-    It serves the runs of the pinned tip solver; their basis is chosen at
-    set-up, where the run pays for the eigendecomposition ((2J)^2 <= N)
-    and :func:`modal_basis` finds the modes stable and accurate.  Each member's Trajectory is
+    ``f_tilde`` sample and scatter the load density of every window.  One
+    kernel fills a load block's buffers with u^{n+1}, A u^{n+1} and F^n,
+    and the last state decides each next step.  A banded step makes two
+    banded products, B u^n and A u^{n+1}, carries A u with the state, and
+    calls the run's step closure, step(F^n, u^{n-1}, u^n, n, out), which
+    writes u^{n+1} into ``out``, its buffer row; the tip solvers' closures
+    allocate nothing.  Where the run has a modal basis and the last tip
+    lies strictly inside the stops, the kernel steps a chunk of
+    closed-form modal steps (:class:`ModalBasis`) instead, up to the first
+    tip that does not, which takes a banded step.  The basis serves the
+    runs of the pinned tip solver; it is chosen at set-up, where the run
+    pays for the eigendecomposition ((2J)^2 <= N) and
+    :func:`modal_basis` finds the modes stable and accurate.  Each member's Trajectory is
     made before the first step, and one fold writes into it (``records``,
     extrema, contact episodes) and into the audit, from one contact code
     per tip, and ends members:
@@ -580,40 +582,18 @@ def run(
                 g = g_wide[: len(g)]
             yield g
 
-    def banded(g_block, t0, r=2, until_free=False):
-        """The banded kernel: steps rows r .. of a load block, each by one step
-        closure call, and returns (rows stepped, the error a step raised or
-        None).  With ``until_free`` it stops after the first step whose tip
-        lies strictly inside the stops."""
-        steps = 0
-        for r, g_row in enumerate(g_block[r - 2 :], r):
-            f = f_rows[r]
-            b_stack.matvec(u_rows[r - 1], out=f)
-            f -= au_rows[r - 2]
-            f += g_row
-            try:
-                step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1, u_rows[r])
-            except Exception as exc:  # noqa: BLE001 - raised by run() unless every member has ended
-                return steps, exc
-            a_stack.matvec(u_rows[r], out=au_rows[r])
-            steps += 1
-            if until_free and lo < u_rows[r][tip] < hi:
-                break
-        return steps, None
-
-    # The modal kernel (the runs that step through the pinned solver) steps
-    # free flight in closed form.  Its eigendecomposition costs O((2J)^3), so
-    # it is tried only where the run's steps pay for it.  A chunk ends where
-    # the tip leaves [lo, hi], which a linear run's open stops never do.
-    basis, pinned = None, False
+    # Between contacts a run of the pinned solver may step in closed form.  Its
+    # eigendecomposition costs O((2J)^3), so the basis is tried only where the
+    # run's steps pay for it.
+    basis = None
     if kind != "penalty" and not pgs and ndof**2 <= n_total:
         basis = modal_basis(gm.mass, gm.stiffness, a_mat, b_mat, scheme)
 
     def chunk(g_block, forcing, r, r_end):
         """Modal steps for rows r .. r_end - 1 from the states of rows r - 2 and
-        r - 1.  Accepts the rows before the first whose tip leaves [lo, hi]
-        and fills their u, A u and (for the audit) F rows from those states;
-        returns how many it accepted."""
+        r - 1.  Accepts the rows before the first whose tip is not strictly
+        inside (lo, hi) and fills their u, A u and (for the audit) F rows from
+        those states; returns how many it accepted."""
         m = r_end - r
         p = basis.inverse[:m] * forcing[r - 2 : r_end - 2]
         np.cumsum(p, axis=0, out=p)
@@ -623,7 +603,7 @@ def run(
         q -= np.multiply(w.imag, p.imag)
         states = q @ basis.modes.T
         tips = states[:, tip]
-        out = np.flatnonzero(~((tips >= lo) & (tips <= hi)))
+        out = np.flatnonzero(~((lo < tips) & (tips < hi)))
         n = int(out[0]) if out.size else m
         u_buf[r : r + n] = states[:n]
         np.matmul(u_buf[r : r + n], basis.a_dense, out=au_buf[r : r + n])
@@ -634,28 +614,32 @@ def run(
             f += g_block[r - 2 : r + n - 2]
         return n
 
-    def modal(g_block, t0):
-        """The modal kernel: chunks of free flight, and the banded kernel for a
-        step whose tip left the stops and the pinned steps after it, until a
-        step is free."""
-        nonlocal pinned
-        rows, r, forcing = len(g_block) + 2, 2, None
+    def kernel(g_block, t0):
+        """Steps the rows of a load block and returns (rows stepped, the error a
+        step raised or None).  Where the run has a basis, a state whose tip
+        lies strictly inside the stops goes on in a chunk of modal steps.  The
+        step a chunk stops short of, and every step from any other state, is
+        one banded step: B u^n, - A u^{n-1} + dt^2 G^n, the step closure, then
+        A u^{n+1}."""
+        rows, r = len(g_block) + 2, 2
+        forcing = None if basis is None else g_block @ basis.load  # dt^2 G^n in the modes
         while r < rows:
-            if pinned:
-                steps, raised = banded(g_block, t0, r, until_free=True)
-                r += steps
-                if raised is not None:
-                    return r - 2, raised
-                pinned = not lo < u_buf[r - 1, tip] < hi
-                continue
-            if forcing is None:  # the block's dt^2 G^n, projected once
-                forcing = g_block @ basis.load
-            r_end = min(r + MODAL_CHUNK, rows)
-            r += chunk(g_block, forcing, r, r_end)
-            pinned = r < r_end
+            if basis is not None and lo < u_rows[r - 1][tip] < hi:
+                r_end = min(r + MODAL_CHUNK, rows)
+                r += chunk(g_block, forcing, r, r_end)
+                if r == r_end:
+                    continue
+            f = f_rows[r]
+            b_stack.matvec(u_rows[r - 1], out=f)
+            f -= au_rows[r - 2]
+            f += g_block[r - 2]
+            try:
+                step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1, u_rows[r])
+            except Exception as exc:  # noqa: BLE001 - raised by run() unless every member has ended
+                return r - 2, exc
+            a_stack.matvec(u_rows[r], out=au_rows[r])
+            r += 1
         return r - 2, None
-
-    kernel = banded if basis is None else modal
 
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):

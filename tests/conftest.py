@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: dense-to-banded conversion, random
 SPD builders, a brute-force box-QP oracle used to cross-check the
-production solvers, and a fixture that pins run() to the banded kernel.
+production solvers, and a fixture that makes every step of run() banded.
 The fault injectors are in ``faults``."""
 
 import itertools
@@ -14,8 +14,8 @@ from beamstops.linalg import BandedSpd
 
 @pytest.fixture
 def banded_kernel(monkeypatch):
-    """Every run() steps with the banded kernel: the modal kernel's chooser
-    finds no basis.  For tests that pin the banded kernel's bits."""
+    """No modal basis, so every step of run() is banded: the basis chooser
+    finds none.  For tests that pin the banded steps' bits."""
     monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
 
 

@@ -995,7 +995,7 @@ def fresh_products_oracle(model, mesh, params, kind):
     ],
 )
 def test_carried_products_are_bit_identical_to_fresh_ones(banded_kernel, kind, params):
-    """run()'s banded kernel carries A u with the state (F two steps later,
+    """run()'s banded step carries A u with the state (F two steps later,
     the audit, the energy) and forms B u^n once per step; the rows are
     exactly those of a loop that forms each product anew.  Each horizon runs past the tip's
     first arrival at a stop (t = 0.0068 s with g = 0.002).  The energies,
@@ -1227,10 +1227,10 @@ def test_linear_run_matches_modal_superposition():
     assert abs(cross_num - cross_exact) <= 1e-4
 
 
-# ----------------------------------------------------------------- step kernels
+# ------------------------------------------------------- banded and modal steps
 
 def chooser_spy(monkeypatch):
-    """The list of what every call of the modal kernel's chooser returned."""
+    """The list of what every call of the modal basis chooser returned."""
     chosen, choose = [], steppers.modal_basis
 
     def spy(*args):
@@ -1239,6 +1239,19 @@ def chooser_spy(monkeypatch):
 
     monkeypatch.setattr(steppers, "modal_basis", spy)
     return chosen
+
+
+def case_spy(monkeypatch):
+    """The list of the contact case of every pinned solve."""
+    cases, solve = [], PinnedDofSolver.solve_with_case
+
+    def spy(self, f, out):
+        u, case = solve(self, f, out)
+        cases.append(case)
+        return u, case
+
+    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", spy)
+    return cases
 
 
 def refuse_eigendecompositions(monkeypatch):
@@ -1254,15 +1267,7 @@ def test_a_linear_run_steps_through_the_pinned_solver_with_open_stops(monkeypatc
     solver, which takes every step of this banded run (N = 667 < (2J)^2),
     finds each one free; violations and contact episodes still measure
     against the model's stops, and there is no audit."""
-    cases = []
-    solve = PinnedDofSolver.solve_with_case
-
-    def spy(self, f, out):
-        u, case = solve(self, f, out)
-        cases.append(case)
-        return u, case
-
-    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", spy)
+    cases = case_spy(monkeypatch)
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     params = SchemeParams(0.5, 1.5e-5, 0.01)
     traj = run(model, Mesh(1.501, 19), params, kind="linear", record_stride=1)
@@ -1309,12 +1314,20 @@ def test_the_modal_basis_is_chosen_once_at_set_up(monkeypatch, kind):
     assert len(blocks) > 100 and set(blocks) == {1}
 
 
-@pytest.mark.parametrize("kind", ["signorini", "linear"])
-def test_modal_and_banded_kernels_agree_before_the_first_impact(monkeypatch, kind):
-    """The README run at J=19, cut to T=0.15, takes the modal kernel.  Its
-    tip stays within 1e-10 m of the banded kernel's until the banded run
-    first reaches a stop (row 1757); both Signorini runs carry a passing
-    certificate and a violation column of exact zeros."""
+@pytest.mark.parametrize(
+    "kind,block_samples",
+    [pytest.param(kind, samples, id=f"{kind}{suffix}")
+     for samples, suffix in LOAD_BLOCKS for kind in ("signorini", "linear")],
+)
+def test_modal_and_banded_kernels_agree_before_the_first_impact(monkeypatch, kind, block_samples):
+    """The README run at J=19, cut to T=0.15, takes modal steps.  Its tip
+    stays within 1e-10 m of an all-banded run's until the banded run
+    first reaches a stop (row 1757), also with 16-row load blocks
+    (``fem.LOAD_BLOCK_SAMPLES = 1``), whose boundaries cut the chunks; both
+    Signorini runs carry a passing certificate and a violation column of
+    exact zeros."""
+    if block_samples is not None:
+        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
     model, mesh, params = blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15)
     chosen = chooser_spy(monkeypatch)
     modal = run(model, mesh, params, kind=kind, record_stride=1)
@@ -1351,10 +1364,33 @@ def test_pipe_config_takes_the_modal_kernel(monkeypatch):
     assert traj.audit.contact_steps > 0 and traj.max_violation == 0.0
 
 
+@pytest.mark.parametrize(
+    "block_samples",
+    [pytest.param(samples, id=suffix.lstrip("-") or "default-blocks") for samples, suffix in LOAD_BLOCKS],
+)
+def test_the_pinned_solver_takes_the_contact_steps_and_one_release_per_episode(
+        monkeypatch, block_samples):
+    """The README run at J=19 to T=0.6 steps free flight in modal chunks.  A
+    chunk stops before the first tip that is not strictly inside the stops,
+    and the state a pinned step leaves decides the next step, whatever the
+    load block (``fem.LOAD_BLOCK_SAMPLES = 1`` cuts 16-row blocks).  So the
+    pinned solver sees the 664 steps that end on a stop, each of them a
+    contact case, and one free step per contact episode, which releases
+    the tip."""
+    if block_samples is not None:
+        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
+    cases = case_spy(monkeypatch)
+    traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.6), record_stride=1)
+    contact = sum(case != 0 for case in cases)
+    assert (len(cases), contact, traj.contact_episodes) == (763, 664, 99)
+    assert len(cases) - contact == traj.contact_episodes
+    assert np.count_nonzero(np.abs(traj.u_tip) == 0.1) == contact == traj.audit.contact_steps
+
+
 def test_an_inaccurate_basis_keeps_the_run_banded(monkeypatch):
     """At J=80 the eigendecomposition's worst relative residual is about
-    3e-7, above MODAL_RESIDUAL_BOUND: a run long enough to try the modal
-    kernel ((2J)^2 = 25 600 <= N) steps banded, bit for bit."""
+    3e-7, above MODAL_RESIDUAL_BOUND: a run long enough to try modal steps
+    ((2J)^2 = 25 600 <= N) steps banded, bit for bit."""
     mesh, params = Mesh(1.501, 80), SchemeParams(0.5, 5e-5, 25600 * 5e-5)
     chosen = chooser_spy(monkeypatch)
     tried = run(blow_up_model(), mesh, params, record_stride=50)
@@ -1377,7 +1413,7 @@ def test_a_fine_mesh_computes_no_eigendecomposition(monkeypatch, kind):
 def test_a_run_forced_past_its_stability_limit_stays_banded(monkeypatch, kind):
     """beta = 0 at dt = 1e-4 is far past the J=19 limit: some mode has
     |c| >= 2 and would grow in the modal recurrence, so the chooser gives no
-    basis and the run blows up exactly as the banded kernel does."""
+    basis and the run blows up exactly as an all-banded run does."""
     params = SchemeParams(0.0, 1e-4, 0.5)
     chosen = chooser_spy(monkeypatch)
     forced = run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True, record_stride=5)
@@ -1415,7 +1451,7 @@ def test_penalty_springs_match_spring_bit_for_bit():
 
 
 def test_a_step_that_raises_in_a_modal_run_ends_it(monkeypatch):
-    """The modal kernel hands the first impact of the pipe run (step 1757)
+    """The modal chunks hand the first impact of the pipe run (step 1757)
     to the pinned solver; a solve that raises there ends the run with its
     error, as it ends a banded run."""
     chosen = chooser_spy(monkeypatch)

@@ -3,14 +3,14 @@
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
 SRC_DIR is the ``src`` directory of the checkout to run; it prints 478
-lines in about 20 s.  Every case runs with the banded kernel pinned (the
-modal kernel's chooser, ``steppers.modal_basis``, patched to find no
-basis), so running it on two checkouts and diffing the outputs shows
+lines in about 20 s.  Every case runs with no modal basis, so every step
+is banded (the basis chooser, ``steppers.modal_basis``, patched to find
+none), and running it on two checkouts and diffing the outputs shows
 whether a change kept every banded trajectory bit for bit.  A line names
 the case and then gives the SHA-256 of ``to_csv()``, the row count, the
 extrema, the tip's range, the contact episodes, ``repr(audit)`` and the
 stability verdict, or the type and text of the error the run raised.
-Each of the 28 cases that takes the modal kernel when left to choose
+Each of the 28 cases that takes modal steps when left to choose
 gets one more line, ``<case> modal``, with the modal run's largest tip
 gap to the banded run over their common records, its row count and
 ``repr(audit)``.  There is no golden file: the last bits depend on
@@ -24,7 +24,7 @@ a callable load, T = 0, one-step runs, a start at rest on a stop and a
 non-finite starting pair, at strides 1 to 7, 20 and 40; and for the
 contact path the stops pick, signorini without stops (g = inf), an
 unforced PGS obstacle and a callable obstacle that bounds one node
-alone; and, long enough to take the modal kernel at J=19, the README run
+alone; and, long enough to take modal steps at J=19, the README run
 cut to T = 0.15, 0.05 s runs between the 2 mm stops with and without a
 callable load, a start on a stop and a beta = 0.3 run.  Linear runs step
 through the pinned tip solver with open stops, so they cover its free
@@ -74,7 +74,7 @@ def members(beta, dt, values, T=0.03):
     return [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
 
 
-#: the modal kernel's chooser
+#: the modal basis chooser
 CHOOSER = steppers.modal_basis
 
 
@@ -106,8 +106,8 @@ def tip_gap(banded, modal) -> str:
 
 
 def emit(case: str, call) -> None:
-    """Print the case's digest lines with the banded kernel pinned, and, if
-    the case takes the modal kernel, one more line comparing the two."""
+    """Print the case's digest lines with no modal basis, so every step is
+    banded, and, if the case takes modal steps, one more line comparing the two."""
     asked, chosen = [], []
 
     def banded_only(*args):
