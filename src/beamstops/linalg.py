@@ -8,12 +8,12 @@ systems with a box constraint on a single coordinate (solve, then move
 along the precomputed column A^{-1} e_c onto a violated bound), its
 penalty counterpart (stiff springs at the stops, one or two pre-factored
 solves), a projected Gauss-Seidel iteration for general box constraints,
-and a power iteration for the largest generalized eigenvalue of a banded
-pair.
+and Lanczos for the largest generalized eigenvalue of a banded pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +44,18 @@ class PgsConvergenceError(Exception):
 
 
 class PowerIterationError(Exception):
-    """Generalized eigenvalue power iteration did not meet its certificate."""
+    """The largest generalized eigenvalue did not meet its certificate.
+
+    ``iterations`` counts the Lanczos steps made; ``residual`` is the best
+    certificate residual seen.
+    """
 
     def __init__(self, residual: float, iterations: int):
         self.residual = residual
         self.iterations = iterations
         super().__init__(
-            f"power iteration did not converge in {iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"largest generalized eigenvalue did not meet its certificate in "
+            f"{iterations} Lanczos steps (residual {residual:.3e})"
         )
 
 
@@ -114,6 +118,7 @@ class BoxConstraint:
 _sbmv = get_blas_funcs("sbmv", dtype=np.float64)
 _pbtrf = get_lapack_funcs("pbtrf", dtype=np.float64)
 _pbtrs = get_lapack_funcs("pbtrs", dtype=np.float64)
+_stemr = get_lapack_funcs("stemr", dtype=np.float64)
 
 
 class BandedSpd:
@@ -462,6 +467,9 @@ def pgs_box(
 # largest generalized eigenvalue
 # ---------------------------------------------------------------------------
 
+#: Lanczos steps between looks at T_k's top eigenpair (one LAPACK ``stemr``).
+LANCZOS_CHECK = 4
+
 
 def max_generalized_eig(
     s: BandedSpd,
@@ -469,34 +477,67 @@ def max_generalized_eig(
     tol: float = 1e-10,
     max_iter: int = 20000,
 ) -> float:
-    """Largest kappa with S v = kappa M v, by power iteration on M^{-1}S.
+    """Largest kappa with S v = kappa M v, by Lanczos on M^{-1}S.
 
-    Each step multiplies by S and solves with M's Cholesky factor; the
-    Rayleigh quotient is accepted once the residual certificate
-    ``||Sv - kappa Mv|| <= tol * kappa * ||Mv||`` holds.  Any eigenpair
-    meets it, so it starts from a fixed pseudo-random direction (seed 0),
-    not from one like the ones vector, which can be another eigenvector;
-    raises :class:`PowerIterationError` on failure.
+    M^{-1}S is self-adjoint in the M inner product, so Lanczos in that inner
+    product builds an M-orthonormal Krylov basis V_k and a tridiagonal T_k
+    whose top eigenvalue approaches kappa from below.  Each step makes one
+    product with S and one solve with M's Cholesky factor; M V_k follows
+    from the three-term recurrence.  Every ``LANCZOS_CHECK`` steps the top
+    eigenpair (theta, z) of T_k gives the estimate |beta_k z_k| of the Ritz
+    residual; once that is at most ``tol * theta``, the Ritz vector
+    y = V_k z is accepted on the certificate
+    ``||Sy - kappa My|| <= tol * kappa * ||My||``, with fresh products S y
+    and M y and kappa their Rayleigh quotient.  Any eigenpair meets the
+    certificate, so it starts from a fixed pseudo-random direction (seed 0),
+    not from one like the ones vector, which can be another eigenvector.
+    The basis is not reorthogonalized: lost orthogonality only repeats
+    converged eigenvalues, and the certificate guards the answer either
+    way.  It makes at most min(max_iter, n) steps, since a full Krylov space
+    holds the answer, and checks the certificate at the last step whatever
+    the estimate; raises :class:`PowerIterationError` when that fails too.
     """
     if s.n != m.n:
         raise ValueError("size mismatch")
     n = s.n
     mf = m.cholesky()
     v = np.random.default_rng(0).standard_normal(n)
-    v /= np.linalg.norm(v)
+    mv = m.matvec(v)
+    norm = math.sqrt(float(v @ mv))
+    v /= norm
+    mv /= norm
+    v_prev = mv_prev = b = 0.0  # the previous Lanczos vector, M times it, beta
+    basis, alpha, beta = [v], [], []
+    steps = min(max_iter, n)
     best_resid = np.inf
-    lam = 0.0
-    for it in range(max_iter):
-        sv = s.matvec(v)
-        mv = m.matvec(v)
-        lam = float(v @ sv) / float(v @ mv)
-        resid = float(np.linalg.norm(sv - lam * mv))
-        if resid <= tol * abs(lam) * float(np.linalg.norm(mv)):
-            return lam
-        best_resid = min(best_resid, resid)
-        y = mf.solve(sv)
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            raise PowerIterationError(best_resid, it + 1)
-        v = y / nrm
-    raise PowerIterationError(best_resid, max_iter)
+    for k in range(1, steps + 1):
+        w = s.matvec(v)
+        a = float(v @ w)
+        mw = w - a * mv - b * mv_prev
+        mf.solve(w, True)
+        w -= a * v + b * v_prev
+        b2 = float(w @ mw)
+        b = math.sqrt(b2) if b2 > 0.0 else 0.0
+        alpha.append(a)
+        beta.append(b)
+        last = k == steps or b == 0.0
+        if k % LANCZOS_CHECK == 0 or last:
+            # the top eigenpair of T_k; stemr overwrites its off-diagonal argument
+            _, theta, z, info = _stemr(np.array(alpha), np.array(beta), 3, 0.0, 0.0, k, k)
+            if info != 0:  # pragma: no cover - stemr only fails on bad inputs
+                raise RuntimeError(f"stemr failed with info={info}")
+            if last or abs(b * z[-1, 0]) <= tol * abs(theta[0]):
+                y = z[:, 0] @ np.array(basis)
+                sy = s.matvec(y)
+                my = m.matvec(y)
+                lam = float(y @ sy) / float(y @ my)
+                resid = float(np.linalg.norm(sy - lam * my))
+                if resid <= tol * abs(lam) * float(np.linalg.norm(my)):
+                    return lam
+                best_resid = min(best_resid, resid)
+        if last:
+            break
+        v_prev, mv_prev = v, mv
+        v, mv = w / b, mw / b
+        basis.append(v)
+    raise PowerIterationError(best_resid, len(alpha))

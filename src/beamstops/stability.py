@@ -7,8 +7,7 @@ For beta < 1/2 the scheme is stable only while
 for some alpha in (0, 1), where kappa_h is the largest generalized
 eigenvalue of the stiffness/mass pair (the discrete operator norm
 sup a(u,u)/|u|^2).  beta = 1/2 is unconditionally stable.  kappa_h can
-be measured exactly by power iteration or over-estimated by the closed
-form
+be measured exactly by Lanczos or over-estimated by the closed form
 
     kappa(h) <= (24 * 420 * 19^2 / 37) * k2 / dx^4,
 
@@ -52,7 +51,7 @@ def kappa_bound(k2: float, dx: float) -> float:
 
 
 def kappa_exact(mass: BandedSpd, stiffness: BandedSpd) -> float:
-    """Largest generalized eigenvalue of (S, M) by power iteration."""
+    """Largest generalized eigenvalue of (S, M) by Lanczos."""
     return max_generalized_eig(stiffness, mass)
 
 

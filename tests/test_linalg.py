@@ -1,5 +1,6 @@
-"""Banded SPD kernels, the single-DOF box solver, PGS, and power iteration,
-all cross-checked against dense numpy/scipy routes or brute-force oracles."""
+"""Banded SPD kernels, the single-DOF box solver, PGS, and the largest
+generalized eigenvalue, all cross-checked against dense numpy/scipy routes
+or brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -354,7 +355,7 @@ def test_pgs_iterates_stay_in_box():
     assert np.all(u >= lo) and np.all(u <= hi)
 
 
-# -------------------------------------------------------------- power iteration
+# ------------------------------------------------ largest generalized eigenvalue
 
 def test_power_iteration_matches_dense_eigenvalue():
     rng = np.random.default_rng(51)

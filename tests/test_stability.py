@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from beamstops.fem import BeamModel, Mesh, assemble
+from beamstops.linalg import BandedCholesky, BandedSpd, max_generalized_eig
 from beamstops.stability import (
     StabilityReport,
     check,
@@ -27,7 +28,7 @@ def pipe_matrices(J):
 
 # ------------------------------------------------------------------ kappa_exact
 
-@pytest.mark.parametrize("J", [1, 2, 5, 10, 19])
+@pytest.mark.parametrize("J", [1, 2, 5, 10, 19, 80, 320])
 def test_kappa_exact_matches_dense_eigensolver(J):
     _, gm = pipe_matrices(J)
     got = kappa_exact(gm.mass, gm.stiffness)
@@ -35,6 +36,43 @@ def test_kappa_exact_matches_dense_eigensolver(J):
         gm.stiffness.to_dense(), gm.mass.to_dense(), eigvals_only=True
     )[-1]
     assert got == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("J, solves, products", [(19, 22, 30), (320, 30, 40)])
+def test_kappa_exact_work_is_bounded(monkeypatch, J, solves, products):
+    """The seeded start makes the counts repeat exactly: 20 solves and 23
+    products at J=19, 28 and 33 at J=320 (a power iteration took 49 and 100,
+    61 and 124)."""
+    _, gm = pipe_matrices(J)
+    counts = {"solve": 0, "matvec": 0}
+
+    def counting(cls, name):
+        inner = getattr(cls, name)
+
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, spy)
+
+    counting(BandedCholesky, "solve")
+    counting(BandedSpd, "matvec")
+    kappa_exact(gm.mass, gm.stiffness)
+    assert counts["solve"] <= solves
+    assert counts["matvec"] <= products
+
+
+def test_kappa_exact_finds_a_doubled_top_eigenvalue():
+    """Two uncoupled copies of the J=19 pencil: kappa is a double eigenvalue,
+    the clustered case that a Krylov method could resolve wrongly."""
+    _, gm = pipe_matrices(19)
+    mass, stiffness = gm.mass.stacked(2, 0), gm.stiffness.stacked(2, 0)
+    ref = scipy.linalg.eigh(stiffness.to_dense(), mass.to_dense(), eigvals_only=True)
+    assert ref[-2] == pytest.approx(ref[-1], rel=1e-12)
+    # max_generalized_eig raises unless its residual certificate holds
+    got = max_generalized_eig(stiffness, mass)
+    assert got == pytest.approx(ref[-1], rel=1e-9)
+    assert got == pytest.approx(kappa_exact(gm.mass, gm.stiffness), rel=1e-12)
 
 
 def test_kappa_exact_single_element_closed_form():

@@ -449,8 +449,8 @@ def test_run_rejects_unknown_kind():
 def test_run_checks_its_arguments_before_the_set_up(monkeypatch, case):
     """dt = 1e-3 at beta = 0 is far above the stability limit and no run
     forces it, yet each bad argument raises its own ValueError: run()
-    checks its arguments before it assembles the matrices or runs a
-    power iteration."""
+    checks its arguments before it assembles the matrices or computes
+    kappa."""
 
     def never(*args, **kwargs):
         raise AssertionError("run() began its set-up")
