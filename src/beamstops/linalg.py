@@ -331,6 +331,10 @@ class PenaltyTipSolver:
         # per member: (inv_eps, bump, factor of the bumped matrix)
         self.members = []
         self.inv_eps = np.array([p.inv_eps for p in members])
+        self._zeros = np.zeros(len(members))
+        self._lent = {}  # id(row) -> _views(row), which holds the lent row: its id stays its own
+        # (n, u^n, u^{n+1}, members past a stop in each) of the last step on lent rows
+        self._carry = (None, None, None, [], [])
         for p in members:
             bump = self.dt2 * self.beta * p.inv_eps
             bumped = a.with_diagonal_bump(index, bump).cholesky() if bump > 0.0 else self.full_factor
@@ -354,13 +358,42 @@ class PenaltyTipSolver:
             excess = np.where(above, tips - self.upper, tips - self.lower)
             return np.where(above | below, -self.inv_eps * excess, 0.0)
 
-    def history(self, member: int, tip_prev: float, tip_curr: float) -> float:
-        """dt^2 times the springs' explicit part of one member's step, which
-        ``advance`` adds to its tip entry of F^n."""
+    def history(self, member: int, u_prev: np.ndarray, u_curr: np.ndarray) -> float:
+        """dt^2 times the springs' explicit part of one member's step, from its
+        tips in the flat blocks u^{n-1} and u^n; ``advance`` adds it to the
+        member's tip entry of F^n."""
+        tip_prev = self._views(u_prev)[2].item(member)
+        tip_curr = self._views(u_curr)[2].item(member)
         return self.dt2 * (
             (1.0 - 2.0 * self.beta) * self.spring(tip_curr, member)
             + self.beta * self.spring(tip_prev, member)
         )
+
+    def lend(self, rows) -> None:
+        """Keep the views of flat block rows that :meth:`advance` will step in.
+
+        :func:`~beamstops.steppers.run` lends its buffer rows once per run.
+        A step on lent rows finds their member block, tips and (width x k)
+        columns built, and carries the contact state (see :meth:`advance`).
+        Between a step n and a step n + 1 that reads its u^n and u^{n+1},
+        the lender must not write those two rows.
+        """
+        for row in rows:
+            self._lent[id(row)] = self._views(row)
+
+    def _views(self, x: np.ndarray) -> tuple:
+        """(x, its (k, 2J) member block, its k tips, its (width, k) columns)."""
+        lent = self._lent.get(id(x))
+        if lent is not None:
+            return lent
+        k = len(self.members)
+        block = x.reshape(k, x.shape[0] // k)
+        return x, block[:, : self.full_factor.n], block[:, self.index], block.T
+
+    def _past(self, tips: np.ndarray) -> list[int]:
+        """The members whose tip is past a stop; a NaN tip is not."""
+        lower, upper = self.lower, self.upper
+        return [m for m, tip in enumerate(tips.tolist()) if tip > upper or tip < lower]
 
     def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int,
                 out: np.ndarray) -> np.ndarray:
@@ -382,36 +415,54 @@ class PenaltyTipSolver:
         and its pad stays zero, so the run's record check ends it and no
         other member sees it.  Non-finite entries never make this method
         raise.
+
+        A step's contact state is which members have a tip past a stop in
+        u^{n-1} and in u^n.  The solver owns it: each call classifies the
+        tips of u^{n+1} once, after any bumped solve or NaN ending, and
+        keeps that with the state of u^n where ``u_curr`` and ``out`` are
+        rows lent by :meth:`lend`.  The next call takes the pair as its own
+        only if it is step n + 1 on lent rows and reads this call's
+        ``u_curr`` and ``out`` as its u^{n-1} and u^n; any other call
+        classifies the tips of its u^{n-1} and u^n itself.  So a free step
+        on run()'s rows (no tip past a stop in u^{n-1}, u^n or u^{n+1}) only
+        copies F^n, adds the zeros, solves and classifies the new tips.
         """
         c, lower, upper = self.index, self.lower, self.upper
-        k, ndof = len(self.members), self.full_factor.n
-        width = f_n.shape[0] // k
-        block = out.reshape(k, width)
-        block[:, :ndof] = f_n.reshape(k, width)[:, :ndof]
-        tips = out[c::width]
-        tips += 0.0
-        tips_prev, tips_curr = u_prev[c::width].tolist(), u_curr[c::width].tolist()
-        for m, (tip_prev, tip_curr) in enumerate(zip(tips_prev, tips_curr)):
-            if tip_prev > upper or tip_prev < lower or tip_curr > upper or tip_curr < lower:
-                tips[m] = f_n[m * width + c] + self.history(m, tip_prev, tip_curr)
-        self.full_factor.solve(block.T, True)
-        for m, tip in enumerate(tips.tolist()):
+        lent = self._lent.get(id(out))
+        _, block, tips, columns = lent or self._views(out)
+        f_block = self._views(f_n)[1]
+        block[...] = f_block
+        tips += self._zeros  # +0.0 at each tip
+        last = self._carry
+        if lent and last[0] == n - 1 and last[1] is u_prev and last[2] is u_curr:
+            past_prev, past_curr = last[3:]
+        else:
+            past_prev = self._past(self._views(u_prev)[2])
+            past_curr = self._past(self._views(u_curr)[2])
+        if past_prev or past_curr:
+            for m in sorted({*past_prev, *past_curr}):
+                tips[m] = f_block[m, c] + self.history(m, u_prev, u_curr)
+        self.full_factor.solve(columns, True)
+        new = self._past(tips)
+        for m in new:
             # a NaN tip steps on: the run's record check names the blow-up
-            if not (tip > upper or tip < lower):
-                continue
             _, bump, bumped = self.members[m]
             if bump == 0.0:
                 continue
+            tip = tips[m]
             bound = upper if tip > upper else lower
-            o = m * width
-            u = out[o : o + ndof]
-            u[:] = f_n[o : o + ndof]
-            u[c] += self.history(m, tips_prev[m], tips_curr[m])
+            u = block[m]
+            u[:] = f_block[m]
+            u[c] += self.history(m, u_prev, u_curr)
             u[c] += bump * bound
             tip = bumped.solve(u, True)[c]
             tiny = 1e-12 * max(1.0, abs(bound))
             if not (bound == upper and tip >= bound - tiny or bound == lower and tip <= bound + tiny):
                 u[:] = np.nan
+        if new:  # classified again after the bumped solves and NaN endings
+            new = self._past(tips)
+        if lent and id(u_curr) in self._lent:
+            self._carry = (n, u_curr, out, past_curr, new)
         return out
 
 
@@ -469,6 +520,11 @@ def pgs_box(
 
 #: Lanczos steps between looks at T_k's top eigenpair (one LAPACK ``stemr``).
 LANCZOS_CHECK = 4
+#: A beta_k at most this times the largest |alpha_j| so far is a breakdown:
+#: the Krylov space is invariant to rounding, so the next vector is noise.
+LANCZOS_BREAKDOWN = 1e-12
+#: Lanczos passes after the first, each from the best Ritz vector of the last.
+LANCZOS_RESTARTS = 3
 
 
 def max_generalized_eig(
@@ -493,51 +549,61 @@ def max_generalized_eig(
     not from one like the ones vector, which can be another eigenvector.
     The basis is not reorthogonalized: lost orthogonality only repeats
     converged eigenvalues, and the certificate guards the answer either
-    way.  It makes at most min(max_iter, n) steps, since a full Krylov space
-    holds the answer, and checks the certificate at the last step whatever
-    the estimate; raises :class:`PowerIterationError` when that fails too.
+    way.  A pass ends at a breakdown (``LANCZOS_BREAKDOWN``), where a
+    repeated or clustered top eigenvalue leaves the Krylov space invariant,
+    or after n steps, where a full Krylov space would hold the answer but
+    for rounding; either way it checks the certificate there, whatever the
+    estimate.  A pass that ends without meeting it is followed by another
+    from its best Ritz vector, up to ``LANCZOS_RESTARTS`` times and
+    ``max_iter`` steps in all; then it raises :class:`PowerIterationError`.
     """
     if s.n != m.n:
         raise ValueError("size mismatch")
-    n = s.n
     mf = m.cholesky()
-    v = np.random.default_rng(0).standard_normal(n)
-    mv = m.matvec(v)
-    norm = math.sqrt(float(v @ mv))
-    v /= norm
-    mv /= norm
-    v_prev = mv_prev = b = 0.0  # the previous Lanczos vector, M times it, beta
-    basis, alpha, beta = [v], [], []
-    steps = min(max_iter, n)
-    best_resid = np.inf
-    for k in range(1, steps + 1):
-        w = s.matvec(v)
-        a = float(v @ w)
-        mw = w - a * mv - b * mv_prev
-        mf.solve(w, True)
-        w -= a * v + b * v_prev
-        b2 = float(w @ mw)
-        b = math.sqrt(b2) if b2 > 0.0 else 0.0
-        alpha.append(a)
-        beta.append(b)
-        last = k == steps or b == 0.0
-        if k % LANCZOS_CHECK == 0 or last:
-            # the top eigenpair of T_k; stemr overwrites its off-diagonal argument
-            _, theta, z, info = _stemr(np.array(alpha), np.array(beta), 3, 0.0, 0.0, k, k)
-            if info != 0:  # pragma: no cover - stemr only fails on bad inputs
-                raise RuntimeError(f"stemr failed with info={info}")
-            if last or abs(b * z[-1, 0]) <= tol * abs(theta[0]):
-                y = z[:, 0] @ np.array(basis)
-                sy = s.matvec(y)
-                my = m.matvec(y)
-                lam = float(y @ sy) / float(y @ my)
-                resid = float(np.linalg.norm(sy - lam * my))
-                if resid <= tol * abs(lam) * float(np.linalg.norm(my)):
-                    return lam
-                best_resid = min(best_resid, resid)
-        if last:
+    start = np.random.default_rng(0).standard_normal(s.n)
+    steps, best_resid = 0, np.inf
+    for _ in range(LANCZOS_RESTARTS + 1):
+        cap = min(max_iter - steps, s.n)
+        if cap < 1:
             break
-        v_prev, mv_prev = v, mv
-        v, mv = w / b, mw / b
-        basis.append(v)
-    raise PowerIterationError(best_resid, len(alpha))
+        mv = m.matvec(start)
+        norm = math.sqrt(float(start @ mv))
+        v, mv = start / norm, mv / norm
+        v_prev = mv_prev = b = 0.0  # the previous Lanczos vector, M times it, beta
+        basis, alpha, beta = [v], [], []
+        scale, pass_resid = 0.0, np.inf  # the largest |alpha_j|, the pass's best residual
+        for k in range(1, cap + 1):
+            w = s.matvec(v)
+            a = float(v @ w)
+            mw = w - a * mv - b * mv_prev
+            mf.solve(w, True)
+            w -= a * v + b * v_prev
+            b2 = float(w @ mw)
+            b = math.sqrt(b2) if b2 > 0.0 else 0.0
+            alpha.append(a)
+            beta.append(b)
+            scale = max(scale, abs(a))
+            last = k == cap or b <= LANCZOS_BREAKDOWN * scale
+            if k % LANCZOS_CHECK == 0 or last:
+                # the top eigenpair of T_k; stemr overwrites its off-diagonal argument
+                _, theta, z, info = _stemr(np.array(alpha), np.array(beta), 3, 0.0, 0.0, k, k)
+                if info != 0:  # pragma: no cover - stemr only fails on bad inputs
+                    raise RuntimeError(f"stemr failed with info={info}")
+                if last or abs(b * z[-1, 0]) <= tol * abs(theta[0]):
+                    y = z[:, 0] @ np.array(basis)
+                    sy = s.matvec(y)
+                    my = m.matvec(y)
+                    lam = float(y @ sy) / float(y @ my)
+                    resid = float(np.linalg.norm(sy - lam * my))
+                    if resid <= tol * abs(lam) * float(np.linalg.norm(my)):
+                        return lam
+                    if resid < pass_resid:  # the next pass starts from it
+                        pass_resid, start = resid, y
+            if last:
+                break
+            v_prev, mv_prev = v, mv
+            v, mv = w / b, mw / b
+            basis.append(v)
+        steps += k
+        best_resid = min(best_resid, pass_resid)
+    raise PowerIterationError(best_resid, steps)

@@ -363,6 +363,8 @@ def run(
     step as one (k x 2J) block: per step one product call for each of
     B U and A U and one in-place multi-RHS solve serve all of them, and
     only a member with a tip past a stop gets per-member tip work.  The
+    penalty solver is lent the buffer rows, so it builds their views once
+    and carries the members' contact state from step to step.  The
     result is then a list with each member's Trajectory; each member's
     rows are bit-identical to its own run, and its ``wall_time`` is the
     block's divided by k.  One ``params`` gives its Trajectory.
@@ -475,6 +477,8 @@ def run(
     f_buf = np.empty((block_steps + 2 if kind == "signorini" else 1, k * width))
     u_rows, au_rows = list(u_buf), list(au_buf)
     f_rows = list(f_buf) if kind == "signorini" else [f_buf[0]] * (block_steps + 2)
+    if penalty_solver is not None:
+        penalty_solver.lend(u_rows + f_rows[:1])
     # a padded block's loads in the layout of its states, pads zero (load_blocks)
     g_wide = np.zeros((block_steps, k * width)) if pad else None
     for r, u in enumerate(start_pair):
@@ -552,7 +556,7 @@ def run(
     # Without f_tilde a window's load is two coefficients times two fixed
     # vectors.  Penalty runs keep the sampled loads, whose last bits their
     # reference check still tracks, until that check measures accuracy
-    # instead (ROADMAP item 4).
+    # instead (ROADMAP item 12).
     separable = model.f_tilde is None and kind != "penalty"
 
     def load_blocks():

@@ -377,6 +377,17 @@ def test_power_iteration_finds_the_largest_eigenvalue_from_an_eigenvector_start(
     assert max_generalized_eig(s, m) == pytest.approx(3.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("diagonal", [[1.64, 1.67, 3.3, 3.3], [1.0, 1.0, 1.000001]])
+def test_lanczos_survives_a_repeated_or_clustered_top_eigenvalue(diagonal):
+    """S = diag(...), M = I: the Krylov space turns invariant before n steps,
+    so beta_k falls to rounding level.  That is a breakdown, not a vector to
+    normalize: the top eigenvalue still matches dense ``eigh`` to 1e-12."""
+    s = BandedSpd(np.array([diagonal]))
+    m = BandedSpd(np.ones((1, len(diagonal))))
+    expect = scipy.linalg.eigh(np.diag(diagonal), eigvals_only=True)[-1]
+    assert max_generalized_eig(s, m) == pytest.approx(expect, rel=1e-12)
+
+
 def test_power_iteration_certificate_failure():
     rng = np.random.default_rng(52)
     s, _ = random_banded_spd(rng, 8, 2)

@@ -48,7 +48,7 @@ from beamstops.steppers import (
     transfer_matrix,
 )
 from conftest import box_qp_oracle
-from faults import picky_solve, raising_advance, wrong_branch_advance
+from faults import FreeTipFactor, picky_solve, raising_advance, wrong_branch_advance
 from oracles import at_time
 
 SMALL = dict(L=1.0, k2=1.0)
@@ -405,6 +405,147 @@ def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop(monkeypatch):
     assert block[1e300] == counts[0.0077, 1][1e300] > 0
     assert {v: block[v] for v in (1e6, 1e9)} == counts[0.03, 2]
     assert min(counts[0.03, 2].values()) > 0
+
+
+def test_penalty_steps_make_one_solve_and_one_per_member_pressing_a_stop(monkeypatch):
+    """On the penalty-sweep configuration (four members, 1e6 to 1e9, beta =
+    1/4, dt = 1.5e-5, T = 0.1) each ``advance`` makes one multi-RHS solve and
+    one bumped solve for each member whose tip that solve puts past a stop;
+    every member has a spring, so every such member gets one.  Each step
+    also equals, bit for bit, the step of a second solver that ``run`` has
+    not lent its rows to, which classifies every u^{n-1} and u^n itself: the
+    contact state that ``run``'s solver carries is the one it would read."""
+    model = blow_up_model()
+    members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
+    c = DofMap(19).tip_disp
+    gm = assemble(Mesh(1.501, 19), model)
+    reference = PenaltyTipSolver(effective_matrix(gm.mass, gm.stiffness, members[0]), c,
+                                 -0.1, 0.1, members)
+    solves, steps, stepping = [], [], []
+    solve, advance = linalg.BandedCholesky.solve, PenaltyTipSolver.advance
+
+    def counted_solve(self, rhs, *rest):
+        x = solve(self, rhs, *rest)
+        if stepping and x.ndim == 2:  # the block's solve: how many tips it put past a stop
+            tips = x[c]
+            solves.append([int(((tips > 0.1) | (tips < -0.1)).sum()), 0])
+        elif stepping:
+            solves[-1][1] += 1
+        return x
+
+    def checked_advance(self, f_n, u_prev, u_curr, n, out):
+        inputs = [x.copy() for x in (f_n, u_prev, u_curr)]
+        stepping.append(n)
+        got = advance(self, f_n, u_prev, u_curr, n, out)
+        stepping.clear()
+        want = advance(reference, *inputs, n, np.zeros_like(out))
+        steps.append(np.array_equal(got.view(np.int64), want.view(np.int64)))
+        return got
+
+    monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
+    monkeypatch.setattr(PenaltyTipSolver, "advance", checked_advance)
+    run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
+    assert len(steps) == len(solves) == 6666 and all(steps)
+    assert all(bumped == past for past, bumped in solves)
+    assert sum(bumped for _, bumped in solves) > 100
+    assert sum(1 for _, bumped in solves if bumped == 0) > 6000
+
+
+def penalty_states(monkeypatch):
+    """Fresh four-member penalty solvers between stops at +-2 mm, the states
+    of a step for a contact pattern, and a check of one step against a
+    fresh solver.
+
+    Member j's tips of u^{n-1} and u^n sit at 3 mm where bit j of the
+    pattern is set, and at 0 where not.  The 1e9 member's bumped solve puts
+    its tip on the free side of the stop (``FreeTipFactor``), so a step
+    that presses it ends it.  ``check(solver, f, up, uc, n, out)`` steps
+    ``solver`` and asserts that its u^{n+1} and its ``spring`` calls equal,
+    bit for bit, those of a fresh solver on copies of the same states."""
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
+    gm = assemble(Mesh(1.501, 19), model)
+    a = effective_matrix(gm.mass, gm.stiffness, members[0])
+    c, ndof, width = DofMap(19).tip_disp, a.n, a.n + a.bw
+    rng = np.random.default_rng(24)
+    calls = []
+    spring = PenaltyTipSolver.spring
+
+    def counted(self, tip, member=0):
+        calls.append(member)
+        return spring(self, tip, member)
+
+    monkeypatch.setattr(PenaltyTipSolver, "spring", counted)
+
+    def solver():
+        fresh = PenaltyTipSolver(a, c, -0.002, 0.002, members)
+        value, bump, bumped = fresh.members[3]
+        fresh.members[3] = value, bump, FreeTipFactor(bumped, c)
+        return fresh
+
+    def state(pattern):
+        f, up, uc = (np.zeros((4, width)) for _ in range(3))
+        for x in (f, up, uc):
+            x[:, :ndof] = 1e-9 * rng.standard_normal((4, ndof))
+        for j in range(4):
+            up[j, c], uc[j, c] = (0.003, 0.003) if pattern >> j & 1 else (0.0, 0.0)
+        return f.ravel(), up.ravel(), uc.ravel()
+
+    def check(one, f, up, uc, n, out):
+        inputs = [x.copy() for x in (f, up, uc)]
+        out[:] = 0.0
+        calls.clear()
+        got = one.advance(f, up, uc, n, out)
+        got_calls = calls[:]
+        calls.clear()
+        want = solver().advance(*inputs, n, np.zeros(out.size))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got_calls == calls
+        return got
+
+    return solver, state, check
+
+
+@pytest.mark.parametrize("reuse", [False, True])
+def test_direct_penalty_steps_read_their_own_states(monkeypatch, reuse):
+    """Called directly, ``advance`` classifies the tips of the states it is
+    given: steps at consecutive n that alternate contact and free states
+    equal a fresh solver's, whether each call gets fresh arrays or the same
+    four arrays refilled."""
+    solver, state, check = penalty_states(monkeypatch)
+    one = solver()
+    arrays = [np.zeros(4 * 41) for _ in range(4)]
+    for n, pattern in enumerate([0b1011, 0, 0b0100, 0, 0, 0b1111, 0b0001, 0], start=1):
+        values = state(pattern)
+        if reuse:
+            for x, value in zip(arrays, values):
+                x[:] = value
+        else:
+            arrays = [x.copy() for x in values] + [np.zeros(4 * 41)]
+        check(one, *arrays[:3], n, arrays[3])
+
+
+def test_lent_rows_carry_the_contact_state_only_along_their_chain(monkeypatch):
+    """On lent rows a step n carries its contact state, taken after its
+    bumped solves and NaN endings, to the next step only if that step is
+    n + 1 and reads its u^n and u^{n+1} as u^{n-1} and u^n.  A new pair in
+    other lent rows, as ``run`` starts a load block, or a new pair in the
+    chain's rows at a step index that does not follow, makes ``advance``
+    classify the tips afresh: every step equals a fresh solver's."""
+    solver, state, check = penalty_states(monkeypatch)
+    one = solver()
+    f = np.zeros((1, 4 * 41))
+    rows = list(np.zeros((5, 4 * 41)))
+    one.lend(rows + list(f))
+    n = 0
+    for pattern in (0b0110, 0, 0b1001, 0b1111, 0, 0b0010, 0b1000):
+        f[0], rows[0][:], rows[1][:] = state(pattern)
+        for r in (2, 3, 4):  # the first step classifies, the next two carry
+            n += 1
+            check(one, f[0], rows[r - 2], rows[r - 1], n, rows[r])
+        f[0], rows[3][:], rows[4][:] = state(pattern ^ 0b1111)
+        n += 2
+        check(one, f[0], rows[3], rows[4], n, rows[0])
 
 
 def test_penalty_zero_stiffness_is_linear_run(banded_kernel):

@@ -2,7 +2,7 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 478
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 480
 lines in about 20 s.  Every case runs with no modal basis, so every step
 is banded (the basis chooser, ``steppers.modal_basis``, patched to find
 none), and running it on two checkouts and diffing the outputs shows
@@ -19,7 +19,9 @@ the BLAS build, so only two checkouts on one machine compare.
 The cases cover signorini, linear and penalty runs, penalty members
 stepped as one block (one of them holds a zero-stiffness member),
 blow-ups, a penalty step whose bumped solve returns the wrong contact
-branch (alone and in a block), a raising step, the forced PGS obstacle,
+branch (alone and in a block), criterion 8's penalty run cut to T = 0.1
+(200 000 steps whose long free stretches span hundreds of load blocks, and
+thousands of 16-row ones), a raising step, the forced PGS obstacle,
 a callable load, T = 0, one-step runs, a start at rest on a stop and a
 non-finite starting pair, at strides 1 to 7, 20 and 40; and for the
 contact path the stops pick, signorini without stops (g = inf), an
@@ -149,6 +151,9 @@ def penalty_cases(blocks: str) -> None:
                  lambda: run(TIGHT, MESH, params[0], kind="penalty", record_stride=stride))
             emit(f"{blocks} wrong-branch block stride={stride}",
                  lambda: run(TIGHT, MESH, params, kind="penalty", record_stride=stride))
+    # criterion 8's run cut to T = 0.1: free from the start to the first contacts near t = 0.088 s
+    criterion_8 = PenaltyParams(inv_eps=1e8, beta=0.25, dt=5e-7, T=0.1)
+    emit(f"{blocks} criterion-8 1e8", lambda: run(PIPE, MESH, criterion_8, kind="penalty"))
     # a zero spring is -0.0 * excess past a stop, which leaves a -0.0 entry of F as it is
     zero = members(0.25, 1.5e-5, [0.0, 1e7])
     for stride in (1, 7):
