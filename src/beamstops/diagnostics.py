@@ -10,7 +10,8 @@ import numpy as np
 from .linalg import BandedSpd
 
 
-def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float):
+def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
+                    stacked: BandedSpd | None = None):
     """Discrete energy of a consecutive pair ``(u0, u1)`` = (u^{n-1}, u^n).
 
     E = |(u1 - u0)/dt|_M^2
@@ -23,6 +24,8 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float):
     one float, or (m, n) stacks of m pairs, giving m energies; the S u1
     of a stack are one product with S stacked m times, each copy padded
     with bw zeros so that an infinity in one pair never reaches another.
+    ``stacked``, a ``stiffness.stacked(M, bw)`` built once for some
+    M >= m, serves with its first m copies, the same band.
 
     Exactly conserved by the unconstrained scheme with zero load; for
     beta = 1/2 the quadratic form is positive definite so boundedness of
@@ -33,8 +36,15 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float):
     bw = stiffness.bw
     padded = np.zeros((m, n + bw))
     padded[:, :n] = u1
-    s_u1 = stiffness.stacked(m, bw).matvec(padded.reshape(-1)).reshape(m, n + bw)[:, :n]
-    energy = np.vecdot(u1 - u0, au1 - au0) / dt**2 + np.vecdot(u0, s_u1)
+    if stacked is None:
+        stacked = stiffness.stacked(m, bw)
+    band = BandedSpd(stacked.ab[:, : m * (n + bw)], copy=False)
+    s_u1 = band.matvec(padded.reshape(-1)).reshape(m, n + bw)[:, :n]
+    del stacked, band  # a band made here is freed before the temporaries below
+    work = np.vecdot(u0, s_u1)
+    # w = u1 - u0 and A w in the two buffers, which hold nothing needed now
+    w = np.subtract(u1, u0, out=padded[:, :n])
+    energy = np.vecdot(w, np.subtract(au1, au0, out=s_u1)) / dt**2 + work
     return float(energy[0]) if np.ndim(pair[1]) == 1 else energy
 
 

@@ -371,9 +371,17 @@ def lifting_slope(x, L: float):
 
 
 #: Sample budget of one block of load windows: a block holds
-#: max(16, LOAD_BLOCK_SAMPLES // 4J) windows of two Gauss times each, so
-#: the assembler's sample buffer is about 512 KB whatever the horizon.
+#: max(16, LOAD_BLOCK_SAMPLES // 4J, LOAD_BLOCK_SAMPLES // 512) windows of
+#: two Gauss times each: 431 at J=19 and 64 from J=128 up.  The sampled
+#: route's buffer is about 512 KB whatever the horizon up to J=128 and
+#: grows with J past it; the separable route has none.  At 1 a block holds
+#: 16 windows.
 LOAD_BLOCK_SAMPLES = 2**15
+
+
+def _node_windows(samples: np.ndarray) -> np.ndarray:
+    """The (..., J, 8) view of each free node's 8 samples in (..., 4J + 4) samples."""
+    return np.lib.stride_tricks.sliding_window_view(samples, 8, axis=-1)[..., ::4, :]
 
 
 class LoadAssembler:
@@ -386,15 +394,17 @@ class LoadAssembler:
     d at the k-th of those samples, and a load vector is the
     ``(J x 8) @ (8 x 2)`` product over a strided view of the samples.
 
-    The samples live in one preallocated ``(2, block_rows, 4J + 4)``
-    buffer, so a block of up to ``block_rows`` time windows (two Gauss
-    times each) is one density pass and one product.  Every entry is
-    computed elementwise in the same order for one time as for a block,
-    so a block is bit-identical to its windows one at a time.
+    A block holds up to ``block_rows`` time windows (see
+    :data:`LOAD_BLOCK_SAMPLES`).  The sampled route owns the samples: one
+    ``(2, block_rows, 4J + 4)`` buffer, made on its first block, so a
+    block is one density pass and one product.  Every entry is computed
+    elementwise in the same order for one time as for a block, so a block
+    is bit-identical to its windows one at a time.
 
     ``basis`` holds the scatters of -h(x_q) and of 8 k2 / L^4, the loads
     of phi'' = 1 and of phi = 1.  Without f_tilde a window's load is
-    their combination with the window's averages of phi'' and phi.
+    their combination with the window's averages of phi'' and phi, so
+    the separable route samples only these two rows.
     """
 
     def __init__(self, mesh: Mesh, model: BeamModel):
@@ -403,20 +413,21 @@ class LoadAssembler:
         self.xq = (mesh.nodes[:-1, None] + GAUSS4_POINTS * mesh.h).ravel()
         shapes = hermite_shape(GAUSS4_POINTS, mesh.h) * (GAUSS4_WEIGHTS * mesh.h)
         self.node_weights = np.vstack([shapes[2:].T, shapes[:2].T])
-        self.block_rows = max(16, LOAD_BLOCK_SAMPLES // self.xq.size)
-        self._samples = np.zeros((2, self.block_rows, self.xq.size + 4))
-        self._windows = np.lib.stride_tricks.sliding_window_view(
-            self._samples, 8, axis=2
-        )[:, :, ::4]
+        self.block_rows = max(16, LOAD_BLOCK_SAMPLES // self.xq.size, LOAD_BLOCK_SAMPLES // 512)
         self._neg_h_q = -lifting(self.xq, mesh.L)[0]
         self._c_phi = 8.0 * model.k2 / mesh.L**4
 
     @cached_property
     def basis(self) -> np.ndarray:
         """Built on first use, so runs that sample their loads never pay for it."""
-        dens = self._samples[0, :2, :-4]
-        dens[0], dens[1] = self._neg_h_q, self._c_phi
-        return (self._windows[0, :2] @ self.node_weights).reshape(2, -1)
+        samples = np.zeros((2, self.xq.size + 4))
+        samples[0, :-4], samples[1, :-4] = self._neg_h_q, self._c_phi
+        return (_node_windows(samples) @ self.node_weights).reshape(2, -1)
+
+    @cached_property
+    def _samples(self) -> np.ndarray:
+        """The sampled route's buffer, made on its first block."""
+        return np.zeros((2, self.block_rows, self.xq.size + 4))
 
     def _fill(self, ts: np.ndarray) -> np.ndarray:
         """Write f(x_q, t) for the (m, k) times ``ts`` into the sample buffer."""
@@ -435,7 +446,7 @@ class LoadAssembler:
         """Load vectors at the (m, k) times ``ts``, shape (m, k, J, 2)."""
         m, k = ts.shape
         self._fill(ts)
-        return self._windows[:m, :k] @ self.node_weights
+        return _node_windows(self._samples[:m, :k]) @ self.node_weights
 
     def time_averaged(
         self, n, dt: float, horizon: float | None = None, *, separable: bool = False
@@ -485,13 +496,16 @@ class LoadAssembler:
             flat[rows] = scale[rows, None] * (l0 + l1)
         return out
 
-    def from_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        """The (..., 2J) loads c0 * basis[0] + c1 * basis[1] of (..., 2) coefficients.
+    def from_coefficients(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (..., 2J) loads c0 * basis[0] + c1 * basis[1] of (..., 2) coefficients,
+        written into ``out`` when given.
 
         Formed elementwise, so a row's bits do not depend on the rows
         around it.
         """
-        return coeffs[..., :1] * self.basis[0] + coeffs[..., 1:] * self.basis[1]
+        out = np.multiply(coeffs[..., :1], self.basis[0], out=out)
+        out += coeffs[..., 1:] * self.basis[1]
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -408,9 +408,10 @@ class PenaltyTipSolver:
         serves every member.
         That part is +0.0, added to every tip at once (it turns a -0.0
         into +0.0), unless a tip of u^{n-1} or u^n is past a stop (a NaN
-        tip is not): only then is :meth:`spring` called.  A member whose
-        new tip is past a stop is solved again with its bumped factor,
-        from its entries of F^n.  If that tip falls on the free side of
+        tip is not): only then is the member's :meth:`history` made, once
+        for its tip and its bumped solve.  A member whose new tip is past a
+        stop is solved again with its bumped factor, from its entries of
+        F^n.  If that tip falls on the free side of
         its stop, no contact case is consistent: its 2J entries turn NaN
         and its pad stays zero, so the run's record check ends it and no
         other member sees it.  Non-finite entries never make this method
@@ -439,9 +440,11 @@ class PenaltyTipSolver:
         else:
             past_prev = self._past(self._views(u_prev)[2])
             past_curr = self._past(self._views(u_curr)[2])
+        history = {}  # of the members pressing a stop, for their tips and bumped solves
         if past_prev or past_curr:
             for m in sorted({*past_prev, *past_curr}):
-                tips[m] = f_block[m, c] + self.history(m, u_prev, u_curr)
+                history[m] = self.history(m, u_prev, u_curr)
+                tips[m] = f_block[m, c] + history[m]
         self.full_factor.solve(columns, True)
         new = self._past(tips)
         for m in new:
@@ -453,7 +456,7 @@ class PenaltyTipSolver:
             bound = upper if tip > upper else lower
             u = block[m]
             u[:] = f_block[m]
-            u[c] += self.history(m, u_prev, u_curr)
+            u[c] += history[m] if m in history else self.history(m, u_prev, u_curr)
             u[c] += bump * bound
             tip = bumped.solve(u, True)[c]
             tiny = 1e-12 * max(1.0, abs(bound))

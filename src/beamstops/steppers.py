@@ -326,12 +326,14 @@ def run(
     Gauss-Seidel on the whole box, without an audit.  Linear runs step
     through the pinned tip solver with open stops, whatever the model's
     stops, and measure violations and contact episodes against them.
-    Loads are built a block of time windows at a time, one
+    Loads are built a block of time windows at a time (at least 64 rows
+    from J=128 up, see :data:`~beamstops.fem.LOAD_BLOCK_SAMPLES`), one
     :meth:`~beamstops.fem.LoadAssembler.time_averaged` call per block.
     Signorini and linear runs without ``f_tilde`` take the windows'
-    averages of phi'' and phi from it (``separable``) and form the loads
-    with one rank-2 product per block; penalty runs and a callable
-    ``f_tilde`` sample and scatter the load density of every window.  One
+    averages of phi'' and phi from it (``separable``) and write the loads
+    with one rank-2 product per block into one buffer for the run; penalty
+    runs and a callable ``f_tilde`` sample and scatter the load density of
+    every window.  One
     kernel fills a load block's buffers with u^{n+1}, A u^{n+1} and F^n,
     and the last state decides each next step.  A banded step makes two
     banded products, B u^n and A u^{n+1}, carries A u with the state, and
@@ -349,7 +351,10 @@ def run(
     per tip, and ends members:
     it folds the starting pair (u^0, u^1) as the first pair of states,
     then each load block's states, the recorded rows in one vectorized
-    pass (their energies make one product with S stacked over the rows).
+    pass.  It reads evenly spaced records' pairs as strided views of the
+    buffers, forms the residual A u - F in the block's F rows, and their
+    energies make one product with S stacked over the rows, from a band
+    that a separable run builds once.
     A member's rows end at its first record with a non-finite value, and
     its extrema, episodes and the audit at that record's step.  A penalty
     member with no consistent contact case ends alike: its state turns NaN.
@@ -464,13 +469,19 @@ def run(
     loads = LoadAssembler(mesh, model)
     horizon = scheme.T
     beta = scheme.beta
+    # Without f_tilde a window's load is two coefficients times two fixed
+    # vectors.  Penalty runs keep the sampled loads, whose last bits their
+    # reference check still tracks, until that check measures accuracy
+    # instead (ROADMAP item 12).
+    separable = model.f_tilde is None and kind != "penalty"
 
     # Block buffers.  Row r of u_buf, au_buf and f_buf holds u^{t0+r},
     # A u^{t0+r} (formed once per state and carried: F two steps later, the
     # audit residual, the energy) and the right-hand side F that gave
-    # u^{t0+r}.  Rows 0 and 1 carry the last two states of the block before,
-    # or the starting pair; rows 2 .. are the block's steps.  Runs that read
-    # no residual A u - F reuse one F row.  The step loop writes nothing else.
+    # u^{t0+r}, which the fold turns into the residual A u - F.  Rows 0 and 1
+    # carry the last two states of the block before, or the starting pair;
+    # rows 2 .. are the block's steps.  Runs that read no residual reuse one F
+    # row.  The step loop writes nothing else.
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
     u_buf = np.zeros((block_steps + 2, k * width))
     au_buf = np.empty_like(u_buf)
@@ -479,11 +490,17 @@ def run(
     f_rows = list(f_buf) if kind == "signorini" else [f_buf[0]] * (block_steps + 2)
     if penalty_solver is not None:
         penalty_solver.lend(u_rows + f_rows[:1])
-    # a padded block's loads in the layout of its states, pads zero (load_blocks)
-    g_wide = np.zeros((block_steps, k * width)) if pad else None
     for r, u in enumerate(start_pair):
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
+
+    # A fold's energies make one product with S stacked over its pairs.  A
+    # separable run holds one band, built for the most pairs a fold reads, in
+    # place of the sample buffer it does not make; beside that buffer the band
+    # would raise a sampled run's peak memory, so those build theirs per fold.
+    s_stack = None
+    if separable:
+        s_stack = gm.stiffness.stacked(block_steps // stride + 2, gm.stiffness.bw)
 
     # fold writes into these and keeps, per member, its record count, contact carry and end
     results = [
@@ -517,16 +534,24 @@ def run(
         m = at.size
         resid = None
         if kind == "signorini" and first >= 2:
-            resid = np.subtract(au_buf[first : last + 1], f_buf[first : last + 1])
+            # in the F rows, which nothing reads after the fold
+            f_block = f_buf[first : last + 1]
+            resid = np.subtract(au_buf[first : last + 1], f_block, out=f_block)
         rows = np.zeros((m, k, 6))  # t, u_tip, v_tip, energy, reaction, violation
         if m:
             pair = np.maximum(at + first, 1)
-            u1, u0, au1, au0 = u_buf[pair], u_buf[pair - 1], au_buf[pair], au_buf[pair - 1]
+            gap = int(pair[-1] - pair[0]) // max(m - 1, 1)
+            if gap and np.array_equal(pair, pair[0] + gap * np.arange(m)):  # evenly spaced: views
+                pick = [slice(pair[0] - d, pair[-1] + 1 - d, gap) for d in (1, 0)]
+            else:
+                pick = [pair - 1, pair]
+            u0, u1, au0, au1 = (buf[i] for buf in (u_buf, au_buf) for i in pick)
             pairs = [x.reshape(m * k, width)[:, :ndof] for x in (u0, u1, au0, au1)]
             rows[:, :, 0] = (times[at] * dt)[:, None]
             rows[:, :, 1] = tips[at]
             rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
-            rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt).reshape(m, k)
+            rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt,
+                                            stacked=s_stack).reshape(m, k)
             if penalty_solver is not None:
                 rows[:, :, 4] = dt2 * penalty_solver.springs(tips[at])
             elif resid is not None:
@@ -553,12 +578,6 @@ def run(
                 contact_audit.update(sides[:n, 0], resid[:n], tip)
             done[j] = end is not None
 
-    # Without f_tilde a window's load is two coefficients times two fixed
-    # vectors.  Penalty runs keep the sampled loads, whose last bits their
-    # reference check still tracks, until that check measures accuracy
-    # instead (ROADMAP item 12).
-    separable = model.f_tilde is None and kind != "penalty"
-
     def load_blocks():
         """dt^2 G^n for n = 1 .. n_total-1, one block of load windows at a time.
 
@@ -566,13 +585,14 @@ def run(
         each block carries the last two windows of the one before; memory
         stays at one block whatever the horizon.  Separable loads carry
         and combine the windows' (phi'', phi) coefficients, and one
-        rank-2 product per block turns them into dt^2 G^n.  A padded
-        block gets each row copied to every member in the states' (k w)
-        layout, in one buffer for the run, so a step adds one contiguous
-        row.
+        rank-2 product per block writes dt^2 G^n into one buffer for the
+        run.  A padded block gets each row copied to every member in the
+        states' (k w) layout, in that buffer, so a step adds one
+        contiguous row.
         """
         if n_total < 2:
             return
+        g_buf = np.zeros((block_steps, k * width)) if separable or pad else None
         f = np.empty((0, 2 if separable else ndof))
         for w0 in range(0, n_total + 1, loads.block_rows):
             w1 = min(w0 + loads.block_rows, n_total + 1)
@@ -580,10 +600,10 @@ def run(
             f = np.concatenate((f[-2:], loads.time_averaged(ns, dt, horizon, separable=separable)))
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
             if separable:
-                g = loads.from_coefficients(g)
-            if pad:
-                g_wide[: len(g)].reshape(len(g), k, width)[:, :, :ndof] = g[:, None]
-                g = g_wide[: len(g)]
+                g = loads.from_coefficients(g, out=g_buf[: len(g)])
+            elif pad:
+                g_buf[: len(g)].reshape(len(g), k, width)[:, :, :ndof] = g[:, None]
+                g = g_buf[: len(g)]
             yield g
 
     # Between contacts a run of the pinned solver may step in closed form.  Its

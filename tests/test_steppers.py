@@ -10,6 +10,7 @@ the brute-force box-QP enumeration from conftest.
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -451,6 +452,41 @@ def test_penalty_steps_make_one_solve_and_one_per_member_pressing_a_stop(monkeyp
     assert sum(1 for _, bumped in solves if bumped == 0) > 6000
 
 
+def test_a_pressing_member_makes_two_spring_calls_per_step(monkeypatch):
+    """On the penalty-sweep configuration a member with a tip of u^{n-1} or
+    u^n past a stop makes its spring history once per step, for its tip
+    entry of F and for its bumped solve alike: two ``spring`` calls, the
+    tips of u^{n-1} and u^n, however the step ends.  Hundreds of such
+    member-steps make a bumped solve."""
+    model = blow_up_model()
+    members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
+    calls, bumped, steps = {}, [], []
+    spring, advance = PenaltyTipSolver.spring, PenaltyTipSolver.advance
+    solve = linalg.BandedCholesky.solve
+
+    def counted_spring(self, tip, member=0):
+        calls[steps[-1], member] = calls.get((steps[-1], member), 0) + 1
+        return spring(self, tip, member)
+
+    def counted_advance(self, f_n, u_prev, u_curr, n, out):
+        steps.append(n)
+        return advance(self, f_n, u_prev, u_curr, n, out)
+
+    def counted_solve(self, rhs, *rest):
+        if steps and rhs.ndim == 1:  # a member's bumped solve
+            bumped.append(steps[-1])
+        return solve(self, rhs, *rest)
+
+    monkeypatch.setattr(PenaltyTipSolver, "spring", counted_spring)
+    monkeypatch.setattr(PenaltyTipSolver, "advance", counted_advance)
+    monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
+    run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
+    assert len(steps) == 6666
+    assert set(calls.values()) == {2}
+    pressing_steps = {n for n, _ in calls}
+    assert sum(n in pressing_steps for n in bumped) > 100
+
+
 def penalty_states(monkeypatch):
     """Fresh four-member penalty solvers between stops at +-2 mm, the states
     of a step for a contact pattern, and a check of one step against a
@@ -786,6 +822,60 @@ def test_blocked_loads_match_shorter_runs_and_smaller_blocks(monkeypatch):
     assert LoadAssembler(mesh, model).block_rows == 16
     small_blocks = run(model, mesh, SchemeParams(0.5, dt, n_long * dt), record_stride=1)
     assert first_differing_row(small_blocks.to_csv().splitlines(), long_rows) is None
+
+
+def test_block_size_and_record_spacing_move_no_bit_at_large_j(monkeypatch):
+    """At J=160 the default load blocks hold 64 rows.  421 steps end off
+    strides 2 and 7, so a run's last fold reads unevenly spaced pairs, the
+    others evenly spaced ones.  At strides 1, 2 and 7, and at the default
+    and 16-row blocks, a run's records are the stride-1 run's at its times,
+    bit for bit, and its extrema, contact episodes and audit are the
+    stride-1 run's; the 16-row blocks give the default blocks' CSV."""
+    mesh = Mesh(1.501, 160)
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
+    params = SchemeParams(0.5, 5e-5, 421 * 5e-5)
+    assert params.n_steps == 421 and LoadAssembler(mesh, model).block_rows == 64
+
+    def runs():
+        return {stride: run(model, mesh, params, record_stride=stride) for stride in (1, 2, 7)}
+
+    def summary(traj):
+        return (traj.max_violation, traj.tip_min, traj.tip_max, traj.contact_episodes,
+                repr(traj.audit))
+
+    default = runs()
+    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
+    small = runs()
+    every = default[1]
+    assert every.audit.contact_steps > 0 and every.contact_episodes > 1
+    steps = np.arange(params.n_steps + 1)
+    for stride in (1, 2, 7):
+        kept = every.records[:, (steps % stride == 0) | (steps == params.n_steps)]
+        for traj in (default[stride], small[stride]):
+            assert np.array_equal(traj.records.view(np.int64), kept.view(np.int64)), stride
+            assert summary(traj) == summary(every)
+        assert small[stride].to_csv() == default[stride].to_csv()
+
+
+def test_a_fine_mesh_run_keeps_its_memory_bounded():
+    """The fine-mesh benchmark's run (J=320, stride 2) cut to 1 000 steps.
+    Its tracemalloc peak measured 2.79 MB (numpy 2.4, scipy 1.17): the
+    buffers of its 64-row load blocks, the stacked S of its energies and one
+    fold's temporaries.  The bound leaves 0.41 MB (15 %).  A separable run
+    that made the sampled route's (2, 64, 1284) buffer (1.3 MB) would
+    exceed it."""
+    model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
+    mesh = Mesh(1.501, 320)
+    assert LoadAssembler(mesh, model).block_rows == 64
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(model, mesh, SchemeParams(0.5, 5e-5, 0.05), record_stride=2)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.2e6, peak
 
 
 #: (block_samples, id suffix): the default load blocks keep a case's plain

@@ -2,7 +2,7 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 480
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 482
 lines in about 20 s.  Every case runs with no modal basis, so every step
 is banded (the basis chooser, ``steppers.modal_basis``, patched to find
 none), and running it on two checkouts and diffing the outputs shows
@@ -28,7 +28,9 @@ contact path the stops pick, signorini without stops (g = inf), an
 unforced PGS obstacle and a callable obstacle that bounds one node
 alone; and, long enough to take modal steps at J=19, the README run
 cut to T = 0.15, 0.05 s runs between the 2 mm stops with and without a
-callable load, a start on a stop and a beta = 0.3 run.  Linear runs step
+callable load, a start on a stop and a beta = 0.3 run; and the README run
+at J=320 cut to T = 0.15 at stride 2, the benchmark's fine mesh, whose
+default blocks (64 rows) differ from J=19's (431 rows).  Linear runs step
 through the pinned tip solver with open stops, so they cover its free
 case.  Each runs at the default load blocks and at 16-row blocks
 (``fem.LOAD_BLOCK_SAMPLES = 1``).  The wrong branch, the raising step and
@@ -284,11 +286,16 @@ def modal_cases(blocks: str) -> None:
          lambda: run(TIGHT, MESH, SchemeParams(0.3, 1e-5, 0.05), record_stride=3))
 
 
+def fine_mesh_cases(blocks: str) -> None:
+    emit(f"{blocks} fine mesh J=320 stride=2",
+         lambda: run(PIPE, Mesh(1.501, 320), SchemeParams(0.5, 5e-5, 0.15), record_stride=2))
+
+
 def main() -> None:
     for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
         with patch.object(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
             for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases,
-                          contact_path_cases, modal_cases):
+                          contact_path_cases, modal_cases, fine_mesh_cases):
                 cases(blocks)
 
 
