@@ -37,10 +37,10 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
     padded = np.zeros((m, n + bw))
     padded[:, :n] = u1
     if stacked is None:
-        stacked = stiffness.stacked(m, bw)
-    band = BandedSpd(stacked.ab[:, : m * (n + bw)], copy=False)
+        band = stiffness.stacked(m, bw)
+    else:
+        band = BandedSpd(stacked.ab[:, : m * (n + bw)], copy=False)
     s_u1 = band.matvec(padded.reshape(-1)).reshape(m, n + bw)[:, :n]
-    del stacked, band  # a band made here is freed before the temporaries below
     work = np.vecdot(u0, s_u1)
     # w = u1 - u0 and A w in the two buffers, which hold nothing needed now
     w = np.subtract(u1, u0, out=padded[:, :n])

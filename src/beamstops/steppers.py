@@ -354,7 +354,7 @@ def run(
     pass.  It reads evenly spaced records' pairs as strided views of the
     buffers, forms the residual A u - F in the block's F rows, and their
     energies make one product with S stacked over the rows, from a band
-    that a separable run builds once.
+    built once per run.
     A member's rows end at its first record with a non-finite value, and
     its extrema, episodes and the audit at that record's step.  A penalty
     member with no consistent contact case ends alike: its state turns NaN.
@@ -469,11 +469,6 @@ def run(
     loads = LoadAssembler(mesh, model)
     horizon = scheme.T
     beta = scheme.beta
-    # Without f_tilde a window's load is two coefficients times two fixed
-    # vectors.  Penalty runs keep the sampled loads, whose last bits their
-    # reference check still tracks, until that check measures accuracy
-    # instead (ROADMAP item 12).
-    separable = model.f_tilde is None and kind != "penalty"
 
     # Block buffers.  Row r of u_buf, au_buf and f_buf holds u^{t0+r},
     # A u^{t0+r} (formed once per state and carried: F two steps later, the
@@ -494,13 +489,9 @@ def run(
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_rows[r], out=au_rows[r])
 
-    # A fold's energies make one product with S stacked over its pairs.  A
-    # separable run holds one band, built for the most pairs a fold reads, in
-    # place of the sample buffer it does not make; beside that buffer the band
-    # would raise a sampled run's peak memory, so those build theirs per fold.
-    s_stack = None
-    if separable:
-        s_stack = gm.stiffness.stacked(block_steps // stride + 2, gm.stiffness.bw)
+    # a fold's energies make one product with S stacked over its pairs: the
+    # first copies of this band, built once for the most pairs a fold reads
+    s_stack = gm.stiffness.stacked(k * (block_steps // stride + 2), gm.stiffness.bw)
 
     # fold writes into these and keeps, per member, its record count, contact carry and end
     results = [
@@ -577,6 +568,12 @@ def run(
             if contact_audit is not None and resid is not None:  # one member
                 contact_audit.update(sides[:n, 0], resid[:n], tip)
             done[j] = end is not None
+
+    # Without f_tilde a window's load is two coefficients times two fixed
+    # vectors.  Penalty runs keep the sampled loads, whose last bits their
+    # reference check still tracks, until that check measures accuracy
+    # instead (ROADMAP item 12).
+    separable = model.f_tilde is None and kind != "penalty"
 
     def load_blocks():
         """dt^2 G^n for n = 1 .. n_total-1, one block of load windows at a time.
