@@ -3,12 +3,12 @@
 All matrices arising from the beam discretization are SPD with a small,
 fixed half-bandwidth, so the whole solver stack is built on symmetric
 banded storage: Cholesky factorization (LAPACK ``pbtrf``/``pbtrs``),
-banded matrix-vector products (BLAS ``sbmv``), a direct solver for
-systems with a box constraint on a single coordinate (solve, then move
-along the precomputed column A^{-1} e_c onto a violated bound), its
-penalty counterpart (stiff springs at the stops, one or two pre-factored
-solves), a projected Gauss-Seidel iteration for general box constraints,
-and Lanczos for the largest generalized eigenvalue of a banded pair.
+banded matrix-vector products (BLAS ``sbmv``), the data of the two tip
+closures, which the compiled step loop of
+:mod:`beamstops.steploop` reads (the factor and the column A^{-1} e_c of
+the pinned solve; the bumps and bumped factors of the penalty springs), a
+projected Gauss-Seidel iteration for general box constraints, and Lanczos
+for the largest generalized eigenvalue of a banded pair.
 """
 
 from __future__ import annotations
@@ -260,14 +260,17 @@ def cholesky(a: BandedSpd) -> BandedCholesky:
 
 
 class PinnedDofSolver:
-    """Direct solver for A u = f with bounds on a single coordinate c.
+    """The data of the pinned tip closure: A u = f with bounds on one coordinate c.
 
     Solve the unconstrained system; if coordinate c lands inside
     [lower, upper] that is the solution.  Otherwise the multiplier of
     the violated bound is the scalar lam that moves u along
     w = A^{-1} e_c onto it, u + lam w, which satisfies every equation
-    i != c (the Delassus form of a single contact).  The factor and w
-    are computed once at construction.
+    i != c (the Delassus form of a single contact).  A NaN at c is free,
+    and so is every solution under open stops (-inf, +inf), a linear
+    run's step.  The factor and ``w`` are computed once at construction;
+    the compiled step loop (:mod:`beamstops.steploop`) reads them and
+    makes the step.
     """
 
     def __init__(self, a: BandedSpd, index: int, lower: float, upper: float):
@@ -281,29 +284,11 @@ class PinnedDofSolver:
         self.full_factor = a.cholesky()
         e_c = np.zeros(a.n)
         e_c[index] = 1.0
-        self._w = self.full_factor.solve(e_c)
-        self._step = np.empty(a.n)  # the contact case's move along w
-
-    def solve_with_case(self, f: np.ndarray, out: np.ndarray):
-        """Write the solution into ``out`` (a contiguous float vector); returns
-        ``out`` and the case that fired: -1 lower stop, 0 free, +1 upper.
-        A NaN at c is free, as in :class:`PenaltyTipSolver`; so is every
-        solution under open stops (-inf, +inf), a linear run's step."""
-        out[:] = f
-        self.full_factor.solve(out, True)
-        uc = out[self.index]
-        if not (uc > self.upper or uc < self.lower):
-            return out, 0
-        case = 1 if uc > self.upper else -1
-        bound = self.upper if case == 1 else self.lower
-        np.multiply(self._w, (bound - uc) / self._w[self.index], out=self._step)
-        out += self._step
-        out[self.index] = bound
-        return out, case
+        self.w = self.full_factor.solve(e_c)
 
 
 class PenaltyTipSolver:
-    """Implicit solve of one penalty step with stops on a single DOF.
+    """The data of the penalty tip closure: stiff springs at the stops of one DOF.
 
     The spring force p(u) = -(1/eps)[max(u - g_hi, 0) - max(g_lo - u, 0)]
     enters the step beta-weighted like the elastic force; the n+1 term
@@ -315,7 +300,17 @@ class PenaltyTipSolver:
 
     ``params`` is one :class:`~beamstops.steppers.PenaltyParams` or a list
     of members that differ only in ``inv_eps``: they share A's factor, and
-    each member has its own spring and bumped factor.
+    each member has its own spring and bumped factor, in ``members`` as
+    (inv_eps, bump, bumped factor).  The compiled step loop
+    (:mod:`beamstops.steploop`) reads them and steps the members as one
+    block: +0.0 added to every tip of F^n, or, where a tip of u^{n-1} or
+    u^n is past a stop, the springs' explicit part
+    dt^2 ((1 - 2 beta) p(u^n) + beta p(u^{n-1})); one solve with A for all
+    members; and for each member whose new tip is past a stop, a solve
+    with its bumped factor from its entries of F^n.  If that tip falls on
+    the free side of its stop, no contact case is consistent: its 2J
+    entries turn NaN, its pad stays zero, and the run's record check ends
+    it.
     """
 
     def __init__(self, a: BandedSpd, index: int, lower: float, upper: float, params):
@@ -328,145 +323,21 @@ class PenaltyTipSolver:
         self.dt2 = members[0].dt ** 2
         self.beta = members[0].beta
         self.full_factor = a.cholesky()
-        # per member: (inv_eps, bump, factor of the bumped matrix)
-        self.members = []
         self.inv_eps = np.array([p.inv_eps for p in members])
-        self._zeros = np.zeros(len(members))
-        self._lent = {}  # id(row) -> _views(row), which holds the lent row: its id stays its own
-        # (n, u^n, u^{n+1}, members past a stop in each) of the last step on lent rows
-        self._carry = (None, None, None, [], [])
+        self.members = []
         for p in members:
             bump = self.dt2 * self.beta * p.inv_eps
             bumped = a.with_diagonal_bump(index, bump).cholesky() if bump > 0.0 else self.full_factor
             self.members.append((p.inv_eps, bump, bumped))
 
-    def spring(self, tip: float, member: int = 0) -> float:
-        """Penalty force of the stops on the tip (negative at the upper stop)."""
-        inv_eps = self.members[member][0]
-        if tip > self.upper:
-            return -inv_eps * (tip - self.upper)
-        if tip < self.lower:
-            return -inv_eps * (tip - self.lower)
-        return 0.0
-
     def springs(self, tips: np.ndarray) -> np.ndarray:
-        """:meth:`spring` of every member at once: (..., k) tips, member j in
-        the last axis, give their (..., k) forces, bit for bit (+0.0 inside
-        the stops and for a NaN tip, -0.0 * excess at inv_eps = 0)."""
+        """The springs' forces on (..., k) tips, member j in the last axis:
+        -inv_eps (tip - stop) past a stop, +0.0 inside the stops and for a
+        NaN tip, and -0.0 * excess at inv_eps = 0."""
         above, below = tips > self.upper, tips < self.lower
-        with np.errstate(invalid="ignore"):  # 0 * inf is NaN, as in spring
+        with np.errstate(invalid="ignore"):  # 0 * inf is NaN
             excess = np.where(above, tips - self.upper, tips - self.lower)
             return np.where(above | below, -self.inv_eps * excess, 0.0)
-
-    def history(self, member: int, u_prev: np.ndarray, u_curr: np.ndarray) -> float:
-        """dt^2 times the springs' explicit part of one member's step, from its
-        tips in the flat blocks u^{n-1} and u^n; ``advance`` adds it to the
-        member's tip entry of F^n."""
-        tip_prev = self._views(u_prev)[2].item(member)
-        tip_curr = self._views(u_curr)[2].item(member)
-        return self.dt2 * (
-            (1.0 - 2.0 * self.beta) * self.spring(tip_curr, member)
-            + self.beta * self.spring(tip_prev, member)
-        )
-
-    def lend(self, rows) -> None:
-        """Keep the views of flat block rows that :meth:`advance` will step in.
-
-        :func:`~beamstops.steppers.run` lends its buffer rows once per run.
-        A step on lent rows finds their member block, tips and (width x k)
-        columns built, and carries the contact state (see :meth:`advance`).
-        Between a step n and a step n + 1 that reads its u^n and u^{n+1},
-        the lender must not write those two rows.
-        """
-        for row in rows:
-            self._lent[id(row)] = self._views(row)
-
-    def _views(self, x: np.ndarray) -> tuple:
-        """(x, its (k, 2J) member block, its k tips, its (width, k) columns)."""
-        lent = self._lent.get(id(x))
-        if lent is not None:
-            return lent
-        k = len(self.members)
-        block = x.reshape(k, x.shape[0] // k)
-        return x, block[:, : self.full_factor.n], block[:, self.index], block.T
-
-    def _past(self, tips: np.ndarray) -> list[int]:
-        """The members whose tip is past a stop; a NaN tip is not."""
-        lower, upper = self.lower, self.upper
-        return [m for m, tip in enumerate(tips.tolist()) if tip > upper or tip < lower]
-
-    def advance(self, f_n: np.ndarray, u_prev: np.ndarray, u_curr: np.ndarray, n: int,
-                out: np.ndarray) -> np.ndarray:
-        """Write u^{n+1} of step ``n`` into ``out`` from F^n and (u^{n-1}, u^n); returns ``out``.
-
-        The float arrays are flat blocks of the k members: member j's
-        vector is entries [j w, j w + 2J), w = len / k, and any rest of
-        its w entries is zero padding (one member: its plain vectors).
-        ``out``, a block of the same layout with zero pads, takes the
-        members' entries of F^n plus the springs' explicit part at the
-        tips, its pads stay zero, and one in-place multi-RHS solve with A
-        serves every member.
-        That part is +0.0, added to every tip at once (it turns a -0.0
-        into +0.0), unless a tip of u^{n-1} or u^n is past a stop (a NaN
-        tip is not): only then is the member's :meth:`history` made, once
-        for its tip and its bumped solve.  A member whose new tip is past a
-        stop is solved again with its bumped factor, from its entries of
-        F^n.  If that tip falls on the free side of
-        its stop, no contact case is consistent: its 2J entries turn NaN
-        and its pad stays zero, so the run's record check ends it and no
-        other member sees it.  Non-finite entries never make this method
-        raise.
-
-        A step's contact state is which members have a tip past a stop in
-        u^{n-1} and in u^n.  The solver owns it: each call classifies the
-        tips of u^{n+1} once, after any bumped solve or NaN ending, and
-        keeps that with the state of u^n where ``u_curr`` and ``out`` are
-        rows lent by :meth:`lend`.  The next call takes the pair as its own
-        only if it is step n + 1 on lent rows and reads this call's
-        ``u_curr`` and ``out`` as its u^{n-1} and u^n; any other call
-        classifies the tips of its u^{n-1} and u^n itself.  So a free step
-        on run()'s rows (no tip past a stop in u^{n-1}, u^n or u^{n+1}) only
-        copies F^n, adds the zeros, solves and classifies the new tips.
-        """
-        c, lower, upper = self.index, self.lower, self.upper
-        lent = self._lent.get(id(out))
-        _, block, tips, columns = lent or self._views(out)
-        f_block = self._views(f_n)[1]
-        block[...] = f_block
-        tips += self._zeros  # +0.0 at each tip
-        last = self._carry
-        if lent and last[0] == n - 1 and last[1] is u_prev and last[2] is u_curr:
-            past_prev, past_curr = last[3:]
-        else:
-            past_prev = self._past(self._views(u_prev)[2])
-            past_curr = self._past(self._views(u_curr)[2])
-        history = {}  # of the members pressing a stop, for their tips and bumped solves
-        if past_prev or past_curr:
-            for m in sorted({*past_prev, *past_curr}):
-                history[m] = self.history(m, u_prev, u_curr)
-                tips[m] = f_block[m, c] + history[m]
-        self.full_factor.solve(columns, True)
-        new = self._past(tips)
-        for m in new:
-            # a NaN tip steps on: the run's record check names the blow-up
-            _, bump, bumped = self.members[m]
-            if bump == 0.0:
-                continue
-            tip = tips[m]
-            bound = upper if tip > upper else lower
-            u = block[m]
-            u[:] = f_block[m]
-            u[c] += history[m] if m in history else self.history(m, u_prev, u_curr)
-            u[c] += bump * bound
-            tip = bumped.solve(u, True)[c]
-            tiny = 1e-12 * max(1.0, abs(bound))
-            if not (bound == upper and tip >= bound - tiny or bound == lower and tip <= bound + tiny):
-                u[:] = np.nan
-        if new:  # classified again after the bumped solves and NaN endings
-            new = self._past(tips)
-        if lent and id(u_curr) in self._lent:
-            self._carry = (n, u_curr, out, past_curr, new)
-        return out
 
 
 def pgs_box(

@@ -22,23 +22,23 @@ ways to close the step at the stops:
   analysis (the spring force is piecewise linear, so each case is one
   pre-factored banded solve).
 
-:func:`run` is the one stepping path: it picks one step closure per run
-and calls the solver objects of :mod:`beamstops.linalg` (the banded
-factor, :class:`~beamstops.linalg.PinnedDofSolver`,
-:func:`~beamstops.linalg.pgs_box` or
-:class:`~beamstops.linalg.PenaltyTipSolver`) directly, from one step loop.
-Between contacts the same loop may step a signorini or linear run in
-closed form, in the modes of (S, M) (:class:`ModalBasis`).  Penalty members
-that differ only in inv_eps step through it together, as one block.  Runs
-are vetoed up front when dt exceeds the stability limit for the chosen
-beta (overridable with ``force``).
+:func:`run` is the one stepping path.  Every run that closes its steps at
+the tip steps its load blocks in the compiled loop of
+:mod:`beamstops.steploop`, which reads the tip closure's data from
+:class:`~beamstops.linalg.PinnedDofSolver` (signorini and linear) or
+:class:`~beamstops.linalg.PenaltyTipSolver`; callable stops step through
+:func:`~beamstops.linalg.pgs_box`, in Python.  Between contacts a signorini
+or linear run may step in closed form, in the modes of (S, M)
+(:class:`ModalBasis`).  Penalty members that differ only in inv_eps step
+together, as one block.  Runs are vetoed up front when dt exceeds the
+stability limit for the chosen beta (overridable with ``force``).
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -56,6 +56,7 @@ from .fem import (
 )
 from .linalg import BandedSpd, PenaltyTipSolver, PinnedDofSolver, pgs_box
 from .stability import StabilityReport, UnstableTimeStepError, check_matrices
+from .steploop import Loop
 
 
 class NonFiniteRecordError(Exception):
@@ -249,10 +250,11 @@ class Trajectory:
     tip DOF ((A u - F) for the stops, dt^2 times the spring force for
     the penalty scheme) and ``reaction_physical`` rescales it by 1/dt^2.
     ``max_violation``, ``tip_min``/``tip_max`` (and so ``max_abs_tip``)
-    and ``contact_episodes``, the run's one count, are tracked at every
+    and ``contact_episodes`` are tracked at every
     step, not just the recorded ones, from defaults that hold before any
     state; the extrema turn NaN once a step does.
-    ``stability`` is the report the run's stability check produced.
+    ``stability`` is the report the run's stability check produced, and
+    ``stats`` the counts of the run's work (see :func:`run`).
     The rows of a blown-up run end at its first record with a non-finite
     value, which :meth:`require_finite` names, short of ``n_steps``, and so
     do its extrema.
@@ -273,6 +275,7 @@ class Trajectory:
     tip_max: float = -math.inf
     contact_episodes: int = 0
     wall_time: float = 0.0
+    stats: dict = field(default_factory=dict)
 
     CSV_HEADER = "t,u_tip,v_tip,energy,reaction,violation"
 
@@ -333,19 +336,22 @@ def run(
     averages of phi'' and phi from it (``separable``) and write the loads
     with one rank-2 product per block into one buffer for the run; penalty
     runs and a callable ``f_tilde`` sample and scatter the load density of
-    every window.  One
-    kernel fills a load block's buffers with u^{n+1}, A u^{n+1} and F^n,
-    and the last state decides each next step.  A banded step makes two
-    banded products, B u^n and A u^{n+1}, carries A u with the state, and
-    calls the run's step closure, step(F^n, u^{n-1}, u^n, n, out), which
-    writes u^{n+1} into ``out``, its buffer row; the tip solvers' closures
-    allocate nothing.  Where the run has a modal basis and the last tip
-    lies strictly inside the stops, the kernel steps a chunk of
-    closed-form modal steps (:class:`ModalBasis`) instead, up to the first
-    tip that does not, which takes a banded step.  The basis serves the
-    runs of the pinned tip solver; it is chosen at set-up, where the run
-    pays for the eigendecomposition ((2J)^2 <= N) and
-    :func:`modal_basis` finds the modes stable and accurate.  Each member's Trajectory is
+    every window.  One kernel fills a load block's buffers with u^{n+1},
+    A u^{n+1} and F^n, and the last state decides each next step.  A
+    banded step makes two banded products, B u^n and A u^{n+1}, carries
+    A u with the state, and closes the step at the tip.  The banded steps
+    of every tip closure are the compiled loop's
+    (:class:`~beamstops.steploop.Loop`, a context over the run's buffers
+    built once per run), which steps to the end of the block in one call;
+    PGS steps are made in Python, one ``pgs_box`` call each.  Where the run
+    has a modal basis and the last tip lies strictly inside the stops, the
+    kernel steps a chunk of closed-form modal steps (:class:`ModalBasis`)
+    instead, up to the first tip that does not; the loop then takes banded
+    steps up to the first whose tip lies strictly inside the stops, and
+    hands back.  The basis serves the runs of the pinned tip solver; it is
+    chosen at set-up, where the run pays for the eigendecomposition
+    ((2J)^2 <= N) and :func:`modal_basis` finds the modes stable and
+    accurate.  Each member's Trajectory is
     made before the first step, and one fold writes into it (``records``,
     extrema, contact episodes) and into the audit, from one contact code
     per tip, and ends members:
@@ -359,17 +365,20 @@ def run(
     its extrema, episodes and the audit at that record's step.  A penalty
     member with no consistent contact case ends alike: its state turns NaN.
     A member that ends steps on in its block, unrecorded, until every
-    member has ended or the run does.  A step that raises ends the run:
-    the block is folded up to that step, and the error propagates unless
-    every member has already ended.
+    member has ended or the run does.  No step of the compiled loop
+    raises.  A PGS step that raises ends the run: the block is folded up
+    to that step, and the error propagates unless the member has already
+    ended.  Each Trajectory's ``stats`` count the run's work: its banded
+    steps and modal rows, its block solves (one per tip step) and banded
+    products (two per banded step), and the member's own bumped solves and
+    pressing steps (penalty steps with a tip of u^{n-1} or u^n past a
+    stop).
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
     step as one (k x 2J) block: per step one product call for each of
     B U and A U and one in-place multi-RHS solve serve all of them, and
     only a member with a tip past a stop gets per-member tip work.  The
-    penalty solver is lent the buffer rows, so it builds their views once
-    and carries the members' contact state from step to step.  The
     result is then a list with each member's Trajectory; each member's
     rows are bit-identical to its own run, and its ``wall_time`` is the
     block's divided by k.  One ``params`` gives its Trajectory.
@@ -423,33 +432,20 @@ def run(
     width = ndof + pad
     a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
 
-    # step closure: step(F^n, u^{n-1}, u^n, n, out) writes u^{n+1} into
-    # ``out``, the state's buffer row, whose pads it leaves zero.  Members
-    # that have ended step on with the others, so their non-finite entries
-    # must not make a step raise.  Signorini runs step against the tip
-    # stops, linear runs against open ones; violations and contact episodes
-    # measure against the model's stops either way.
+    # The tip closure, whose data the compiled loop reads: signorini runs
+    # step against the tip stops, linear runs against open ones, penalty
+    # runs against their springs; callable stops take projected Gauss-Seidel.
+    # Violations and contact episodes measure against the model's stops
+    # either way.
     distributed = not model.tip_only
     pgs = kind == "signorini" and distributed
     lo, hi = (tip_lo, tip_hi) if kind == "signorini" else (-math.inf, math.inf)
-    contact_audit = None
-    penalty_solver = None
+    contact_audit = solver = None
     if kind == "penalty":
-        penalty_solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
-        step = penalty_solver.advance
-
-    elif pgs:
-        def step(f, up, uc, n, out):
-            # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
-            # the starting point shows in the last bits of every later step)
-            out[:] = pgs_box(a_mat, f, box, x0=uc if n > 1 else None)
-
-    else:
-        solve = PinnedDofSolver(a_mat, tip, lo, hi).solve_with_case
+        solver = PenaltyTipSolver(a_mat, tip, tip_lo, tip_hi, members)
+    elif not pgs:
+        solver = PinnedDofSolver(a_mat, tip, lo, hi)
         contact_audit = ContactAudit() if kind == "signorini" else None
-
-        def step(f, up, uc, n, out):
-            solve(f, out)
 
     if distributed:
         lo_b, hi_b = box.lower, box.upper
@@ -476,18 +472,14 @@ def run(
     # u^{t0+r}, which the fold turns into the residual A u - F.  Rows 0 and 1
     # carry the last two states of the block before, or the starting pair;
     # rows 2 .. are the block's steps.  Runs that read no residual reuse one F
-    # row.  The step loop writes nothing else.
+    # row.  The steps write nothing else.
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
     u_buf = np.zeros((block_steps + 2, k * width))
     au_buf = np.empty_like(u_buf)
     f_buf = np.empty((block_steps + 2 if kind == "signorini" else 1, k * width))
-    u_rows, au_rows = list(u_buf), list(au_buf)
-    f_rows = list(f_buf) if kind == "signorini" else [f_buf[0]] * (block_steps + 2)
-    if penalty_solver is not None:
-        penalty_solver.lend(u_rows + f_rows[:1])
     for r, u in enumerate(start_pair):
         u_buf[r].reshape(k, width)[:, :ndof] = u
-        a_stack.matvec(u_rows[r], out=au_rows[r])
+        a_stack.matvec(u_buf[r], out=au_buf[r])
 
     # a fold's energies make one product with S stacked over its pairs: the
     # first copies of this band, built once for the most pairs a fold reads
@@ -543,8 +535,8 @@ def run(
             rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
             rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt,
                                             stacked=s_stack).reshape(m, k)
-            if penalty_solver is not None:
-                rows[:, :, 4] = dt2 * penalty_solver.springs(tips[at])
+            if kind == "penalty":
+                rows[:, :, 4] = dt2 * solver.springs(tips[at])
             elif resid is not None:
                 rows[:, 0, 4] = resid[at, tip]
             rows[:, :, 5] = viols[at]
@@ -609,6 +601,10 @@ def run(
     basis = None
     if kind != "penalty" and not pgs and ndof**2 <= n_total:
         basis = modal_basis(gm.mass, gm.stiffness, a_mat, b_mat, scheme)
+    # the compiled loop's context, over the run's buffers; it counts its work
+    loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf,
+                                 handoff=basis is not None)
+    work = np.zeros(3 + 2 * k, dtype=np.int64) if loop is None else loop.counts
 
     def chunk(g_block, forcing, r, r_end):
         """Modal steps for rows r .. r_end - 1 from the states of rows r - 2 and
@@ -636,40 +632,52 @@ def run(
         return n
 
     def kernel(g_block, t0):
-        """Steps the rows of a load block and returns (rows stepped, the error a
-        step raised or None).  Where the run has a basis, a state whose tip
-        lies strictly inside the stops goes on in a chunk of modal steps.  The
-        step a chunk stops short of, and every step from any other state, is
-        one banded step: B u^n, - A u^{n-1} + dt^2 G^n, the step closure, then
-        A u^{n+1}."""
+        """Steps the rows of a load block and returns (rows stepped, None).
+        Where the run has a basis, a state whose tip lies strictly inside the
+        stops goes on in a chunk of modal steps.  The step a chunk stops short
+        of, and every step from any other state, is the compiled loop's, which
+        hands back after a step whose tip lies strictly inside the stops."""
         rows, r = len(g_block) + 2, 2
         forcing = None if basis is None else g_block @ basis.load  # dt^2 G^n in the modes
+        loop.load(g_block)
         while r < rows:
-            if basis is not None and lo < u_rows[r - 1][tip] < hi:
+            if basis is not None and lo < u_buf[r - 1, tip] < hi:
                 r_end = min(r + MODAL_CHUNK, rows)
                 r += chunk(g_block, forcing, r, r_end)
                 if r == r_end:
                     continue
-            f = f_rows[r]
-            b_stack.matvec(u_rows[r - 1], out=f)
-            f -= au_rows[r - 2]
+            r = loop.step(r, rows)
+        return r - 2, None
+
+    def pgs_kernel(g_block, t0):
+        """Steps the rows of a load block with projected Gauss-Seidel: B u^n,
+        - A u^{n-1} + dt^2 G^n, :func:`pgs_box`, then A u^{n+1}.  Returns
+        (rows stepped, the error a step raised or None)."""
+        for r in range(2, len(g_block) + 2):
+            f = f_buf[r]
+            b_stack.matvec(u_buf[r - 1], out=f)
+            f -= au_buf[r - 2]
             f += g_block[r - 2]
             try:
-                step(f, u_rows[r - 2], u_rows[r - 1], t0 + r - 1, u_rows[r])
-            except Exception as exc:  # noqa: BLE001 - raised by run() unless every member has ended
+                # warm start from u^n; step 1 starts cold (PGS stops at a tolerance, so
+                # the starting point shows in the last bits of every later step)
+                u_buf[r] = pgs_box(a_mat, f, box, x0=u_buf[r - 1] if t0 + r > 2 else None)
+            except Exception as exc:  # noqa: BLE001 - raised by run() unless the member has ended
                 return r - 2, exc
-            a_stack.matvec(u_rows[r], out=au_rows[r])
-            r += 1
-        return r - 2, None
+            a_stack.matvec(u_buf[r], out=au_buf[r])
+            work[0] += 1
+            work[2] += 2
+        return len(g_block), None
 
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
         fold(0, 0, 1)  # the starting pair, shared by the members
-        t0 = 0
+        t0 = stepped = 0
         for g_block in () if all(done) else load_blocks():
             # a member whose state turns non-finite steps on in place: the
             # pads keep its columns away from the others, and the fold ends it
-            steps, raised = kernel(g_block, t0)
+            steps, raised = (pgs_kernel if pgs else kernel)(g_block, t0)
+            stepped += steps
             fold(t0, 2, steps + 1)
             if all(done):
                 break
@@ -680,7 +688,11 @@ def run(
             u_buf[:2], au_buf[:2] = u_buf[steps : steps + 2], au_buf[steps : steps + 2]
 
     wall = (time.perf_counter() - t_begin) / len(members)
-    for traj, count in zip(results, counts):
+    banded = int(work[0])
+    for j, (traj, count) in enumerate(zip(results, counts)):
         traj.records = traj.records[:, :count].copy()
         traj.wall_time = wall
+        traj.stats = {"banded_steps": banded, "modal_rows": stepped - banded,
+                      "solves": int(work[1]), "products": int(work[2]),
+                      "bumped_solves": int(work[3 + j]), "pressing_steps": int(work[3 + k + j])}
     return results if isinstance(params, (list, tuple)) else results[0]

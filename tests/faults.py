@@ -1,71 +1,74 @@
 """Fault injectors that the tests and ``tools/output_digests.py`` share.
 
-Each stands in for a solver method, to be patched over it (for instance
-with ``monkeypatch.setattr``), and calls the method it replaced on every
-call that it does not break.  The wrappers pass on any arguments past the
-ones they read (an ``out`` row, an in-place flag), so that they run on
-checkouts whose step and solve take more or fewer.
+The tip steps run in the compiled loop, so the injectors there change the
+data that the loop reads: each stands in for a solver's ``__init__``, to be
+patched over it (for instance with ``monkeypatch.setattr``), calls the one
+it replaced and then alters what it built.  The projected Gauss-Seidel
+steps run in Python; their injector stands in for ``pgs_box`` as
+``run()`` binds it (``steppers.pgs_box``) and calls the real one.  The
+penalty injector alters only the solver's ``members``, so that it also
+runs on checkouts that step the tips in Python.
 """
 
 import numpy as np
 
-from beamstops.linalg import BandedCholesky, PenaltyTipSolver
+from beamstops import linalg
+from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
 
 
-class FreeTipFactor:
-    """A bumped factor whose solve puts the tip at 0, on the free side of any stop."""
-
-    def __init__(self, factor, index):
-        self.factor, self.index = factor, index
-
-    def solve(self, rhs, *rest):
-        u = self.factor.solve(rhs, *rest)
-        u[self.index] = 0.0
-        return u
+def doubled_bump(a, index, bump):
+    """The factor of A + 2 bump e_c e_c^T.  As a member's bumped factor it
+    puts a pressing tip nearer the free side of its stop than the consistent
+    branch does, and on the free side wherever that branch leaves the tip
+    close enough to the stop."""
+    return a.with_diagonal_bump(index, 2.0 * bump).cholesky()
 
 
-def wrong_branch_advance(inv_eps, step):
-    """A ``PenaltyTipSolver.advance`` whose bumped solve, for the member of
-    stiffness ``inv_eps`` at step ``step`` alone, returns a finite tip on
-    the wrong side of the stop it presses: that member has no consistent
-    contact case there, and every other call is the real one."""
-    advance = PenaltyTipSolver.advance
+def wrong_branch_init(inv_eps):
+    """A ``PenaltyTipSolver.__init__`` that gives the member of stiffness
+    ``inv_eps`` the bumped factor of :func:`doubled_bump`: at the first of
+    its bumped solves that lands on the free side of the stop, no contact
+    case is consistent and its state turns NaN.  Every other member is as
+    built."""
+    init = PenaltyTipSolver.__init__
 
-    def wrong_branch(self, f_n, u_prev, u_curr, n, *rest):
-        if n != step:
-            return advance(self, f_n, u_prev, u_curr, n, *rest)
-        saved = list(self.members)
-        self.members[:] = [(value, bump, FreeTipFactor(bumped, self.index) if value == inv_eps
-                            else bumped) for value, bump, bumped in saved]
-        try:
-            return advance(self, f_n, u_prev, u_curr, n, *rest)
-        finally:
-            self.members[:] = saved
+    def wrong_branch(self, a, index, *rest):
+        init(self, a, index, *rest)
+        self.members[:] = [(value, bump, doubled_bump(a, index, bump) if value == inv_eps else bumped)
+                           for value, bump, bumped in self.members]
 
     return wrong_branch
 
 
-def raising_advance(step):
-    """A ``PenaltyTipSolver.advance`` that raises ``ArithmeticError("step
-    <n> raised")`` at step ``step`` and is the real one at every other."""
-    advance = PenaltyTipSolver.advance
+def clamp_only_init():
+    """A ``PinnedDofSolver.__init__`` whose w = A^{-1} e_c is e_c: a contact
+    step clamps the tip onto its stop without moving any other entry, which
+    leaves the equations off the tip broken."""
+    init = PinnedDofSolver.__init__
 
-    def raising(self, f_n, u_prev, u_curr, n, *rest):
-        if n == step:
-            raise ArithmeticError(f"step {n} raised")
-        return advance(self, f_n, u_prev, u_curr, n, *rest)
+    def clamp_only(self, a, index, *rest):
+        init(self, a, index, *rest)
+        self.w = np.zeros(a.n)
+        self.w[index] = 1.0
 
-    return raising
+    return clamp_only
 
 
-def picky_solve(limit):
-    """A ``BandedCholesky.solve`` that raises ``ArithmeticError`` on a
-    right-hand side whose largest magnitude reaches ``limit`` (or is NaN)."""
-    solve = BandedCholesky.solve
+def failing_pgs(raise_at=None, nan_at=None):
+    """A ``pgs_box`` that fails at its calls for steps ``raise_at`` and
+    ``nan_at`` (its calls of those numbers, as ``run()`` makes one per
+    step): the first raises ``ArithmeticError("step <raise_at> raised")``,
+    the second returns a state of NaN, from which the next step's real
+    ``pgs_box`` cannot converge.  Every other call is the real one.  Patch
+    it over ``steppers.pgs_box``."""
+    calls = []
 
-    def picky(self, rhs, *rest):
-        if not np.abs(rhs).max() < limit:
-            raise ArithmeticError("right-hand side too large")
-        return solve(self, rhs, *rest)
+    def failing(a, f, *rest, **kwargs):
+        calls.append(None)
+        if len(calls) == raise_at:
+            raise ArithmeticError(f"step {raise_at} raised")
+        if len(calls) == nan_at:
+            return np.full(a.n, np.nan)
+        return linalg.pgs_box(a, f, *rest, **kwargs)
 
-    return picky
+    return failing

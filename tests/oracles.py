@@ -1,9 +1,17 @@
 """Reference routes that several test files share: a load vector at one
-time through the production quadrature scatter, and the single-DOF box
-solve built on the pinned solver."""
+time through the production quadrature scatter, the single-DOF box solve
+through the compiled step loop (``beamstops.steploop``), and the Python
+tip steps that the loop ports, as an oracle loop over the same buffers.
+
+The tip steps are the pinned and penalty steps that ``run()`` made from
+Python before the loop was compiled, in the same operations and order,
+each classifying the tips of u^{n-1} and u^n itself.  They solve through
+``BandedCholesky.solve`` and ``BandedSpd.matvec``, so spies on those see
+every solve and product of the oracle loop."""
 
 import numpy as np
 
+from beamstops import linalg, steploop
 from beamstops.linalg import PinnedDofSolver
 
 
@@ -16,4 +24,203 @@ def solve_single_box(a, f, c, g):
     """Minimize 0.5 u'Au - f'u subject to -g <= u_c <= g (g may be inf)."""
     if not np.isfinite(g):
         return a.cholesky().solve(np.asarray(f, dtype=float))
-    return PinnedDofSolver(a, c, -g, g).solve_with_case(f, np.empty(a.n))[0]
+    return loop_solve(a, PinnedDofSolver(a, c, -g, g), f)
+
+
+def loop_solve(a, solver, f):
+    """The pinned solve of A u = f by the compiled loop: one step from the
+    states u^{n-1} = u^n = 0 with loads f, whose F^n = B 0 - A 0 + f is f
+    wherever f is not -0.0 (the loop's B is A)."""
+    u, au, f_row = np.zeros((3, a.n)), np.zeros((3, a.n)), np.zeros((1, a.n))
+    loop = steploop.Loop(a, a, solver, u, au, f_row, handoff=False)
+    loop.load(np.array(f, dtype=float).reshape(1, a.n))
+    loop.step(2, 3)
+    return u[2]
+
+
+def pinned_step(solver, f, out):
+    """Write the pinned solution of A u = f into ``out`` (a contiguous float
+    vector); returns ``out`` and the case that fired: -1 lower stop, 0 free,
+    +1 upper.  A NaN at c is free; so is every solution under open stops."""
+    out[:] = f
+    solver.full_factor.solve(out, True)
+    uc = out[solver.index]
+    if not (uc > solver.upper or uc < solver.lower):
+        return out, 0
+    case = 1 if uc > solver.upper else -1
+    bound = solver.upper if case == 1 else solver.lower
+    out += np.multiply(solver.w, (bound - uc) / solver.w[solver.index])
+    out[solver.index] = bound
+    return out, case
+
+
+def spring(solver, tip, member=0):
+    """Penalty force of the stops on the tip (negative at the upper stop)."""
+    inv_eps = solver.members[member][0]
+    if tip > solver.upper:
+        return -inv_eps * (tip - solver.upper)
+    if tip < solver.lower:
+        return -inv_eps * (tip - solver.lower)
+    return 0.0
+
+
+def history(solver, member, tip_prev, tip_curr):
+    """dt^2 times the springs' explicit part of one member's step, from its
+    tips of u^{n-1} and u^n."""
+    return solver.dt2 * ((1.0 - 2.0 * solver.beta) * spring(solver, tip_curr, member)
+                         + solver.beta * spring(solver, tip_prev, member))
+
+
+def past(solver, tips):
+    """The members whose tip is past a stop; a NaN tip is not."""
+    return [m for m, tip in enumerate(tips.tolist()) if tip > solver.upper or tip < solver.lower]
+
+
+def penalty_step(solver, f_n, u_prev, u_curr, out):
+    """Write u^{n+1} of the penalty members' step into ``out`` from F^n and
+    (u^{n-1}, u^n), flat blocks of the k members (member j's vector is
+    entries [j w, j w + 2J), the rest of its w entries zero padding);
+    returns ``out``.  F^n's entries plus +0.0 at each tip, or plus the
+    member's history where a tip of u^{n-1} or u^n is past a stop; one
+    multi-RHS solve with A; a bumped solve from F^n for each member whose
+    new tip is past a stop, and NaN for one whose tip then falls on the
+    free side of it."""
+    c, k, n = solver.index, len(solver.members), solver.full_factor.n
+    block = out.reshape(k, -1)
+    f_block = f_n.reshape(k, -1)[:, :n]
+    tips = block[:, c]
+    block[:, :n] = f_block
+    tips += np.zeros(k)  # +0.0 at each tip
+    tips_prev, tips_curr = u_prev.reshape(k, -1)[:, c], u_curr.reshape(k, -1)[:, c]
+    pressing = {}
+    for m in sorted({*past(solver, tips_prev), *past(solver, tips_curr)}):
+        pressing[m] = history(solver, m, tips_prev[m], tips_curr[m])
+        tips[m] = f_block[m, c] + pressing[m]
+    solver.full_factor.solve(block.T, True)
+    for m in past(solver, tips):
+        _, bump, bumped = solver.members[m]
+        if bump == 0.0:
+            continue
+        tip = tips[m]
+        bound = solver.upper if tip > solver.upper else solver.lower
+        u = block[m, :n]
+        u[:] = f_block[m]
+        u[c] += pressing[m] if m in pressing else history(solver, m, tips_prev[m], tips_curr[m])
+        u[c] += bump * bound
+        tip = bumped.solve(u, True)[c]
+        tiny = 1e-12 * max(1.0, abs(bound))
+        if not (bound == solver.upper and tip >= bound - tiny
+                or bound == solver.lower and tip <= bound + tiny):
+            u[:] = np.nan
+    return out
+
+
+def oracle_step(loop, u, au, f_n, g_n):
+    """One step of ``Loop.step`` in Python: from rows 0 and 1 of ``u`` and
+    row 0 of ``au`` (u^{n-1}, u^n, A u^{n-1}) and the loads g_n = dt^2 G^n,
+    writes F^n into ``f_n``, u^{n+1} into row 2 of ``u`` and A u^{n+1} into
+    row 2 of ``au``.  Returns the pinned step's contact case, None for a
+    penalty step."""
+    loop.b_band.matvec(u[1], out=f_n)
+    f_n -= au[0]
+    f_n += g_n
+    case = None
+    if isinstance(loop.solver, PinnedDofSolver):
+        case = pinned_step(loop.solver, f_n, u[2])[1]
+    else:
+        penalty_step(loop.solver, f_n, u[0], u[1], u[2])
+    loop.a_band.matvec(u[2], out=au[2])
+    return case
+
+
+def oracle_rows(loop, r, rows):
+    """``Loop.step`` in Python: steps rows r .. rows - 1 of ``loop``'s
+    buffers from its loads, and returns the row after the last one stepped,
+    with the loop's hand-off rule."""
+    solver = loop.solver
+    while r < rows:
+        oracle_step(loop, loop.u[r - 2 : r + 1], loop.au[r - 2 : r + 1],
+                    loop.f[r if len(loop.f) > 1 else 0], loop.g[r - 2])
+        r += 1
+        if loop.handoff and solver.lower < loop.u[r - 1, solver.index] < solver.upper:
+            break
+    return r
+
+
+def checked_loop(monkeypatch):
+    """Check every step of the compiled loop against the oracle loop.
+
+    Patches ``Loop.step`` so that each call steps its rows in C all at once,
+    then again one row at a time from the same buffers, each row after the
+    oracle steps it on copies of the rows it reads; the u, A u and F rows
+    must be equal in their int64 views, and the call must end where the
+    hand-off rule says.  Returns what the oracle counted: its banded steps,
+    block solves and products, per member its bumped solves and pressing
+    steps (a tip of u^{n-1} or u^n past a stop), and the pinned steps'
+    contact cases.  The loop's own counters see each row twice.
+    """
+    step = steploop.Loop.step
+    seen = {"banded_steps": 0, "solves": 0, "products": 0, "bumped_solves": {},
+            "pressing_steps": {}, "cases": []}
+    solve, matvec = linalg.BandedCholesky.solve, linalg.BandedSpd.matvec
+    stepping = []  # the solver, while the oracle steps
+
+    def tally(key, member):
+        seen[key][member] = seen[key].get(member, 0) + 1
+
+    def counted_solve(self, rhs, *rest):
+        if stepping and self is stepping[0].full_factor:
+            seen["solves"] += 1
+        elif stepping:
+            tally("bumped_solves", [m for m, (_, _, b) in enumerate(stepping[0].members) if b is self][0])
+        return solve(self, rhs, *rest)
+
+    def counted_matvec(self, *args, **kwargs):
+        seen["products"] += bool(stepping)
+        return matvec(self, *args, **kwargs)
+
+    def checked(self, r, rows):
+        buffers = (self.u, self.au, self.f)
+        saved = [x.copy() for x in buffers]
+        end = step(self, r, rows)
+        whole = [x.copy() for x in buffers]
+        for x, before in zip(buffers, saved):
+            x[...] = before
+        solver, n = self.solver, self.u.shape[1]
+        tip = solver.index
+        penalty = not isinstance(solver, PinnedDofSolver)
+        width = n // len(solver.members) if penalty else n
+        for q in range(r, end):
+            fq = q if len(self.f) > 1 else 0
+            # copies of u^{n-1}, u^n and A u^{n-1}, and of F's row: sbmv may
+            # read what the row held before
+            u, au, f_n = self.u[q - 2 : q + 1].copy(), self.au[q - 2 : q + 1].copy(), self.f[fq].copy()
+            if penalty:
+                for m in range(n // width):
+                    if past(solver, u[:2, m * width + tip]):
+                        tally("pressing_steps", m)
+            stepping.append(solver)
+            try:
+                case = oracle_step(self, u, au, f_n, self.g[q - 2])
+            finally:
+                stepping.clear()
+            if case is not None:
+                seen["cases"].append(case)
+            assert step(self, q, q + 1) == q + 1
+            for got, want in ((self.u[q], u[2]), (self.au[q], au[2]), (self.f[fq], f_n),
+                              (self.u[q], whole[0][q]), (self.au[q], whole[1][q])):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), q
+            seen["banded_steps"] += 1
+        assert np.array_equal(self.f.view(np.int64), whole[2].view(np.int64))
+        tips = self.u[r:end, tip]
+        inside = (solver.lower < tips) & (tips < solver.upper)
+        if self.handoff:
+            assert not inside[:-1].any() and (end == rows or inside[-1])
+        else:
+            assert end == rows
+        return end
+
+    monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
+    monkeypatch.setattr(linalg.BandedSpd, "matvec", counted_matvec)
+    monkeypatch.setattr(steploop.Loop, "step", checked)
+    return seen

@@ -11,7 +11,7 @@ import pytest
 from beamstops.cli import _chunks, main
 from beamstops.config import override, parse_config
 from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
-from faults import wrong_branch_advance
+from faults import clamp_only_init, wrong_branch_init
 
 PIPE_SHORT = """\
 L = 1.501
@@ -124,20 +124,11 @@ def test_run_blow_up_fails_and_keeps_existing_output(cfg_file, tmp_path, capsys)
 def test_failed_complementarity_certificate_fails_and_writes_nothing(
     cfg_file, tmp_path, monkeypatch, capsys
 ):
-    """A pinned solve that clamps the tip onto the stop without the step
-    along A^{-1} e_c leaves the equations off the tip broken in contact:
-    the run's audit fails, and neither a run nor a sweep member writes a CSV."""
-
-    def clamp_only(self, f, out):
-        u = out
-        u[:] = self.full_factor.solve(f)
-        if self.lower <= u[self.index] <= self.upper:
-            return u, 0
-        case = 1 if u[self.index] > self.upper else -1
-        u[self.index] = self.upper if case == 1 else self.lower
-        return u, case
-
-    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", clamp_only)
+    """A pinned solver whose w = A^{-1} e_c is e_c clamps the tip onto the
+    stop without the step along A^{-1} e_c, which leaves the equations off
+    the tip broken in contact: the run's audit fails, and neither a run nor
+    a sweep member writes a CSV."""
+    monkeypatch.setattr(PinnedDofSolver, "__init__", clamp_only_init())
     monkeypatch.setenv("BEAM_THREADS", "1")
     # stops at +-0.002 m: the tip first arrives at t = 0.0068 s
     cfg_file.write_text(PIPE_SHORT.replace("g = 0.1", "g = 0.002").replace("T = 0.05", "T = 0.01"))
@@ -444,23 +435,24 @@ def test_sweep_member_failure_leaves_the_others_byte_identical(
 def test_sweep_member_with_an_inconsistent_penalty_branch_writes_no_csv(
     cfg_file, tmp_path, monkeypatch, capsys, threads
 ):
-    """At step 450 the 1e7 member's bumped solve returns its tip on the
-    free side of the stop it presses.  Its state u^451 turns NaN, so the
-    sweep exits 1 naming its first record at or after t = 451 dt (record
-    65, t = 455 dt at stride 7) and writes no CSV for it; every other
-    member's CSV is its solo run's, byte for byte."""
+    """The 1e7 member's bumped factor is that of A + 2 bump e_c e_c^T
+    (``wrong_branch_init``): at step 446 its bumped solve returns its tip
+    on the free side of the stop it presses.  Its state u^447 turns NaN, so
+    the sweep exits 1 naming its first record at or after t = 447 dt
+    (record 64, t = 448 dt at stride 7) and writes no CSV for it; every
+    other member's CSV is its solo run's, byte for byte."""
     monkeypatch.setenv("BEAM_THREADS", threads)
     text = penalty_cfg(0.25, 1.5e-5)
     cfg_file.write_text(text)
     values = ["1e6", "1e7", "1e8", "1e9"]
     solo = solo_runs(text, values, tmp_path, capsys)
-    monkeypatch.setattr(PenaltyTipSolver, "advance", wrong_branch_advance(1e7, 450))
+    monkeypatch.setattr(PenaltyTipSolver, "__init__", wrong_branch_init(1e7))
     out = tmp_path / "sweep"
     code = main(["sweep", str(cfg_file), "--key", "inv_eps", "--values", ",".join(values),
                  "--output-dir", str(out)])
     err = capsys.readouterr().err
     assert code == 1
-    assert err.strip() == ("inv_eps=1e7: solver error: record 65 (t = 0.006825 s) "
+    assert err.strip() == ("inv_eps=1e7: solver error: record 64 (t = 0.00672 s) "
                            "is not finite: the run blew up")
     assert not (out / "inv_eps_1e7.csv").exists()
     for value in ("1e6", "1e8", "1e9"):

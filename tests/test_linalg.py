@@ -20,7 +20,7 @@ from beamstops.linalg import (
 )
 from beamstops.steppers import SchemeParams, effective_matrix, transfer_matrix
 from conftest import box_qp_oracle, from_dense, random_banded_spd
-from oracles import solve_single_box
+from oracles import loop_solve, pinned_step, solve_single_box
 
 
 def unbounded_box(n):
@@ -246,7 +246,9 @@ def test_solve_single_box_against_enumeration_oracle():
 
 
 def test_pinned_solver_multiplier_sign():
-    """When the bound is active the residual (Au-f)_c has the KKT sign."""
+    """When the bound is active the residual (Au-f)_c has the KKT sign.  The
+    compiled loop's pinned solve, as ``loop_solve`` makes it, puts the tip
+    exactly on the bound it passed, and solves the system where free."""
     rng = np.random.default_rng(34)
     seen = 0
     for _ in range(60):
@@ -254,14 +256,13 @@ def test_pinned_solver_multiplier_sign():
         a, dense = random_banded_spd(rng, n, min(3, n - 1))
         f = rng.standard_normal(n) * 5.0
         c = int(rng.integers(0, n))
-        solver = PinnedDofSolver(a, c, -0.2, 0.2)
-        u, case = solver.solve_with_case(f, np.empty(n))
+        u = loop_solve(a, PinnedDofSolver(a, c, -0.2, 0.2), f)
         grad_c = (dense @ u - f)[c]
-        if case == 1:
-            assert u[c] == 0.2 and grad_c <= 1e-10
+        if u[c] == 0.2:
+            assert grad_c <= 1e-10
             seen += 1
-        elif case == -1:
-            assert u[c] == -0.2 and grad_c >= -1e-10
+        elif u[c] == -0.2:
+            assert grad_c >= -1e-10
             seen += 1
         else:
             assert abs(grad_c) <= 1e-9 * max(1.0, np.abs(f).max())
@@ -269,24 +270,25 @@ def test_pinned_solver_multiplier_sign():
 
 
 def test_pinned_solver_counts_a_nan_tip_as_free():
-    """A NaN tip is free, as in the penalty solver: the J=19 README solve of
-    an F with NaN at the tip keeps it NaN in case 0 (the run's record check
-    names the blow-up), not on a stop.  With open stops, the linear step,
-    a tip of +-inf is free too.  The solution goes into the caller's row."""
+    """A NaN tip is free, as in the penalty step: the compiled loop's J=19
+    README solve of an F with NaN at the tip keeps it NaN (the run's record
+    check names the blow-up), not on a stop, and so does the oracle's, in
+    case 0.  With open stops, the linear step, a tip of +-inf is free too."""
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, SupportMotion.sine(0.2, 10.0))
     gm = assemble(Mesh(1.501, 19), model)
     a = effective_matrix(gm.mass, gm.stiffness, SchemeParams(0.5, 5e-5, 0.15))
     c = DofMap(19).tip_disp
     f = np.zeros(a.n)
     f[c] = np.nan
-    out = np.zeros(a.n)
-    u, case = PinnedDofSolver(a, c, -0.1, 0.1).solve_with_case(f, out)
-    assert u is out and np.isnan(u[c]) and case == 0
+    stops = PinnedDofSolver(a, c, -0.1, 0.1)
+    assert np.isnan(loop_solve(a, stops, f)[c])
+    assert pinned_step(stops, f, np.zeros(a.n))[1] == 0
     open_stops = PinnedDofSolver(a, c, -np.inf, np.inf)
     for tip in (np.inf, -np.inf):
         f[c] = tip
+        assert loop_solve(a, open_stops, f)[c] == tip
         with np.errstate(invalid="ignore"):
-            u, case = open_stops.solve_with_case(f, out)
+            u, case = pinned_step(open_stops, f, np.zeros(a.n))
         assert u[c] == tip and case == 0
 
 

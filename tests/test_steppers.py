@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg
 from scipy.optimize import brentq
 
-from beamstops import fem, linalg, stability, steppers
+from beamstops import fem, stability, steppers
 from beamstops.diagnostics import (
     INACTIVE,
     ContactAudit,
@@ -37,6 +37,7 @@ from beamstops.fem import (
     lifting_slope,
 )
 from beamstops.linalg import PgsConvergenceError, PinnedDofSolver
+from beamstops.steploop import Loop
 from beamstops.steppers import (
     NonFiniteRecordError,
     PenaltyParams,
@@ -49,8 +50,8 @@ from beamstops.steppers import (
     transfer_matrix,
 )
 from conftest import box_qp_oracle
-from faults import FreeTipFactor, picky_solve, raising_advance, wrong_branch_advance
-from oracles import at_time
+from faults import doubled_bump, failing_pgs, wrong_branch_init
+from oracles import at_time, checked_loop, oracle_rows, penalty_step, pinned_step, spring
 
 SMALL = dict(L=1.0, k2=1.0)
 
@@ -279,9 +280,25 @@ def dense_penalty_step(a, f_vec, c, lo, hi, dt2, beta, inv_eps, hist_force):
     return np.linalg.solve(a, rhs_v)
 
 
+def step_loop(solver, a, b, k):
+    """A compiled loop over three rows of k members' flat blocks (with pads of
+    bw zeros when k > 1), for one step from crafted states: fill rows 0 and 1
+    of ``u`` (u^{n-1}, u^n), row 0 of ``au`` (A u^{n-1}) and row 0 of ``g``
+    (dt^2 G^n); ``step(2, 3)`` then writes F^n into ``f`` and u^{n+1} into
+    row 2 of ``u``."""
+    pad = a.bw if k > 1 else 0
+    n = k * (a.n + pad)
+    loop = Loop(a.stacked(k, pad), b.stacked(k, pad), solver, np.zeros((3, n)), np.zeros((3, n)),
+                np.zeros((1, n)), handoff=False)
+    loop.load(np.zeros((1, n)))
+    return loop
+
+
 @pytest.mark.parametrize("push", [40.0, -40.0, 0.3])
 def test_penalty_solver_matches_root_finding_oracle(push):
-    """Three pushes: hard onto the upper stop, the lower stop, and none."""
+    """Three pushes: hard onto the upper stop, the lower stop, and none.  The
+    compiled loop steps from crafted states, and its u^{n+1} solves the
+    penalty step for the F^n it formed."""
     mesh = Mesh(SMALL["L"], 2)
     model = small_model(g=0.02)
     params = PenaltyParams(inv_eps=1e4, dt=0.01, T=1.0, beta=0.25)
@@ -290,26 +307,28 @@ def test_penalty_solver_matches_root_finding_oracle(push):
     dofs = DofMap(2)
     c = dofs.tip_disp
     solver = PenaltyTipSolver(a, c, -0.02, 0.02, params)
+    loop = step_loop(solver, a, transfer_matrix(gm.mass, gm.stiffness, params), 1)
     rng = np.random.default_rng(9)
     u_prev, u_curr = 0.001 * rng.standard_normal(4), 0.001 * rng.standard_normal(4)
-    f_vec = 0.01 * rng.standard_normal(4)
-    f_vec[c] += push * params.dt**2
-    hist = (1.0 - 2.0 * params.beta) * solver.spring(u_curr[c]) + params.beta * solver.spring(
-        u_prev[c]
+    loop.u[0], loop.u[1], loop.au[0] = u_prev, u_curr, a.matvec(u_prev)
+    loop.g[0] = 0.01 * rng.standard_normal(4)
+    loop.g[0, c] += push * params.dt**2
+    assert loop.step(2, 3) == 3
+    hist = (1.0 - 2.0 * params.beta) * spring(solver, u_curr[c]) + params.beta * spring(
+        solver, u_prev[c]
     )
-    got = solver.advance(f_vec, u_prev, u_curr, 3, np.zeros(4))
     ref = dense_penalty_step(
-        a.to_dense(), f_vec, c, -0.02, 0.02, params.dt**2, params.beta, 1e4, hist
+        a.to_dense(), loop.f[0], c, -0.02, 0.02, params.dt**2, params.beta, 1e4, hist
     )
-    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-13)
+    np.testing.assert_allclose(loop.u[2], ref, rtol=1e-9, atol=1e-13)
 
 
 @pytest.mark.parametrize("J", [1, 19, 320])
 def test_penalty_consistency_check_never_fires_on_finite_states(J):
     """The reduced tip equation is strictly increasing, so one contact
-    branch is always consistent.  A seeded probe of ``advance`` over
-    finite blocks of four members (random stops, stiffnesses 1e-5 to
-    1e303, states up to 1 and loads up to 1e200 in size) never poisons a
+    branch is always consistent.  A seeded probe of the compiled loop's
+    step over finite blocks of four members (random stops, stiffnesses 1e-5
+    to 1e303, states up to 1 and loads up to 1e200 in size) never poisons a
     member: every entry of u^{n+1} is finite and every pad is zero.  More
     than half of the member steps take the bumped branch."""
     rng = np.random.default_rng(J)
@@ -323,13 +342,14 @@ def test_penalty_consistency_check_never_fires_on_finite_states(J):
                    for v in 10.0 ** rng.uniform(-5, 303, size=k)]
         a = effective_matrix(gm.mass, gm.stiffness, members[0])
         solver = PenaltyTipSolver(a, c, lo, hi, members)
+        loop = step_loop(solver, a, transfer_matrix(gm.mass, gm.stiffness, members[0]), k)
         width = ndof + a.bw
         for _ in range(100):
-            f, up, uc = (np.zeros((k, width)) for _ in range(3))
-            for x, top in ((f, 200), (up, 0), (uc, 0)):
-                x[:, :ndof] = 10.0 ** rng.uniform(-12, top, size=(k, 1)) * rng.standard_normal((k, ndof))
-            u = solver.advance(f.ravel(), up.ravel(), uc.ravel(), 1, np.zeros(k * width))
-            u = u.reshape(k, width)
+            for x, top in ((loop.g[0], 200), (loop.u[0], 0), (loop.u[1], 0)):
+                x.reshape(k, width)[:, :ndof] = (10.0 ** rng.uniform(-12, top, size=(k, 1))
+                                                 * rng.standard_normal((k, ndof)))
+            assert loop.step(2, 3) == 3
+            u = loop.u[2].reshape(k, width)
             assert np.isfinite(u).all()
             assert not u[:, ndof:].any()
             calls += k
@@ -343,22 +363,26 @@ def test_penalty_spring_sign_convention():
     gm = assemble(mesh, small_model(g=0.1))
     a = effective_matrix(gm.mass, gm.stiffness, params)
     solver = PenaltyTipSolver(a, DofMap(2).tip_disp, -0.1, 0.1, params)
-    assert solver.spring(0.12) == pytest.approx(-2.0)  # pushes back down
-    assert solver.spring(-0.12) == pytest.approx(2.0)  # pushes back up
-    assert solver.spring(0.05) == 0.0
+    down, up, free = solver.springs(np.array([[0.12], [-0.12], [0.05]]))[:, 0]
+    assert down == pytest.approx(-2.0)  # pushes back down
+    assert up == pytest.approx(2.0)  # pushes back up
+    assert free == 0.0
 
 
 def test_penalty_step_adds_the_zero_history_term_with_its_sign():
     """With every tip at rest the springs' explicit part is +0.0, and adding
-    it to an F^n of -0.0 turns the tip entry into +0.0: ``advance`` returns
-    the bits of A^{-1}(F + 0.0 e_c), whose signs alternate, not those of
-    A^{-1} F.  Alone and as the middle member of three, whose pads of F
-    hold NaN: only the members' entries of F are read, and the pads of
-    u^{n+1} stay zero."""
+    it to an F^n of -0.0 turns the tip entry into +0.0: the oracle's step
+    gives the bits of A^{-1}(F + 0.0 e_c), whose signs alternate, not those
+    of A^{-1} F.  The loop adds the same +0.0, to an F^n it forms itself
+    (B u^n - A u^{n-1} + dt^2 G^n).  As the middle member of three, whose
+    pads of G and so of F hold NaN, a member's step in the loop reads only
+    its entries of F: the pads of u^{n+1} stay zero, and each member's
+    u^{n+1} is its step alone, bit for bit."""
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     gm = assemble(Mesh(1.501, 19), model)
     members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e9)]
     a = effective_matrix(gm.mass, gm.stiffness, members[0])
+    b = transfer_matrix(gm.mass, gm.stiffness, members[0])
     c, ndof, factor = DofMap(19).tip_disp, a.n, a.cholesky()
     f = np.full(ndof, -0.0)
     rhs = f.copy()
@@ -367,41 +391,38 @@ def test_penalty_step_adds_the_zero_history_term_with_its_sign():
     assert not np.array_equal(want, np.signbit(factor.solve(f)))
     rest = np.zeros(ndof)
     alone = np.zeros(ndof)
-    PenaltyTipSolver(a, c, -0.002, 0.002, members[1]).advance(f, rest, rest, 1, alone)
+    penalty_step(PenaltyTipSolver(a, c, -0.002, 0.002, members[1]), f, rest, rest, alone)
     assert not alone.any() and np.array_equal(np.signbit(alone), want)
     width = ndof + a.bw
-    block = np.full((3, width), np.nan)
-    block[:, :ndof] = f
-    out = np.zeros(3 * width)
-    solver = PenaltyTipSolver(a, c, -0.002, 0.002, members)
-    assert solver.advance(block.ravel(), np.zeros(3 * width), np.zeros(3 * width), 1, out) is out
-    out = out.reshape(3, width)
-    assert not out.any() and not np.signbit(out[:, ndof:]).any()
-    assert np.array_equal(np.signbit(out[1, :ndof]), want)
+    block = step_loop(PenaltyTipSolver(a, c, -0.002, 0.002, members), a, b, 3)
+    rng = np.random.default_rng(5)
+    loads = 1e-9 * rng.standard_normal((3, ndof))
+    block.g[0] = np.nan
+    block.g[0].reshape(3, width)[:, :ndof] = loads
+    block.u[1].reshape(3, width)[:, :ndof] = 1e-3 * rng.standard_normal(ndof)
+    assert block.step(2, 3) == 3
+    out = block.u[2].reshape(3, width)
+    assert np.isnan(block.f[0].reshape(3, width)[:, ndof:]).all()
+    assert not out[:, ndof:].any() and not np.signbit(out[:, ndof:]).any()
+    for j, member in enumerate(members):
+        solo = step_loop(PenaltyTipSolver(a, c, -0.002, 0.002, member), a, b, 1)
+        solo.g[0], solo.u[1] = loads[j], block.u[1, j * width : j * width + ndof]
+        solo.step(2, 3)
+        assert np.array_equal(solo.u[2].view(np.int64), out[j, :ndof].view(np.int64))
 
 
-def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop(monkeypatch):
-    """Off the stops the springs' explicit part is 0.0 without a ``spring``
-    call: a block of four that ends before the first contact (t = 0.0068 s)
-    calls it never.  A member whose state turned NaN counts as off the
-    stops, so once the 1e300 member has ended (step 543) it makes no more
-    calls, and the calls of the members beside it are those they make
-    without it."""
-    calls = []
-    spring = PenaltyTipSolver.spring
-
-    def counted(self, tip, member=0):
-        calls.append(self.members[member][0])
-        return spring(self, tip, member)
-
-    monkeypatch.setattr(PenaltyTipSolver, "spring", counted)
-    run(*penalty_members(0.25, 1.5e-5, 0.0065, [1e6, 1e7, 1e8, 1e9]), kind="penalty")
-    assert calls == []
+def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop():
+    """Off the stops a member makes no spring history: a block of four that
+    ends before the first contact (t = 0.0068 s) counts no pressing steps.
+    A member whose state turned NaN counts as off the stops, so once the
+    1e300 member has ended (step 543) it presses no more, and the pressing
+    steps of the members beside it are those they make without it."""
+    early = run(*penalty_members(0.25, 1.5e-5, 0.0065, [1e6, 1e7, 1e8, 1e9]), kind="penalty")
+    assert [traj.stats["pressing_steps"] for traj in early] == [0] * 4
     counts = {}
     for T, values in ((0.03, [1e6, 1e300, 1e9]), (0.0077, [1e300]), (0.03, [1e6, 1e9])):
-        calls.clear()
-        run(*penalty_members(0.2, 1.4e-5, T, values), kind="penalty")
-        counts[T, len(values)] = {v: calls.count(v) for v in values}
+        results = run(*penalty_members(0.2, 1.4e-5, T, values), kind="penalty")
+        counts[T, len(values)] = {v: traj.stats["pressing_steps"] for v, traj in zip(values, results)}
     block = counts[0.03, 3]
     assert block[1e300] == counts[0.0077, 1][1e300] > 0
     assert {v: block[v] for v in (1e6, 1e9)} == counts[0.03, 2]
@@ -410,178 +431,120 @@ def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop(monkeypatch):
 
 def test_penalty_steps_make_one_solve_and_one_per_member_pressing_a_stop(monkeypatch):
     """On the penalty-sweep configuration (four members, 1e6 to 1e9, beta =
-    1/4, dt = 1.5e-5, T = 0.1) each ``advance`` makes one multi-RHS solve and
-    one bumped solve for each member whose tip that solve puts past a stop;
-    every member has a spring, so every such member gets one.  Each step
-    also equals, bit for bit, the step of a second solver that ``run`` has
-    not lent its rows to, which classifies every u^{n-1} and u^n itself: the
-    contact state that ``run``'s solver carries is the one it would read."""
+    1/4, dt = 1.5e-5, T = 0.1) each step makes one multi-RHS solve and one
+    bumped solve for each member whose tip that solve puts past a stop;
+    every member has a spring, so every such member gets one.  The run's
+    counters say so, they are the oracle loop's, and every step is the
+    oracle's, bit for bit."""
     model = blow_up_model()
     members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
-    c = DofMap(19).tip_disp
-    gm = assemble(Mesh(1.501, 19), model)
-    reference = PenaltyTipSolver(effective_matrix(gm.mass, gm.stiffness, members[0]), c,
-                                 -0.1, 0.1, members)
-    solves, steps, stepping = [], [], []
-    solve, advance = linalg.BandedCholesky.solve, PenaltyTipSolver.advance
-
-    def counted_solve(self, rhs, *rest):
-        x = solve(self, rhs, *rest)
-        if stepping and x.ndim == 2:  # the block's solve: how many tips it put past a stop
-            tips = x[c]
-            solves.append([int(((tips > 0.1) | (tips < -0.1)).sum()), 0])
-        elif stepping:
-            solves[-1][1] += 1
-        return x
-
-    def checked_advance(self, f_n, u_prev, u_curr, n, out):
-        inputs = [x.copy() for x in (f_n, u_prev, u_curr)]
-        stepping.append(n)
-        got = advance(self, f_n, u_prev, u_curr, n, out)
-        stepping.clear()
-        want = advance(reference, *inputs, n, np.zeros_like(out))
-        steps.append(np.array_equal(got.view(np.int64), want.view(np.int64)))
-        return got
-
-    monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
-    monkeypatch.setattr(PenaltyTipSolver, "advance", checked_advance)
-    run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
-    assert len(steps) == len(solves) == 6666 and all(steps)
-    assert all(bumped == past for past, bumped in solves)
-    assert sum(bumped for _, bumped in solves) > 100
-    assert sum(1 for _, bumped in solves if bumped == 0) > 6000
+    plain = run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
+    seen = checked_loop(monkeypatch)
+    checked = run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
+    stats = plain[0].stats
+    assert stats["banded_steps"] == stats["solves"] == seen["solves"] == 6666
+    assert stats["modal_rows"] == 0 and stats["products"] == seen["products"] == 2 * 6666
+    bumped = [traj.stats["bumped_solves"] for traj in plain]
+    assert bumped == [seen["bumped_solves"][j] for j in range(4)]
+    assert 100 < sum(bumped) < 666  # so more than 6000 steps make no bumped solve
+    for p, c in zip(plain, checked):
+        assert np.array_equal(p.records.view(np.int64), c.records.view(np.int64))
 
 
-def test_a_pressing_member_makes_two_spring_calls_per_step(monkeypatch):
-    """On the penalty-sweep configuration a member with a tip of u^{n-1} or
-    u^n past a stop makes its spring history once per step, for its tip
-    entry of F and for its bumped solve alike: two ``spring`` calls, the
-    tips of u^{n-1} and u^n, however the step ends.  Hundreds of such
-    member-steps make a bumped solve."""
+def test_a_pressing_member_makes_its_history_once_per_step():
+    """On the penalty-sweep configuration at stride 1 each member's
+    ``pressing_steps`` counts its steps with a tip of u^{n-1} or u^n past a
+    stop, read off its records: those steps make the member's spring
+    history, once for its tip entry of F and its bumped solve alike.
+    Hundreds of such member-steps make a bumped solve."""
     model = blow_up_model()
     members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
-    calls, bumped, steps = {}, [], []
-    spring, advance = PenaltyTipSolver.spring, PenaltyTipSolver.advance
-    solve = linalg.BandedCholesky.solve
-
-    def counted_spring(self, tip, member=0):
-        calls[steps[-1], member] = calls.get((steps[-1], member), 0) + 1
-        return spring(self, tip, member)
-
-    def counted_advance(self, f_n, u_prev, u_curr, n, out):
-        steps.append(n)
-        return advance(self, f_n, u_prev, u_curr, n, out)
-
-    def counted_solve(self, rhs, *rest):
-        if steps and rhs.ndim == 1:  # a member's bumped solve
-            bumped.append(steps[-1])
-        return solve(self, rhs, *rest)
-
-    monkeypatch.setattr(PenaltyTipSolver, "spring", counted_spring)
-    monkeypatch.setattr(PenaltyTipSolver, "advance", counted_advance)
-    monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
-    run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
-    assert len(steps) == 6666
-    assert set(calls.values()) == {2}
-    pressing_steps = {n for n, _ in calls}
-    assert sum(n in pressing_steps for n in bumped) > 100
+    results = run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=1)
+    for traj in results:
+        past = np.abs(traj.u_tip) > 0.1
+        assert traj.stats["pressing_steps"] == np.count_nonzero(past[:-2] | past[1:-1])
+    assert sum(traj.stats["bumped_solves"] for traj in results) > 100
 
 
-def penalty_states(monkeypatch):
-    """Fresh four-member penalty solvers between stops at +-2 mm, the states
-    of a step for a contact pattern, and a check of one step against a
-    fresh solver.
+def penalty_states():
+    """A four-member penalty block between stops at +-2 mm, the states of a
+    step for a contact pattern, and a check of the compiled loop against the
+    oracle.
 
     Member j's tips of u^{n-1} and u^n sit at 3 mm where bit j of the
-    pattern is set, and at 0 where not.  The 1e9 member's bumped solve puts
-    its tip on the free side of the stop (``FreeTipFactor``), so a step
-    that presses it ends it.  ``check(solver, f, up, uc, n, out)`` steps
-    ``solver`` and asserts that its u^{n+1} and its ``spring`` calls equal,
-    bit for bit, those of a fresh solver on copies of the same states."""
+    pattern is set, and at 0 where not.  The 1e9 member's bumped factor is
+    that of A + 2 bump e_c e_c^T (``doubled_bump``), so a step that presses
+    it ends it.  ``loop(rows)`` gives a loop over ``rows`` fresh rows;
+    ``check(loop, r, end)`` steps rows r .. end - 1 in one call and asserts
+    that every u, A u and F row equals the oracle's, bit for bit, on copies
+    of the same rows."""
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
     gm = assemble(Mesh(1.501, 19), model)
     a = effective_matrix(gm.mass, gm.stiffness, members[0])
+    b = transfer_matrix(gm.mass, gm.stiffness, members[0])
     c, ndof, width = DofMap(19).tip_disp, a.n, a.n + a.bw
     rng = np.random.default_rng(24)
-    calls = []
-    spring = PenaltyTipSolver.spring
 
-    def counted(self, tip, member=0):
-        calls.append(member)
-        return spring(self, tip, member)
-
-    monkeypatch.setattr(PenaltyTipSolver, "spring", counted)
-
-    def solver():
-        fresh = PenaltyTipSolver(a, c, -0.002, 0.002, members)
-        value, bump, bumped = fresh.members[3]
-        fresh.members[3] = value, bump, FreeTipFactor(bumped, c)
+    def loop(rows):
+        solver = PenaltyTipSolver(a, c, -0.002, 0.002, members)
+        value, bump, _ = solver.members[3]
+        solver.members[3] = value, bump, doubled_bump(a, c, bump)
+        fresh = Loop(a.stacked(4, a.bw), b.stacked(4, a.bw), solver, np.zeros((rows, 4 * width)),
+                     np.zeros((rows, 4 * width)), np.zeros((1, 4 * width)), handoff=False)
+        fresh.load(np.zeros((rows - 2, 4 * width)))
         return fresh
 
     def state(pattern):
-        f, up, uc = (np.zeros((4, width)) for _ in range(3))
-        for x in (f, up, uc):
+        """(dt^2 G^n, u^{n-1}, u^n, A u^{n-1}) as flat rows"""
+        rows = np.zeros((4, 4, width))
+        for x in rows:
             x[:, :ndof] = 1e-9 * rng.standard_normal((4, ndof))
         for j in range(4):
-            up[j, c], uc[j, c] = (0.003, 0.003) if pattern >> j & 1 else (0.0, 0.0)
-        return f.ravel(), up.ravel(), uc.ravel()
+            rows[1:3, j, c] = 0.003 if pattern >> j & 1 else 0.0
+        return rows.reshape(4, 4 * width)
 
-    def check(one, f, up, uc, n, out):
-        inputs = [x.copy() for x in (f, up, uc)]
-        out[:] = 0.0
-        calls.clear()
-        got = one.advance(f, up, uc, n, out)
-        got_calls = calls[:]
-        calls.clear()
-        want = solver().advance(*inputs, n, np.zeros(out.size))
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert got_calls == calls
-        return got
+    def check(one, r, end):
+        before = [x.copy() for x in (one.u, one.au, one.f)]
+        assert oracle_rows(one, r, end) == end
+        want = [x.copy() for x in (one.u, one.au, one.f)]
+        for x, saved in zip((one.u, one.au, one.f), before):
+            x[...] = saved
+        assert one.step(r, end) == end
+        for got, rows in zip((one.u, one.au, one.f), want):
+            assert np.array_equal(got.view(np.int64), rows.view(np.int64))
 
-    return solver, state, check
+    return loop, state, check
 
 
 @pytest.mark.parametrize("reuse", [False, True])
-def test_direct_penalty_steps_read_their_own_states(monkeypatch, reuse):
-    """Called directly, ``advance`` classifies the tips of the states it is
-    given: steps at consecutive n that alternate contact and free states
-    equal a fresh solver's, whether each call gets fresh arrays or the same
-    four arrays refilled."""
-    solver, state, check = penalty_states(monkeypatch)
-    one = solver()
-    arrays = [np.zeros(4 * 41) for _ in range(4)]
-    for n, pattern in enumerate([0b1011, 0, 0b0100, 0, 0, 0b1111, 0b0001, 0], start=1):
-        values = state(pattern)
-        if reuse:
-            for x, value in zip(arrays, values):
-                x[:] = value
-        else:
-            arrays = [x.copy() for x in values] + [np.zeros(4 * 41)]
-        check(one, *arrays[:3], n, arrays[3])
+def test_direct_penalty_steps_read_their_own_states(reuse):
+    """The loop classifies the tips of the states it is given: steps of
+    consecutive calls that alternate contact and free states equal the
+    oracle's, whether each call gets a fresh loop or the same loop's rows
+    refilled.  The 1e9 member ends exactly where its tip presses."""
+    loop, state, check = penalty_states()
+    one = loop(3)
+    for pattern in [0b1011, 0, 0b0100, 0, 0, 0b1111, 0b0001, 0]:
+        if not reuse:
+            one = loop(3)
+        one.g[0], one.u[0], one.u[1], one.au[0] = state(pattern)
+        check(one, 2, 3)
+        assert np.isnan(one.u[2].reshape(4, -1)[3]).any() == bool(pattern & 0b1000)
 
 
-def test_lent_rows_carry_the_contact_state_only_along_their_chain(monkeypatch):
-    """On lent rows a step n carries its contact state, taken after its
-    bumped solves and NaN endings, to the next step only if that step is
-    n + 1 and reads its u^n and u^{n+1} as u^{n-1} and u^n.  A new pair in
-    other lent rows, as ``run`` starts a load block, or a new pair in the
-    chain's rows at a step index that does not follow, makes ``advance``
-    classify the tips afresh: every step equals a fresh solver's."""
-    solver, state, check = penalty_states(monkeypatch)
-    one = solver()
-    f = np.zeros((1, 4 * 41))
-    rows = list(np.zeros((5, 4 * 41)))
-    one.lend(rows + list(f))
-    n = 0
+def test_rows_stepped_in_one_call_classify_their_own_states():
+    """A call that steps rows 2, 3 and 4 from a pattern's pair, whose
+    contact state can change from row to row, equals the oracle row by row;
+    so does the next call from a new pair written into rows 0 and 1, as
+    ``run()`` starts a load block."""
+    loop, state, check = penalty_states()
+    one = loop(5)
     for pattern in (0b0110, 0, 0b1001, 0b1111, 0, 0b0010, 0b1000):
-        f[0], rows[0][:], rows[1][:] = state(pattern)
-        for r in (2, 3, 4):  # the first step classifies, the next two carry
-            n += 1
-            check(one, f[0], rows[r - 2], rows[r - 1], n, rows[r])
-        f[0], rows[3][:], rows[4][:] = state(pattern ^ 0b1111)
-        n += 2
-        check(one, f[0], rows[3], rows[4], n, rows[0])
+        for bits in (pattern, pattern ^ 0b1111):
+            g, one.u[0], one.u[1], one.au[0] = state(bits)
+            one.g[:] = g
+            check(one, 2, 5)
 
 
 def test_penalty_zero_stiffness_is_linear_run(banded_kernel):
@@ -999,28 +962,33 @@ def test_a_blow_up_in_a_block_without_a_record_ends_at_the_next_record(monkeypat
     assert info.value.record == sparse.t.size - 1
 
 
+def pgs_obstacle_run(stride):
+    """A run that steps through projected Gauss-Seidel: a per-node band at J=8, 500 steps."""
+    band = lambda x: 0.02 + 0.06 * np.asarray(x, dtype=float)  # noqa: E731
+    model = BeamModel(k2=282.84, L=1.501, g_lower=lambda x: -band(x), g_upper=band,
+                      phi=SupportMotion.sine(0.2, 10.0))
+    return run(model, Mesh(1.501, 8), SchemeParams(0.5, 1e-3, 0.5), record_stride=stride)
+
+
 @pytest.mark.parametrize("block_samples", [None, 1])
 def test_a_step_error_counts_only_before_a_non_finite_record(monkeypatch, block_samples):
-    """A solve that raises once |F| reaches 1e156 fails the beta = 0 blow-up
-    after its energy overflowed.  At stride 1 that record came first: the
-    run ends there, as it does without the error.  At stride 5 no record
-    has seen the overflow yet, and the error propagates."""
-    params = SchemeParams(beta=0.0, dt=1e-3, T=0.5)
-
-    def blow_up(stride):
-        return run(blow_up_model(), Mesh(1.501, 19), params, kind="linear", force=True,
-                   record_stride=stride)
-
+    """A PGS state that turns NaN at step 60 fails the next step, whose
+    projected Gauss-Seidel cannot converge from it.  At stride 1 the record
+    of the NaN state came first: the run ends there, with the rows of the
+    run without the fault before it.  At stride 5 no record has seen it
+    yet, and the error propagates."""
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    plain = blow_up(1)
-    monkeypatch.setattr(linalg.BandedCholesky, "solve", picky_solve(1e156))
-    ended = blow_up(1)
-    assert ended.to_csv() == plain.to_csv()
-    with pytest.raises(NonFiniteRecordError, match=re.escape("record 38 (t = 0.038 s)")):
+    plain = pgs_obstacle_run(1)
+    monkeypatch.setattr(steppers, "pgs_box", failing_pgs(nan_at=60))
+    ended = pgs_obstacle_run(1)
+    assert ended.t.size == 62
+    assert ended.to_csv().splitlines()[:62] == plain.to_csv().splitlines()[:62]
+    with pytest.raises(NonFiniteRecordError, match=re.escape("record 61 (t = 0.061 s)")):
         ended.require_finite()
-    with pytest.raises(ArithmeticError, match="too large"):
-        blow_up(5)
+    monkeypatch.setattr(steppers, "pgs_box", failing_pgs(nan_at=60))
+    with pytest.raises(PgsConvergenceError, match=re.escape("(natural residual nan)")):
+        pgs_obstacle_run(5)
 
 
 @pytest.mark.parametrize(
@@ -1055,26 +1023,28 @@ def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
      for samples, suffix in LOAD_BLOCKS for stride in (2, 3, 5)],
 )
 def test_an_inconsistent_penalty_branch_ends_only_its_member(monkeypatch, stride, block_samples):
-    """At step 500 the bumped solve of the 1e6 member, whose tip presses a
-    stop, returns its tip on the free side: no contact case is consistent,
-    and its state u^501 turns NaN.  Its rows end at its first record at or
-    after t = 501 dt, the one ``require_finite`` names, and the rows before
-    it are those of its run without the fault; the same holds in a block
-    of three, where the 1e300 member blows up at step 543 and the other
-    members' rows are their own runs', byte for byte."""
+    """The 1e6 member's bumped factor is that of A + 2 bump e_c e_c^T
+    (``wrong_branch_init``).  Its seventh bumped solve, at step 484, returns
+    its tip on the free side of the stop it presses: no contact case is
+    consistent, and its state u^485 turns NaN.  Its rows end at its first
+    record at or after t = 485 dt, the one ``require_finite`` names, and its
+    rows up to its first bumped solve (step 478) are those of its run
+    without the fault; the same holds in a block of three, where the 1e300
+    member blows up at step 543 and the other members' rows are their own
+    runs', byte for byte."""
     model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
     solos = [run(model, mesh, p, kind="penalty", record_stride=stride) for p in members]
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    monkeypatch.setattr(PenaltyTipSolver, "advance", wrong_branch_advance(1e6, 500))
+    monkeypatch.setattr(PenaltyTipSolver, "__init__", wrong_branch_init(1e6))
     alone = run(model, mesh, members[0], kind="penalty", record_stride=stride)
-    record = -(-501 // stride)  # the first record at or after state 501
+    record = -(-485 // stride)  # the first record at or after state 485
     with pytest.raises(NonFiniteRecordError,
                        match=re.escape(f"record {record} (t = {record * stride * 1.4e-5:.6g} s)")):
         alone.require_finite()
     assert alone.t.size == record + 1
-    lines = alone.to_csv().splitlines()
-    assert lines[:-1] == solos[0].to_csv().splitlines()[: record + 1]
+    kept = 478 // stride + 2  # the header and the records of states 0 .. 478
+    assert alone.to_csv().splitlines()[:kept] == solos[0].to_csv().splitlines()[:kept]
     block = run(model, mesh, members, kind="penalty", record_stride=stride)
     assert all(isinstance(member, Trajectory) for member in block)
     for member, own in zip(block, [alone, *solos[1:]]):
@@ -1087,22 +1057,27 @@ def test_an_inconsistent_penalty_branch_ends_only_its_member(monkeypatch, stride
 
 @pytest.mark.parametrize("block_samples", [None, 1])
 def test_a_step_that_raises_ends_a_block_run(monkeypatch, block_samples):
-    """A step that raises ends the run.  While a member of the block has
-    not ended, run() raises the error; once every member has ended (two
-    1e300 members blow up at step 543), a later raise is not reached or
-    not raised, and each member's rows equal its own run's."""
+    """A step that raises ends the run; PGS steps are the ones that can.
+    While the member has not ended, run() raises the error: a raise at step
+    100, and at stride 7 the convergence error of step 61 after a NaN state
+    at step 60.  Once the member has ended, a later raise is not reached or
+    not raised: at stride 1 the record of the NaN state ends it, and the
+    rows equal those of the run with the NaN state alone."""
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
-    solo = run(model, mesh, members[1], kind="penalty", record_stride=7)
-    monkeypatch.setattr(PenaltyTipSolver, "advance", raising_advance(600))
-    with pytest.raises(ArithmeticError, match="step 600 raised"):
-        run(model, mesh, members, kind="penalty", record_stride=7)
-    ended = run(model, mesh, [members[1]] * 2, kind="penalty", record_stride=7)
-    for member in ended:
-        assert member.to_csv() == solo.to_csv()
-        assert np.array_equal((member.max_abs_tip, member.max_violation),
-                              (solo.max_abs_tip, solo.max_violation), equal_nan=True)
+    monkeypatch.setattr(steppers, "pgs_box", failing_pgs(raise_at=100))
+    with pytest.raises(ArithmeticError, match="step 100 raised"):
+        pgs_obstacle_run(7)
+    monkeypatch.setattr(steppers, "pgs_box", failing_pgs(raise_at=100, nan_at=60))
+    with pytest.raises(PgsConvergenceError):
+        pgs_obstacle_run(7)
+    monkeypatch.setattr(steppers, "pgs_box", failing_pgs(nan_at=60))
+    solo = pgs_obstacle_run(1)
+    monkeypatch.setattr(steppers, "pgs_box", failing_pgs(raise_at=100, nan_at=60))
+    ended = pgs_obstacle_run(1)
+    assert ended.to_csv() == solo.to_csv()
+    assert np.array_equal((ended.max_abs_tip, ended.max_violation),
+                          (solo.max_abs_tip, solo.max_violation), equal_nan=True)
 
 
 @pytest.mark.parametrize("stride", [1, 5])
@@ -1180,21 +1155,21 @@ def fresh_products_oracle(model, mesh, params, kind):
         solver = PenaltyTipSolver(a, c, lo, hi, params)
 
         def step(f, up, uc, n):
-            u = solver.advance(f, up, uc, n, np.zeros(f.size))
-            return u, dt2 * solver.spring(u[c])
+            u = penalty_step(solver, f, up, uc, np.zeros(f.size))
+            return u, dt2 * spring(solver, u[c])
 
     else:
         pinned = PinnedDofSolver(a, c, lo, hi)
         audit = ContactAudit()
 
         def step(f, up, uc, n):
-            u, _ = pinned.solve_with_case(f, np.empty(f.size))
+            u, _ = pinned_step(pinned, f, np.empty(f.size))
             residual = a.matvec(u) - f
             audit.update(active_sides(u[c], lo, hi), residual, c)
             return u, float(residual[c])
 
     def start_reaction(u):
-        return dt2 * solver.spring(u[c]) if kind == "penalty" else 0.0
+        return dt2 * spring(solver, u[c]) if kind == "penalty" else 0.0
 
     def energy(u0, u1):
         return discrete_energy((u0, u1), (a.matvec(u0), a.matvec(u1)), gm.stiffness, dt)
@@ -1228,7 +1203,8 @@ def fresh_products_oracle(model, mesh, params, kind):
 def test_carried_products_are_bit_identical_to_fresh_ones(banded_kernel, kind, params):
     """run()'s banded step carries A u with the state (F two steps later,
     the audit, the energy) and forms B u^n once per step; the rows are
-    exactly those of a loop that forms each product anew.  Each horizon runs past the tip's
+    exactly those of the oracle's steps in a loop that forms each product
+    anew.  Each horizon runs past the tip's
     first arrival at a stop (t = 0.0068 s with g = 0.002).  The energies,
     which run() computes for a whole load block at a time, equal the
     pairwise ones, and the Signorini audit, which run() folds once per load
@@ -1472,19 +1448,6 @@ def chooser_spy(monkeypatch):
     return chosen
 
 
-def case_spy(monkeypatch):
-    """The list of the contact case of every pinned solve."""
-    cases, solve = [], PinnedDofSolver.solve_with_case
-
-    def spy(self, f, out):
-        u, case = solve(self, f, out)
-        cases.append(case)
-        return u, case
-
-    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", spy)
-    return cases
-
-
 def refuse_eigendecompositions(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("an eigendecomposition was computed")
@@ -1496,9 +1459,10 @@ def test_a_linear_run_steps_through_the_pinned_solver_with_open_stops(monkeypatc
     """A linear run is the signorini step with its stops open.  Between the
     +-2 mm stops its tip passes them (first at t = 0.0068 s), yet the pinned
     solver, which takes every step of this banded run (N = 667 < (2J)^2),
-    finds each one free; violations and contact episodes still measure
-    against the model's stops, and there is no audit."""
-    cases = case_spy(monkeypatch)
+    finds each one free (the oracle loop's cases, on the loop's own steps);
+    violations and contact episodes still measure against the model's
+    stops, and there is no audit."""
+    cases = checked_loop(monkeypatch)["cases"]
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     params = SchemeParams(0.5, 1.5e-5, 0.01)
     traj = run(model, Mesh(1.501, 19), params, kind="linear", record_stride=1)
@@ -1577,21 +1541,15 @@ def test_modal_and_banded_kernels_agree_before_the_first_impact(monkeypatch, kin
 
 def test_pipe_config_takes_the_modal_kernel(monkeypatch):
     """The pipe workload's run (J=19, dt=5e-5, T=0.15, stride 2) steps its
-    free flight in modal chunks: the pinned solver sees only the steps
+    free flight in modal chunks: the loop's banded steps are only the steps
     around contact, under a tenth of all steps."""
     chosen = chooser_spy(monkeypatch)
-    pinned = []
-    solve = PinnedDofSolver.solve_with_case
-
-    def counted(self, f, out):
-        pinned.append(1)
-        return solve(self, f, out)
-
-    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", counted)
     params = SchemeParams(0.5, 5e-5, 0.15)
     traj = run(blow_up_model(), Mesh(1.501, 19), params, record_stride=2)
     assert len(chosen) == 1 and chosen[0] is not None
-    assert 0 < len(pinned) < params.n_steps // 10
+    banded = traj.stats["banded_steps"]
+    assert 0 < banded < params.n_steps // 10
+    assert banded + traj.stats["modal_rows"] == params.n_steps - 1
     assert traj.audit.contact_steps > 0 and traj.max_violation == 0.0
 
 
@@ -1607,10 +1565,10 @@ def test_the_pinned_solver_takes_the_contact_steps_and_one_release_per_episode(
     load block (``fem.LOAD_BLOCK_SAMPLES = 1`` cuts 16-row blocks).  So the
     pinned solver sees the 664 steps that end on a stop, each of them a
     contact case, and one free step per contact episode, which releases
-    the tip."""
+    the tip (the oracle loop's cases, on the loop's own steps)."""
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    cases = case_spy(monkeypatch)
+    cases = checked_loop(monkeypatch)["cases"]
     traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.6), record_stride=1)
     contact = sum(case != 0 for case in cases)
     assert (len(cases), contact, traj.contact_episodes) == (763, 664, 99)
@@ -1665,7 +1623,7 @@ def test_a_one_step_run_computes_no_eigendecomposition(monkeypatch, kind):
 
 def test_penalty_springs_match_spring_bit_for_bit():
     """The recorded penalty reactions take every member's springs at once;
-    they equal ``spring`` member by member, signed zeros included: +0.0
+    they equal the step's ``spring`` member by member, signed zeros included: +0.0
     inside the stops and for a NaN tip, -0.0 * excess at inv_eps = 0."""
     mesh = Mesh(SMALL["L"], 2)
     gm = assemble(mesh, small_model(g=0.1))
@@ -1675,22 +1633,31 @@ def test_penalty_springs_match_spring_bit_for_bit():
     values = [0.0, 0.05, -0.1, 0.1, 0.1 + 1e-17, 0.12, -0.12, -0.3, np.nan, np.inf, -np.inf]
     tips = np.array([[x] * len(members) for x in values])
     got = solver.springs(tips)
-    want = np.array([[solver.spring(x, j) for j in range(len(members))] for x in values])
+    want = np.array([[spring(solver, x, j) for j in range(len(members))] for x in values])
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(got[5, 0]) and not np.signbit(got[6, 0]) and not np.signbit(got[8]).any()
 
 
-def test_a_step_that_raises_in_a_modal_run_ends_it(monkeypatch):
+def test_a_modal_run_hands_its_first_impact_to_the_loop(monkeypatch):
     """The modal chunks hand the first impact of the pipe run (step 1757)
-    to the pinned solver; a solve that raises there ends the run with its
-    error, as it ends a banded run."""
+    to the compiled loop: its first call starts from a state strictly
+    inside the stops, its first step lands on a stop, and its steps are
+    the oracle's."""
     chosen = chooser_spy(monkeypatch)
+    checked_loop(monkeypatch)
+    step, calls = Loop.step, []
 
-    def fail(self, f, out):
-        raise ArithmeticError("pinned solve failed")
+    def spy(self, r, rows):
+        before = self.u[r - 1, self.solver.index]
+        end = step(self, r, rows)
+        calls.append((before, self.u[r, self.solver.index]))
+        return end
 
-    monkeypatch.setattr(PinnedDofSolver, "solve_with_case", fail)
-    with pytest.raises(ArithmeticError, match="pinned solve failed"):
-        run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15), record_stride=2)
+    monkeypatch.setattr(Loop, "step", spy)
+    traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15), record_stride=1)
     assert len(chosen) == 1 and chosen[0] is not None
+    before, first = calls[0]
+    assert abs(before) < 0.1 and abs(first) == 0.1 == abs(traj.u_tip[1757])
+    assert np.all(np.abs(traj.u_tip[:1757]) < 0.1)
+    assert traj.stats["modal_rows"] >= 1756
