@@ -38,9 +38,7 @@ typedef struct {
     double *w;               /* the pinned closure's A^{-1} e_c; NULL for penalty */
     double *inv_eps, *bump;  /* penalty, per member: its stiffness and dt^2 beta inv_eps */
     double **bumped;         /* penalty, per member: the factor of A + bump e_c e_c^T */
-    /* banded steps, block solves, products, then per member its bumped
-     * solves and then per member its pressing steps */
-    int64_t *counts;
+    int64_t *counts;         /* banded steps, block solves, products, then per member its bumped solves */
     double lower, upper;     /* the tip's stops */
     double dt2, beta;
     int32_t n, ndof, width, k, bw, tip;
@@ -104,7 +102,6 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
         if (pressing[m]) {
             hist[m] = history(L, m, up[at + c], uc[at + c]);
             u[at + c] = f[at + c] + hist[m];
-            L->counts[3 + k + m] += 1;
         } else {
             u[at + c] += 0.0;
         }

@@ -41,6 +41,7 @@ def build(cache: Path = CACHE) -> Path:
 
     The compiler writes to a name of this process's own, which is then
     renamed into place, so that processes that build at once all succeed.
+    A cache that cannot be written raises :class:`ImportError` naming it.
     """
     tag = sysconfig.get_config_var("SOABI") or ""
     key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), tag.encode()]))
@@ -49,18 +50,23 @@ def build(cache: Path = CACHE) -> Path:
         return target
     import subprocess
 
-    target.parent.mkdir(parents=True, exist_ok=True)
     partial = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
-        proc = subprocess.run([COMPILER, *FLAGS, "-o", str(partial), str(SOURCE)],
-                              capture_output=True, text=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            proc = subprocess.run([COMPILER, *FLAGS, "-o", str(partial), str(SOURCE)],
+                                  capture_output=True, text=True)
+        except OSError as exc:
+            raise ImportError(f"beamstops compiles its step loop at first import and needs a C "
+                              f"compiler: {COMPILER!r} could not be run ({exc})") from exc
+        if proc.returncode != 0:
+            partial.unlink(missing_ok=True)
+            raise ImportError(f"{COMPILER} could not compile {SOURCE} into {target.parent}:\n"
+                              f"{proc.stderr}")
+        os.replace(partial, target)
     except OSError as exc:
-        raise ImportError(f"beamstops compiles its step loop at first import and needs a C "
-                          f"compiler: {COMPILER!r} could not be run ({exc})") from exc
-    if proc.returncode != 0:
-        partial.unlink(missing_ok=True)
-        raise ImportError(f"{COMPILER} could not compile {SOURCE}:\n{proc.stderr}")
-    os.replace(partial, target)
+        raise ImportError(f"beamstops compiles its step loop at first import into "
+                          f"{target.parent}, which could not be written ({exc})") from exc
     return target
 
 
@@ -102,8 +108,7 @@ class Loop:
     the loop reads.  With ``handoff`` the loop stops after a step whose tip
     lies strictly inside the solver's stops, where the run's modal chunks
     take over.  ``counts`` holds the banded steps, block solves and banded
-    products made so far, then each member's bumped solves, then each
-    member's pressing steps (a tip of u^{n-1} or u^n past a stop).
+    products made so far, then each member's bumped solves.
     """
 
     def __init__(self, a_band: BandedSpd, b_band: BandedSpd, solver, u: np.ndarray,
@@ -120,8 +125,11 @@ class Loop:
             raise ValueError("the step loop needs matching float64 buffers and bands")
         self.a_band, self.b_band, self.solver = a_band, b_band, solver
         self.u, self.au, self.f, self.handoff = u, au, f, handoff
+        # every array that the loop reads by address, kept with the loop should
+        # the solver's or the bands' attributes be replaced
+        self._held = [a_band.ab, b_band.ab, factor.cb]
         self.g = None
-        self.counts = np.zeros(3 + 2 * k, dtype=np.int64)
+        self.counts = np.zeros(3 + k, dtype=np.int64)
         ctx = _Context(sbmv=_SBMV, pbtrs=_PBTRS, u=u.ctypes.data, au=au.ctypes.data,
                        f=f.ctypes.data, f_stride=0 if f.shape[0] == 1 else n,
                        a_band=a_band.ab.ctypes.data, b_band=b_band.ab.ctypes.data,
@@ -129,14 +137,18 @@ class Loop:
                        lower=solver.lower, upper=solver.upper, n=n, ndof=factor.n,
                        width=n // k, k=k, bw=a_band.bw, tip=solver.index, handoff=handoff)
         if pinned:
-            ctx.w = solver.w.ctypes.data
+            w = np.ascontiguousarray(solver.w, dtype=np.float64)
+            self._held.append(w)
+            ctx.w = w.ctypes.data
         else:
-            # kept with the loop, which reads them by address
-            self._penalty = (np.array([value for value, _, _ in solver.members]),
-                             np.array([bump for _, bump, _ in solver.members]),
-                             (ctypes.c_void_p * k)(*(b.cb.ctypes.data for _, _, b in solver.members)))
-            ctx.inv_eps, ctx.bump = (x.ctypes.data for x in self._penalty[:2])
-            ctx.bumped = ctypes.addressof(self._penalty[2])
+            inv_eps = np.array([value for value, _, _ in solver.members])
+            bump = np.array([bump for _, bump, _ in solver.members])
+            bumped = [b.cb for _, _, b in solver.members]
+            if not all(b.flags.f_contiguous and b.shape == factor.cb.shape for b in bumped):
+                raise ValueError("the step loop needs bumped factors shaped as A's")
+            table = (ctypes.c_void_p * k)(*(b.ctypes.data for b in bumped))
+            self._held += [inv_eps, bump, *bumped, table]
+            ctx.inv_eps, ctx.bump, ctx.bumped = inv_eps.ctypes.data, bump.ctypes.data, ctypes.addressof(table)
             ctx.dt2, ctx.beta = solver.dt2, solver.beta
         self._ctx, self._address = ctx, ctypes.addressof(ctx)
 

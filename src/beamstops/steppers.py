@@ -370,9 +370,7 @@ def run(
     to that step, and the error propagates unless the member has already
     ended.  Each Trajectory's ``stats`` count the run's work: its banded
     steps and modal rows, its block solves (one per tip step) and banded
-    products (two per banded step), and the member's own bumped solves and
-    pressing steps (penalty steps with a tip of u^{n-1} or u^n past a
-    stop).
+    products (two per banded step), and the member's own bumped solves.
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
@@ -604,7 +602,7 @@ def run(
     # the compiled loop's context, over the run's buffers; it counts its work
     loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf,
                                  handoff=basis is not None)
-    work = np.zeros(3 + 2 * k, dtype=np.int64) if loop is None else loop.counts
+    work = np.zeros(3 + k, dtype=np.int64) if loop is None else loop.counts
 
     def chunk(g_block, forcing, r, r_end):
         """Modal steps for rows r .. r_end - 1 from the states of rows r - 2 and
@@ -694,5 +692,5 @@ def run(
         traj.wall_time = wall
         traj.stats = {"banded_steps": banded, "modal_rows": stepped - banded,
                       "solves": int(work[1]), "products": int(work[2]),
-                      "bumped_solves": int(work[3 + j]), "pressing_steps": int(work[3 + k + j])}
+                      "bumped_solves": int(work[3 + j])}
     return results if isinstance(params, (list, tuple)) else results[0]

@@ -16,25 +16,25 @@ from beamstops import linalg
 from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
 
 
-def doubled_bump(a, index, bump):
-    """The factor of A + 2 bump e_c e_c^T.  As a member's bumped factor it
-    puts a pressing tip nearer the free side of its stop than the consistent
-    branch does, and on the free side wherever that branch leaves the tip
-    close enough to the stop."""
-    return a.with_diagonal_bump(index, 2.0 * bump).cholesky()
+def overbumped(a, index, bump):
+    """The factor of A + 100 bump e_c e_c^T.  As a member's bumped factor it
+    pulls a pressing tip to near a hundredth of its stop, on the free side
+    of a stop at +-2 mm wherever the consistent branch leaves the tip near
+    the stop, as it does at a member's first bumped solve."""
+    return a.with_diagonal_bump(index, 100.0 * bump).cholesky()
 
 
 def wrong_branch_init(inv_eps):
     """A ``PenaltyTipSolver.__init__`` that gives the member of stiffness
-    ``inv_eps`` the bumped factor of :func:`doubled_bump`: at the first of
-    its bumped solves that lands on the free side of the stop, no contact
-    case is consistent and its state turns NaN.  Every other member is as
-    built."""
+    ``inv_eps`` the bumped factor of :func:`overbumped`: at its first
+    bumped solve, the re-solved tip lands on the free side of the stop, no
+    contact case is consistent and its state turns NaN.  Every other
+    member is as built."""
     init = PenaltyTipSolver.__init__
 
     def wrong_branch(self, a, index, *rest):
         init(self, a, index, *rest)
-        self.members[:] = [(value, bump, doubled_bump(a, index, bump) if value == inv_eps else bumped)
+        self.members[:] = [(value, bump, overbumped(a, index, bump) if value == inv_eps else bumped)
                            for value, bump, bumped in self.members]
 
     return wrong_branch

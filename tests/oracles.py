@@ -9,6 +9,8 @@ each classifying the tips of u^{n-1} and u^n itself.  They solve through
 ``BandedCholesky.solve`` and ``BandedSpd.matvec``, so spies on those see
 every solve and product of the oracle loop."""
 
+import sys
+
 import numpy as np
 
 from beamstops import linalg, steploop
@@ -155,25 +157,30 @@ def checked_loop(monkeypatch):
     oracle steps it on copies of the rows it reads; the u, A u and F rows
     must be equal in their int64 views, and the call must end where the
     hand-off rule says.  Returns what the oracle counted: its banded steps,
-    block solves and products, per member its bumped solves and pressing
-    steps (a tip of u^{n-1} or u^n past a stop), and the pinned steps'
-    contact cases.  The loop's own counters see each row twice.
+    block solves and products, per member its bumped solves, the pinned
+    steps' contact cases, and as (banded step, member) pairs the penalty
+    steps that press (a tip of u^{n-1} or u^n past a stop), that make a
+    spring history and that make a bumped solve.  The loop's own counters
+    see each row twice.
     """
     step = steploop.Loop.step
-    seen = {"banded_steps": 0, "solves": 0, "products": 0, "bumped_solves": {},
-            "pressing_steps": {}, "cases": []}
-    solve, matvec = linalg.BandedCholesky.solve, linalg.BandedSpd.matvec
+    seen = {"banded_steps": 0, "solves": 0, "products": 0, "bumped_solves": {}, "cases": [],
+            "pressing": [], "histories": [], "bumped": []}
+    solve, matvec, make_history = linalg.BandedCholesky.solve, linalg.BandedSpd.matvec, history
     stepping = []  # the solver, while the oracle steps
-
-    def tally(key, member):
-        seen[key][member] = seen[key].get(member, 0) + 1
 
     def counted_solve(self, rhs, *rest):
         if stepping and self is stepping[0].full_factor:
             seen["solves"] += 1
         elif stepping:
-            tally("bumped_solves", [m for m, (_, _, b) in enumerate(stepping[0].members) if b is self][0])
+            m = [m for m, (_, _, b) in enumerate(stepping[0].members) if b is self][0]
+            seen["bumped_solves"][m] = seen["bumped_solves"].get(m, 0) + 1
+            seen["bumped"].append((seen["banded_steps"], m))
         return solve(self, rhs, *rest)
+
+    def counted_history(solver, member, *tips):
+        seen["histories"].append((seen["banded_steps"], member))
+        return make_history(solver, member, *tips)
 
     def counted_matvec(self, *args, **kwargs):
         seen["products"] += bool(stepping)
@@ -198,7 +205,7 @@ def checked_loop(monkeypatch):
             if penalty:
                 for m in range(n // width):
                     if past(solver, u[:2, m * width + tip]):
-                        tally("pressing_steps", m)
+                        seen["pressing"].append((seen["banded_steps"], m))
             stepping.append(solver)
             try:
                 case = oracle_step(self, u, au, f_n, self.g[q - 2])
@@ -223,4 +230,5 @@ def checked_loop(monkeypatch):
     monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
     monkeypatch.setattr(linalg.BandedSpd, "matvec", counted_matvec)
     monkeypatch.setattr(steploop.Loop, "step", checked)
+    monkeypatch.setattr(sys.modules[__name__], "history", counted_history)
     return seen

@@ -435,8 +435,8 @@ def test_sweep_member_failure_leaves_the_others_byte_identical(
 def test_sweep_member_with_an_inconsistent_penalty_branch_writes_no_csv(
     cfg_file, tmp_path, monkeypatch, capsys, threads
 ):
-    """The 1e7 member's bumped factor is that of A + 2 bump e_c e_c^T
-    (``wrong_branch_init``): at step 446 its bumped solve returns its tip
+    """The 1e7 member's bumped factor is that of A + 100 bump e_c e_c^T
+    (``wrong_branch_init``): at step 446 its first bumped solve returns its tip
     on the free side of the stop it presses.  Its state u^447 turns NaN, so
     the sweep exits 1 naming its first record at or after t = 447 dt
     (record 64, t = 448 dt at stride 7) and writes no CSV for it; every

@@ -11,6 +11,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from beamstops.steppers import (
     transfer_matrix,
 )
 from conftest import box_qp_oracle
-from faults import doubled_bump, failing_pgs, wrong_branch_init
+from faults import failing_pgs, overbumped, wrong_branch_init
 from oracles import at_time, checked_loop, oracle_rows, penalty_step, pinned_step, spring
 
 SMALL = dict(L=1.0, k2=1.0)
@@ -411,18 +412,22 @@ def test_penalty_step_adds_the_zero_history_term_with_its_sign():
         assert np.array_equal(solo.u[2].view(np.int64), out[j, :ndof].view(np.int64))
 
 
-def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop():
+def test_penalty_springs_are_evaluated_only_for_tips_at_a_stop(monkeypatch):
     """Off the stops a member makes no spring history: a block of four that
-    ends before the first contact (t = 0.0068 s) counts no pressing steps.
-    A member whose state turned NaN counts as off the stops, so once the
-    1e300 member has ended (step 543) it presses no more, and the pressing
-    steps of the members beside it are those they make without it."""
-    early = run(*penalty_members(0.25, 1.5e-5, 0.0065, [1e6, 1e7, 1e8, 1e9]), kind="penalty")
-    assert [traj.stats["pressing_steps"] for traj in early] == [0] * 4
+    ends before the first contact (t = 0.0068 s) makes none in the oracle
+    loop, whose every step the loop's equals (``checked_loop``).  A member
+    whose state turned NaN counts as off the stops, so once the 1e300
+    member has ended (step 543) it makes no more, and the histories of the
+    members beside it are those they make without it."""
+    seen = checked_loop(monkeypatch)
+    run(*penalty_members(0.25, 1.5e-5, 0.0065, [1e6, 1e7, 1e8, 1e9]), kind="penalty")
+    assert seen["banded_steps"] > 400 and seen["histories"] == seen["pressing"] == []
     counts = {}
     for T, values in ((0.03, [1e6, 1e300, 1e9]), (0.0077, [1e300]), (0.03, [1e6, 1e9])):
-        results = run(*penalty_members(0.2, 1.4e-5, T, values), kind="penalty")
-        counts[T, len(values)] = {v: traj.stats["pressing_steps"] for v, traj in zip(values, results)}
+        seen["histories"].clear()
+        run(*penalty_members(0.2, 1.4e-5, T, values), kind="penalty")
+        members = [m for _, m in seen["histories"]]
+        counts[T, len(values)] = {v: members.count(j) for j, v in enumerate(values)}
     block = counts[0.03, 3]
     assert block[1e300] == counts[0.0077, 1][1e300] > 0
     assert {v: block[v] for v in (1e6, 1e9)} == counts[0.03, 2]
@@ -451,19 +456,22 @@ def test_penalty_steps_make_one_solve_and_one_per_member_pressing_a_stop(monkeyp
         assert np.array_equal(p.records.view(np.int64), c.records.view(np.int64))
 
 
-def test_a_pressing_member_makes_its_history_once_per_step():
-    """On the penalty-sweep configuration at stride 1 each member's
-    ``pressing_steps`` counts its steps with a tip of u^{n-1} or u^n past a
-    stop, read off its records: those steps make the member's spring
-    history, once for its tip entry of F and its bumped solve alike.
-    Hundreds of such member-steps make a bumped solve."""
+def test_a_pressing_member_makes_its_history_once_per_step(monkeypatch):
+    """On the penalty-sweep configuration a member with a tip of u^{n-1} or
+    u^n past a stop makes its spring history once per step, for its tip
+    entry of F and for its bumped solve alike, in the oracle loop that every
+    step of the loop equals (``checked_loop``); a member that presses no
+    stop makes one only for a bumped solve.  Hundreds of pressing
+    member-steps make a bumped solve."""
     model = blow_up_model()
     members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1) for v in (1e6, 1e7, 1e8, 1e9)]
-    results = run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=1)
-    for traj in results:
-        past = np.abs(traj.u_tip) > 0.1
-        assert traj.stats["pressing_steps"] == np.count_nonzero(past[:-2] | past[1:-1])
-    assert sum(traj.stats["bumped_solves"] for traj in results) > 100
+    seen = checked_loop(monkeypatch)
+    run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
+    assert seen["banded_steps"] == 6666
+    histories, pressing, bumped = Counter(seen["histories"]), set(seen["pressing"]), seen["bumped"]
+    assert set(histories.values()) == {1}
+    assert pressing <= set(histories) and set(histories) - pressing <= set(bumped)
+    assert sum(pair in pressing for pair in bumped) > 100
 
 
 def penalty_states():
@@ -473,7 +481,7 @@ def penalty_states():
 
     Member j's tips of u^{n-1} and u^n sit at 3 mm where bit j of the
     pattern is set, and at 0 where not.  The 1e9 member's bumped factor is
-    that of A + 2 bump e_c e_c^T (``doubled_bump``), so a step that presses
+    that of A + 100 bump e_c e_c^T (``overbumped``), so a step that presses
     it ends it.  ``loop(rows)`` gives a loop over ``rows`` fresh rows;
     ``check(loop, r, end)`` steps rows r .. end - 1 in one call and asserts
     that every u, A u and F row equals the oracle's, bit for bit, on copies
@@ -489,7 +497,7 @@ def penalty_states():
     def loop(rows):
         solver = PenaltyTipSolver(a, c, -0.002, 0.002, members)
         value, bump, _ = solver.members[3]
-        solver.members[3] = value, bump, doubled_bump(a, c, bump)
+        solver.members[3] = value, bump, overbumped(a, c, bump)
         fresh = Loop(a.stacked(4, a.bw), b.stacked(4, a.bw), solver, np.zeros((rows, 4 * width)),
                      np.zeros((rows, 4 * width)), np.zeros((1, 4 * width)), handoff=False)
         fresh.load(np.zeros((rows - 2, 4 * width)))
@@ -1023,28 +1031,27 @@ def test_penalty_blow_up_ends_at_the_same_record_alone_and_in_a_block(
      for samples, suffix in LOAD_BLOCKS for stride in (2, 3, 5)],
 )
 def test_an_inconsistent_penalty_branch_ends_only_its_member(monkeypatch, stride, block_samples):
-    """The 1e6 member's bumped factor is that of A + 2 bump e_c e_c^T
-    (``wrong_branch_init``).  Its seventh bumped solve, at step 484, returns
+    """The 1e6 member's bumped factor is that of A + 100 bump e_c e_c^T
+    (``wrong_branch_init``).  Its first bumped solve, at step 478, returns
     its tip on the free side of the stop it presses: no contact case is
-    consistent, and its state u^485 turns NaN.  Its rows end at its first
-    record at or after t = 485 dt, the one ``require_finite`` names, and its
-    rows up to its first bumped solve (step 478) are those of its run
-    without the fault; the same holds in a block of three, where the 1e300
-    member blows up at step 543 and the other members' rows are their own
-    runs', byte for byte."""
+    consistent, and its state u^479 turns NaN.  Its rows end at its first
+    record at or after t = 479 dt, the one ``require_finite`` names, and the
+    rows before it are those of its run without the fault; the same holds
+    in a block of three, where the 1e300 member blows up at step 543 and
+    the other members' rows are their own runs', byte for byte."""
     model, mesh, members = penalty_members(0.2, 1.4e-5, 0.03, [1e6, 1e300, 1e9])
     solos = [run(model, mesh, p, kind="penalty", record_stride=stride) for p in members]
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
     monkeypatch.setattr(PenaltyTipSolver, "__init__", wrong_branch_init(1e6))
     alone = run(model, mesh, members[0], kind="penalty", record_stride=stride)
-    record = -(-485 // stride)  # the first record at or after state 485
+    record = -(-479 // stride)  # the first record at or after state 479
     with pytest.raises(NonFiniteRecordError,
                        match=re.escape(f"record {record} (t = {record * stride * 1.4e-5:.6g} s)")):
         alone.require_finite()
     assert alone.t.size == record + 1
-    kept = 478 // stride + 2  # the header and the records of states 0 .. 478
-    assert alone.to_csv().splitlines()[:kept] == solos[0].to_csv().splitlines()[:kept]
+    lines = alone.to_csv().splitlines()
+    assert lines[:-1] == solos[0].to_csv().splitlines()[: record + 1]
     block = run(model, mesh, members, kind="penalty", record_stride=stride)
     assert all(isinstance(member, Trajectory) for member in block)
     for member, own in zip(block, [alone, *solos[1:]]):
