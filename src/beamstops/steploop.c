@@ -42,7 +42,6 @@ typedef struct {
     double lower, upper;     /* the tip's stops */
     double dt2, beta;
     int32_t n, ndof, width, k, bw, tip;
-    int32_t handoff;         /* return after a step whose tip lies strictly inside the stops */
 } loop_t;
 
 static char UPPER = 'U';
@@ -127,10 +126,8 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
     }
 }
 
-/* Steps rows r .. rows - 1 and returns the row after the last one stepped:
- * rows, or with handoff the row after the first step whose tip lies strictly
- * inside the stops. */
-int beamstops_step_rows(loop_t *L, int r, int rows)
+/* Steps rows r .. rows - 1. */
+void beamstops_step_rows(loop_t *L, int r, int rows)
 {
     int n = L->n, ld = L->bw + 1;
     double one = 1.0, zero = 0.0;
@@ -148,8 +145,5 @@ int beamstops_step_rows(loop_t *L, int r, int rows)
                 L->au + (size_t)r * n, &ONE);
         L->counts[0] += 1;
         L->counts[2] += 2;
-        if (L->handoff && L->lower < u[L->tip] && u[L->tip] < L->upper)
-            return r + 1;
     }
-    return rows;
 }

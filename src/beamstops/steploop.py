@@ -12,8 +12,9 @@ its rows are those of the same steps made from Python, bit for bit.
 
 The first import compiles the source with ``gcc`` in a child process, into
 ``_build/`` beside this file, under a name keyed by the SHA-256 of the
-source, the flags and the Python ABI tag; later imports load that file.
-Without the compiler the import raises :class:`ImportError`.
+source, the flags and the Python ABI tag; later imports load that file.  A
+build removes the shared objects that earlier sources left there.  Without
+the compiler the import raises :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -40,8 +41,10 @@ def build(cache: Path = CACHE) -> Path:
     """The shared object of ``steploop.c`` in ``cache``, compiled first if it is not there.
 
     The compiler writes to a name of this process's own, which is then
-    renamed into place, so that processes that build at once all succeed.
-    A cache that cannot be written raises :class:`ImportError` naming it.
+    renamed into place, so that processes that build at once all succeed;
+    then every other ``steploop-*.so`` in ``cache``, built from an earlier
+    source, is removed.  A cache that cannot be written raises
+    :class:`ImportError` naming it.
     """
     tag = sysconfig.get_config_var("SOABI") or ""
     key = hashlib.sha256(b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), tag.encode()]))
@@ -64,6 +67,9 @@ def build(cache: Path = CACHE) -> Path:
             raise ImportError(f"{COMPILER} could not compile {SOURCE} into {target.parent}:\n"
                               f"{proc.stderr}")
         os.replace(partial, target)
+        for stale in target.parent.glob("steploop-*.so"):
+            if stale != target:
+                stale.unlink(missing_ok=True)
     except OSError as exc:
         raise ImportError(f"beamstops compiles its step loop at first import into "
                           f"{target.parent}, which could not be written ({exc})") from exc
@@ -81,7 +87,7 @@ def _address(module, name: str) -> int:
 
 _step_rows = ctypes.CDLL(str(build())).beamstops_step_rows
 _step_rows.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
-_step_rows.restype = ctypes.c_int
+_step_rows.restype = None
 _SBMV, _PBTRS = _address(cython_blas, "dsbmv"), _address(cython_lapack, "dpbtrs")
 
 
@@ -93,7 +99,7 @@ class _Context(ctypes.Structure):
         (name, ctypes.c_void_p) for name in (
             "a_band", "b_band", "factor", "w", "inv_eps", "bump", "bumped", "counts")] + [
         (name, ctypes.c_double) for name in ("lower", "upper", "dt2", "beta")] + [
-        (name, ctypes.c_int32) for name in ("n", "ndof", "width", "k", "bw", "tip", "handoff")]
+        (name, ctypes.c_int32) for name in ("n", "ndof", "width", "k", "bw", "tip")]
 
 
 class Loop:
@@ -105,14 +111,12 @@ class Loop:
     A and B stacked for the members; ``solver`` is the run's
     :class:`~beamstops.linalg.PinnedDofSolver` or
     :class:`~beamstops.linalg.PenaltyTipSolver`, whose factors and vectors
-    the loop reads.  With ``handoff`` the loop stops after a step whose tip
-    lies strictly inside the solver's stops, where the run's modal chunks
-    take over.  ``counts`` holds the banded steps, block solves and banded
+    the loop reads.  ``counts`` holds the banded steps, block solves and banded
     products made so far, then each member's bumped solves.
     """
 
     def __init__(self, a_band: BandedSpd, b_band: BandedSpd, solver, u: np.ndarray,
-                 au: np.ndarray, f: np.ndarray, handoff: bool):
+                 au: np.ndarray, f: np.ndarray):
         pinned = isinstance(solver, PinnedDofSolver)
         k = 1 if pinned else len(solver.members)
         rows, n = u.shape
@@ -124,7 +128,7 @@ class Loop:
                 and all(x.dtype == np.float64 and x.flags.c_contiguous for x in (u, au, f))):
             raise ValueError("the step loop needs matching float64 buffers and bands")
         self.a_band, self.b_band, self.solver = a_band, b_band, solver
-        self.u, self.au, self.f, self.handoff = u, au, f, handoff
+        self.u, self.au, self.f = u, au, f
         # every array that the loop reads by address, kept with the loop should
         # the solver's or the bands' attributes be replaced
         self._held = [a_band.ab, b_band.ab, factor.cb]
@@ -135,7 +139,7 @@ class Loop:
                        a_band=a_band.ab.ctypes.data, b_band=b_band.ab.ctypes.data,
                        factor=factor.cb.ctypes.data, counts=self.counts.ctypes.data,
                        lower=solver.lower, upper=solver.upper, n=n, ndof=factor.n,
-                       width=n // k, k=k, bw=a_band.bw, tip=solver.index, handoff=handoff)
+                       width=n // k, k=k, bw=a_band.bw, tip=solver.index)
         if pinned:
             w = np.ascontiguousarray(solver.w, dtype=np.float64)
             self._held.append(w)
@@ -159,13 +163,8 @@ class Loop:
         self.g = g
         self._ctx.g = g.ctypes.data
 
-    def step(self, r: int, rows: int) -> int:
-        """Step rows r .. rows - 1 (r >= 2) of the buffers from the loads of :meth:`load`.
-
-        Returns the row after the last one stepped: ``rows``, or with
-        ``handoff`` the row after the first step whose tip lies strictly
-        inside the stops.
-        """
+    def step(self, r: int, rows: int) -> None:
+        """Step rows r .. rows - 1 (r >= 2) of the buffers from the loads of :meth:`load`."""
         if not 2 <= r < rows <= min(len(self.u), len(self.g) + 2):
             raise ValueError(f"rows {r} .. {rows - 1} are not in the block")
-        return _step_rows(self._address, r, rows)
+        _step_rows(self._address, r, rows)

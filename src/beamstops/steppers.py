@@ -27,11 +27,10 @@ the tip steps its load blocks in the compiled loop of
 :mod:`beamstops.steploop`, which reads the tip closure's data from
 :class:`~beamstops.linalg.PinnedDofSolver` (signorini and linear) or
 :class:`~beamstops.linalg.PenaltyTipSolver`; callable stops step through
-:func:`~beamstops.linalg.pgs_box`, in Python.  Between contacts a signorini
-or linear run may step in closed form, in the modes of (S, M)
-(:class:`ModalBasis`).  Penalty members that differ only in inv_eps step
-together, as one block.  Runs are vetoed up front when dt exceeds the
-stability limit for the chosen beta (overridable with ``force``).
+:func:`~beamstops.linalg.pgs_box`, in Python.  Penalty members that differ
+only in inv_eps step together, as one block.  Runs are vetoed up front
+when dt exceeds the stability limit for the chosen beta (overridable with
+``force``).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .diagnostics import INACTIVE, ContactAudit, active_sides, count_episodes, discrete_energy
 from .fem import (
@@ -170,71 +168,6 @@ def transfer_matrix(mass: BandedSpd, stiffness: BandedSpd, params) -> BandedSpd:
 
 
 # ---------------------------------------------------------------------------
-# free flight in closed form: the basis of the modal steps
-# ---------------------------------------------------------------------------
-
-#: A modal chunk: the most steps that run() sums before it reads the tips.
-MODAL_CHUNK = 256
-#: The worst relative eigen-residual ||S phi - kappa M phi|| / (kappa ||M phi||)
-#: of the modes that the modal steps run on.  Measured on the README model:
-#: 4.1e-9 at J=19, whose tip stays within 1.1e-11 m of an all-banded run's
-#: before the first impact, 2.9e-8 at J=40 (1.1e-10 m) and 3.0e-7 at J=80
-#: (9.5e-10 m), so only the coarse meshes qualify.
-MODAL_RESIDUAL_BOUND = 1e-8
-
-
-@dataclass(frozen=True)
-class ModalBasis:
-    """The M-orthonormal modes of (S, M) and the constants of a run's modal steps.
-
-    In the modes q = Phi^T M u the scheme is 2J scalar recurrences
-    q^{n+1} = c q^n - q^{n-1} + h^n with c = 2 cos(theta) and
-    h^n = Phi^T dt^2 G^n / a, a = 1 + dt^2 beta kappa.  With z = e^{i theta},
-    p^n = q^n - conj(z) q^{n-1} obeys p^{n+1} = z p^n + h^n, so a chunk of
-    m steps is p^j = z^j (p^0 + sum_{l<j} z^{-(l+1)} h^l), one cumulative
-    sum, and q^j = Re p^j + cot(theta) Im p^j.  Rows j - 1 of ``inverse``
-    and ``weights`` hold z^{-j} and z^j (1 - i cot(theta)) for
-    j = 1 .. :data:`MODAL_CHUNK`, so q^j = Re(weights_j (p^0 + sum ...)).
-    """
-
-    modes: np.ndarray  # Phi, one mode per column
-    project: np.ndarray  # Phi^T M: q = project @ u
-    load: np.ndarray  # Phi / a: h = dt^2 G @ load
-    inverse: np.ndarray
-    weights: np.ndarray
-    a_dense: np.ndarray
-    b_dense: np.ndarray
-
-
-def modal_basis(mass: BandedSpd, stiffness: BandedSpd, a_mat: BandedSpd, b_mat: BandedSpd,
-                params) -> ModalBasis | None:
-    """The modes of (S, M) for a run's modal steps, or None where they must not run.
-
-    None when a mode has |c| >= 2, so its recurrence grows (a run forced
-    past its stability limit), or when the eigendecomposition is not
-    accurate enough: its worst relative eigen-residual exceeds
-    :data:`MODAL_RESIDUAL_BOUND`.  The dense eigendecomposition costs
-    O((2J)^3).
-    """
-    m, s = mass.to_dense(), stiffness.to_dense()
-    kappa, modes = scipy.linalg.eigh(s, m)
-    m_modes = m @ modes
-    residual = np.linalg.norm(s @ modes - m_modes * kappa, axis=0)
-    a = 1.0 + params.dt**2 * params.beta * kappa
-    half = 0.5 * params.dt * np.sqrt(kappa / a)  # sin(theta / 2); |c| < 2 is half < 1
-    worst = np.max(residual / (kappa * np.linalg.norm(m_modes, axis=0)))
-    if not (kappa.min() > 0.0 and half.max() < 1.0 and worst <= MODAL_RESIDUAL_BOUND):
-        return None
-    theta = 2.0 * np.arcsin(half)
-    powers = np.exp(1j * np.outer(np.arange(1, MODAL_CHUNK + 1), theta))
-    return ModalBasis(
-        modes=modes, project=m_modes.T, load=modes / a, inverse=powers.conj(),
-        weights=powers * (1.0 - 1j / np.tan(theta)),
-        a_dense=a_mat.to_dense(), b_dense=b_mat.to_dense(),
-    )
-
-
-# ---------------------------------------------------------------------------
 # full runs
 # ---------------------------------------------------------------------------
 
@@ -336,31 +269,21 @@ def run(
     averages of phi'' and phi from it (``separable``) and write the loads
     with one rank-2 product per block into one buffer for the run; penalty
     runs and a callable ``f_tilde`` sample and scatter the load density of
-    every window.  One kernel fills a load block's buffers with u^{n+1},
-    A u^{n+1} and F^n, and the last state decides each next step.  A
-    banded step makes two banded products, B u^n and A u^{n+1}, carries
-    A u with the state, and closes the step at the tip.  The banded steps
-    of every tip closure are the compiled loop's
+    every window.  Every step is banded: it fills a load block's buffers
+    with u^{n+1}, A u^{n+1} and F^n, makes two banded products, B u^n and
+    A u^{n+1}, carries A u with the state, and closes the step at the tip.
+    The steps of every tip closure are the compiled loop's
     (:class:`~beamstops.steploop.Loop`, a context over the run's buffers
-    built once per run), which steps to the end of the block in one call;
-    PGS steps are made in Python, one ``pgs_box`` call each.  Where the run
-    has a modal basis and the last tip lies strictly inside the stops, the
-    kernel steps a chunk of closed-form modal steps (:class:`ModalBasis`)
-    instead, up to the first tip that does not; the loop then takes banded
-    steps up to the first whose tip lies strictly inside the stops, and
-    hands back.  The basis serves the runs of the pinned tip solver; it is
-    chosen at set-up, where the run pays for the eigendecomposition
-    ((2J)^2 <= N) and :func:`modal_basis` finds the modes stable and
-    accurate.  Each member's Trajectory is
-    made before the first step, and one fold writes into it (``records``,
-    extrema, contact episodes) and into the audit, from one contact code
-    per tip, and ends members:
-    it folds the starting pair (u^0, u^1) as the first pair of states,
-    then each load block's states, the recorded rows in one vectorized
-    pass.  It reads evenly spaced records' pairs as strided views of the
-    buffers, forms the residual A u - F in the block's F rows, and their
-    energies make one product with S stacked over the rows, from a band
-    built once per run.
+    built once per run), which steps a whole load block in one call; PGS
+    steps are made in Python, one ``pgs_box`` call each.  Each member's
+    Trajectory is made before the first step, and one fold writes into it
+    (``records``, extrema, contact episodes) and into the audit, from one
+    contact code per tip, and ends members: it folds the starting pair
+    (u^0, u^1) as the first pair of states, then each load block's states,
+    the recorded rows in one vectorized pass.  It reads evenly spaced
+    records' pairs as strided views of the buffers, forms the residual
+    A u - F in the block's F rows, and their energies make one product with
+    S stacked over the rows, from a band built once per run.
     A member's rows end at its first record with a non-finite value, and
     its extrema, episodes and the audit at that record's step.  A penalty
     member with no consistent contact case ends alike: its state turns NaN.
@@ -369,8 +292,8 @@ def run(
     raises.  A PGS step that raises ends the run: the block is folded up
     to that step, and the error propagates unless the member has already
     ended.  Each Trajectory's ``stats`` count the run's work: its banded
-    steps and modal rows, its block solves (one per tip step) and banded
-    products (two per banded step), and the member's own bumped solves.
+    steps, its block solves (one per tip step) and banded products (two per
+    banded step), and the member's own bumped solves.
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
@@ -593,59 +516,16 @@ def run(
                 g = g_buf[: len(g)]
             yield g
 
-    # Between contacts a run of the pinned solver may step in closed form.  Its
-    # eigendecomposition costs O((2J)^3), so the basis is tried only where the
-    # run's steps pay for it.
-    basis = None
-    if kind != "penalty" and not pgs and ndof**2 <= n_total:
-        basis = modal_basis(gm.mass, gm.stiffness, a_mat, b_mat, scheme)
     # the compiled loop's context, over the run's buffers; it counts its work
-    loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf,
-                                 handoff=basis is not None)
+    loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf)
     work = np.zeros(3 + k, dtype=np.int64) if loop is None else loop.counts
 
-    def chunk(g_block, forcing, r, r_end):
-        """Modal steps for rows r .. r_end - 1 from the states of rows r - 2 and
-        r - 1.  Accepts the rows before the first whose tip is not strictly
-        inside (lo, hi) and fills their u, A u and (for the audit) F rows from
-        those states; returns how many it accepted."""
-        m = r_end - r
-        p = basis.inverse[:m] * forcing[r - 2 : r_end - 2]
-        np.cumsum(p, axis=0, out=p)
-        p += basis.project @ u_buf[r - 1] - basis.inverse[0] * (basis.project @ u_buf[r - 2])
-        w = basis.weights[:m]
-        q = np.multiply(w.real, p.real)
-        q -= np.multiply(w.imag, p.imag)
-        states = q @ basis.modes.T
-        tips = states[:, tip]
-        out = np.flatnonzero(~((lo < tips) & (tips < hi)))
-        n = int(out[0]) if out.size else m
-        u_buf[r : r + n] = states[:n]
-        np.matmul(u_buf[r : r + n], basis.a_dense, out=au_buf[r : r + n])
-        if kind == "signorini":
-            f = f_buf[r : r + n]
-            np.matmul(u_buf[r - 1 : r + n - 1], basis.b_dense, out=f)
-            f -= au_buf[r - 2 : r + n - 2]
-            f += g_block[r - 2 : r + n - 2]
-        return n
-
     def kernel(g_block, t0):
-        """Steps the rows of a load block and returns (rows stepped, None).
-        Where the run has a basis, a state whose tip lies strictly inside the
-        stops goes on in a chunk of modal steps.  The step a chunk stops short
-        of, and every step from any other state, is the compiled loop's, which
-        hands back after a step whose tip lies strictly inside the stops."""
-        rows, r = len(g_block) + 2, 2
-        forcing = None if basis is None else g_block @ basis.load  # dt^2 G^n in the modes
+        """Steps the rows of a load block in the compiled loop, in one call, and
+        returns (rows stepped, None)."""
         loop.load(g_block)
-        while r < rows:
-            if basis is not None and lo < u_buf[r - 1, tip] < hi:
-                r_end = min(r + MODAL_CHUNK, rows)
-                r += chunk(g_block, forcing, r, r_end)
-                if r == r_end:
-                    continue
-            r = loop.step(r, rows)
-        return r - 2, None
+        loop.step(2, len(g_block) + 2)
+        return len(g_block), None
 
     def pgs_kernel(g_block, t0):
         """Steps the rows of a load block with projected Gauss-Seidel: B u^n,
@@ -670,12 +550,11 @@ def run(
     # a blown-up run overflows on its last record, which already reports the failure
     with np.errstate(over="ignore", invalid="ignore"):
         fold(0, 0, 1)  # the starting pair, shared by the members
-        t0 = stepped = 0
+        t0 = 0
         for g_block in () if all(done) else load_blocks():
             # a member whose state turns non-finite steps on in place: the
             # pads keep its columns away from the others, and the fold ends it
             steps, raised = (pgs_kernel if pgs else kernel)(g_block, t0)
-            stepped += steps
             fold(t0, 2, steps + 1)
             if all(done):
                 break
@@ -686,11 +565,9 @@ def run(
             u_buf[:2], au_buf[:2] = u_buf[steps : steps + 2], au_buf[steps : steps + 2]
 
     wall = (time.perf_counter() - t_begin) / len(members)
-    banded = int(work[0])
     for j, (traj, count) in enumerate(zip(results, counts)):
         traj.records = traj.records[:, :count].copy()
         traj.wall_time = wall
-        traj.stats = {"banded_steps": banded, "modal_rows": stepped - banded,
-                      "solves": int(work[1]), "products": int(work[2]),
-                      "bumped_solves": int(work[3 + j])}
+        traj.stats = {"banded_steps": int(work[0]), "solves": int(work[1]),
+                      "products": int(work[2]), "bumped_solves": int(work[3 + j])}
     return results if isinstance(params, (list, tuple)) else results[0]

@@ -1,22 +1,12 @@
 """Shared helpers for the test suite: dense-to-banded conversion, random
 SPD builders, a brute-force box-QP oracle used to cross-check the
-production solvers, and a fixture that makes every step of run() banded.
-The fault injectors are in ``faults``."""
+production solvers.  The fault injectors are in ``faults``."""
 
 import itertools
 
 import numpy as np
-import pytest
 
-from beamstops import steppers
 from beamstops.linalg import BandedSpd
-
-
-@pytest.fixture
-def banded_kernel(monkeypatch):
-    """No modal basis, so every step of run() is banded: the basis chooser
-    finds none.  For tests that pin the banded steps' bits."""
-    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
 
 
 def from_dense(a, bw=None):

@@ -34,7 +34,7 @@ def loop_solve(a, solver, f):
     states u^{n-1} = u^n = 0 with loads f, whose F^n = B 0 - A 0 + f is f
     wherever f is not -0.0 (the loop's B is A)."""
     u, au, f_row = np.zeros((3, a.n)), np.zeros((3, a.n)), np.zeros((1, a.n))
-    loop = steploop.Loop(a, a, solver, u, au, f_row, handoff=False)
+    loop = steploop.Loop(a, a, solver, u, au, f_row)
     loop.load(np.array(f, dtype=float).reshape(1, a.n))
     loop.step(2, 3)
     return u[2]
@@ -137,16 +137,10 @@ def oracle_step(loop, u, au, f_n, g_n):
 
 def oracle_rows(loop, r, rows):
     """``Loop.step`` in Python: steps rows r .. rows - 1 of ``loop``'s
-    buffers from its loads, and returns the row after the last one stepped,
-    with the loop's hand-off rule."""
-    solver = loop.solver
-    while r < rows:
-        oracle_step(loop, loop.u[r - 2 : r + 1], loop.au[r - 2 : r + 1],
-                    loop.f[r if len(loop.f) > 1 else 0], loop.g[r - 2])
-        r += 1
-        if loop.handoff and solver.lower < loop.u[r - 1, solver.index] < solver.upper:
-            break
-    return r
+    buffers from its loads."""
+    for q in range(r, rows):
+        oracle_step(loop, loop.u[q - 2 : q + 1], loop.au[q - 2 : q + 1],
+                    loop.f[q if len(loop.f) > 1 else 0], loop.g[q - 2])
 
 
 def checked_loop(monkeypatch):
@@ -155,13 +149,12 @@ def checked_loop(monkeypatch):
     Patches ``Loop.step`` so that each call steps its rows in C all at once,
     then again one row at a time from the same buffers, each row after the
     oracle steps it on copies of the rows it reads; the u, A u and F rows
-    must be equal in their int64 views, and the call must end where the
-    hand-off rule says.  Returns what the oracle counted: its banded steps,
-    block solves and products, per member its bumped solves, the pinned
-    steps' contact cases, and as (banded step, member) pairs the penalty
-    steps that press (a tip of u^{n-1} or u^n past a stop), that make a
-    spring history and that make a bumped solve.  The loop's own counters
-    see each row twice.
+    must be equal in their int64 views.  Returns what the oracle counted:
+    its banded steps, block solves and products, per member its bumped
+    solves, the pinned steps' contact cases, and as (banded step, member)
+    pairs the penalty steps that press (a tip of u^{n-1} or u^n past a
+    stop), that make a spring history and that make a bumped solve.  The
+    loop's own counters see each row twice.
     """
     step = steploop.Loop.step
     seen = {"banded_steps": 0, "solves": 0, "products": 0, "bumped_solves": {}, "cases": [],
@@ -189,7 +182,7 @@ def checked_loop(monkeypatch):
     def checked(self, r, rows):
         buffers = (self.u, self.au, self.f)
         saved = [x.copy() for x in buffers]
-        end = step(self, r, rows)
+        step(self, r, rows)
         whole = [x.copy() for x in buffers]
         for x, before in zip(buffers, saved):
             x[...] = before
@@ -197,7 +190,7 @@ def checked_loop(monkeypatch):
         tip = solver.index
         penalty = not isinstance(solver, PinnedDofSolver)
         width = n // len(solver.members) if penalty else n
-        for q in range(r, end):
+        for q in range(r, rows):
             fq = q if len(self.f) > 1 else 0
             # copies of u^{n-1}, u^n and A u^{n-1}, and of F's row: sbmv may
             # read what the row held before
@@ -213,19 +206,12 @@ def checked_loop(monkeypatch):
                 stepping.clear()
             if case is not None:
                 seen["cases"].append(case)
-            assert step(self, q, q + 1) == q + 1
+            step(self, q, q + 1)
             for got, want in ((self.u[q], u[2]), (self.au[q], au[2]), (self.f[fq], f_n),
                               (self.u[q], whole[0][q]), (self.au[q], whole[1][q])):
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), q
             seen["banded_steps"] += 1
         assert np.array_equal(self.f.view(np.int64), whole[2].view(np.int64))
-        tips = self.u[r:end, tip]
-        inside = (solver.lower < tips) & (tips < solver.upper)
-        if self.handoff:
-            assert not inside[:-1].any() and (end == rows or inside[-1])
-        else:
-            assert end == rows
-        return end
 
     monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
     monkeypatch.setattr(linalg.BandedSpd, "matvec", counted_matvec)

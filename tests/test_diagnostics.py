@@ -260,13 +260,10 @@ def test_violation_measures_overshoot():
 
 
 @pytest.mark.parametrize("stride", [1, 2, 7, 20])
-def test_summary_counts_the_contact_episodes_of_every_step(banded_kernel, stride):
+def test_summary_counts_the_contact_episodes_of_every_step(stride):
     """The summary's contact episodes do not depend on the record stride:
     the README scenario and a penalty member count, at every stride, the
-    episodes of every state of their stride-1 runs.  The counts are those
-    of banded steps alone: by T=0.6 the README tip with modal steps is
-    8e-4 m from the banded one, a gap that rounding alone opens past
-    T=0.5, and it counts 99 episodes."""
+    episodes of every state of their stride-1 runs."""
     phi = SupportMotion.sine(0.2, 10.0)
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.1, phi)
     readme = SchemeParams(0.5, 5e-5, 0.6)

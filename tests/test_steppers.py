@@ -290,7 +290,7 @@ def step_loop(solver, a, b, k):
     pad = a.bw if k > 1 else 0
     n = k * (a.n + pad)
     loop = Loop(a.stacked(k, pad), b.stacked(k, pad), solver, np.zeros((3, n)), np.zeros((3, n)),
-                np.zeros((1, n)), handoff=False)
+                np.zeros((1, n)))
     loop.load(np.zeros((1, n)))
     return loop
 
@@ -314,7 +314,7 @@ def test_penalty_solver_matches_root_finding_oracle(push):
     loop.u[0], loop.u[1], loop.au[0] = u_prev, u_curr, a.matvec(u_prev)
     loop.g[0] = 0.01 * rng.standard_normal(4)
     loop.g[0, c] += push * params.dt**2
-    assert loop.step(2, 3) == 3
+    loop.step(2, 3)
     hist = (1.0 - 2.0 * params.beta) * spring(solver, u_curr[c]) + params.beta * spring(
         solver, u_prev[c]
     )
@@ -349,7 +349,7 @@ def test_penalty_consistency_check_never_fires_on_finite_states(J):
             for x, top in ((loop.g[0], 200), (loop.u[0], 0), (loop.u[1], 0)):
                 x.reshape(k, width)[:, :ndof] = (10.0 ** rng.uniform(-12, top, size=(k, 1))
                                                  * rng.standard_normal((k, ndof)))
-            assert loop.step(2, 3) == 3
+            loop.step(2, 3)
             u = loop.u[2].reshape(k, width)
             assert np.isfinite(u).all()
             assert not u[:, ndof:].any()
@@ -401,7 +401,7 @@ def test_penalty_step_adds_the_zero_history_term_with_its_sign():
     block.g[0] = np.nan
     block.g[0].reshape(3, width)[:, :ndof] = loads
     block.u[1].reshape(3, width)[:, :ndof] = 1e-3 * rng.standard_normal(ndof)
-    assert block.step(2, 3) == 3
+    block.step(2, 3)
     out = block.u[2].reshape(3, width)
     assert np.isnan(block.f[0].reshape(3, width)[:, ndof:]).all()
     assert not out[:, ndof:].any() and not np.signbit(out[:, ndof:]).any()
@@ -448,7 +448,7 @@ def test_penalty_steps_make_one_solve_and_one_per_member_pressing_a_stop(monkeyp
     checked = run(model, Mesh(1.501, 19), members, kind="penalty", record_stride=7)
     stats = plain[0].stats
     assert stats["banded_steps"] == stats["solves"] == seen["solves"] == 6666
-    assert stats["modal_rows"] == 0 and stats["products"] == seen["products"] == 2 * 6666
+    assert stats["products"] == seen["products"] == 2 * 6666
     bumped = [traj.stats["bumped_solves"] for traj in plain]
     assert bumped == [seen["bumped_solves"][j] for j in range(4)]
     assert 100 < sum(bumped) < 666  # so more than 6000 steps make no bumped solve
@@ -499,7 +499,7 @@ def penalty_states():
         value, bump, _ = solver.members[3]
         solver.members[3] = value, bump, overbumped(a, c, bump)
         fresh = Loop(a.stacked(4, a.bw), b.stacked(4, a.bw), solver, np.zeros((rows, 4 * width)),
-                     np.zeros((rows, 4 * width)), np.zeros((1, 4 * width)), handoff=False)
+                     np.zeros((rows, 4 * width)), np.zeros((1, 4 * width)))
         fresh.load(np.zeros((rows - 2, 4 * width)))
         return fresh
 
@@ -514,11 +514,11 @@ def penalty_states():
 
     def check(one, r, end):
         before = [x.copy() for x in (one.u, one.au, one.f)]
-        assert oracle_rows(one, r, end) == end
+        oracle_rows(one, r, end)
         want = [x.copy() for x in (one.u, one.au, one.f)]
         for x, saved in zip((one.u, one.au, one.f), before):
             x[...] = saved
-        assert one.step(r, end) == end
+        one.step(r, end)
         for got, rows in zip((one.u, one.au, one.f), want):
             assert np.array_equal(got.view(np.int64), rows.view(np.int64))
 
@@ -555,7 +555,7 @@ def test_rows_stepped_in_one_call_classify_their_own_states():
             check(one, 2, 5)
 
 
-def test_penalty_zero_stiffness_is_linear_run(banded_kernel):
+def test_penalty_zero_stiffness_is_linear_run():
     """Bit for bit the banded linear run: the penalty scheme steps banded."""
     mesh = Mesh(SMALL["L"], 3)
     model = small_model(g=0.02)
@@ -1207,7 +1207,7 @@ def fresh_products_oracle(model, mesh, params, kind):
         ("linear", SchemeParams(beta=0.3, dt=1e-5, T=0.01)),
     ],
 )
-def test_carried_products_are_bit_identical_to_fresh_ones(banded_kernel, kind, params):
+def test_carried_products_are_bit_identical_to_fresh_ones(kind, params):
     """run()'s banded step carries A u with the state (F two steps later,
     the audit, the energy) and forms B u^n once per step; the rows are
     exactly those of the oracle's steps in a loop that forms each product
@@ -1441,19 +1441,7 @@ def test_linear_run_matches_modal_superposition():
     assert abs(cross_num - cross_exact) <= 1e-4
 
 
-# ------------------------------------------------------- banded and modal steps
-
-def chooser_spy(monkeypatch):
-    """The list of what every call of the modal basis chooser returned."""
-    chosen, choose = [], steppers.modal_basis
-
-    def spy(*args):
-        chosen.append(choose(*args))
-        return chosen[-1]
-
-    monkeypatch.setattr(steppers, "modal_basis", spy)
-    return chosen
-
+# ------------------------------------------------- every tip step is the loop's
 
 def refuse_eigendecompositions(monkeypatch):
     def refuse(*args, **kwargs):
@@ -1465,10 +1453,10 @@ def refuse_eigendecompositions(monkeypatch):
 def test_a_linear_run_steps_through_the_pinned_solver_with_open_stops(monkeypatch):
     """A linear run is the signorini step with its stops open.  Between the
     +-2 mm stops its tip passes them (first at t = 0.0068 s), yet the pinned
-    solver, which takes every step of this banded run (N = 667 < (2J)^2),
-    finds each one free (the oracle loop's cases, on the loop's own steps);
-    violations and contact episodes still measure against the model's
-    stops, and there is no audit."""
+    solver, which takes every step of the run, finds each one free (the
+    oracle loop's cases, on the loop's own steps); violations and contact
+    episodes still measure against the model's stops, and there is no
+    audit."""
     cases = checked_loop(monkeypatch)["cases"]
     model = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
     params = SchemeParams(0.5, 1.5e-5, 0.01)
@@ -1497,135 +1485,43 @@ def test_a_linear_run_on_a_callable_obstacle_takes_no_pgs(monkeypatch):
     assert traj.max_violation > 0.0
 
 
-@pytest.mark.parametrize("kind", ["signorini", "linear"])
-def test_the_modal_basis_is_chosen_once_at_set_up(monkeypatch, kind):
-    """16-row load blocks (``fem.LOAD_BLOCK_SAMPLES = 1``) cut the pipe run
-    into many; the chooser runs once, before the first block's loads."""
-    monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", 1)
-    chosen = chooser_spy(monkeypatch)
-    blocks = []
-    time_averaged = LoadAssembler.time_averaged
-
-    def spy(self, *args, **kwargs):
-        blocks.append(len(chosen))
-        return time_averaged(self, *args, **kwargs)
-
-    monkeypatch.setattr(LoadAssembler, "time_averaged", spy)
-    run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15), kind=kind, record_stride=2)
-    assert len(chosen) == 1 and chosen[0] is not None
-    assert len(blocks) > 100 and set(blocks) == {1}
-
-
-@pytest.mark.parametrize(
-    "kind,block_samples",
-    [pytest.param(kind, samples, id=f"{kind}{suffix}")
-     for samples, suffix in LOAD_BLOCKS for kind in ("signorini", "linear")],
-)
-def test_modal_and_banded_kernels_agree_before_the_first_impact(monkeypatch, kind, block_samples):
-    """The README run at J=19, cut to T=0.15, takes modal steps.  Its tip
-    stays within 1e-10 m of an all-banded run's until the banded run
-    first reaches a stop (row 1757), also with 16-row load blocks
-    (``fem.LOAD_BLOCK_SAMPLES = 1``), whose boundaries cut the chunks; both
-    Signorini runs carry a passing certificate and a violation column of
-    exact zeros."""
-    if block_samples is not None:
-        monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    model, mesh, params = blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15)
-    chosen = chooser_spy(monkeypatch)
-    modal = run(model, mesh, params, kind=kind, record_stride=1)
-    assert len(chosen) == 1 and chosen[0] is not None
-    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
-    banded = run(model, mesh, params, kind=kind, record_stride=1)
-    impact = 1757
-    assert np.all(np.abs(banded.u_tip[:impact]) < 0.1) and abs(banded.u_tip[impact]) >= 0.1 - 1e-12
-    assert np.max(np.abs(modal.u_tip[:impact] - banded.u_tip[:impact])) <= 1e-10
-    if kind == "signorini":
-        for traj in (modal, banded):
-            traj.audit.check()
-            assert traj.max_violation == 0.0 and not traj.violation.any()
-            assert traj.contact_episodes >= 1
-
-
-def test_pipe_config_takes_the_modal_kernel(monkeypatch):
-    """The pipe workload's run (J=19, dt=5e-5, T=0.15, stride 2) steps its
-    free flight in modal chunks: the loop's banded steps are only the steps
-    around contact, under a tenth of all steps."""
-    chosen = chooser_spy(monkeypatch)
-    params = SchemeParams(0.5, 5e-5, 0.15)
-    traj = run(blow_up_model(), Mesh(1.501, 19), params, record_stride=2)
-    assert len(chosen) == 1 and chosen[0] is not None
-    banded = traj.stats["banded_steps"]
-    assert 0 < banded < params.n_steps // 10
-    assert banded + traj.stats["modal_rows"] == params.n_steps - 1
-    assert traj.audit.contact_steps > 0 and traj.max_violation == 0.0
-
-
 @pytest.mark.parametrize(
     "block_samples",
     [pytest.param(samples, id=suffix.lstrip("-") or "default-blocks") for samples, suffix in LOAD_BLOCKS],
 )
-def test_the_pinned_solver_takes_the_contact_steps_and_one_release_per_episode(
-        monkeypatch, block_samples):
-    """The README run at J=19 to T=0.6 steps free flight in modal chunks.  A
-    chunk stops before the first tip that is not strictly inside the stops,
-    and the state a pinned step leaves decides the next step, whatever the
-    load block (``fem.LOAD_BLOCK_SAMPLES = 1`` cuts 16-row blocks).  So the
-    pinned solver sees the 664 steps that end on a stop, each of them a
-    contact case, and one free step per contact episode, which releases
-    the tip (the oracle loop's cases, on the loop's own steps)."""
+def test_the_pinned_solver_takes_every_step_of_a_long_run(monkeypatch, block_samples):
+    """The README run at J=19 to T=0.6 makes all of its 11 999 steps in the
+    compiled loop, each of them the oracle's, whatever the load block
+    (``fem.LOAD_BLOCK_SAMPLES = 1`` cuts 16-row blocks).  The pinned solver
+    finds 666 of them a contact case (the oracle loop's cases, on the loop's
+    own steps): the steps that end on a stop, which the audit counts, in 103
+    contact episodes."""
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    cases = checked_loop(monkeypatch)["cases"]
-    traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.6), record_stride=1)
+    seen = checked_loop(monkeypatch)
+    params = SchemeParams(0.5, 5e-5, 0.6)
+    traj = run(blow_up_model(), Mesh(1.501, 19), params, record_stride=1)
+    cases = seen["cases"]
     contact = sum(case != 0 for case in cases)
-    assert (len(cases), contact, traj.contact_episodes) == (763, 664, 99)
-    assert len(cases) - contact == traj.contact_episodes
+    assert len(cases) == seen["banded_steps"] == params.n_steps - 1
+    assert (len(cases), contact, traj.contact_episodes) == (11999, 666, 103)
     assert np.count_nonzero(np.abs(traj.u_tip) == 0.1) == contact == traj.audit.contact_steps
 
 
-def test_an_inaccurate_basis_keeps_the_run_banded(monkeypatch):
-    """At J=80 the eigendecomposition's worst relative residual is about
-    3e-7, above MODAL_RESIDUAL_BOUND: a run long enough to try modal steps
-    ((2J)^2 = 25 600 <= N) steps banded, bit for bit."""
-    mesh, params = Mesh(1.501, 80), SchemeParams(0.5, 5e-5, 25600 * 5e-5)
-    chosen = chooser_spy(monkeypatch)
-    tried = run(blow_up_model(), mesh, params, record_stride=50)
-    assert chosen == [None]
-    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
-    banded = run(blow_up_model(), mesh, params, record_stride=50)
-    assert tried.to_csv() == banded.to_csv() and tried.audit == banded.audit
-
-
 @pytest.mark.parametrize("kind", ["signorini", "linear"])
-def test_a_fine_mesh_computes_no_eigendecomposition(monkeypatch, kind):
-    """At J=320 the (2J)^3 eigendecomposition would cost more than the
-    run's steps save, so the run never computes one."""
+@pytest.mark.parametrize("J,T", [(19, 0.15), (320, 0.02), (19, 5e-5)],
+                         ids=["readme", "fine-mesh", "one-step"])
+def test_no_tip_run_computes_an_eigendecomposition(monkeypatch, kind, J, T):
+    """Every step of a tip run is banded, in the compiled loop, and no run
+    computes an eigendecomposition: not the README run at J=19 cut to
+    T=0.15 (N = 3000 >= (2J)^2 = 1444), not a run at J=320, and not a
+    one-step run.  The run's ``stats`` count banded steps alone."""
     refuse_eigendecompositions(monkeypatch)
-    traj = run(blow_up_model(), Mesh(1.501, 320), SchemeParams(0.5, 5e-5, 0.02), kind=kind)
-    assert traj.t.size == 401
-
-
-@pytest.mark.parametrize("kind", ["signorini", "linear"])
-def test_a_run_forced_past_its_stability_limit_stays_banded(monkeypatch, kind):
-    """beta = 0 at dt = 1e-4 is far past the J=19 limit: some mode has
-    |c| >= 2 and would grow in the modal recurrence, so the chooser gives no
-    basis and the run blows up exactly as an all-banded run does."""
-    params = SchemeParams(0.0, 1e-4, 0.5)
-    chosen = chooser_spy(monkeypatch)
-    forced = run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True, record_stride=5)
-    assert chosen == [None]
-    monkeypatch.setattr(steppers, "modal_basis", lambda *args: None)
-    banded = run(blow_up_model(), Mesh(1.501, 19), params, kind=kind, force=True, record_stride=5)
-    assert forced.to_csv() == banded.to_csv()
-    with pytest.raises(NonFiniteRecordError):
-        forced.require_finite()
-
-
-@pytest.mark.parametrize("kind", ["signorini", "linear"])
-def test_a_one_step_run_computes_no_eigendecomposition(monkeypatch, kind):
-    refuse_eigendecompositions(monkeypatch)
-    traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 5e-5), kind=kind)
-    assert traj.t.size == 2
+    params = SchemeParams(0.5, 5e-5, T)
+    traj = run(blow_up_model(), Mesh(1.501, J), params, kind=kind)
+    assert traj.t.size == params.n_steps + 1
+    assert traj.stats["banded_steps"] == params.n_steps - 1
+    assert sorted(traj.stats) == ["banded_steps", "bumped_solves", "products", "solves"]
 
 
 def test_penalty_springs_match_spring_bit_for_bit():
@@ -1644,27 +1540,3 @@ def test_penalty_springs_match_spring_bit_for_bit():
     assert np.array_equal(got, want, equal_nan=True)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     assert np.signbit(got[5, 0]) and not np.signbit(got[6, 0]) and not np.signbit(got[8]).any()
-
-
-def test_a_modal_run_hands_its_first_impact_to_the_loop(monkeypatch):
-    """The modal chunks hand the first impact of the pipe run (step 1757)
-    to the compiled loop: its first call starts from a state strictly
-    inside the stops, its first step lands on a stop, and its steps are
-    the oracle's."""
-    chosen = chooser_spy(monkeypatch)
-    checked_loop(monkeypatch)
-    step, calls = Loop.step, []
-
-    def spy(self, r, rows):
-        before = self.u[r - 1, self.solver.index]
-        end = step(self, r, rows)
-        calls.append((before, self.u[r, self.solver.index]))
-        return end
-
-    monkeypatch.setattr(Loop, "step", spy)
-    traj = run(blow_up_model(), Mesh(1.501, 19), SchemeParams(0.5, 5e-5, 0.15), record_stride=1)
-    assert len(chosen) == 1 and chosen[0] is not None
-    before, first = calls[0]
-    assert abs(before) < 0.1 and abs(first) == 0.1 == abs(traj.u_tip[1757])
-    assert np.all(np.abs(traj.u_tip[:1757]) < 0.1)
-    assert traj.stats["modal_rows"] >= 1756

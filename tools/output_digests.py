@@ -2,19 +2,14 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 478
-lines in about 20 s.  Every case runs with no modal basis, so every step
-is banded (the basis chooser, ``steppers.modal_basis``, patched to find
-none), and running it on two checkouts and diffing the outputs shows
-whether a change kept every banded trajectory bit for bit.  A line names
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 450
+lines in about 13 s.  Running it on two checkouts and diffing the outputs
+shows whether a change kept every trajectory bit for bit.  A line names
 the case and then gives the SHA-256 of ``to_csv()``, the row count, the
 extrema, the tip's range, the contact episodes, ``repr(audit)`` and the
 stability verdict, or the type and text of the error the run raised.
-Each of the 28 cases that takes modal steps when left to choose
-gets one more line, ``<case> modal``, with the modal run's largest tip
-gap to the banded run over their common records, its row count and
-``repr(audit)``.  There is no golden file: the last bits depend on
-the BLAS build, so only two checkouts on one machine compare.
+There is no golden file: the last bits depend on the BLAS build, so only
+two checkouts on one machine compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
 stepped as one block (one of them holds a zero-stiffness member),
@@ -27,7 +22,7 @@ a callable load, T = 0, one-step runs, a start at rest on a stop and a
 non-finite starting pair, at strides 1 to 7, 20 and 40; and for the
 contact path the stops pick, signorini without stops (g = inf), an
 unforced PGS obstacle and a callable obstacle that bounds one node
-alone; and, long enough to take modal steps at J=19, the README run
+alone; and long runs at J=19, over several load blocks: the README run
 cut to T = 0.15, 0.05 s runs between the 2 mm stops with and without a
 callable load, a start on a stop and a beta = 0.3 run; and the README run
 at J=320 cut to T = 0.15 at stride 2, the benchmark's fine mesh, whose
@@ -79,10 +74,6 @@ def members(beta, dt, values, T=0.03):
     return [PenaltyParams(inv_eps=v, beta=beta, dt=dt, T=T) for v in values]
 
 
-#: the modal basis chooser
-CHOOSER = steppers.modal_basis
-
-
 def describe(result) -> str:
     if isinstance(result, Exception):
         return f"error {type(result).__name__}: {result}"
@@ -100,42 +91,14 @@ def outcome(call):
         return exc
 
 
-def tip_gap(banded, modal) -> str:
-    """The modal run's largest tip gap to the banded one, over their common
-    records, and its audit; or the modal run's own digest where a run raised."""
-    if isinstance(banded, Exception) or isinstance(modal, Exception):
-        return describe(modal)
-    n = min(banded.t.size, modal.t.size)
-    gap = float(np.max(np.abs(modal.u_tip[:n] - banded.u_tip[:n]), initial=0.0))
-    return f"tip_gap={gap!r} rows={modal.t.size} audit={modal.audit!r}"
-
-
 def emit(case: str, call) -> None:
-    """Print the case's digest lines with no modal basis, so every step is
-    banded, and, if the case takes modal steps, one more line comparing the two."""
-    asked, chosen = [], []
-
-    def banded_only(*args):
-        asked.append(True)
-        return None
-
-    def modal(*args):
-        basis = CHOOSER(*args)
-        chosen.append(basis is not None)
-        return basis
-
-    with patch.object(steppers, "modal_basis", banded_only):
-        out = outcome(call)
+    """Print the case's digest line, one per member of a penalty block."""
+    out = outcome(call)
     if isinstance(out, list):
         for j, result in enumerate(out):
             print(f"{case}[{j}] {describe(result)}")
     else:
         print(f"{case} {describe(out)}")
-    if asked:
-        with patch.object(steppers, "modal_basis", modal):
-            other = outcome(call)
-        if any(chosen):
-            print(f"{case} modal {tip_gap(out, other)}")
 
 
 def penalty_cases(blocks: str) -> None:
@@ -264,8 +227,8 @@ def contact_path_cases(blocks: str) -> None:
          lambda: run(one_node, MESH, SchemeParams(0.5, 5e-5, 0.05), record_stride=1))
 
 
-def modal_cases(blocks: str) -> None:
-    # long enough to pay for an eigendecomposition at J=19: (2J)^2 <= N
+def long_cases(blocks: str) -> None:
+    # long runs at J=19, over several load blocks
     for stride in (1, 2):
         for kind in ("signorini", "linear"):
             emit(f"{blocks} pipe {kind} stride={stride}",
@@ -296,7 +259,7 @@ def main() -> None:
     for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
         with patch.object(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
             for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases,
-                          contact_path_cases, modal_cases, fine_mesh_cases):
+                          contact_path_cases, long_cases, fine_mesh_cases):
                 cases(blocks)
 
 
