@@ -4,17 +4,22 @@
 steps at the tip (signorini runs with numeric stops, linear runs, and
 penalty blocks of k members): per step one banded product B u^n, the
 right-hand side F^n, the tip closure and one banded product A u^{n+1}, in C.
-It calls the same OpenBLAS ``dsbmv`` and ``dpbtrs`` that
-:meth:`~beamstops.linalg.BandedSpd.matvec` and
-:meth:`~beamstops.linalg.BandedCholesky.solve` call, by the addresses that
-``scipy.linalg.cython_blas`` and ``scipy.linalg.cython_lapack`` export, so
-its rows are those of the same steps made from Python, bit for bit.
+Its banded product and Cholesky solve are its own kernels,
+``beamstops_sbmv`` and ``beamstops_pbtrs`` of :data:`library`, which make
+the roundings of the OpenBLAS ``dsbmv`` (SkylakeX kernels) and the LAPACK
+``dpbtrs`` that :meth:`~beamstops.linalg.BandedSpd.matvec` and
+:meth:`~beamstops.linalg.BandedCholesky.solve` call through scipy, in a
+faster order, so its rows are those of the same steps made from Python,
+bit for bit.  The set-up (the factors, the bands) and the fold still go
+through scipy.
 
-The first import compiles the source with ``gcc`` in a child process, into
-``_build/`` beside this file, under a name keyed by the SHA-256 of the
-source, the flags and the Python ABI tag; later imports load that file.  A
-build removes the shared objects that earlier sources left there.  Without
-the compiler the import raises :class:`ImportError`.
+The kernels are x86-64 code with FMA instructions.  The first import
+compiles the source with ``gcc`` in a child process, into ``_build/``
+beside this file, under a name keyed by the SHA-256 of the source, the
+flags and the Python ABI tag; later imports load that file.  A build
+removes the shared objects that earlier sources left there.  Without the
+compiler, on another architecture or on a CPU without FMA the import
+raises :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import sysconfig
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cython_blas, cython_lapack
 
 from .linalg import BandedSpd, PinnedDofSolver
 
@@ -35,6 +39,9 @@ CACHE = Path(__file__).with_name("_build")
 COMPILER = "gcc"
 #: No -ffast-math and no -march=native: the loop must round as numpy does.
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+#: The kernels round as OpenBLAS's while each band column is shorter than the
+#: 16 entries from which its ddot and daxpy take their vector paths.
+MAX_BW = 14
 
 
 def build(cache: Path = CACHE) -> Path:
@@ -76,26 +83,22 @@ def build(cache: Path = CACHE) -> Path:
     return target
 
 
-def _address(module, name: str) -> int:
-    """The address of a routine that scipy's Cython BLAS or LAPACK module exports."""
-    capsule = module.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return get_pointer(capsule, get_name(capsule))
-
-
-_step_rows = ctypes.CDLL(str(build())).beamstops_step_rows
+#: The loaded shared object; besides the loop it exports its two kernels,
+#: ``beamstops_sbmv(n, bw, a, x, y)`` and ``beamstops_pbtrs(n, bw, u, b, k, ldb)``.
+library = ctypes.CDLL(str(build()))
+if not library.beamstops_has_fma():
+    raise ImportError("beamstops' step loop needs an x86-64 CPU with FMA instructions, "
+                      "which this CPU does not report")
+_step_rows = library.beamstops_step_rows
 _step_rows.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
 _step_rows.restype = None
-_SBMV, _PBTRS = _address(cython_blas, "dsbmv"), _address(cython_lapack, "dpbtrs")
 
 
 class _Context(ctypes.Structure):
     """``loop_t`` of ``steploop.c``."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "sbmv", "pbtrs", "u", "au", "f", "g")] + [("f_stride", ctypes.c_int64)] + [
+        "u", "au", "f", "g")] + [("f_stride", ctypes.c_int64)] + [
         (name, ctypes.c_void_p) for name in (
             "a_band", "b_band", "factor", "w", "inv_eps", "bump", "bumped", "counts")] + [
         (name, ctypes.c_double) for name in ("lower", "upper", "dt2", "beta")] + [
@@ -123,10 +126,11 @@ class Loop:
         factor = solver.full_factor
         if not (au.shape == u.shape and f.shape[0] in (1, rows) and f.shape[1] == n
                 and a_band.n == b_band.n == n and n % k == 0
-                and a_band.bw == b_band.bw == factor.bw
+                and a_band.bw == b_band.bw == factor.bw <= MAX_BW
                 and all(x.flags.f_contiguous for x in (a_band.ab, b_band.ab, factor.cb))
                 and all(x.dtype == np.float64 and x.flags.c_contiguous for x in (u, au, f))):
-            raise ValueError("the step loop needs matching float64 buffers and bands")
+            raise ValueError(f"the step loop needs matching float64 buffers and bands "
+                             f"of half-bandwidth at most {MAX_BW}")
         self.a_band, self.b_band, self.solver = a_band, b_band, solver
         self.u, self.au, self.f = u, au, f
         # every array that the loop reads by address, kept with the loop should
@@ -134,7 +138,7 @@ class Loop:
         self._held = [a_band.ab, b_band.ab, factor.cb]
         self.g = None
         self.counts = np.zeros(3 + k, dtype=np.int64)
-        ctx = _Context(sbmv=_SBMV, pbtrs=_PBTRS, u=u.ctypes.data, au=au.ctypes.data,
+        ctx = _Context(u=u.ctypes.data, au=au.ctypes.data,
                        f=f.ctypes.data, f_stride=0 if f.shape[0] == 1 else n,
                        a_band=a_band.ab.ctypes.data, b_band=b_band.ab.ctypes.data,
                        factor=factor.cb.ctypes.data, counts=self.counts.ctypes.data,

@@ -1,7 +1,9 @@
-"""The compiled step loop (``beamstops.steploop``): every step against the
-Python oracle loop of ``oracles``, bit for bit, the run's counters against
-the oracle's, and the build at first import."""
+"""The compiled step loop (``beamstops.steploop``): its banded product and
+solve against scipy's OpenBLAS, every step against the Python oracle loop of
+``oracles``, bit for bit, the run's counters against the oracle's, and the
+build at first import."""
 
+import ctypes
 import os
 import re
 import subprocess
@@ -11,9 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from beamstops import fem, steploop
 from beamstops.fem import BeamModel, Mesh, SupportMotion
+from beamstops.linalg import BandedSpd, PinnedDofSolver
 from beamstops.steppers import PenaltyParams, SchemeParams, run
 from oracles import checked_loop
 
@@ -23,15 +28,111 @@ MESH = Mesh(1.501, 19)
 #: the penalty block: 1e300 blows up at step 543, 0.0 has no spring
 VALUES = [1e6, 1e300, 0.0, 1e9]
 SRC = Path(steploop.__file__).resolve().parents[1]
+#: +-0, +-inf and +-nan, each sign of NaN its own bits
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
 
 
-def call(kind, stride):
-    """A run through the loop: 3 332 tip steps at J=19, or a block of four
-    penalty members."""
+def kernel(name, *argtypes):
+    fn = getattr(steploop.library, name)
+    fn.argtypes, fn.restype = argtypes, None
+    return fn
+
+
+SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 3)
+PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 2, *[ctypes.c_int] * 2)
+
+
+def corename():
+    """The core whose kernels scipy's OpenBLAS runs, which fixes its roundings."""
+    try:
+        get = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_get_corename
+    except (OSError, AttributeError):
+        return "unknown: scipy's BLAS is not scipy-openblas"
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
+def sprinkle(rng, v, share):
+    """``v`` with about ``share`` of its entries replaced by SPECIAL values."""
+    hit = rng.random(v.shape) < share
+    v[hit] = rng.choice(SPECIAL, int(hit.sum()))
+    return v
+
+
+def band_case(rng, case):
+    """A random SPD band in upper storage and its Cholesky factor, each with
+    some entries zero (as in a stacked band's pads) and a few SPECIAL, and
+    NaN in the corner that the storage leaves unused: n from 1 to 700, bw
+    1 to 3, and every fifth case bw 0 to MAX_BW."""
+    n = int(rng.integers(1, 701 if case % 2 else 13))
+    bw = int(rng.integers(0, steploop.MAX_BW + 1) if case % 5 == 0 else rng.integers(1, 4))
+    ab = rng.uniform(-1.0, 1.0, (bw + 1, n))
+    ab[bw] = 2 * bw + rng.uniform(0.5, 2.0, n)  # diagonally dominant
+    ab[:bw][rng.random((bw, n)) < 0.2] = 0.0
+    cb, info = get_lapack_funcs("pbtrf", dtype=float)(ab)
+    assert info == 0
+    cb[:bw][rng.random((bw, n)) < 0.2] = 0.0
+    ab[bw][rng.random(n) < 0.05] = 0.0
+    ab, cb = sprinkle(rng, ab, 0.01), sprinkle(rng, cb, 0.01)
+    for j in range(min(bw, n)):
+        ab[: bw - j, j] = cb[: bw - j, j] = np.nan
+    return np.asfortranarray(ab), np.asfortranarray(cb)
+
+
+def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
+    """``beamstops_sbmv`` and ``beamstops_pbtrs`` give scipy's ``sbmv``
+    (alpha 1, beta 0) and ``pbtrs``, in int64 views, on 3 000 random SPD
+    bands and factors: +-0, +-inf and +-nan in x, b and the bands, where
+    the operand roles of each instruction decide a NaN's sign, zero band
+    entries, 1 to 4 right-hand sides with ldb >= n whose rows past n stay
+    as they were, and a y that holds NaN before the product."""
+    rng = np.random.default_rng(28)
+    sbmv, pbtrs = get_blas_funcs("sbmv", dtype=float), get_lapack_funcs("pbtrs", dtype=float)
+    bad, cases = [], 1500
+    for case in range(cases):
+        ab, cb = band_case(rng, case)
+        bw, n = ab.shape[0] - 1, ab.shape[1]
+        x = sprinkle(rng, rng.standard_normal(n), 0.1)
+        y = np.full(n, np.nan)
+        SBMV(n, bw, ab.ctypes.data, x.ctypes.data, y.ctypes.data)
+        if not np.array_equal(y.view(np.int64), sbmv(bw, 1.0, ab, x).view(np.int64)):
+            bad.append(("sbmv", n, bw))
+        k, ldb = int(rng.integers(1, 5)), n + int(rng.integers(0, 4))
+        b = np.asfortranarray(sprinkle(rng, rng.standard_normal((ldb, k)), 0.02))
+        want, info = pbtrs(cb, b)
+        assert info == 0
+        PBTRS(n, bw, cb.ctypes.data, b.ctypes.data, k, ldb)
+        if not np.array_equal(b.view(np.int64), want.view(np.int64)):
+            bad.append(("pbtrs", n, bw, k, ldb))
+    assert not bad, (f"{len(bad)} of {2 * cases} kernel calls differ from scipy's OpenBLAS, "
+                     f"core {corename()}; the first: {bad[:5]}")
+
+
+def call(kind, stride, mesh=MESH, values=VALUES):
+    """A run through the loop: 3 332 tip steps, or a block of penalty
+    members, one for each of ``values``."""
     if kind == "penalty":
-        members = [PenaltyParams(inv_eps=v, beta=0.2, dt=1.4e-5, T=0.03) for v in VALUES]
-        return run(TIGHT, MESH, members, kind="penalty", record_stride=stride)
-    return [run(TIGHT, MESH, SchemeParams(0.5, 1.5e-5, 0.05), kind=kind, record_stride=stride)]
+        members = [PenaltyParams(inv_eps=v, beta=0.2, dt=1.4e-5, T=0.03) for v in values]
+        return run(TIGHT, mesh, members, kind="penalty", record_stride=stride)
+    return [run(TIGHT, mesh, SchemeParams(0.5, 1.5e-5, 0.05), kind=kind, record_stride=stride)]
+
+
+def checked_call(monkeypatch, kind, stride, mesh=MESH, values=VALUES):
+    """The runs of :func:`call`, plain and then stepped under ``checked_loop``,
+    whose records must be the plain runs' and whose ``stats`` must count the
+    banded steps, block solves, products and bumped solves that the oracle
+    makes; returns the plain runs and what the oracle saw."""
+    plain = call(kind, stride, mesh, values)
+    seen = checked_loop(monkeypatch)
+    checked = call(kind, stride, mesh, values)
+    for j, (p, c) in enumerate(zip(plain, checked, strict=True)):
+        assert np.array_equal(p.records.view(np.int64), c.records.view(np.int64))
+        stats = p.stats
+        assert stats["banded_steps"] == seen["banded_steps"] == stats["solves"] == seen["solves"]
+        assert stats["products"] == seen["products"] == 2 * stats["banded_steps"]
+        assert stats["bumped_solves"] == seen["bumped_solves"].get(j, 0)
+        assert stats["banded_steps"] == p.n_steps - 1
+    return plain, seen
 
 
 @pytest.mark.parametrize("stride", [1, 2, 7])
@@ -44,22 +145,12 @@ def test_the_loop_steps_as_the_oracle_bit_for_bit(monkeypatch, kind, block_sampl
     one call and row by row: signorini and linear runs, and a block of four
     penalty members that holds the 1e300 blow-up and a member with no
     spring, at the default and at 16-row load blocks
-    (``fem.LOAD_BLOCK_SAMPLES = 1``).  The run's ``stats`` count the banded
-    steps, block solves, products and bumped solves that the oracle makes,
-    the records of the checked run are the plain run's, and no penalty
-    member makes its spring history twice in a step."""
+    (``fem.LOAD_BLOCK_SAMPLES = 1``), with the counts of
+    :func:`checked_call`; and no penalty member makes its spring history
+    twice in a step."""
     if block_samples is not None:
         monkeypatch.setattr(fem, "LOAD_BLOCK_SAMPLES", block_samples)
-    plain = call(kind, stride)
-    seen = checked_loop(monkeypatch)
-    checked = call(kind, stride)
-    for j, (p, c) in enumerate(zip(plain, checked, strict=True)):
-        assert np.array_equal(p.records.view(np.int64), c.records.view(np.int64))
-        stats = p.stats
-        assert stats["banded_steps"] == seen["banded_steps"] == stats["solves"] == seen["solves"]
-        assert stats["products"] == seen["products"] == 2 * stats["banded_steps"]
-        assert stats["bumped_solves"] == seen["bumped_solves"].get(j, 0)
-        assert stats["banded_steps"] == p.n_steps - 1
+    plain, seen = checked_call(monkeypatch, kind, stride)
     if kind == "penalty":
         by_member = [p.stats["bumped_solves"] for p in plain]
         assert by_member[2] == 0 and min(by_member[:2] + by_member[3:]) > 0
@@ -67,6 +158,32 @@ def test_the_loop_steps_as_the_oracle_bit_for_bit(monkeypatch, kind, block_sampl
         assert not np.isfinite(plain[1].records).all() and all(np.isfinite(p.records).all() for p in plain[2:])
     if kind == "signorini":
         assert set(seen["cases"]) == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("kind, J, values", [
+    ("signorini", 1, None), ("signorini", 2, None), ("penalty", 1, VALUES), ("penalty", 2, VALUES),
+    ("penalty", 19, VALUES[:1]), ("penalty", 19, VALUES[:2])],
+    ids=["signorini-J1", "signorini-J2", "penalty-J1", "penalty-J2", "penalty-k1", "penalty-k2"])
+def test_edge_rows_and_small_blocks_step_as_the_oracle_bit_for_bit(monkeypatch, kind, J, values):
+    """As above, on meshes of one and two elements, whose 2 and 4 rows are
+    all edge rows of the band (bw 3), and on penalty blocks of one member
+    and of two, the second the 1e300 blow-up."""
+    plain, seen = checked_call(monkeypatch, kind, 1, Mesh(1.501, J), values)
+    if kind == "signorini":
+        assert set(seen["cases"]) == {-1, 0, 1}
+    else:
+        assert [p.stats["bumped_solves"] > 0 for p in plain] == [v != 0.0 for v in values]
+        assert [np.isfinite(p.records).all() for p in plain][:2] == [True, False][: len(plain)]
+        assert set(Counter(seen["histories"]).values()) == {1}
+
+
+def test_the_loop_refuses_a_band_wider_than_its_kernels_hold():
+    bw = steploop.MAX_BW + 1
+    n = bw + 2
+    a = BandedSpd(np.vstack([np.zeros((bw, n)), np.ones((1, n))]))
+    with pytest.raises(ValueError, match=f"half-bandwidth at most {steploop.MAX_BW}"):
+        steploop.Loop(a, a, PinnedDofSolver(a, 0, -1.0, 1.0), np.zeros((3, n)), np.zeros((3, n)),
+                      np.zeros((1, n)))
 
 
 def test_two_processes_build_into_an_empty_cache_and_load_one_file(tmp_path):
@@ -118,6 +235,22 @@ def test_importing_the_package_loads_no_build_tools():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_a_cpu_without_fma_raises_an_import_error_naming_it():
+    """The import checks that the CPU runs the kernels' FMA instructions
+    (here it is told that it does not) and raises rather than dying on an
+    illegal instruction."""
+    code = ("import ctypes\n"
+            "class NoFma(ctypes.CDLL):\n"
+            "    def beamstops_has_fma(self):\n"
+            "        return 0\n"
+            "ctypes.CDLL = NoFma\n"
+            "import beamstops\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    assert "ImportError: beamstops' step loop needs an x86-64 CPU with FMA" in proc.stderr
 
 
 def test_a_cache_that_cannot_be_written_raises_an_import_error_naming_it(tmp_path):
