@@ -11,14 +11,16 @@
  * from rows r - 1 and r - 2 and row r - 2 of g.  The tip closure then
  * solves A u^{n+1} = F^n plus the contact terms, and one more banded product
  * forms A u^{n+1}, which the run carries.  The products and solves are the
- * file's own kernels, sbmv and pbtrs, which round as OpenBLAS's SkylakeX
- * dsbmv and LAPACK's dpbtrs over it do (the BLAS and LAPACK under scipy's
- * BandedSpd.matvec and BandedCholesky.solve), and the closures make the
- * operations of the Python steps that the tests keep as their oracle, in the
- * same order; the file is compiled with -ffp-contract=off, so no product and
- * sum fuse into one rounding unless a kernel fuses it in asm.  So every row
- * is the oracle's bit for bit.  No step fails: a non-finite entry steps on,
- * and the run's fold ends its member.
+ * file's own kernels, sbmv and pbtrs, which round as OpenBLAS's dsbmv and
+ * LAPACK's dpbtrs over it do (the BLAS and LAPACK under scipy's
+ * BandedSpd.matvec and BandedCholesky.solve) with the kernels that scipy's
+ * OpenBLAS picks for the CPU, SkylakeX's or Haswell's and Sandybridge's,
+ * and the closures make the operations of the Python steps that the tests
+ * keep as their oracle, in the same order; the file is compiled with
+ * -ffp-contract=off, so no product and sum fuse into one rounding unless a
+ * kernel fuses it in asm.  So every row is the oracle's bit for bit.  No
+ * step fails: a non-finite entry steps on, and the run's fold ends its
+ * member.
  */
 #ifndef __x86_64__
 #error "the step loop's kernels are x86-64 FMA code: they make the roundings of OpenBLAS's x86 kernels"
@@ -27,165 +29,191 @@
 #include <stdint.h>
 #include <string.h>
 
-/* The kernels' three roundings, each the instruction and operand roles of
+/* Inlined into the copies for a beam's band, whose loops over a band's
+ * entries and over a group's sides are then of fixed length, unrolled, and
+ * into the copies for each of the two roundings below, whose branches on
+ * fused then fold away.  A deeper unroll would only grow the other copies,
+ * and the compiler's peak memory with them. */
+#define INLINE static inline __attribute__((always_inline))
+#define UNROLL _Pragma("GCC unroll 4")
+
+/* The kernels' roundings, each the instruction and operand roles of
  * OpenBLAS's kernel, in asm: x86 returns the first NaN operand, which fixes
  * a NaN's sign, and the compiler reorders the operands of a commutative
- * operation freely.  Sums from 0.0 are ddot's tail, fused updates daxpy's. */
+ * operation freely.  Sums from 0.0 are ddot's tail, fused updates daxpy's.
+ * scipy's OpenBLAS picks its ddot and daxpy by CPU: the SkylakeX ones fuse
+ * each multiply-add into one rounding (fused 1); the Haswell and Sandybridge
+ * ones, which CPUs with FMA but without AVX-512 run, round the product and
+ * then the sum (fused 0). */
 
-/* acc + b c, as ddot's vfmadd231sd: the first NaN of acc, b, c */
-static inline double dot_step(double acc, double b, double c)
+/* a b, as vmulsd: a's NaN first */
+INLINE double mul(double a, double b)
 {
-    __asm__("vfmadd231sd %2, %1, %0" : "+x"(acc) : "x"(b), "x"(c));
-    return acc;
+    double product;
+    __asm__("vmulsd %2, %1, %0" : "=x"(product) : "x"(a), "x"(b));
+    return product;
 }
 
-/* b a + c, as daxpy's vfmadd213sd: the first NaN of a, b, c */
-static inline double axpy_step(double a, double b, double c)
-{
-    __asm__("vfmadd213sd %2, %1, %0" : "+x"(a) : "x"(b), "x"(c));
-    return a;
-}
-
-/* a + b, as dsbmv's add of the dot to y: a's NaN first */
-static inline double add(double a, double b)
+/* a + b, as vaddsd, also dsbmv's add of the dot to y: a's NaN first */
+INLINE double add(double a, double b)
 {
     double sum;
     __asm__("vaddsd %2, %1, %0" : "=x"(sum) : "x"(a), "x"(b));
     return sum;
 }
 
-/* Inlined into the copies for a beam's band, whose loops over a band's
- * entries and over a group's sides are then of fixed length, unrolled.  A
- * deeper unroll would only grow the other copies, and the compiler's peak
- * memory with them. */
-#define INLINE static inline __attribute__((always_inline))
-#define UNROLL _Pragma("GCC unroll 4")
+/* acc + b c, as ddot's vfmadd231sd: the first NaN of acc, b, c */
+INLINE double dot_step(int fused, double acc, double b, double c)
+{
+    if (!fused)
+        return add(acc, mul(b, c));
+    __asm__("vfmadd231sd %2, %1, %0" : "+x"(acc) : "x"(b), "x"(c));
+    return acc;
+}
+
+/* b a + c, as daxpy's vfmadd213sd: the first NaN of a, b, c */
+INLINE double axpy_step(int fused, double a, double b, double c)
+{
+    if (!fused)
+        return add(mul(b, a), c);
+    __asm__("vfmadd213sd %2, %1, %0" : "+x"(a) : "x"(b), "x"(c));
+    return a;
+}
 
 /* Row j of A x, with A in upper band storage a (bw + 1, n), A[i][j] at
  * a[j (bw + 1) + bw + i - j] for i <= j: the ddot of the row's entries left
  * of the diagonal, from column lo on, added to the diagonal product, then
  * the entries right of it, up to column hi, fused in one at a time. */
-INLINE double sbmv_row(int bw, const double *a, const double *x, int j, int lo, int hi)
+INLINE double sbmv_row(int fused, int bw, const double *a, const double *x, int j, int lo, int hi)
 {
     int ld = bw + 1;
     const double *col = a + (size_t)j * ld + bw - j; /* col[i] = A[i][j] */
     double dot = 0.0;
     UNROLL for (int i = lo; i < j; i++)
-        dot = dot_step(dot, x[i], col[i]);
-    double s = add(dot, axpy_step(col[j], x[j], 0.0));
+        dot = dot_step(fused, dot, x[i], col[i]);
+    double s = add(dot, axpy_step(fused, col[j], x[j], 0.0));
     UNROLL for (int c = j + 1; c <= hi; c++)
-        s = axpy_step(a[(size_t)c * ld + bw + j - c], x[c], s);
+        s = axpy_step(fused, a[(size_t)c * ld + bw + j - c], x[c], s);
     return s;
 }
 
 /* The rows that the band cuts off at its ends, and between them the rows
  * of 2 bw + 1 entries, whose loops have a fixed length. */
-INLINE void sbmv_rows(int n, int bw, const double *a, const double *x, double *y)
+INLINE void sbmv_rows(int fused, int n, int bw, const double *a, const double *x, double *y)
 {
     int j = 0;
     for (; j < n && j < bw; j++)
-        y[j] = sbmv_row(bw, a, x, j, 0, j + bw < n - 1 ? j + bw : n - 1);
+        y[j] = sbmv_row(fused, bw, a, x, j, 0, j + bw < n - 1 ? j + bw : n - 1);
     for (; j < n - bw; j++)
-        y[j] = sbmv_row(bw, a, x, j, j - bw, j + bw);
+        y[j] = sbmv_row(fused, bw, a, x, j, j - bw, j + bw);
     for (; j < n; j++)
-        y[j] = sbmv_row(bw, a, x, j, j - bw, n - 1);
+        y[j] = sbmv_row(fused, bw, a, x, j, j - bw, n - 1);
 }
 
 /* y = A x as dsbmv_U with alpha 1 and beta 0 rounds it, for bw up to 14:
  * OpenBLAS's ddot and daxpy take their scalar tails below 16 entries, and a
  * band column has bw + 1.  dsbmv walks A by columns, each one daxpy into y
  * and one ddot; here each row sums in registers, in the same roundings.  A
- * beam's band, bw 3, has its own copy, with its loops unrolled. */
-static void sbmv(int n, int bw, const double *a, const double *x, double *y)
+ * beam's band, bw 3, has its own copy for each rounding, with its loops
+ * unrolled. */
+static void sbmv(int fused, int n, int bw, const double *a, const double *x, double *y)
 {
-    if (bw == 3)
-        sbmv_rows(n, 3, a, x, y);
+    if (bw != 3)
+        sbmv_rows(fused, n, bw, a, x, y);
+    else if (fused)
+        sbmv_rows(1, n, 3, a, x, y);
     else
-        sbmv_rows(n, bw, a, x, y);
+        sbmv_rows(0, n, 3, a, x, y);
 }
 
 /* Row j of the forward solve U^T x = b, U in upper band storage u: b_j less
  * the ddot of U's column j with x from row lo on, divided by U_jj.  prev is
  * x_{j-1}, which the row reads from a register rather than its store. */
-INLINE double forward_row(int bw, const double *u, const double *x, int j, int lo, double prev)
+INLINE double forward_row(int fused, int bw, const double *u, const double *x, int j, int lo, double prev)
 {
     const double *col = u + (size_t)j * (bw + 1) + bw - j;
     if (lo == j)
         return x[j] / col[j];
     double dot = 0.0;
     UNROLL for (int i = lo; i < j - 1; i++)
-        dot = dot_step(dot, x[i], col[i]);
-    return (x[j] - dot_step(dot, prev, col[j - 1])) / col[j];
+        dot = dot_step(fused, dot, x[i], col[i]);
+    return (x[j] - dot_step(fused, dot, prev, col[j - 1])) / col[j];
 }
 
 /* Row j of the backward solve U x = y: y_j with U's row j times -x fused in
  * from column hi down to j + 1, as dtbsv_NUN's daxpy columns reach it, then
  * divided by U_jj.  next is x_{j+1}. */
-INLINE double backward_row(int bw, const double *u, const double *x, int j, int hi, double next)
+INLINE double backward_row(int fused, int bw, const double *u, const double *x, int j, int hi, double next)
 {
     int ld = bw + 1;
     double s = x[j];
     UNROLL for (int c = hi; c > j + 1; c--)
-        s = axpy_step(u[(size_t)c * ld + bw + j - c], -x[c], s);
+        s = axpy_step(fused, u[(size_t)c * ld + bw + j - c], -x[c], s);
     if (hi > j)
-        s = axpy_step(u[(size_t)(j + 1) * ld + bw - 1], -next, s);
+        s = axpy_step(fused, u[(size_t)(j + 1) * ld + bw - 1], -next, s);
     return s / u[(size_t)j * ld + bw];
 }
 
 /* The g <= 4 right-hand sides b + m ldb, advancing together, row by row,
  * so that their chains of divisions overlap; each side's last row is kept
  * in last[m].  The rows that the band cuts off come first in each solve. */
-INLINE void pbtrs_group(int n, int bw, const double *u, double *b, int g, int ldb)
+INLINE void pbtrs_group(int fused, int n, int bw, const double *u, double *b, int g, int ldb)
 {
     double last[4] = {0.0, 0.0, 0.0, 0.0};
     int j = 0;
     for (; j < n && j < bw; j++)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = forward_row(bw, u, b + (size_t)m * ldb, j, 0, last[m]);
+            b[(size_t)m * ldb + j] = last[m] = forward_row(fused, bw, u, b + (size_t)m * ldb, j, 0, last[m]);
     for (; j < n; j++)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = forward_row(bw, u, b + (size_t)m * ldb, j, j - bw, last[m]);
+            b[(size_t)m * ldb + j] = last[m] = forward_row(fused, bw, u, b + (size_t)m * ldb, j, j - bw, last[m]);
     for (j = n - 1; j >= 0 && j > n - 1 - bw; j--)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = backward_row(bw, u, b + (size_t)m * ldb, j, n - 1, last[m]);
+            b[(size_t)m * ldb + j] = last[m] = backward_row(fused, bw, u, b + (size_t)m * ldb, j, n - 1, last[m]);
     for (; j >= 0; j--)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = backward_row(bw, u, b + (size_t)m * ldb, j, j + bw, last[m]);
+            b[(size_t)m * ldb + j] = last[m] = backward_row(fused, bw, u, b + (size_t)m * ldb, j, j + bw, last[m]);
+}
+
+/* One group of g sides, 4 or 1, in its copy: a beam's band has one for each
+ * group size and rounding, with its loops unrolled. */
+static void pbtrs_sides(int fused, int n, int bw, const double *u, double *b, int g, int ldb)
+{
+    if (bw != 3)
+        pbtrs_group(fused, n, bw, u, b, 1, ldb);
+    else if (fused && g == 4)
+        pbtrs_group(1, n, 3, u, b, 4, ldb);
+    else if (fused)
+        pbtrs_group(1, n, 3, u, b, 1, ldb);
+    else if (g == 4)
+        pbtrs_group(0, n, 3, u, b, 4, ldb);
+    else
+        pbtrs_group(0, n, 3, u, b, 1, ldb);
 }
 
 /* Solves U^T U x = b in place for the k right-hand sides b + m ldb, with U
  * the Cholesky factor in upper band storage u (bw + 1, n), as dpbtrs does
  * with dtbsv_TUN and then dtbsv_NUN for each side, for bw up to 14.  The
- * sides are independent: with a beam's band they go in groups of four, then
- * of two, then one at a time, each with its own copy, with its loops
- * unrolled (a four-member sweep on two workers steps blocks of two). */
-static void pbtrs(int n, int bw, const double *u, double *b, int k, int ldb)
+ * sides are independent: with a beam's band they go in groups of four, the
+ * rest one at a time. */
+static void pbtrs(int fused, int n, int bw, const double *u, double *b, int k, int ldb)
 {
     int m = 0;
-    if (bw == 3) {
-        for (; m + 4 <= k; m += 4)
-            pbtrs_group(n, 3, u, b + (size_t)m * ldb, 4, ldb);
-        if (m + 2 <= k) {
-            pbtrs_group(n, 3, u, b + (size_t)m * ldb, 2, ldb);
-            m += 2;
-        }
-    }
+    for (; bw == 3 && m + 4 <= k; m += 4)
+        pbtrs_sides(fused, n, bw, u, b + (size_t)m * ldb, 4, ldb);
     for (; m < k; m++)
-        if (bw == 3)
-            pbtrs_group(n, 3, u, b + (size_t)m * ldb, 1, ldb);
-        else
-            pbtrs_group(n, bw, u, b + (size_t)m * ldb, 1, ldb);
+        pbtrs_sides(fused, n, bw, u, b + (size_t)m * ldb, 1, ldb);
 }
 
 /* The kernels, for the tests to compare with OpenBLAS's. */
-void beamstops_sbmv(int n, int bw, const double *a, const double *x, double *y)
+void beamstops_sbmv(int fused, int n, int bw, const double *a, const double *x, double *y)
 {
-    sbmv(n, bw, a, x, y);
+    sbmv(fused, n, bw, a, x, y);
 }
 
-void beamstops_pbtrs(int n, int bw, const double *u, double *b, int k, int ldb)
+void beamstops_pbtrs(int fused, int n, int bw, const double *u, double *b, int k, int ldb)
 {
-    pbtrs(n, bw, u, b, k, ldb);
+    pbtrs(fused, n, bw, u, b, k, ldb);
 }
 
 /* Whether this CPU runs the kernels' FMA instructions. */
@@ -208,6 +236,7 @@ typedef struct {
     double lower, upper;     /* the tip's stops */
     double dt2, beta;
     int32_t n, ndof, width, k, bw, tip;
+    int32_t fused;           /* the roundings of scipy's OpenBLAS: 1 SkylakeX, 0 Haswell */
 } loop_t;
 
 static int past(const loop_t *L, double tip)
@@ -235,7 +264,7 @@ static void pinned(loop_t *L, const double *f, double *u)
 {
     int n = L->ndof;
     memcpy(u, f, (size_t)n * sizeof *u);
-    pbtrs(n, L->bw, L->factor, u, 1, n);
+    pbtrs(L->fused, n, L->bw, L->factor, u, 1, n);
     L->counts[1] += 1;
     double uc = u[L->tip];
     if (!(uc > L->upper || uc < L->lower))
@@ -268,7 +297,7 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
             u[at + c] += 0.0;
         }
     }
-    pbtrs(n, L->bw, L->factor, u, k, L->width);
+    pbtrs(L->fused, n, L->bw, L->factor, u, k, L->width);
     L->counts[1] += 1;
     for (int m = 0; m < k; m++) {
         size_t at = (size_t)m * L->width;
@@ -279,7 +308,7 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
         memcpy(um, f + at, (size_t)n * sizeof *um);
         um[c] += pressing[m] ? hist[m] : history(L, m, up[at + c], uc[at + c]);
         um[c] += L->bump[m] * bound;
-        pbtrs(n, L->bw, L->bumped[m], um, 1, n);
+        pbtrs(L->fused, n, L->bw, L->bumped[m], um, 1, n);
         L->counts[3 + m] += 1;
         double tiny = 1e-12 * (fabs(bound) > 1.0 ? fabs(bound) : 1.0);
         double tip = um[c];
@@ -296,14 +325,14 @@ void beamstops_step_rows(loop_t *L, int r, int rows)
     for (; r < rows; r++) {
         double *u = L->u + (size_t)r * n, *f = L->f + (size_t)r * L->f_stride;
         const double *au = L->au + (size_t)(r - 2) * n, *g = L->g + (size_t)(r - 2) * n;
-        sbmv(n, L->bw, L->b_band, u - n, f);
+        sbmv(L->fused, n, L->bw, L->b_band, u - n, f);
         for (int i = 0; i < n; i++)
             f[i] = f[i] - au[i] + g[i];
         if (L->w)
             pinned(L, f, u);
         else
             penalty(L, f, u - 2 * (size_t)n, u - n, u);
-        sbmv(n, L->bw, L->a_band, u, L->au + (size_t)r * n);
+        sbmv(L->fused, n, L->bw, L->a_band, u, L->au + (size_t)r * n);
         L->counts[0] += 1;
         L->counts[2] += 2;
     }

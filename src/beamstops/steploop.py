@@ -6,20 +6,22 @@ penalty blocks of k members): per step one banded product B u^n, the
 right-hand side F^n, the tip closure and one banded product A u^{n+1}, in C.
 Its banded product and Cholesky solve are its own kernels,
 ``beamstops_sbmv`` and ``beamstops_pbtrs`` of :data:`library`, which make
-the roundings of the OpenBLAS ``dsbmv`` (SkylakeX kernels) and the LAPACK
-``dpbtrs`` that :meth:`~beamstops.linalg.BandedSpd.matvec` and
+the roundings of the OpenBLAS ``dsbmv`` and the LAPACK ``dpbtrs`` that
+:meth:`~beamstops.linalg.BandedSpd.matvec` and
 :meth:`~beamstops.linalg.BandedCholesky.solve` call through scipy, in a
 faster order, so its rows are those of the same steps made from Python,
-bit for bit.  The set-up (the factors, the bands) and the fold still go
-through scipy.
+bit for bit.  Those roundings depend on the kernels that scipy's OpenBLAS
+picks for the CPU (:data:`CORE`); the loop makes those of each kernel set
+in :data:`FUSED_TAILS`.  The set-up (the factors, the bands) and the fold
+still go through scipy.
 
 The kernels are x86-64 code with FMA instructions.  The first import
 compiles the source with ``gcc`` in a child process, into ``_build/``
 beside this file, under a name keyed by the SHA-256 of the source, the
 flags and the Python ABI tag; later imports load that file.  A build
 removes the shared objects that earlier sources left there.  Without the
-compiler, on another architecture or on a CPU without FMA the import
-raises :class:`ImportError`.
+compiler, on another architecture, on a CPU without FMA or with a scipy
+whose BLAS runs other kernels the import raises :class:`ImportError`.
 """
 
 from __future__ import annotations
@@ -83,12 +85,39 @@ def build(cache: Path = CACHE) -> Path:
     return target
 
 
+def blas_core() -> str:
+    """The kernel set of scipy's OpenBLAS, as its ``scipy_openblas_get_corename``
+    names it (``"SkylakeX"``, ``"Haswell"``, ...), which fixes its roundings.
+    OpenBLAS picks it for the CPU, or as ``OPENBLAS_CORETYPE`` names it."""
+    import scipy.linalg
+
+    try:
+        get = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_get_corename
+    except (AttributeError, OSError):
+        return "a BLAS other than scipy-openblas"
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
+#: Per kernel set of scipy's OpenBLAS that the loop rounds as, whether its
+#: ``ddot`` and ``daxpy`` fuse each multiply-add into one rounding (SkylakeX,
+#: built for AVX-512) or round the product and then the sum (Haswell and
+#: Sandybridge, which the other CPUs with FMA run, AMD's among them).
+FUSED_TAILS = {"SkylakeX": True, "Haswell": False, "Sandybridge": False}
+
 #: The loaded shared object; besides the loop it exports its two kernels,
-#: ``beamstops_sbmv(n, bw, a, x, y)`` and ``beamstops_pbtrs(n, bw, u, b, k, ldb)``.
+#: ``beamstops_sbmv(fused, n, bw, a, x, y)`` and
+#: ``beamstops_pbtrs(fused, n, bw, u, b, k, ldb)``.
 library = ctypes.CDLL(str(build()))
 if not library.beamstops_has_fma():
     raise ImportError("beamstops' step loop needs an x86-64 CPU with FMA instructions, "
                       "which this CPU does not report")
+#: The kernel set of scipy's OpenBLAS, one of :data:`FUSED_TAILS`.
+CORE = blas_core()
+if CORE not in FUSED_TAILS:
+    raise ImportError(f"beamstops' step loop rounds as scipy's OpenBLAS does with its "
+                      f"{', '.join(FUSED_TAILS)} kernels; scipy here runs {CORE}")
+FUSED = FUSED_TAILS[CORE]
 _step_rows = library.beamstops_step_rows
 _step_rows.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
 _step_rows.restype = None
@@ -102,7 +131,7 @@ class _Context(ctypes.Structure):
         (name, ctypes.c_void_p) for name in (
             "a_band", "b_band", "factor", "w", "inv_eps", "bump", "bumped", "counts")] + [
         (name, ctypes.c_double) for name in ("lower", "upper", "dt2", "beta")] + [
-        (name, ctypes.c_int32) for name in ("n", "ndof", "width", "k", "bw", "tip")]
+        (name, ctypes.c_int32) for name in ("n", "ndof", "width", "k", "bw", "tip", "fused")]
 
 
 class Loop:
@@ -143,7 +172,7 @@ class Loop:
                        a_band=a_band.ab.ctypes.data, b_band=b_band.ab.ctypes.data,
                        factor=factor.cb.ctypes.data, counts=self.counts.ctypes.data,
                        lower=solver.lower, upper=solver.upper, n=n, ndof=factor.n,
-                       width=n // k, k=k, bw=a_band.bw, tip=solver.index)
+                       width=n // k, k=k, bw=a_band.bw, tip=solver.index, fused=FUSED)
         if pinned:
             w = np.ascontiguousarray(solver.w, dtype=np.float64)
             self._held.append(w)

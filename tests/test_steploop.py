@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from beamstops import fem, steploop
@@ -38,18 +37,8 @@ def kernel(name, *argtypes):
     return fn
 
 
-SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 3)
-PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 2, *[ctypes.c_int] * 2)
-
-
-def corename():
-    """The core whose kernels scipy's OpenBLAS runs, which fixes its roundings."""
-    try:
-        get = ctypes.CDLL(scipy.linalg._fblas.__file__).scipy_openblas_get_corename
-    except (OSError, AttributeError):
-        return "unknown: scipy's BLAS is not scipy-openblas"
-    get.restype = ctypes.c_char_p
-    return get().decode()
+SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3)
+PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 2, *[ctypes.c_int] * 2)
 
 
 def sprinkle(rng, v, share):
@@ -94,18 +83,18 @@ def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
         bw, n = ab.shape[0] - 1, ab.shape[1]
         x = sprinkle(rng, rng.standard_normal(n), 0.1)
         y = np.full(n, np.nan)
-        SBMV(n, bw, ab.ctypes.data, x.ctypes.data, y.ctypes.data)
+        SBMV(steploop.FUSED, n, bw, ab.ctypes.data, x.ctypes.data, y.ctypes.data)
         if not np.array_equal(y.view(np.int64), sbmv(bw, 1.0, ab, x).view(np.int64)):
             bad.append(("sbmv", n, bw))
         k, ldb = int(rng.integers(1, 5)), n + int(rng.integers(0, 4))
         b = np.asfortranarray(sprinkle(rng, rng.standard_normal((ldb, k)), 0.02))
         want, info = pbtrs(cb, b)
         assert info == 0
-        PBTRS(n, bw, cb.ctypes.data, b.ctypes.data, k, ldb)
+        PBTRS(steploop.FUSED, n, bw, cb.ctypes.data, b.ctypes.data, k, ldb)
         if not np.array_equal(b.view(np.int64), want.view(np.int64)):
             bad.append(("pbtrs", n, bw, k, ldb))
     assert not bad, (f"{len(bad)} of {2 * cases} kernel calls differ from scipy's OpenBLAS, "
-                     f"core {corename()}; the first: {bad[:5]}")
+                     f"core {steploop.CORE}; the first: {bad[:5]}")
 
 
 def call(kind, stride, mesh=MESH, values=VALUES):
@@ -166,8 +155,9 @@ def test_the_loop_steps_as_the_oracle_bit_for_bit(monkeypatch, kind, block_sampl
     ids=["signorini-J1", "signorini-J2", "penalty-J1", "penalty-J2", "penalty-k1", "penalty-k2"])
 def test_edge_rows_and_small_blocks_step_as_the_oracle_bit_for_bit(monkeypatch, kind, J, values):
     """As above, on meshes of one and two elements, whose 2 and 4 rows are
-    all edge rows of the band (bw 3), and on penalty blocks of one member
-    and of two, the second the 1e300 blow-up."""
+    all edge rows of the band (J = 1 steps through the general copy of the
+    kernels at bw 1, J = 2 through the unrolled copy at bw 3), and on
+    penalty blocks of one member and of two, the second the 1e300 blow-up."""
     plain, seen = checked_call(monkeypatch, kind, 1, Mesh(1.501, J), values)
     if kind == "signorini":
         assert set(seen["cases"]) == {-1, 0, 1}
@@ -251,6 +241,35 @@ def test_a_cpu_without_fma_raises_an_import_error_naming_it():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode != 0
     assert "ImportError: beamstops' step loop needs an x86-64 CPU with FMA" in proc.stderr
+
+
+def under_core(core, *args):
+    """A child process of this Python with scipy's OpenBLAS made to run the
+    kernel set ``core`` (``OPENBLAS_CORETYPE``), from the repository's root."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, OPENBLAS_CORETYPE=core, PYTHONPATH=str(SRC)),
+                          cwd=SRC.parent, capture_output=True, text=True, timeout=600)
+
+
+@pytest.mark.parametrize("core", ["Haswell", "Sandybridge"])
+def test_under_scipys_unfused_kernel_sets_the_kernel_and_oracle_tests_pass(core):
+    """The kernel sets of scipy's OpenBLAS for CPUs with FMA but without
+    AVX-512 round each multiply-add in ddot and daxpy as a product and then
+    a sum; with one of them forced, the loop takes it up, and this file's
+    kernel test and every oracle-loop case pass in a child process."""
+    proc = under_core(core, "-c", "from beamstops import steploop; print(steploop.CORE, steploop.FUSED)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [core, "False"]
+    proc = under_core(core, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+                      "-k", "round_as_scipys_openblas or as_the_oracle_bit_for_bit")
+    assert proc.returncode == 0, proc.stdout[-4000:]
+    assert re.search(r"^25 passed", proc.stdout, re.M), proc.stdout[-4000:]
+
+
+def test_a_scipy_on_kernels_the_loop_does_not_round_as_raises_an_import_error_naming_them():
+    proc = under_core("Nehalem", "-c", "import beamstops")
+    assert proc.returncode != 0
+    assert ("ImportError: beamstops' step loop rounds as scipy's OpenBLAS does with its "
+            "SkylakeX, Haswell, Sandybridge kernels; scipy here runs Nehalem") in proc.stderr
 
 
 def test_a_cache_that_cannot_be_written_raises_an_import_error_naming_it(tmp_path):

@@ -8,9 +8,11 @@ shows whether a change kept every trajectory bit for bit.  A line names
 the case and then gives the SHA-256 of ``to_csv()``, the row count, the
 extrema, the tip's range, the contact episodes, ``repr(audit)`` and the
 stability verdict, or the type and text of the error the run raised.
-There is no golden file: the step loop makes its own bits, but the set-up
-and the fold go through scipy's BLAS and LAPACK, so the last bits depend
-on the BLAS build, and only two checkouts on one machine compare.
+There is no golden file: the step loop rounds as the kernels that scipy's
+OpenBLAS picks for the CPU (or as ``OPENBLAS_CORETYPE`` names), and the
+set-up and the fold go through scipy's BLAS and LAPACK, so the last bits
+depend on the BLAS build and its kernel set, and only two checkouts on one
+machine, under one kernel set, compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
 stepped as one block (one of them holds a zero-stiffness member),
