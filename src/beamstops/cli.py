@@ -17,6 +17,7 @@ with an audited contact, its complementarity certificate holds.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -53,7 +54,10 @@ SOLVER_ERRORS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first call of the process
+    and reused: building it costs about a tenth of a short run's set-up."""
     parser = argparse.ArgumentParser(
         prog="beamstops",
         description="Vibrating beam between two stops: simulate, sweep, check stability.",

@@ -8,10 +8,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BandedSpd
+from .steploop import sbmv
+
+
+class StackedStiffness:
+    """S stacked ``pairs`` times, each copy padded with bw zeros so that an
+    infinity in one pair never reaches another, and the padded input and
+    the output of its product: built once per run, it serves every
+    :func:`discrete_energy` call of up to ``pairs`` pairs with its first
+    copies, the same band."""
+
+    def __init__(self, stiffness: BandedSpd, pairs: int):
+        width = stiffness.n + stiffness.bw
+        self.band = stiffness.stacked(pairs, stiffness.bw)
+        self.padded = np.zeros((pairs, width))  # the pads stay zero
+        self.product = np.empty((pairs, width))
 
 
 def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
-                    stacked: BandedSpd | None = None):
+                    stacked: StackedStiffness | None = None):
     """Discrete energy of a consecutive pair ``(u0, u1)`` = (u^{n-1}, u^n).
 
     E = |(u1 - u0)/dt|_M^2
@@ -22,10 +37,11 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
     A = M + dt^2 beta S, from the products ``a_pair`` = (A u0, A u1)
     that the run already holds.  The four entries are vectors, giving
     one float, or (m, n) stacks of m pairs, giving m energies; the S u1
-    of a stack are one product with S stacked m times, each copy padded
-    with bw zeros so that an infinity in one pair never reaches another.
-    ``stacked``, a ``stiffness.stacked(M, bw)`` built once for some
-    M >= m, serves with its first m copies, the same band.
+    of a stack are one product with S stacked m times, by the step loop's
+    kernel (:func:`~beamstops.steploop.sbmv`, which rounds as
+    ``BandedSpd.matvec``), in the buffers of ``stacked``, a
+    :class:`StackedStiffness` of ``stiffness`` for some M >= m pairs, or of
+    one made for this call.
 
     Exactly conserved by the unconstrained scheme with zero load; for
     beta = 1/2 the quadratic form is positive definite so boundedness of
@@ -33,14 +49,13 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
     """
     u0, u1, au0, au1 = (np.atleast_2d(x) for x in (*pair, *a_pair))
     m, n = u1.shape
-    bw = stiffness.bw
-    padded = np.zeros((m, n + bw))
-    padded[:, :n] = u1
     if stacked is None:
-        band = stiffness.stacked(m, bw)
-    else:
-        band = BandedSpd(stacked.ab[:, : m * (n + bw)], copy=False)
-    s_u1 = band.matvec(padded.reshape(-1)).reshape(m, n + bw)[:, :n]
+        stacked = StackedStiffness(stiffness, m)
+    padded, product = stacked.padded[:m], stacked.product[:m]
+    padded[:, :n] = u1
+    first = BandedSpd(stacked.band.ab[:, : padded.size], copy=False)
+    sbmv(first, padded.reshape(-1), product.reshape(-1))
+    s_u1 = product[:, :n]
     work = np.vecdot(u0, s_u1)
     # w = u1 - u0 and A w in the two buffers, which hold nothing needed now
     w = np.subtract(u1, u0, out=padded[:, :n])
@@ -93,19 +108,17 @@ class ContactAudit:
     min_lower_reaction: float = np.inf
     max_inactive_reaction: float = 0.0
 
-    def update(self, sides, residuals, index: int) -> None:
+    def update(self, sides, reactions, off_contact) -> None:
         """Fold in a run of consecutive steps: their :func:`active_sides`
-        codes ``sides`` and their residual rows A u - F, as arrays or as
-        the code and the vector of one step.  ``index`` is the constrained
-        DOF.  NaN figures are skipped."""
-        sides, residuals = np.atleast_1d(sides), np.atleast_2d(residuals)
+        codes ``sides``, their reactions and the largest |A u - F| of each
+        off the constrained DOF (NaN where one is), as arrays or as the
+        figures of one step; the compiled loop writes these figures for each
+        step (:class:`~beamstops.steploop.Loop`).  NaN figures are skipped."""
+        sides, reaction = np.atleast_1d(sides), np.atleast_1d(reactions)
         if sides.size == 0:
             return
-        reaction = residuals[:, index]
-        off = np.abs(residuals)
-        off[:, index] = 0.0
         self.max_offband_residual = float(
-            np.fmax.reduce(off.max(axis=1), initial=self.max_offband_residual)
+            np.fmax.reduce(np.atleast_1d(off_contact), initial=self.max_offband_residual)
         )
         inactive = sides == INACTIVE
         self.max_inactive_reaction = float(

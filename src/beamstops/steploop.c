@@ -3,24 +3,28 @@
  * with open stops) and penalty runs of k members stepped as one block.
  *
  * beamstops_step_rows steps rows r .. rows - 1 of a load block's buffers.
- * Row r of u and au takes u^{n+1} and A u^{n+1}, and F^n goes to row r of f
- * (or to its one row), where
+ * Row r of u and au takes u^{n+1} and A u^{n+1}, and F^n goes to the one F
+ * row, where
  *
- *     F^n = B u^n - A u^{n-1} + dt^2 G^n
+ *     F^n = (B u^n - A u^{n-1}) + dt^2 G^n
  *
- * from rows r - 1 and r - 2 and row r - 2 of g.  The tip closure then
- * solves A u^{n+1} = F^n plus the contact terms, and one more banded product
- * forms A u^{n+1}, which the run carries.  The products and solves are the
- * file's own kernels, sbmv and pbtrs, which round as OpenBLAS's dsbmv and
- * LAPACK's dpbtrs over it do (the BLAS and LAPACK under scipy's
+ * from rows r - 1 and r - 2.  dt^2 G^n is row r - 2 of g, or, for the
+ * loads of signorini and linear runs without f_tilde, that row's two
+ * coefficients over the basis, combined as LoadAssembler.from_coefficients
+ * combines them.  The tip closure then solves A u^{n+1} = F^n plus the
+ * contact terms, and one more banded product forms A u^{n+1}, which the
+ * run carries; a signorini run also gets the two figures per row that its
+ * contact audit reduces, from A u^{n+1} - F^n.  The products and solves are
+ * the file's own kernels, sbmv and pbtrs, which round as OpenBLAS's dsbmv
+ * and LAPACK's dpbtrs over it do (the BLAS and LAPACK under scipy's
  * BandedSpd.matvec and BandedCholesky.solve) with the kernels that scipy's
- * OpenBLAS picks for the CPU, SkylakeX's or Haswell's and Sandybridge's,
- * and the closures make the operations of the Python steps that the tests
- * keep as their oracle, in the same order; the file is compiled with
- * -ffp-contract=off, so no product and sum fuse into one rounding unless a
- * kernel fuses it in asm.  So every row is the oracle's bit for bit.  No
- * step fails: a non-finite entry steps on, and the run's fold ends its
- * member.
+ * OpenBLAS picks for the CPU, SkylakeX's or Haswell's and Sandybridge's;
+ * the loads, the right-hand side, the figures and the closures make the
+ * operations of the numpy code that the tests keep as their oracle, in the
+ * same order.  The file is compiled with -ffp-contract=off, so no product
+ * and sum fuse into one rounding unless a kernel fuses it in asm.  So every
+ * row is the oracle's bit for bit.  No step fails: a non-finite entry steps
+ * on, and the run's fold ends its member.
  */
 #ifndef __x86_64__
 #error "the step loop's kernels are x86-64 FMA code: they make the roundings of OpenBLAS's x86 kernels"
@@ -205,7 +209,36 @@ static void pbtrs(int fused, int n, int bw, const double *u, double *b, int k, i
         pbtrs_sides(fused, n, bw, u, b + (size_t)m * ldb, 1, ldb);
 }
 
-/* The kernels, for the tests to compare with OpenBLAS's. */
+/* Entry i of the load c0 b0 + c1 b1, as LoadAssembler.from_coefficients
+ * rounds it: c0 b0, then c1 b1 added to it.  numpy's multiply and add
+ * return their first operand's NaN in their vector loops, as mul and add
+ * do; the entries that their loops leave to a tail (the last n mod 8 with
+ * AVX-512) return the second's, which shows only where both operands are
+ * NaNs of different signs. */
+INLINE double load(double c0, double c1, double b0, double b1)
+{
+    return add(mul(c0, b0), mul(c1, b1));
+}
+
+/* The contact audit's two figures of a step's residual A u - F: the
+ * reaction at the tip, and the largest |residual| off it, NaN once one is,
+ * from the 0.0 that the audit puts at the tip. */
+INLINE void audit_figures(int n, int tip, const double *au, const double *f, double *out)
+{
+    double worst = 0.0;
+    for (int i = 0; i < n; i++) {
+        double r = fabs(au[i] - f[i]);
+        if (i != tip && !(r <= worst)) {
+            worst = r;
+            if (r != r)
+                break;
+        }
+    }
+    out[0] = au[tip] - f[tip];
+    out[1] = worst;
+}
+
+/* The kernels, for the tests to compare with OpenBLAS's and numpy's. */
 void beamstops_sbmv(int fused, int n, int bw, const double *a, const double *x, double *y)
 {
     sbmv(fused, n, bw, a, x, y);
@@ -214,6 +247,21 @@ void beamstops_sbmv(int fused, int n, int bw, const double *a, const double *x, 
 void beamstops_pbtrs(int fused, int n, int bw, const double *u, double *b, int k, int ldb)
 {
     pbtrs(fused, n, bw, u, b, k, ldb);
+}
+
+/* The loads of rows (rows, 2) of coefficients over basis (2, n), into g (rows, n). */
+void beamstops_loads(int rows, int n, const double *c, const double *basis, double *g)
+{
+    for (int r = 0; r < rows; r++)
+        for (int i = 0; i < n; i++)
+            g[(size_t)r * n + i] = load(c[2 * r], c[2 * r + 1], basis[i], basis[n + i]);
+}
+
+/* The audit's figures of rows (rows, n) of A u and F, into out (rows, 2). */
+void beamstops_figures(int rows, int n, int tip, const double *au, const double *f, double *out)
+{
+    for (int r = 0; r < rows; r++)
+        audit_figures(n, tip, au + (size_t)r * n, f + (size_t)r * n, out + 2 * (size_t)r);
 }
 
 /* Whether this CPU runs the kernels' FMA instructions. */
@@ -225,8 +273,9 @@ int beamstops_has_fma(void)
 
 /* One run's context; beamstops/steploop.py mirrors it field by field. */
 typedef struct {
-    double *u, *au, *f, *g;  /* the block's rows; f_stride 0 keeps every F^n in row 0 */
-    int64_t f_stride;
+    double *u, *au, *f, *g;  /* the block's rows of u and A u, the one F row, the loads */
+    double *basis;           /* NULL, or the (2, n) basis that g's (rows, 2) coefficients are over */
+    double *figures;         /* NULL, or the (rows, 2) audit figures of each step */
     double *a_band, *b_band; /* A and B for the k members, upper band (bw + 1, n) */
     double *factor;          /* A's Cholesky factor, upper band (bw + 1, ndof) */
     double *w;               /* the pinned closure's A^{-1} e_c; NULL for penalty */
@@ -322,17 +371,27 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
 void beamstops_step_rows(loop_t *L, int r, int rows)
 {
     int n = L->n;
+    double *f = L->f;
     for (; r < rows; r++) {
-        double *u = L->u + (size_t)r * n, *f = L->f + (size_t)r * L->f_stride;
-        const double *au = L->au + (size_t)(r - 2) * n, *g = L->g + (size_t)(r - 2) * n;
+        double *u = L->u + (size_t)r * n, *au = L->au + (size_t)r * n;
+        const double *au_prev = au - 2 * (size_t)n;
         sbmv(L->fused, n, L->bw, L->b_band, u - n, f);
-        for (int i = 0; i < n; i++)
-            f[i] = f[i] - au[i] + g[i];
+        if (L->basis) {
+            const double *c = L->g + 2 * (size_t)(r - 2), *b = L->basis;
+            for (int i = 0; i < n; i++)
+                f[i] = add(f[i] - au_prev[i], load(c[0], c[1], b[i], b[n + i]));
+        } else {
+            const double *g = L->g + (size_t)(r - 2) * n;
+            for (int i = 0; i < n; i++)
+                f[i] = add(f[i] - au_prev[i], g[i]);
+        }
         if (L->w)
             pinned(L, f, u);
         else
             penalty(L, f, u - 2 * (size_t)n, u - n, u);
-        sbmv(L->fused, n, L->bw, L->a_band, u, L->au + (size_t)r * n);
+        sbmv(L->fused, n, L->bw, L->a_band, u, au);
+        if (L->figures)
+            audit_figures(n, L->tip, au, f, L->figures + 2 * (size_t)r);
         L->counts[0] += 1;
         L->counts[2] += 2;
     }

@@ -4,16 +4,21 @@
 steps at the tip (signorini runs with numeric stops, linear runs, and
 penalty blocks of k members): per step one banded product B u^n, the
 right-hand side F^n, the tip closure and one banded product A u^{n+1}, in C.
-Its banded product and Cholesky solve are its own kernels,
+The loads of signorini and linear runs without f_tilde come as each row's
+two coefficients over :attr:`~beamstops.fem.LoadAssembler.basis`, which the
+loop combines inside the right-hand side's pass; a signorini run also gets
+the two figures per row that its :class:`~beamstops.diagnostics.ContactAudit`
+reduces.  Its banded product and Cholesky solve are its own kernels,
 ``beamstops_sbmv`` and ``beamstops_pbtrs`` of :data:`library`, which make
 the roundings of the OpenBLAS ``dsbmv`` and the LAPACK ``dpbtrs`` that
 :meth:`~beamstops.linalg.BandedSpd.matvec` and
 :meth:`~beamstops.linalg.BandedCholesky.solve` call through scipy, in a
-faster order, so its rows are those of the same steps made from Python,
-bit for bit.  Those roundings depend on the kernels that scipy's OpenBLAS
-picks for the CPU (:data:`CORE`); the loop makes those of each kernel set
-in :data:`FUSED_TAILS`.  The set-up (the factors, the bands) and the fold
-still go through scipy.
+faster order, and the rest makes numpy's roundings, so its rows are those
+of the same steps made from Python, bit for bit.  The fold's energies take
+the product kernel too (:func:`sbmv`).  Those roundings depend on the
+kernels that scipy's OpenBLAS picks for the CPU (:data:`CORE`); the loop
+makes those of each kernel set in :data:`FUSED_TAILS`.  The set-up (the
+factors, the bands) still goes through scipy.
 
 The kernels are x86-64 code with FMA instructions.  The first import
 compiles the source with ``gcc`` in a child process, into ``_build/``
@@ -105,9 +110,11 @@ def blas_core() -> str:
 #: Sandybridge, which the other CPUs with FMA run, AMD's among them).
 FUSED_TAILS = {"SkylakeX": True, "Haswell": False, "Sandybridge": False}
 
-#: The loaded shared object; besides the loop it exports its two kernels,
-#: ``beamstops_sbmv(fused, n, bw, a, x, y)`` and
-#: ``beamstops_pbtrs(fused, n, bw, u, b, k, ldb)``.
+#: The loaded shared object; besides the loop it exports its kernels for the
+#: tests: ``beamstops_sbmv(fused, n, bw, a, x, y)``,
+#: ``beamstops_pbtrs(fused, n, bw, u, b, k, ldb)``,
+#: ``beamstops_loads(rows, n, c, basis, g)`` and
+#: ``beamstops_figures(rows, n, tip, au, f, out)``.
 library = ctypes.CDLL(str(build()))
 if not library.beamstops_has_fma():
     raise ImportError("beamstops' step loop needs an x86-64 CPU with FMA instructions, "
@@ -121,15 +128,28 @@ FUSED = FUSED_TAILS[CORE]
 _step_rows = library.beamstops_step_rows
 _step_rows.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
 _step_rows.restype = None
+_sbmv = library.beamstops_sbmv
+_sbmv.argtypes = (ctypes.c_int,) * 3 + (ctypes.c_void_p,) * 3
+_sbmv.restype = None
+
+
+def sbmv(band: BandedSpd, x: np.ndarray, out: np.ndarray) -> None:
+    """``out`` = A x by the loop's product kernel, which rounds as
+    ``band.matvec(x)`` does; ``x`` and ``out`` are contiguous float64 arrays
+    of ``band.n`` entries."""
+    if not (band.bw <= MAX_BW and band.ab.flags.f_contiguous and x.size == out.size == band.n
+            and all(v.dtype == np.float64 and v.flags.c_contiguous for v in (x, out))):
+        raise ValueError(f"the product kernel needs contiguous float64 vectors of the band's "
+                         f"size and a half-bandwidth at most {MAX_BW}")
+    _sbmv(FUSED, band.n, band.bw, band.ab.ctypes.data, x.ctypes.data, out.ctypes.data)
 
 
 class _Context(ctypes.Structure):
     """``loop_t`` of ``steploop.c``."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
-        "u", "au", "f", "g")] + [("f_stride", ctypes.c_int64)] + [
-        (name, ctypes.c_void_p) for name in (
-            "a_band", "b_band", "factor", "w", "inv_eps", "bump", "bumped", "counts")] + [
+        "u", "au", "f", "g", "basis", "figures",
+        "a_band", "b_band", "factor", "w", "inv_eps", "bump", "bumped", "counts")] + [
         (name, ctypes.c_double) for name in ("lower", "upper", "dt2", "beta")] + [
         (name, ctypes.c_int32) for name in ("n", "ndof", "width", "k", "bw", "tip", "fused")]
 
@@ -137,38 +157,44 @@ class _Context(ctypes.Structure):
 class Loop:
     """One run's context of the compiled loop, built once per run.
 
-    ``u``, ``au`` and ``f`` are the run's (rows, n) block buffers, n = k w
-    with w = 2J plus the pad that isolates the k members; ``f`` has their
-    rows, or one row that every step reuses.  ``a_band`` and ``b_band`` are
-    A and B stacked for the members; ``solver`` is the run's
+    ``u`` and ``au`` are the run's (rows, n) block buffers, n = k w with
+    w = 2J plus the pad that isolates the k members, and ``f`` its one
+    (1, n) F row, which every step reuses.  ``a_band`` and ``b_band`` are A
+    and B stacked for the members; ``solver`` is the run's
     :class:`~beamstops.linalg.PinnedDofSolver` or
     :class:`~beamstops.linalg.PenaltyTipSolver`, whose factors and vectors
-    the loop reads.  ``counts`` holds the banded steps, block solves and banded
-    products made so far, then each member's bumped solves.
+    the loop reads.  With ``figures``, a (rows, 2) buffer, a pinned step
+    writes into its row the two figures of its residual A u^{n+1} - F^n that
+    :meth:`~beamstops.diagnostics.ContactAudit.update` takes: the reaction
+    at the tip and the largest |residual| off it.  ``counts`` holds the
+    banded steps, block solves and banded products made so far, then each
+    member's bumped solves.
     """
 
     def __init__(self, a_band: BandedSpd, b_band: BandedSpd, solver, u: np.ndarray,
-                 au: np.ndarray, f: np.ndarray):
+                 au: np.ndarray, f: np.ndarray, figures: np.ndarray | None = None):
         pinned = isinstance(solver, PinnedDofSolver)
         k = 1 if pinned else len(solver.members)
         rows, n = u.shape
         factor = solver.full_factor
-        if not (au.shape == u.shape and f.shape[0] in (1, rows) and f.shape[1] == n
+        buffers = [u, au, f] + ([] if figures is None else [figures])
+        if not (au.shape == u.shape and f.shape == (1, n)
+                and (figures is None or pinned and figures.shape == (rows, 2))
                 and a_band.n == b_band.n == n and n % k == 0
                 and a_band.bw == b_band.bw == factor.bw <= MAX_BW
                 and all(x.flags.f_contiguous for x in (a_band.ab, b_band.ab, factor.cb))
-                and all(x.dtype == np.float64 and x.flags.c_contiguous for x in (u, au, f))):
+                and all(x.dtype == np.float64 and x.flags.c_contiguous for x in buffers)):
             raise ValueError(f"the step loop needs matching float64 buffers and bands "
                              f"of half-bandwidth at most {MAX_BW}")
         self.a_band, self.b_band, self.solver = a_band, b_band, solver
-        self.u, self.au, self.f = u, au, f
+        self.u, self.au, self.f, self.figures = u, au, f, figures
         # every array that the loop reads by address, kept with the loop should
         # the solver's or the bands' attributes be replaced
         self._held = [a_band.ab, b_band.ab, factor.cb]
-        self.g = None
+        self.g = self.loads = None
         self.counts = np.zeros(3 + k, dtype=np.int64)
-        ctx = _Context(u=u.ctypes.data, au=au.ctypes.data,
-                       f=f.ctypes.data, f_stride=0 if f.shape[0] == 1 else n,
+        ctx = _Context(u=u.ctypes.data, au=au.ctypes.data, f=f.ctypes.data,
+                       figures=None if figures is None else figures.ctypes.data,
                        a_band=a_band.ab.ctypes.data, b_band=b_band.ab.ctypes.data,
                        factor=factor.cb.ctypes.data, counts=self.counts.ctypes.data,
                        lower=solver.lower, upper=solver.upper, n=n, ndof=factor.n,
@@ -189,12 +215,26 @@ class Loop:
             ctx.dt2, ctx.beta = solver.dt2, solver.beta
         self._ctx, self._address = ctx, ctypes.addressof(ctx)
 
-    def load(self, g: np.ndarray) -> None:
-        """Take a load block's rows dt^2 G^n: row r - 2 serves the step of row r."""
-        if g.dtype != np.float64 or not g.flags.c_contiguous or g.shape[1:] != self.u.shape[1:]:
-            raise ValueError("the step loop needs the loads as float64 rows of the buffers' width")
-        self.g = g
+    def load(self, g: np.ndarray, loads=None) -> None:
+        """Take a load block's rows dt^2 G^n: row r - 2 serves the step of row r.
+
+        With ``loads``, the run's :class:`~beamstops.fem.LoadAssembler`, ``g``
+        holds each row's (rows, 2) coefficients over ``loads.basis``, and each
+        step forms its row as
+        :meth:`~beamstops.fem.LoadAssembler.from_coefficients` does, in the
+        pass that forms F^n.
+        """
+        width = self.u.shape[1]
+        basis = None if loads is None else loads.basis
+        if not (g.dtype == np.float64 and g.flags.c_contiguous and g.ndim == 2
+                and g.shape[1] == (width if basis is None else 2)
+                and (basis is None or basis.shape == (2, width) and basis.dtype == np.float64
+                     and basis.flags.c_contiguous)):
+            raise ValueError("the step loop needs the loads as float64 rows of the buffers' "
+                             "width, or as rows of two coefficients over a basis of that width")
+        self.g, self.loads = g, loads
         self._ctx.g = g.ctypes.data
+        self._ctx.basis = None if basis is None else basis.ctypes.data
 
     def step(self, r: int, rows: int) -> None:
         """Step rows r .. rows - 1 (r >= 2) of the buffers from the loads of :meth:`load`."""

@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import INACTIVE, ContactAudit, active_sides, count_episodes, discrete_energy
+from .diagnostics import (INACTIVE, ContactAudit, StackedStiffness, active_sides, count_episodes,
+                          discrete_energy)
 from .fem import (
     BeamModel,
     DofMap,
@@ -266,24 +267,29 @@ def run(
     from J=128 up, see :data:`~beamstops.fem.LOAD_BLOCK_SAMPLES`), one
     :meth:`~beamstops.fem.LoadAssembler.time_averaged` call per block.
     Signorini and linear runs without ``f_tilde`` take the windows'
-    averages of phi'' and phi from it (``separable``) and write the loads
-    with one rank-2 product per block into one buffer for the run; penalty
-    runs and a callable ``f_tilde`` sample and scatter the load density of
-    every window.  Every step is banded: it fills a load block's buffers
-    with u^{n+1}, A u^{n+1} and F^n, makes two banded products, B u^n and
-    A u^{n+1}, carries A u with the state, and closes the step at the tip.
-    The steps of every tip closure are the compiled loop's
-    (:class:`~beamstops.steploop.Loop`, a context over the run's buffers
-    built once per run), which steps a whole load block in one call; PGS
-    steps are made in Python, one ``pgs_box`` call each.  Each member's
-    Trajectory is made before the first step, and one fold writes into it
-    (``records``, extrema, contact episodes) and into the audit, from one
-    contact code per tip, and ends members: it folds the starting pair
-    (u^0, u^1) as the first pair of states, then each load block's states,
-    the recorded rows in one vectorized pass.  It reads evenly spaced
-    records' pairs as strided views of the buffers, forms the residual
-    A u - F in the block's F rows, and their energies make one product with
-    S stacked over the rows, from a band built once per run.
+    averages of phi'' and phi from it (``separable``): the compiled loop
+    combines each step's two coefficients with
+    :attr:`~beamstops.fem.LoadAssembler.basis` as it forms F^n, and PGS runs
+    write their rows with one rank-2 product per block into one buffer for
+    the run.  Penalty runs and a callable ``f_tilde`` sample and scatter the
+    load density of every window.  Every step is banded: it fills a load
+    block's buffers with u^{n+1} and A u^{n+1} and the run's one F row with
+    F^n, makes two banded products, B u^n and A u^{n+1}, carries A u with
+    the state, and closes the step at the tip.  The steps of every tip
+    closure are the compiled loop's (:class:`~beamstops.steploop.Loop`, a
+    context over the run's buffers built once per run), which steps a whole
+    load block in one call and, for a signorini run, writes per step the
+    reaction A u - F at the tip and the largest |A u - F| off it, the
+    figures that the audit reduces; PGS steps are made in Python, one
+    ``pgs_box`` call each.  Each member's Trajectory is made before the
+    first step, and one fold writes into it (``records``, extrema, contact
+    episodes) and into the audit, from one contact code per tip, and ends
+    members: it folds the starting pair (u^0, u^1) as the first pair of
+    states, then each load block's states, the recorded rows in one
+    vectorized pass.  It reads evenly spaced records' pairs as strided
+    views of the buffers, and their energies make one product with S
+    stacked over the rows, by the loop's product kernel, in a band and
+    buffers made once per run.
     A member's rows end at its first record with a non-finite value, and
     its extrema, episodes and the audit at that record's step.  A penalty
     member with no consistent contact case ends alike: its state turns NaN.
@@ -387,24 +393,26 @@ def run(
     horizon = scheme.T
     beta = scheme.beta
 
-    # Block buffers.  Row r of u_buf, au_buf and f_buf holds u^{t0+r},
-    # A u^{t0+r} (formed once per state and carried: F two steps later, the
-    # audit residual, the energy) and the right-hand side F that gave
-    # u^{t0+r}, which the fold turns into the residual A u - F.  Rows 0 and 1
-    # carry the last two states of the block before, or the starting pair;
-    # rows 2 .. are the block's steps.  Runs that read no residual reuse one F
-    # row.  The steps write nothing else.
+    # Block buffers.  Row r of u_buf and au_buf holds u^{t0+r} and A u^{t0+r}
+    # (formed once per state and carried: F two steps later, the energy);
+    # a signorini run's row r of figures the reaction and (but for PGS) the
+    # largest off-contact residual of the step that gave u^{t0+r}.  Rows 0
+    # and 1 carry the last two states of the block before, or the starting
+    # pair; rows 2 .. are the block's steps.  Every step reuses one F row.
+    # The steps write nothing else.
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
     u_buf = np.zeros((block_steps + 2, k * width))
     au_buf = np.empty_like(u_buf)
-    f_buf = np.empty((block_steps + 2 if kind == "signorini" else 1, k * width))
+    f_buf = np.empty((1, k * width))
+    figures = np.empty((block_steps + 2, 2)) if kind == "signorini" else None
     for r, u in enumerate(start_pair):
         u_buf[r].reshape(k, width)[:, :ndof] = u
         a_stack.matvec(u_buf[r], out=au_buf[r])
 
-    # a fold's energies make one product with S stacked over its pairs: the
-    # first copies of this band, built once for the most pairs a fold reads
-    s_stack = gm.stiffness.stacked(k * (block_steps // stride + 2), gm.stiffness.bw)
+    # a fold's energies make one product with S stacked over its pairs, with
+    # the first copies of this band and its buffers, made once for the most
+    # pairs a fold reads
+    s_stack = StackedStiffness(gm.stiffness, k * (block_steps // stride + 2))
 
     # fold writes into these and keeps, per member, its record count, contact carry and end
     results = [
@@ -422,8 +430,8 @@ def run(
         recorded if t <= n_total and t is a multiple of the stride or
         n_total; the record of row r takes its velocity and energy from
         rows max(r, 1) - 1 and max(r, 1), so u^0 takes those of the
-        starting pair.  Only step rows (r >= 2) have a residual
-        A u - F, the reaction and the audit read.  A member's rows end at
+        starting pair.  Only step rows (r >= 2) have the figures of
+        A u - F that the reaction and the audit read.  A member's rows end at
         its first record with a non-finite value (the columns that
         ``Trajectory.require_finite`` reads), and its extrema and episodes
         at the last row that record reads.
@@ -436,11 +444,7 @@ def run(
         times = t0 + np.arange(first, last + 1)
         at = np.flatnonzero((times <= n_total) & ((times % stride == 0) | (times == n_total)))
         m = at.size
-        resid = None
-        if kind == "signorini" and first >= 2:
-            # in the F rows, which nothing reads after the fold
-            f_block = f_buf[first : last + 1]
-            resid = np.subtract(au_buf[first : last + 1], f_block, out=f_block)
+        figs = figures[first : last + 1] if figures is not None and first >= 2 else None
         rows = np.zeros((m, k, 6))  # t, u_tip, v_tip, energy, reaction, violation
         if m:
             pair = np.maximum(at + first, 1)
@@ -458,8 +462,8 @@ def run(
                                             stacked=s_stack).reshape(m, k)
             if kind == "penalty":
                 rows[:, :, 4] = dt2 * solver.springs(tips[at])
-            elif resid is not None:
-                rows[:, 0, 4] = resid[at, tip]
+            elif figs is not None:
+                rows[:, 0, 4] = figs[at, 0]
             rows[:, :, 5] = viols[at]
         finite = np.isfinite(rows).all(axis=2)
         for j, traj in enumerate(results):
@@ -478,8 +482,8 @@ def run(
             on = sides[:n, j] != INACTIVE  # an episode that goes on from the last fold is not new
             traj.contact_episodes += count_episodes(on, carried[j])
             carried[j] = bool(on[-1])
-            if contact_audit is not None and resid is not None:  # one member
-                contact_audit.update(sides[:n, 0], resid[:n], tip)
+            if contact_audit is not None and figs is not None:  # one member
+                contact_audit.update(sides[:n, 0], figs[:n, 0], figs[:n, 1])
             done[j] = end is not None
 
     # Without f_tilde a window's load is two coefficients times two fixed
@@ -494,22 +498,22 @@ def run(
         G^n reads the time-averaged loads of windows n-1, n and n+1, so
         each block carries the last two windows of the one before; memory
         stays at one block whatever the horizon.  Separable loads carry
-        and combine the windows' (phi'', phi) coefficients, and one
-        rank-2 product per block writes dt^2 G^n into one buffer for the
-        run.  A padded block gets each row copied to every member in the
-        states' (k w) layout, in that buffer, so a step adds one
-        contiguous row.
+        and combine the windows' (phi'', phi) coefficients, rows of two
+        that the compiled loop takes; for PGS one rank-2 product per block
+        writes dt^2 G^n into one buffer for the run.  A padded block gets
+        each row copied to every member in the states' (k w) layout, in
+        that buffer, so a step adds one contiguous row.
         """
         if n_total < 2:
             return
-        g_buf = np.zeros((block_steps, k * width)) if separable or pad else None
+        g_buf = np.zeros((block_steps, k * width)) if separable and pgs or pad else None
         f = np.empty((0, 2 if separable else ndof))
         for w0 in range(0, n_total + 1, loads.block_rows):
             w1 = min(w0 + loads.block_rows, n_total + 1)
             ns = np.arange(w0, w1)
             f = np.concatenate((f[-2:], loads.time_averaged(ns, dt, horizon, separable=separable)))
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
-            if separable:
+            if separable and pgs:
                 g = loads.from_coefficients(g, out=g_buf[: len(g)])
             elif pad:
                 g_buf[: len(g)].reshape(len(g), k, width)[:, :, :ndof] = g[:, None]
@@ -517,22 +521,23 @@ def run(
             yield g
 
     # the compiled loop's context, over the run's buffers; it counts its work
-    loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf)
+    loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf, figures)
     work = np.zeros(3 + k, dtype=np.int64) if loop is None else loop.counts
 
     def kernel(g_block, t0):
         """Steps the rows of a load block in the compiled loop, in one call, and
         returns (rows stepped, None)."""
-        loop.load(g_block)
+        loop.load(g_block, loads if separable else None)
         loop.step(2, len(g_block) + 2)
         return len(g_block), None
 
     def pgs_kernel(g_block, t0):
         """Steps the rows of a load block with projected Gauss-Seidel: B u^n,
-        - A u^{n-1} + dt^2 G^n, :func:`pgs_box`, then A u^{n+1}.  Returns
+        - A u^{n-1} + dt^2 G^n, :func:`pgs_box`, then A u^{n+1} and the
+        reaction A u^{n+1} - F^n at the tip.  Returns
         (rows stepped, the error a step raised or None)."""
+        f = f_buf[0]
         for r in range(2, len(g_block) + 2):
-            f = f_buf[r]
             b_stack.matvec(u_buf[r - 1], out=f)
             f -= au_buf[r - 2]
             f += g_block[r - 2]
@@ -543,6 +548,7 @@ def run(
             except Exception as exc:  # noqa: BLE001 - raised by run() unless the member has ended
                 return r - 2, exc
             a_stack.matvec(u_buf[r], out=au_buf[r])
+            figures[r, 0] = au_buf[r, tip] - f[tip]
             work[0] += 1
             work[2] += 2
         return len(g_block), None

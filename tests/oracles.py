@@ -1,13 +1,15 @@
 """Reference routes that several test files share: a load vector at one
 time through the production quadrature scatter, the single-DOF box solve
-through the compiled step loop (``beamstops.steploop``), and the Python
-tip steps that the loop ports, as an oracle loop over the same buffers.
+through the compiled step loop (``beamstops.steploop``), the contact
+audit's figures reduced from residual rows in numpy, and the Python tip
+steps that the loop ports, as an oracle loop over the same buffers.
 
 The tip steps are the pinned and penalty steps that ``run()`` made from
 Python before the loop was compiled, in the same operations and order,
 each classifying the tips of u^{n-1} and u^n itself.  They solve through
 ``BandedCholesky.solve`` and ``BandedSpd.matvec``, so spies on those see
-every solve and product of the oracle loop."""
+every solve and product of the oracle loop, and form the loads of the
+loop's coefficients through ``LoadAssembler.from_coefficients``."""
 
 import sys
 
@@ -38,6 +40,17 @@ def loop_solve(a, solver, f):
     loop.load(np.array(f, dtype=float).reshape(1, a.n))
     loop.step(2, 3)
     return u[2]
+
+
+def audit_figures(residuals, index):
+    """The figures of residual rows A u - F (or of one residual vector) that
+    ``ContactAudit.update`` takes, reduced in numpy: the reactions at
+    ``index``, and the largest |residual| of each row with 0.0 put at
+    ``index``, NaN where one is."""
+    residuals = np.atleast_2d(residuals)
+    off = np.abs(residuals)
+    off[:, index] = 0.0
+    return residuals[:, index], off.max(axis=1)
 
 
 def pinned_step(solver, f, out):
@@ -135,12 +148,18 @@ def oracle_step(loop, u, au, f_n, g_n):
     return case
 
 
+def load_of(loop, q):
+    """dt^2 G^n of the step of row q: the loop's load row, or the load of its
+    coefficients by ``LoadAssembler.from_coefficients``."""
+    g = loop.g[q - 2]
+    return g if loop.loads is None else loop.loads.from_coefficients(g)
+
+
 def oracle_rows(loop, r, rows):
     """``Loop.step`` in Python: steps rows r .. rows - 1 of ``loop``'s
     buffers from its loads."""
     for q in range(r, rows):
-        oracle_step(loop, loop.u[q - 2 : q + 1], loop.au[q - 2 : q + 1],
-                    loop.f[q if len(loop.f) > 1 else 0], loop.g[q - 2])
+        oracle_step(loop, loop.u[q - 2 : q + 1], loop.au[q - 2 : q + 1], loop.f[0], load_of(loop, q))
 
 
 def checked_loop(monkeypatch):
@@ -148,8 +167,10 @@ def checked_loop(monkeypatch):
 
     Patches ``Loop.step`` so that each call steps its rows in C all at once,
     then again one row at a time from the same buffers, each row after the
-    oracle steps it on copies of the rows it reads; the u, A u and F rows
-    must be equal in their int64 views.  Returns what the oracle counted:
+    oracle steps it on copies of the rows it reads, its loads formed from
+    the loop's coefficients where the loop takes those; the u and A u rows,
+    the F row and a signorini run's audit figures must be equal in their
+    int64 views.  Returns what the oracle counted:
     its banded steps, block solves and products, per member its bumped
     solves, the pinned steps' contact cases, and as (banded step, member)
     pairs the penalty steps that press (a tip of u^{n-1} or u^n past a
@@ -180,7 +201,7 @@ def checked_loop(monkeypatch):
         return matvec(self, *args, **kwargs)
 
     def checked(self, r, rows):
-        buffers = (self.u, self.au, self.f)
+        buffers = (self.u, self.au, self.f) + (() if self.figures is None else (self.figures,))
         saved = [x.copy() for x in buffers]
         step(self, r, rows)
         whole = [x.copy() for x in buffers]
@@ -191,24 +212,27 @@ def checked_loop(monkeypatch):
         penalty = not isinstance(solver, PinnedDofSolver)
         width = n // len(solver.members) if penalty else n
         for q in range(r, rows):
-            fq = q if len(self.f) > 1 else 0
             # copies of u^{n-1}, u^n and A u^{n-1}, and of F's row: sbmv may
             # read what the row held before
-            u, au, f_n = self.u[q - 2 : q + 1].copy(), self.au[q - 2 : q + 1].copy(), self.f[fq].copy()
+            u, au, f_n = self.u[q - 2 : q + 1].copy(), self.au[q - 2 : q + 1].copy(), self.f[0].copy()
             if penalty:
                 for m in range(n // width):
                     if past(solver, u[:2, m * width + tip]):
                         seen["pressing"].append((seen["banded_steps"], m))
             stepping.append(solver)
             try:
-                case = oracle_step(self, u, au, f_n, self.g[q - 2])
+                case = oracle_step(self, u, au, f_n, load_of(self, q))
             finally:
                 stepping.clear()
             if case is not None:
                 seen["cases"].append(case)
             step(self, q, q + 1)
-            for got, want in ((self.u[q], u[2]), (self.au[q], au[2]), (self.f[fq], f_n),
-                              (self.u[q], whole[0][q]), (self.au[q], whole[1][q])):
+            pairs = [(self.u[q], u[2]), (self.au[q], au[2]), (self.f[0], f_n),
+                     (self.u[q], whole[0][q]), (self.au[q], whole[1][q])]
+            if self.figures is not None:
+                want = np.concatenate(audit_figures(au[2] - f_n, tip))
+                pairs += [(self.figures[q], want), (self.figures[q], whole[3][q])]
+            for got, want in pairs:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64)), q
             seen["banded_steps"] += 1
         assert np.array_equal(self.f.view(np.int64), whole[2].view(np.int64))

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from beamstops import cli
 from beamstops.cli import _chunks, main
 from beamstops.config import override, parse_config
 from beamstops.linalg import PenaltyTipSolver, PinnedDofSolver
@@ -521,6 +522,29 @@ def test_stability_rejects_run_only_flags(cfg_file, flag):
     with pytest.raises(SystemExit) as info:
         main(["stability", str(cfg_file), *flag])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["sweep", "--help"], [],
+                                  ["walk"], ["sweep", "x.cfg", "--key", "L", "--values", "1"],
+                                  ["sweep", "x.cfg", "--key", "dt", "--values", " , "]],
+                         ids=["help", "run-help", "sweep-help", "no-command", "bad-command",
+                              "bad-key", "no-values"])
+def test_the_parser_built_once_prints_as_a_fresh_one(argv, tmp_path, monkeypatch, capsys):
+    """``main`` builds its parser once per process; every call after the
+    first prints the same help and the same usage errors, with the same
+    exit code, as a parser built for that call alone."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "x.cfg").write_text(PIPE_SHORT)
+    assert cli._build_parser() is cli._build_parser()
+    printed = []
+    for fresh in (False, False, True):
+        if fresh:
+            monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        printed.append((info.value.code, capsys.readouterr()))
+    assert printed[0] == printed[1] == printed[2]
+    assert printed[0][0] in (0, 2) and printed[0][1] != ("", "")
 
 
 def test_stability_coarser_mesh_larger_limit(cfg_file, tmp_path, capsys):

@@ -18,6 +18,7 @@ from beamstops.fem import BeamModel, Mesh, SupportMotion, assemble
 from beamstops.linalg import BandedSpd
 from beamstops.steppers import PenaltyParams, SchemeParams, run
 from conftest import random_banded_spd
+from oracles import audit_figures
 
 
 # ------------------------------------------------------------- discrete energy
@@ -70,7 +71,7 @@ def tiny_system():
 def certify_step(a, u, f, tol=1e-9):
     """The audit of one step with stops [-0.1, 0.1] on DOF 2, checked at ``tol``."""
     audit = ContactAudit()
-    audit.update(active_sides(u[2], -0.1, 0.1), a.matvec(u) - f, 2)
+    audit.update(active_sides(u[2], -0.1, 0.1), *audit_figures(a.matvec(u) - f, 2))
     audit.check(tol)
     return audit
 
@@ -170,8 +171,8 @@ AUDIT_STEPS = [
 
 def fold(audit, steps):
     tips = np.array([s[0] for s in steps])
-    residuals = np.array([[s[1], s[2]] for s in steps])
-    audit.update(active_sides(tips, -0.1, 0.1), residuals, 0)
+    residuals = np.array([[s[1], s[2]] for s in steps]).reshape(-1, 2)
+    audit.update(active_sides(tips, -0.1, 0.1), *audit_figures(residuals, 0))
     return audit
 
 

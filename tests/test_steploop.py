@@ -16,10 +16,11 @@ import pytest
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from beamstops import fem, steploop
-from beamstops.fem import BeamModel, Mesh, SupportMotion
+from beamstops.diagnostics import StackedStiffness, discrete_energy
+from beamstops.fem import BeamModel, LoadAssembler, Mesh, SupportMotion, assemble
 from beamstops.linalg import BandedSpd, PinnedDofSolver
-from beamstops.steppers import PenaltyParams, SchemeParams, run
-from oracles import checked_loop
+from beamstops.steppers import PenaltyParams, SchemeParams, effective_matrix, run, transfer_matrix
+from oracles import audit_figures, checked_loop
 
 #: stops at +-2 mm, first reached at t = 0.0068 s
 TIGHT = BeamModel.symmetric_stops(282.84, 1.501, 0.002, SupportMotion.sine(0.2, 10.0))
@@ -39,6 +40,8 @@ def kernel(name, *argtypes):
 
 SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3)
 PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 2, *[ctypes.c_int] * 2)
+LOADS = kernel("beamstops_loads", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 3)
+FIGURES = kernel("beamstops_figures", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3)
 
 
 def sprinkle(rng, v, share):
@@ -95,6 +98,109 @@ def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
             bad.append(("pbtrs", n, bw, k, ldb))
     assert not bad, (f"{len(bad)} of {2 * cases} kernel calls differ from scipy's OpenBLAS, "
                      f"core {steploop.CORE}; the first: {bad[:5]}")
+
+
+def same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
+@pytest.mark.parametrize("J", [1, 2, 19, 320])
+def test_the_loads_round_as_from_coefficients_bit_for_bit(J):
+    """The loop's load of each row's two coefficients over the basis is
+    ``LoadAssembler.from_coefficients``'s, in int64 views, whether numpy
+    forms the rows as a block or one at a time: rows with one coefficient
+    NaN, infinite or a signed zero, with both infinite, and with both NaN
+    of one sign.  Two NaNs of opposite signs give the first operand's in
+    numpy's vector loop and the second's in its tail (the last n mod 8
+    entries with AVX-512), so there the loop matches numpy in the entries of
+    that loop, the first 8 floor(n / 8): in the loads and in F^n, where a
+    step adds a NaN load to a NaN B u^n - A u^{n-1}."""
+    rng = np.random.default_rng(29 + J)
+    mesh = Mesh(1.501, J)
+    loads = LoadAssembler(mesh, TIGHT)
+    n, body = 2 * J, 8 * (J // 4)
+    coeffs = 10.0 ** rng.uniform(-300, 300, (400, 2)) * rng.standard_normal((400, 2))
+    one = rng.random(400) < 0.5
+    pick = rng.integers(0, 2, 400)
+    coeffs[one, pick[one]] = rng.choice(SPECIAL, int(one.sum()))
+    coeffs[:4] = [[np.inf, -np.inf], [-np.inf, -np.inf], [np.nan, np.nan], [-np.nan, -np.nan]]
+    assert np.isnan(coeffs).any(axis=1).sum() > 50
+    got = np.full((400, n), 7.0)
+    LOADS(400, n, coeffs.ctypes.data, loads.basis.ctypes.data, got.ctypes.data)
+    opposite = np.array([[np.nan, -np.nan], [-np.nan, np.nan]])
+    LOADS(2, n, opposite.ctypes.data, loads.basis.ctypes.data, got[:2].ctypes.data)
+    with np.errstate(all="ignore"):
+        assert same_bits(got[2:], loads.from_coefficients(coeffs[2:]))
+        assert all(same_bits(row, loads.from_coefficients(c)) for row, c in zip(got[2:], coeffs[2:]))
+        assert same_bits(got[:2, :body], loads.from_coefficients(opposite)[:, :body])
+        assert same_bits(got[:2, :body], [np.full(body, np.nan), np.full(body, -np.nan)])
+        # F^n = (B u^n - A u^{n-1}) + g with B u^n = +nan and g = -nan
+        gm = assemble(mesh, TIGHT)
+        params = SchemeParams(0.5, 1.5e-5, 0.05)
+        a, b = effective_matrix(gm.mass, gm.stiffness, params), transfer_matrix(gm.mass, gm.stiffness, params)
+        loop = steploop.Loop(a, b, PinnedDofSolver(a, n - 2, -np.inf, np.inf), np.zeros((3, n)),
+                             np.zeros((3, n)), np.zeros((1, n)))
+        loop.u[1] = np.nan
+        loop.load(opposite[1:], loads)
+        loop.step(2, 3)
+        want = b.matvec(loop.u[1]) - loop.au[0]
+        want += loads.from_coefficients(opposite[1])
+    assert same_bits(loop.f[0, :body], want[:body]) and same_bits(want[:body], np.full(body, np.nan))
+
+
+@pytest.mark.parametrize("n", [2, 4, 38, 640])
+def test_the_audit_figures_reduce_as_the_oracle_bit_for_bit(n):
+    """The loop's two audit figures of rows of A u and F, the reaction at
+    the tip and the largest |A u - F| off it, are those that the oracle
+    reduces from the residual rows in numpy, in int64 views: rows with
+    +-0, +-inf and +-nan entries in either operand, rows all of NaN or of
+    infinities, and a row whose only NaN is at the tip."""
+    rng = np.random.default_rng(n)
+    tip = n - 2
+    au = sprinkle(rng, rng.standard_normal((300, n)), min(0.1, 0.5 / n))
+    f = sprinkle(rng, rng.standard_normal((300, n)), min(0.1, 0.5 / n))
+    au[0], f[1] = np.nan, -np.inf
+    au[2], f[2] = np.inf, np.inf
+    au[3, tip] = -np.nan
+    au[4, tip], f[4, tip] = np.nan, -np.nan
+    got = np.full((300, 2), 7.0)
+    FIGURES(300, n, tip, au.ctypes.data, f.ctypes.data, got.ctypes.data)
+    with np.errstate(invalid="ignore"):
+        reactions, off = audit_figures(au - f, tip)
+    assert same_bits(got[:, 0], reactions) and same_bits(got[:, 1], off)
+    assert np.isnan(got[3, 0]) and np.isfinite(got[3, 1])
+    assert np.isnan(got[:, 1]).sum() > 10 and np.isinf(got[:, 1]).sum() > 10
+
+
+@pytest.mark.parametrize("J", [1, 2, 19, 320])
+def test_the_energy_product_rounds_as_scipys_stacked_product_bit_for_bit(J):
+    """``steploop.sbmv`` with S stacked over m pairs (the band of
+    ``StackedStiffness``) is ``BandedSpd.matvec``'s product, in int64
+    views, and ``discrete_energy`` through it gives the energies of the
+    same numpy steps made on scipy's product; an infinity in one pair stays
+    in it, and every other pair's energy is the one it has alone."""
+    rng = np.random.default_rng(J)
+    stiffness = assemble(Mesh(1.501, J), TIGHT).stiffness
+    n, bw, m, dt = stiffness.n, stiffness.bw, 9, 1.5e-5
+    u0, u1, au0, au1 = (1e-3 * rng.standard_normal((m, n)) for _ in range(4))
+    u1[4, n // 2] = np.inf
+    stacked = StackedStiffness(stiffness, m + 3)
+    padded = np.zeros((m, n + bw))
+    padded[:, :n] = u1
+    got = np.empty(m * (n + bw))
+    steploop.sbmv(BandedSpd(stacked.band.ab[:, : got.size], copy=False), padded.reshape(-1), got)
+    want = stiffness.stacked(m, bw).matvec(padded.reshape(-1))
+    assert same_bits(got, want)
+    assert np.isfinite(np.delete(want.reshape(m, n + bw)[:, :n], 4, axis=0)).all()
+    s_u1 = want.reshape(m, n + bw)[:, :n]
+    with np.errstate(invalid="ignore"):
+        scipys = np.vecdot(u1 - u0, au1 - au0) / dt**2 + np.vecdot(u0, s_u1)
+        energies = discrete_energy((u0, u1), (au0, au1), stiffness, dt, stacked=stacked)
+        assert same_bits(discrete_energy((u0, u1), (au0, au1), stiffness, dt), scipys)
+        alone = [discrete_energy((u0[j], u1[j]), (au0[j], au1[j]), stiffness, dt) for j in range(m)]
+    assert same_bits(energies, scipys)
+    assert not np.isfinite(energies[4]) and np.isfinite(np.delete(energies, 4)).all()
+    assert same_bits(np.delete(energies, 4), np.delete(alone, 4))
 
 
 def call(kind, stride, mesh=MESH, values=VALUES):
@@ -209,6 +315,27 @@ def test_a_build_removes_the_stale_builds_and_no_partial_file(tmp_path):
     assert steploop.build(tmp_path) == built and stale.exists()
 
 
+def test_compiling_the_loop_peaks_under_60_mb(tmp_path):
+    """A fresh checkout compiles the loop at its first import, inside the
+    first run, and ``bench/run_bench.py``'s ``peak_rss_mb`` counts a run's
+    children: the compiler's peak must stay below the workloads' own (the
+    smallest, ``pipe``'s, is 62.8 MB on a 2-core x86-64 VM).  A fresh
+    Python child that imports nothing else runs the build's compiler
+    command into an empty cache, so that its children's peak is the
+    compiler's (a child forked from a process that has imported numpy and
+    scipy starts at that process's size, about 57 MB); it is under 60 MB
+    (about 51.5 MB with this source)."""
+    target = tmp_path / "steploop.so"
+    code = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    command = [steploop.COMPILER, *steploop.FLAGS, "-o", str(target), str(steploop.SOURCE)]
+    proc = subprocess.run([sys.executable, "-c", code, *command], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert ctypes.CDLL(str(target)).beamstops_step_rows
+    assert 0 < int(proc.stdout) < 60 * 1024  # KiB
+
+
 def test_without_the_compiler_the_build_raises_an_import_error_naming_it(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", "")
     with pytest.raises(ImportError, match="C compiler: 'gcc' could not be run"):
@@ -255,14 +382,17 @@ def test_under_scipys_unfused_kernel_sets_the_kernel_and_oracle_tests_pass(core)
     """The kernel sets of scipy's OpenBLAS for CPUs with FMA but without
     AVX-512 round each multiply-add in ddot and daxpy as a product and then
     a sum; with one of them forced, the loop takes it up, and this file's
-    kernel test and every oracle-loop case pass in a child process."""
+    kernel tests (the banded product and solve, the loads, the audit
+    figures and the energy's product) and every oracle-loop case pass in a
+    child process."""
     proc = under_core(core, "-c", "from beamstops import steploop; print(steploop.CORE, steploop.FUSED)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [core, "False"]
-    proc = under_core(core, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
-                      "-k", "round_as_scipys_openblas or as_the_oracle_bit_for_bit")
+    proc = under_core(core, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k",
+                      "round_as_scipys_openblas or as_the_oracle_bit_for_bit or "
+                      "round_as_from_coefficients or as_scipys_stacked_product")
     assert proc.returncode == 0, proc.stdout[-4000:]
-    assert re.search(r"^25 passed", proc.stdout, re.M), proc.stdout[-4000:]
+    assert re.search(r"^37 passed", proc.stdout, re.M), proc.stdout[-4000:]
 
 
 def test_a_scipy_on_kernels_the_loop_does_not_round_as_raises_an_import_error_naming_them():

@@ -52,7 +52,8 @@ from beamstops.steppers import (
 )
 from conftest import box_qp_oracle
 from faults import failing_pgs, overbumped, wrong_branch_init
-from oracles import at_time, checked_loop, oracle_rows, penalty_step, pinned_step, spring
+from oracles import (at_time, audit_figures, checked_loop, oracle_rows, penalty_step, pinned_step,
+                     spring)
 
 SMALL = dict(L=1.0, k2=1.0)
 
@@ -1172,7 +1173,7 @@ def fresh_products_oracle(model, mesh, params, kind):
         def step(f, up, uc, n):
             u, _ = pinned_step(pinned, f, np.empty(f.size))
             residual = a.matvec(u) - f
-            audit.update(active_sides(u[c], lo, hi), residual, c)
+            audit.update(active_sides(u[c], lo, hi), *audit_figures(residual, c))
             return u, float(residual[c])
 
     def start_reaction(u):
