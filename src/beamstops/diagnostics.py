@@ -11,22 +11,7 @@ from .linalg import BandedSpd
 from .steploop import sbmv
 
 
-class StackedStiffness:
-    """S stacked ``pairs`` times, each copy padded with bw zeros so that an
-    infinity in one pair never reaches another, and the padded input and
-    the output of its product: built once per run, it serves every
-    :func:`discrete_energy` call of up to ``pairs`` pairs with its first
-    copies, the same band."""
-
-    def __init__(self, stiffness: BandedSpd, pairs: int):
-        width = stiffness.n + stiffness.bw
-        self.band = stiffness.stacked(pairs, stiffness.bw)
-        self.padded = np.zeros((pairs, width))  # the pads stay zero
-        self.product = np.empty((pairs, width))
-
-
-def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
-                    stacked: StackedStiffness | None = None):
+def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float):
     """Discrete energy of a consecutive pair ``(u0, u1)`` = (u^{n-1}, u^n).
 
     E = |(u1 - u0)/dt|_M^2
@@ -37,29 +22,21 @@ def discrete_energy(pair, a_pair, stiffness: BandedSpd, dt: float, *,
     A = M + dt^2 beta S, from the products ``a_pair`` = (A u0, A u1)
     that the run already holds.  The four entries are vectors, giving
     one float, or (m, n) stacks of m pairs, giving m energies; the S u1
-    of a stack are one product with S stacked m times, by the step loop's
-    kernel (:func:`~beamstops.steploop.sbmv`, which rounds as
-    ``BandedSpd.matvec``), in the buffers of ``stacked``, a
-    :class:`StackedStiffness` of ``stiffness`` for some M >= m pairs, or of
-    one made for this call.
+    of a stack are one call of the step loop's product kernel, row by row
+    (:func:`~beamstops.steploop.sbmv`, which rounds as
+    ``BandedSpd.matvec``), so a NaN or an infinity in one pair reaches no
+    other.
 
     Exactly conserved by the unconstrained scheme with zero load; for
     beta = 1/2 the quadratic form is positive definite so boundedness of
     E bounds the state.
     """
     u0, u1, au0, au1 = (np.atleast_2d(x) for x in (*pair, *a_pair))
-    m, n = u1.shape
-    if stacked is None:
-        stacked = StackedStiffness(stiffness, m)
-    padded, product = stacked.padded[:m], stacked.product[:m]
-    padded[:, :n] = u1
-    first = BandedSpd(stacked.band.ab[:, : padded.size], copy=False)
-    sbmv(first, padded.reshape(-1), product.reshape(-1))
-    s_u1 = product[:, :n]
+    s_u1 = np.empty(u1.shape)
+    sbmv(stiffness, np.ascontiguousarray(u1, dtype=float), s_u1)
     work = np.vecdot(u0, s_u1)
-    # w = u1 - u0 and A w in the two buffers, which hold nothing needed now
-    w = np.subtract(u1, u0, out=padded[:, :n])
-    energy = np.vecdot(w, np.subtract(au1, au0, out=s_u1)) / dt**2 + work
+    # A w = A u1 - A u0 into S u1's buffer, which holds nothing needed now
+    energy = np.vecdot(u1 - u0, np.subtract(au1, au0, out=s_u1)) / dt**2 + work
     return float(energy[0]) if np.ndim(pair[1]) == 1 else energy
 
 

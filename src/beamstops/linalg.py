@@ -177,24 +177,6 @@ class BandedSpd:
         out[a.bw - b.bw :, :] += beta * b.ab
         return BandedSpd(out, copy=False)
 
-    def stacked(self, k: int, pad: int) -> "BandedSpd":
-        """Block-diagonal matrix of k copies, each followed by ``pad`` zero rows and columns.
-
-        A product with it is k products at once: one flat vector holds the
-        k member vectors, each followed by ``pad`` zeros.  With pad >= bw
-        no stored entry couples two copies, so a NaN or an infinity in one
-        member never reaches another (0 * inf is NaN).
-        """
-        if k == 1 and pad == 0:
-            return self
-        block = self.ab.copy(order="F")
-        for j in range(min(self.bw, self.n)):
-            block[: self.bw - j, j] = 0.0  # unused corner: would couple to the rows before
-        # (k, width, bw + 1) in C order is the (bw + 1, k width) band in F order
-        copies = np.zeros((k, self.n + pad, self.bw + 1))
-        copies[:, : self.n] = block.T
-        return BandedSpd(copies.reshape(-1, self.bw + 1).T, copy=False)
-
     def with_diagonal_bump(self, index: int, value: float) -> "BandedSpd":
         """Copy with ``value`` added at diagonal entry ``index`` (rank-one e_c e_c^T)."""
         out = self.copy()
@@ -224,13 +206,11 @@ class BandedCholesky:
 
         With ``in_place`` the solution overwrites ``rhs`` and ``rhs`` is
         returned.  It is then a contiguous float vector or an F-ordered
-        (ldb x k) float block with ldb >= n, whose rows from n on are left
-        as they are: the padded (k x width) member block of
-        :func:`~beamstops.steppers.run`, seen as (width x k), is one.
+        (n x k) float block: the (k x n) member block of
+        :func:`~beamstops.steppers.run`, seen as (n x k), is one.
         """
-        rows = rhs.shape[0]
-        if rows < self.n or rows > self.n and not in_place:
-            raise ValueError(f"rhs length {rows} does not match system size {self.n}")
+        if rhs.shape[0] != self.n:
+            raise ValueError(f"rhs length {rhs.shape[0]} does not match system size {self.n}")
         # positional (lower, ldab, overwrite_b): keyword parsing costs a third of a solve
         x, info = _pbtrs(self.cb, rhs, 0, self.cb.shape[0], in_place)
         if info != 0:  # pragma: no cover - pbtrs only fails on bad inputs
@@ -303,14 +283,13 @@ class PenaltyTipSolver:
     each member has its own spring and bumped factor, in ``members`` as
     (inv_eps, bump, bumped factor).  The compiled step loop
     (:mod:`beamstops.steploop`) reads them and steps the members as one
-    block: +0.0 added to every tip of F^n, or, where a tip of u^{n-1} or
-    u^n is past a stop, the springs' explicit part
-    dt^2 ((1 - 2 beta) p(u^n) + beta p(u^{n-1})); one solve with A for all
-    members; and for each member whose new tip is past a stop, a solve
-    with its bumped factor from its entries of F^n.  If that tip falls on
-    the free side of its stop, no contact case is consistent: its 2J
-    entries turn NaN, its pad stays zero, and the run's record check ends
-    it.
+    block: where a tip of u^{n-1} or u^n is past a stop, the springs'
+    explicit part dt^2 ((1 - 2 beta) p(u^n) + beta p(u^{n-1})) added to
+    that member's tip entry of F^n; one solve with A for all members; and
+    for each member whose new tip is past a stop, a solve with its bumped
+    factor from its entries of F^n.  If that tip falls on the free side of
+    its stop, no contact case is consistent: its 2J entries turn NaN, and
+    the run's record check ends it.
     """
 
     def __init__(self, a: BandedSpd, index: int, lower: float, upper: float, params):

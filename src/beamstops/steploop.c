@@ -3,18 +3,21 @@
  * with open stops) and penalty runs of k members stepped as one block.
  *
  * beamstops_step_rows steps rows r .. rows - 1 of a load block's buffers.
- * Row r of u and au takes u^{n+1} and A u^{n+1}, and F^n goes to the one F
- * row, where
+ * A row holds the k members' states one after another, member m in its
+ * entries [m ndof, (m + 1) ndof).  Row r of u and au takes u^{n+1} and
+ * A u^{n+1}, and F^n goes to the one F row, where, for each member,
  *
  *     F^n = (B u^n - A u^{n-1}) + dt^2 G^n
  *
- * from rows r - 1 and r - 2.  dt^2 G^n is row r - 2 of g, or, for the
- * loads of signorini and linear runs without f_tilde, that row's two
- * coefficients over the basis, combined as LoadAssembler.from_coefficients
- * combines them.  The tip closure then solves A u^{n+1} = F^n plus the
- * contact terms, and one more banded product forms A u^{n+1}, which the
- * run carries; a signorini run also gets the two figures per row that its
- * contact audit reduces, from A u^{n+1} - F^n.  The products and solves are
+ * from rows r - 1 and r - 2.  dt^2 G^n, which the members share, is row
+ * r - 2 of g, or, for the loads of signorini and linear runs without
+ * f_tilde, that row's two coefficients over the basis, combined as
+ * LoadAssembler.from_coefficients combines them.  The tip closure then
+ * solves A u^{n+1} = F^n plus the contact terms, and one more banded
+ * product forms A u^{n+1}, which the run carries; a signorini run also gets
+ * the two figures per row that its contact audit reduces, from
+ * A u^{n+1} - F^n.  The products go one member at a time, so a member's NaN
+ * or infinity reaches no other member.  The products and solves are
  * the file's own kernels, sbmv and pbtrs, which round as OpenBLAS's dsbmv
  * and LAPACK's dpbtrs over it do (the BLAS and LAPACK under scipy's
  * BandedSpd.matvec and BandedCholesky.solve) with the kernels that scipy's
@@ -114,20 +117,22 @@ INLINE void sbmv_rows(int fused, int n, int bw, const double *a, const double *x
         y[j] = sbmv_row(fused, bw, a, x, j, j - bw, n - 1);
 }
 
-/* y = A x as dsbmv_U with alpha 1 and beta 0 rounds it, for bw up to 14:
- * OpenBLAS's ddot and daxpy take their scalar tails below 16 entries, and a
- * band column has bw + 1.  dsbmv walks A by columns, each one daxpy into y
- * and one ddot; here each row sums in registers, in the same roundings.  A
- * beam's band, bw 3, has its own copy for each rounding, with its loops
- * unrolled. */
-static void sbmv(int fused, int n, int bw, const double *a, const double *x, double *y)
+/* y = A x for the k vectors x + m n, into y + m n, each as dsbmv_U with
+ * alpha 1 and beta 0 rounds it, for bw up to 14: OpenBLAS's ddot and daxpy
+ * take their scalar tails below 16 entries, and a band column has bw + 1.
+ * dsbmv walks A by columns, each one daxpy into y and one ddot; here each
+ * row sums in registers, in the same roundings.  Every row sum starts from
+ * +0.0, so no entry of y is -0.0.  A beam's band, bw 3, has its own copy
+ * for each rounding, with its loops unrolled. */
+static void sbmv(int fused, int k, int n, int bw, const double *a, const double *x, double *y)
 {
-    if (bw != 3)
-        sbmv_rows(fused, n, bw, a, x, y);
-    else if (fused)
-        sbmv_rows(1, n, 3, a, x, y);
-    else
-        sbmv_rows(0, n, 3, a, x, y);
+    for (size_t at = 0; at < (size_t)k * n; at += n)
+        if (bw != 3)
+            sbmv_rows(fused, n, bw, a, x + at, y + at);
+        else if (fused)
+            sbmv_rows(1, n, 3, a, x + at, y + at);
+        else
+            sbmv_rows(0, n, 3, a, x + at, y + at);
 }
 
 /* Row j of the forward solve U^T x = b, U in upper band storage u: b_j less
@@ -238,10 +243,11 @@ INLINE void audit_figures(int n, int tip, const double *au, const double *f, dou
     out[1] = worst;
 }
 
-/* The kernels, for the tests to compare with OpenBLAS's and numpy's. */
-void beamstops_sbmv(int fused, int n, int bw, const double *a, const double *x, double *y)
+/* The kernels, for the tests to compare with OpenBLAS's and numpy's; the
+ * product is also the one of the fold's energies, steploop.sbmv. */
+void beamstops_sbmv(int fused, int k, int n, int bw, const double *a, const double *x, double *y)
 {
-    sbmv(fused, n, bw, a, x, y);
+    sbmv(fused, k, n, bw, a, x, y);
 }
 
 void beamstops_pbtrs(int fused, int n, int bw, const double *u, double *b, int k, int ldb)
@@ -273,10 +279,11 @@ int beamstops_has_fma(void)
 
 /* One run's context; beamstops/steploop.py mirrors it field by field. */
 typedef struct {
-    double *u, *au, *f, *g;  /* the block's rows of u and A u, the one F row, the loads */
-    double *basis;           /* NULL, or the (2, n) basis that g's (rows, 2) coefficients are over */
+    double *u, *au, *f;      /* the block's (rows, n) rows of u and A u, the one F row */
+    double *g;               /* the (rows, ndof) loads, or their (rows, 2) coefficients */
+    double *basis;           /* NULL, or the (2, ndof) basis of those coefficients */
     double *figures;         /* NULL, or the (rows, 2) audit figures of each step */
-    double *a_band, *b_band; /* A and B for the k members, upper band (bw + 1, n) */
+    double *a_band, *b_band; /* A and B, upper band (bw + 1, ndof) */
     double *factor;          /* A's Cholesky factor, upper band (bw + 1, ndof) */
     double *w;               /* the pinned closure's A^{-1} e_c; NULL for penalty */
     double *inv_eps, *bump;  /* penalty, per member: its stiffness and dt^2 beta inv_eps */
@@ -284,7 +291,7 @@ typedef struct {
     int64_t *counts;         /* banded steps, block solves, products, then per member its bumped solves */
     double lower, upper;     /* the tip's stops */
     double dt2, beta;
-    int32_t n, ndof, width, k, bw, tip;
+    int32_t n, ndof, k, bw, tip;  /* n = k ndof */
     int32_t fused;           /* the roundings of scipy's OpenBLAS: 1 SkylakeX, 0 Haswell */
 } loop_t;
 
@@ -325,31 +332,29 @@ static void pinned(loop_t *L, const double *f, double *u)
     u[L->tip] = bound;
 }
 
-/* The k members' step: +0.0 at every tip, or F plus the history where a tip
- * of u^{n-1} or u^n is past a stop; one solve with A for all; a bumped
- * re-solve from F for each member whose new tip is past a stop, and NaN for
- * a member whose re-solved tip falls on the free side of that stop.  A
- * member's history is made once per step, and only where it is needed. */
+/* The k members' step: F, plus the history at a tip where a tip of u^{n-1}
+ * or u^n is past a stop; one solve with A for all; a bumped re-solve from F
+ * for each member whose new tip is past a stop, and NaN for a member whose
+ * re-solved tip falls on the free side of that stop.  A member's history is
+ * made once per step, and only where it is needed. */
 static void penalty(loop_t *L, const double *f, const double *up, const double *uc, double *u)
 {
     int n = L->ndof, k = L->k, c = L->tip;
     double hist[k];
     char pressing[k];
+    memcpy(u, f, (size_t)k * n * sizeof *u);
     for (int m = 0; m < k; m++) {
-        size_t at = (size_t)m * L->width;
-        memcpy(u + at, f + at, (size_t)n * sizeof *u);
-        pressing[m] = past(L, up[at + c]) || past(L, uc[at + c]);
+        size_t at = (size_t)m * n + c;
+        pressing[m] = past(L, up[at]) || past(L, uc[at]);
         if (pressing[m]) {
-            hist[m] = history(L, m, up[at + c], uc[at + c]);
-            u[at + c] = f[at + c] + hist[m];
-        } else {
-            u[at + c] += 0.0;
+            hist[m] = history(L, m, up[at], uc[at]);
+            u[at] = f[at] + hist[m];
         }
     }
-    pbtrs(L->fused, n, L->bw, L->factor, u, k, L->width);
+    pbtrs(L->fused, n, L->bw, L->factor, u, k, n);
     L->counts[1] += 1;
     for (int m = 0; m < k; m++) {
-        size_t at = (size_t)m * L->width;
+        size_t at = (size_t)m * n;
         double *um = u + at;
         if (!past(L, um[c]) || L->bump[m] == 0.0)
             continue;
@@ -370,28 +375,28 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
 /* Steps rows r .. rows - 1. */
 void beamstops_step_rows(loop_t *L, int r, int rows)
 {
-    int n = L->n;
+    int n = L->n, ndof = L->ndof;
     double *f = L->f;
+    const double *b = L->basis;
     for (; r < rows; r++) {
         double *u = L->u + (size_t)r * n, *au = L->au + (size_t)r * n;
         const double *au_prev = au - 2 * (size_t)n;
-        sbmv(L->fused, n, L->bw, L->b_band, u - n, f);
-        if (L->basis) {
-            const double *c = L->g + 2 * (size_t)(r - 2), *b = L->basis;
-            for (int i = 0; i < n; i++)
-                f[i] = add(f[i] - au_prev[i], load(c[0], c[1], b[i], b[n + i]));
-        } else {
-            const double *g = L->g + (size_t)(r - 2) * n;
-            for (int i = 0; i < n; i++)
-                f[i] = add(f[i] - au_prev[i], g[i]);
-        }
+        const double *g = L->g + (size_t)(r - 2) * (b ? 2 : ndof);
+        sbmv(L->fused, L->k, ndof, L->bw, L->b_band, u - n, f);
+        for (int at = 0; at < n; at += ndof)
+            if (b)
+                for (int i = 0; i < ndof; i++)
+                    f[at + i] = add(f[at + i] - au_prev[at + i], load(g[0], g[1], b[i], b[ndof + i]));
+            else
+                for (int i = 0; i < ndof; i++)
+                    f[at + i] = add(f[at + i] - au_prev[at + i], g[i]);
         if (L->w)
             pinned(L, f, u);
         else
             penalty(L, f, u - 2 * (size_t)n, u - n, u);
-        sbmv(L->fused, n, L->bw, L->a_band, u, au);
+        sbmv(L->fused, L->k, ndof, L->bw, L->a_band, u, au);
         if (L->figures)
-            audit_figures(n, L->tip, au, f, L->figures + 2 * (size_t)r);
+            audit_figures(ndof, L->tip, au, f, L->figures + 2 * (size_t)r);
         L->counts[0] += 1;
         L->counts[2] += 2;
     }

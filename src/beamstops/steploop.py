@@ -2,8 +2,9 @@
 
 ``steploop.c`` steps the rows of a load block for every run that closes its
 steps at the tip (signorini runs with numeric stops, linear runs, and
-penalty blocks of k members): per step one banded product B u^n, the
-right-hand side F^n, the tip closure and one banded product A u^{n+1}, in C.
+penalty blocks of k members): per step the banded products B u^n, the
+right-hand sides F^n, the tip closure and the banded products A u^{n+1},
+in C, the products one member at a time.
 The loads of signorini and linear runs without f_tilde come as each row's
 two coefficients over :attr:`~beamstops.fem.LoadAssembler.basis`, which the
 loop combines inside the right-hand side's pass; a signorini run also gets
@@ -15,10 +16,10 @@ the roundings of the OpenBLAS ``dsbmv`` and the LAPACK ``dpbtrs`` that
 :meth:`~beamstops.linalg.BandedCholesky.solve` call through scipy, in a
 faster order, and the rest makes numpy's roundings, so its rows are those
 of the same steps made from Python, bit for bit.  The fold's energies take
-the product kernel too (:func:`sbmv`).  Those roundings depend on the
-kernels that scipy's OpenBLAS picks for the CPU (:data:`CORE`); the loop
-makes those of each kernel set in :data:`FUSED_TAILS`.  The set-up (the
-factors, the bands) still goes through scipy.
+the product kernel too, row by row (:func:`sbmv`).  Those roundings depend
+on the kernels that scipy's OpenBLAS picks for the CPU (:data:`CORE`); the
+loop makes those of each kernel set in :data:`FUSED_TAILS`.  The set-up
+(the factors, the bands) still goes through scipy.
 
 The kernels are x86-64 code with FMA instructions.  The first import
 compiles the source with ``gcc`` in a child process, into ``_build/``
@@ -111,7 +112,7 @@ def blas_core() -> str:
 FUSED_TAILS = {"SkylakeX": True, "Haswell": False, "Sandybridge": False}
 
 #: The loaded shared object; besides the loop it exports its kernels for the
-#: tests: ``beamstops_sbmv(fused, n, bw, a, x, y)``,
+#: tests: ``beamstops_sbmv(fused, k, n, bw, a, x, y)``,
 #: ``beamstops_pbtrs(fused, n, bw, u, b, k, ldb)``,
 #: ``beamstops_loads(rows, n, c, basis, g)`` and
 #: ``beamstops_figures(rows, n, tip, au, f, out)``.
@@ -129,19 +130,20 @@ _step_rows = library.beamstops_step_rows
 _step_rows.argtypes = (ctypes.c_void_p, ctypes.c_int, ctypes.c_int)
 _step_rows.restype = None
 _sbmv = library.beamstops_sbmv
-_sbmv.argtypes = (ctypes.c_int,) * 3 + (ctypes.c_void_p,) * 3
+_sbmv.argtypes = (ctypes.c_int,) * 4 + (ctypes.c_void_p,) * 3
 _sbmv.restype = None
 
 
 def sbmv(band: BandedSpd, x: np.ndarray, out: np.ndarray) -> None:
-    """``out`` = A x by the loop's product kernel, which rounds as
-    ``band.matvec(x)`` does; ``x`` and ``out`` are contiguous float64 arrays
-    of ``band.n`` entries."""
-    if not (band.bw <= MAX_BW and band.ab.flags.f_contiguous and x.size == out.size == band.n
+    """Each row of ``out`` = A times that row of ``x``, by the loop's product
+    kernel, which rounds each as ``band.matvec`` does; ``x`` and ``out`` are
+    C-contiguous float64 (m, ``band.n``) arrays."""
+    if not (band.bw <= MAX_BW and band.ab.flags.f_contiguous and x.ndim == 2
+            and x.shape == out.shape and x.shape[1] == band.n
             and all(v.dtype == np.float64 and v.flags.c_contiguous for v in (x, out))):
-        raise ValueError(f"the product kernel needs contiguous float64 vectors of the band's "
+        raise ValueError(f"the product kernel needs contiguous float64 rows of the band's "
                          f"size and a half-bandwidth at most {MAX_BW}")
-    _sbmv(FUSED, band.n, band.bw, band.ab.ctypes.data, x.ctypes.data, out.ctypes.data)
+    _sbmv(FUSED, len(x), band.n, band.bw, band.ab.ctypes.data, x.ctypes.data, out.ctypes.data)
 
 
 class _Context(ctypes.Structure):
@@ -151,16 +153,16 @@ class _Context(ctypes.Structure):
         "u", "au", "f", "g", "basis", "figures",
         "a_band", "b_band", "factor", "w", "inv_eps", "bump", "bumped", "counts")] + [
         (name, ctypes.c_double) for name in ("lower", "upper", "dt2", "beta")] + [
-        (name, ctypes.c_int32) for name in ("n", "ndof", "width", "k", "bw", "tip", "fused")]
+        (name, ctypes.c_int32) for name in ("n", "ndof", "k", "bw", "tip", "fused")]
 
 
 class Loop:
     """One run's context of the compiled loop, built once per run.
 
-    ``u`` and ``au`` are the run's (rows, n) block buffers, n = k w with
-    w = 2J plus the pad that isolates the k members, and ``f`` its one
-    (1, n) F row, which every step reuses.  ``a_band`` and ``b_band`` are A
-    and B stacked for the members; ``solver`` is the run's
+    ``u`` and ``au`` are the run's (rows, k 2J) block buffers, whose rows
+    hold the k members' states one after another, and ``f`` its one
+    (1, k 2J) F row, which every step reuses.  ``a_band`` and ``b_band`` are
+    A and B, which every member's products take; ``solver`` is the run's
     :class:`~beamstops.linalg.PinnedDofSolver` or
     :class:`~beamstops.linalg.PenaltyTipSolver`, whose factors and vectors
     the loop reads.  With ``figures``, a (rows, 2) buffer, a pinned step
@@ -180,7 +182,7 @@ class Loop:
         buffers = [u, au, f] + ([] if figures is None else [figures])
         if not (au.shape == u.shape and f.shape == (1, n)
                 and (figures is None or pinned and figures.shape == (rows, 2))
-                and a_band.n == b_band.n == n and n % k == 0
+                and a_band.n == b_band.n == factor.n and n == k * factor.n
                 and a_band.bw == b_band.bw == factor.bw <= MAX_BW
                 and all(x.flags.f_contiguous for x in (a_band.ab, b_band.ab, factor.cb))
                 and all(x.dtype == np.float64 and x.flags.c_contiguous for x in buffers)):
@@ -198,7 +200,7 @@ class Loop:
                        a_band=a_band.ab.ctypes.data, b_band=b_band.ab.ctypes.data,
                        factor=factor.cb.ctypes.data, counts=self.counts.ctypes.data,
                        lower=solver.lower, upper=solver.upper, n=n, ndof=factor.n,
-                       width=n // k, k=k, bw=a_band.bw, tip=solver.index, fused=FUSED)
+                       k=k, bw=a_band.bw, tip=solver.index, fused=FUSED)
         if pinned:
             w = np.ascontiguousarray(solver.w, dtype=np.float64)
             self._held.append(w)
@@ -216,7 +218,8 @@ class Loop:
         self._ctx, self._address = ctx, ctypes.addressof(ctx)
 
     def load(self, g: np.ndarray, loads=None) -> None:
-        """Take a load block's rows dt^2 G^n: row r - 2 serves the step of row r.
+        """Take a load block's rows dt^2 G^n, of 2J entries that every member
+        adds: row r - 2 serves the step of row r.
 
         With ``loads``, the run's :class:`~beamstops.fem.LoadAssembler`, ``g``
         holds each row's (rows, 2) coefficients over ``loads.basis``, and each
@@ -224,14 +227,14 @@ class Loop:
         :meth:`~beamstops.fem.LoadAssembler.from_coefficients` does, in the
         pass that forms F^n.
         """
-        width = self.u.shape[1]
+        ndof = self.a_band.n
         basis = None if loads is None else loads.basis
         if not (g.dtype == np.float64 and g.flags.c_contiguous and g.ndim == 2
-                and g.shape[1] == (width if basis is None else 2)
-                and (basis is None or basis.shape == (2, width) and basis.dtype == np.float64
+                and g.shape[1] == (ndof if basis is None else 2)
+                and (basis is None or basis.shape == (2, ndof) and basis.dtype == np.float64
                      and basis.flags.c_contiguous)):
-            raise ValueError("the step loop needs the loads as float64 rows of the buffers' "
-                             "width, or as rows of two coefficients over a basis of that width")
+            raise ValueError("the step loop needs the loads as float64 rows of 2J entries, "
+                             "or as rows of two coefficients over a basis of 2J entries")
         self.g, self.loads = g, loads
         self._ctx.g = g.ctypes.data
         self._ctx.basis = None if basis is None else basis.ctypes.data

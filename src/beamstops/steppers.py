@@ -41,8 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import (INACTIVE, ContactAudit, StackedStiffness, active_sides, count_episodes,
-                          discrete_energy)
+from .diagnostics import INACTIVE, ContactAudit, active_sides, count_episodes, discrete_energy
 from .fem import (
     BeamModel,
     DofMap,
@@ -287,9 +286,8 @@ def run(
     members: it folds the starting pair (u^0, u^1) as the first pair of
     states, then each load block's states, the recorded rows in one
     vectorized pass.  It reads evenly spaced records' pairs as strided
-    views of the buffers, and their energies make one product with S
-    stacked over the rows, by the loop's product kernel, in a band and
-    buffers made once per run.
+    views of the buffers, and their energies make S u for every pair in
+    one call of the loop's product kernel.
     A member's rows end at its first record with a non-finite value, and
     its extrema, episodes and the audit at that record's step.  A penalty
     member with no consistent contact case ends alike: its state turns NaN.
@@ -303,12 +301,13 @@ def run(
 
     ``params`` may also be a list of penalty members that differ only in
     ``inv_eps``.  They share A, B, the loads and the starting pair, and
-    step as one (k x 2J) block: per step one product call for each of
-    B U and A U and one in-place multi-RHS solve serve all of them, and
-    only a member with a tip past a stop gets per-member tip work.  The
-    result is then a list with each member's Trajectory; each member's
-    rows are bit-identical to its own run, and its ``wall_time`` is the
-    block's divided by k.  One ``params`` gives its Trajectory.
+    step as one (k x 2J) block, member j in entries [j 2J, (j + 1) 2J) of
+    each row: per step the loop makes B U and A U member by member and one
+    in-place multi-RHS solve serves all of them, and only a member with a
+    tip past a stop gets per-member tip work.  The result is then a list
+    with each member's Trajectory; each member's rows are bit-identical to
+    its own run, and its ``wall_time`` is the block's divided by k.  One
+    ``params`` gives its Trajectory.
     """
     t_begin = time.perf_counter()
     members = list(params) if isinstance(params, (list, tuple)) else [params]
@@ -350,14 +349,9 @@ def run(
     dt = scheme.dt
     dt2 = dt * dt
 
-    # Block layout: member j's state is entries [j w, j w + ndof) of one flat
-    # vector, w = ndof + pad.  The pad zeros isolate the members in the
-    # stacked products; a single member has none.
+    # Block layout: member j's state is entries [j ndof, (j + 1) ndof) of a row.
     k = len(members)
     ndof = dofs.ndof
-    pad = a_mat.bw if k > 1 else 0
-    width = ndof + pad
-    a_stack, b_stack = a_mat.stacked(k, pad), b_mat.stacked(k, pad)
 
     # The tip closure, whose data the compiled loop reads: signorini runs
     # step against the tip stops, linear runs against open ones, penalty
@@ -378,15 +372,15 @@ def run(
         lo_b, hi_b = box.lower, box.upper
 
         def violations(states):
-            """Violation of (..., width) states of the one member, over every DOF."""
+            """Violation of (..., ndof) states of the one member, over every DOF."""
             excess = np.maximum(np.maximum(states - hi_b, lo_b - states), 0.0)
             return excess.max(axis=-1, keepdims=True)
 
     else:
 
         def violations(states):
-            """Violation of (..., k width) states at each member's tip, shape (..., k)."""
-            u = states[..., tip::width]
+            """Violation of (..., k ndof) states at each member's tip, shape (..., k)."""
+            u = states[..., tip::ndof]
             return np.maximum(np.maximum(u - tip_hi, tip_lo - u), 0.0)
 
     loads = LoadAssembler(mesh, model)
@@ -401,18 +395,13 @@ def run(
     # pair; rows 2 .. are the block's steps.  Every step reuses one F row.
     # The steps write nothing else.
     block_steps = min(loads.block_rows, max(n_total - 1, 0))
-    u_buf = np.zeros((block_steps + 2, k * width))
+    u_buf = np.zeros((block_steps + 2, k * ndof))
     au_buf = np.empty_like(u_buf)
-    f_buf = np.empty((1, k * width))
+    f_buf = np.empty((1, k * ndof))
     figures = np.empty((block_steps + 2, 2)) if kind == "signorini" else None
     for r, u in enumerate(start_pair):
-        u_buf[r].reshape(k, width)[:, :ndof] = u
-        a_stack.matvec(u_buf[r], out=au_buf[r])
-
-    # a fold's energies make one product with S stacked over its pairs, with
-    # the first copies of this band and its buffers, made once for the most
-    # pairs a fold reads
-    s_stack = StackedStiffness(gm.stiffness, k * (block_steps // stride + 2))
+        u_buf[r].reshape(k, ndof)[:] = u
+        au_buf[r].reshape(k, ndof)[:] = a_mat.matvec(u)
 
     # fold writes into these and keeps, per member, its record count, contact carry and end
     results = [
@@ -439,7 +428,7 @@ def run(
         if last < first:
             return
         states = u_buf[first : last + 1]
-        tips, viols = states[:, tip::width], violations(states)
+        tips, viols = states[:, tip::ndof], violations(states)
         sides = active_sides(tips, tip_lo, tip_hi)
         times = t0 + np.arange(first, last + 1)
         at = np.flatnonzero((times <= n_total) & ((times % stride == 0) | (times == n_total)))
@@ -454,12 +443,11 @@ def run(
             else:
                 pick = [pair - 1, pair]
             u0, u1, au0, au1 = (buf[i] for buf in (u_buf, au_buf) for i in pick)
-            pairs = [x.reshape(m * k, width)[:, :ndof] for x in (u0, u1, au0, au1)]
+            pairs = [x.reshape(m * k, ndof) for x in (u0, u1, au0, au1)]
             rows[:, :, 0] = (times[at] * dt)[:, None]
             rows[:, :, 1] = tips[at]
-            rows[:, :, 2] = (u1[:, tip::width] - u0[:, tip::width]) / dt
-            rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt,
-                                            stacked=s_stack).reshape(m, k)
+            rows[:, :, 2] = (u1[:, tip::ndof] - u0[:, tip::ndof]) / dt
+            rows[:, :, 3] = discrete_energy(pairs[:2], pairs[2:], gm.stiffness, dt).reshape(m, k)
             if kind == "penalty":
                 rows[:, :, 4] = dt2 * solver.springs(tips[at])
             elif figs is not None:
@@ -500,13 +488,12 @@ def run(
         stays at one block whatever the horizon.  Separable loads carry
         and combine the windows' (phi'', phi) coefficients, rows of two
         that the compiled loop takes; for PGS one rank-2 product per block
-        writes dt^2 G^n into one buffer for the run.  A padded block gets
-        each row copied to every member in the states' (k w) layout, in
-        that buffer, so a step adds one contiguous row.
+        writes dt^2 G^n into one buffer for the run.  Every member of a
+        block adds the same (2J,) row.
         """
         if n_total < 2:
             return
-        g_buf = np.zeros((block_steps, k * width)) if separable and pgs or pad else None
+        g_buf = np.zeros((block_steps, ndof)) if separable and pgs else None
         f = np.empty((0, 2 if separable else ndof))
         for w0 in range(0, n_total + 1, loads.block_rows):
             w1 = min(w0 + loads.block_rows, n_total + 1)
@@ -515,13 +502,10 @@ def run(
             g = dt2 * (beta * (f[2:] + f[:-2]) + (1.0 - 2.0 * beta) * f[1:-1])
             if separable and pgs:
                 g = loads.from_coefficients(g, out=g_buf[: len(g)])
-            elif pad:
-                g_buf[: len(g)].reshape(len(g), k, width)[:, :, :ndof] = g[:, None]
-                g = g_buf[: len(g)]
             yield g
 
     # the compiled loop's context, over the run's buffers; it counts its work
-    loop = None if pgs else Loop(a_stack, b_stack, solver, u_buf, au_buf, f_buf, figures)
+    loop = None if pgs else Loop(a_mat, b_mat, solver, u_buf, au_buf, f_buf, figures)
     work = np.zeros(3 + k, dtype=np.int64) if loop is None else loop.counts
 
     def kernel(g_block, t0):
@@ -538,7 +522,7 @@ def run(
         (rows stepped, the error a step raised or None)."""
         f = f_buf[0]
         for r in range(2, len(g_block) + 2):
-            b_stack.matvec(u_buf[r - 1], out=f)
+            b_mat.matvec(u_buf[r - 1], out=f)
             f -= au_buf[r - 2]
             f += g_block[r - 2]
             try:
@@ -547,7 +531,7 @@ def run(
                 u_buf[r] = pgs_box(a_mat, f, box, x0=u_buf[r - 1] if t0 + r > 2 else None)
             except Exception as exc:  # noqa: BLE001 - raised by run() unless the member has ended
                 return r - 2, exc
-            a_stack.matvec(u_buf[r], out=au_buf[r])
+            a_mat.matvec(u_buf[r], out=au_buf[r])
             figures[r, 0] = au_buf[r, tip] - f[tip]
             work[0] += 1
             work[2] += 2
@@ -558,8 +542,8 @@ def run(
         fold(0, 0, 1)  # the starting pair, shared by the members
         t0 = 0
         for g_block in () if all(done) else load_blocks():
-            # a member whose state turns non-finite steps on in place: the
-            # pads keep its columns away from the others, and the fold ends it
+            # a member whose state turns non-finite steps on in place: its
+            # products and solves read only its own entries, and the fold ends it
             steps, raised = (pgs_kernel if pgs else kernel)(g_block, t0)
             fold(t0, 2, steps + 1)
             if all(done):

@@ -7,9 +7,10 @@ steps that the loop ports, as an oracle loop over the same buffers.
 The tip steps are the pinned and penalty steps that ``run()`` made from
 Python before the loop was compiled, in the same operations and order,
 each classifying the tips of u^{n-1} and u^n itself.  They solve through
-``BandedCholesky.solve`` and ``BandedSpd.matvec``, so spies on those see
-every solve and product of the oracle loop, and form the loads of the
-loop's coefficients through ``LoadAssembler.from_coefficients``."""
+``BandedCholesky.solve`` and make each member's products through
+``BandedSpd.matvec``, so spies on those see every solve and product of the
+oracle loop, and form the loads of the loop's coefficients through
+``LoadAssembler.from_coefficients``."""
 
 import sys
 
@@ -94,19 +95,16 @@ def past(solver, tips):
 def penalty_step(solver, f_n, u_prev, u_curr, out):
     """Write u^{n+1} of the penalty members' step into ``out`` from F^n and
     (u^{n-1}, u^n), flat blocks of the k members (member j's vector is
-    entries [j w, j w + 2J), the rest of its w entries zero padding);
-    returns ``out``.  F^n's entries plus +0.0 at each tip, or plus the
-    member's history where a tip of u^{n-1} or u^n is past a stop; one
-    multi-RHS solve with A; a bumped solve from F^n for each member whose
-    new tip is past a stop, and NaN for one whose tip then falls on the
-    free side of it."""
+    entries [j 2J, (j + 1) 2J)); returns ``out``.  F^n, plus the member's
+    history at its tip where a tip of u^{n-1} or u^n is past a stop; one
+    multi-RHS solve with A of the (2J x k) block; a bumped solve from F^n
+    for each member whose new tip is past a stop, and NaN for one whose tip
+    then falls on the free side of it."""
     c, k, n = solver.index, len(solver.members), solver.full_factor.n
-    block = out.reshape(k, -1)
-    f_block = f_n.reshape(k, -1)[:, :n]
+    block, f_block = out.reshape(k, n), f_n.reshape(k, n)
     tips = block[:, c]
-    block[:, :n] = f_block
-    tips += np.zeros(k)  # +0.0 at each tip
-    tips_prev, tips_curr = u_prev.reshape(k, -1)[:, c], u_curr.reshape(k, -1)[:, c]
+    block[:] = f_block
+    tips_prev, tips_curr = u_prev.reshape(k, n)[:, c], u_curr.reshape(k, n)[:, c]
     pressing = {}
     for m in sorted({*past(solver, tips_prev), *past(solver, tips_curr)}):
         pressing[m] = history(solver, m, tips_prev[m], tips_curr[m])
@@ -118,7 +116,7 @@ def penalty_step(solver, f_n, u_prev, u_curr, out):
             continue
         tip = tips[m]
         bound = solver.upper if tip > solver.upper else solver.lower
-        u = block[m, :n]
+        u = block[m]
         u[:] = f_block[m]
         u[c] += pressing[m] if m in pressing else history(solver, m, tips_prev[m], tips_curr[m])
         u[c] += bump * bound
@@ -130,21 +128,29 @@ def penalty_step(solver, f_n, u_prev, u_curr, out):
     return out
 
 
+def member_products(band, x, out):
+    """``out`` = the band times each member's entries of the flat block
+    ``x``, one ``BandedSpd.matvec`` per member."""
+    for xm, om in zip(x.reshape(-1, band.n), out.reshape(-1, band.n)):
+        band.matvec(xm, out=om)
+
+
 def oracle_step(loop, u, au, f_n, g_n):
     """One step of ``Loop.step`` in Python: from rows 0 and 1 of ``u`` and
     row 0 of ``au`` (u^{n-1}, u^n, A u^{n-1}) and the loads g_n = dt^2 G^n,
-    writes F^n into ``f_n``, u^{n+1} into row 2 of ``u`` and A u^{n+1} into
-    row 2 of ``au``.  Returns the pinned step's contact case, None for a
-    penalty step."""
-    loop.b_band.matvec(u[1], out=f_n)
+    which every member adds, writes F^n into ``f_n``, u^{n+1} into row 2 of
+    ``u`` and A u^{n+1} into row 2 of ``au``.  Returns the pinned step's
+    contact case, None for a penalty step."""
+    member_products(loop.b_band, u[1], f_n)
     f_n -= au[0]
-    f_n += g_n
+    members = f_n.reshape(-1, g_n.size)
+    members += g_n
     case = None
     if isinstance(loop.solver, PinnedDofSolver):
         case = pinned_step(loop.solver, f_n, u[2])[1]
     else:
         penalty_step(loop.solver, f_n, u[0], u[1], u[2])
-    loop.a_band.matvec(u[2], out=au[2])
+    member_products(loop.a_band, u[2], au[2])
     return case
 
 
@@ -170,17 +176,17 @@ def checked_loop(monkeypatch):
     oracle steps it on copies of the rows it reads, its loads formed from
     the loop's coefficients where the loop takes those; the u and A u rows,
     the F row and a signorini run's audit figures must be equal in their
-    int64 views.  Returns what the oracle counted:
-    its banded steps, block solves and products, per member its bumped
-    solves, the pinned steps' contact cases, and as (banded step, member)
-    pairs the penalty steps that press (a tip of u^{n-1} or u^n past a
-    stop), that make a spring history and that make a bumped solve.  The
-    loop's own counters see each row twice.
+    int64 views.  Returns what the oracle counted: its banded steps, block
+    solves and block products (each one :func:`member_products` call), per
+    member its bumped solves, the pinned steps' contact cases, and as
+    (banded step, member) pairs the penalty steps that press (a tip of
+    u^{n-1} or u^n past a stop), that make a spring history and that make a
+    bumped solve.  The loop's own counters see each row twice.
     """
     step = steploop.Loop.step
     seen = {"banded_steps": 0, "solves": 0, "products": 0, "bumped_solves": {}, "cases": [],
             "pressing": [], "histories": [], "bumped": []}
-    solve, matvec, make_history = linalg.BandedCholesky.solve, linalg.BandedSpd.matvec, history
+    solve, products, make_history = linalg.BandedCholesky.solve, member_products, history
     stepping = []  # the solver, while the oracle steps
 
     def counted_solve(self, rhs, *rest):
@@ -196,9 +202,9 @@ def checked_loop(monkeypatch):
         seen["histories"].append((seen["banded_steps"], member))
         return make_history(solver, member, *tips)
 
-    def counted_matvec(self, *args, **kwargs):
+    def counted_products(*args):
         seen["products"] += bool(stepping)
-        return matvec(self, *args, **kwargs)
+        return products(*args)
 
     def checked(self, r, rows):
         buffers = (self.u, self.au, self.f) + (() if self.figures is None else (self.figures,))
@@ -207,17 +213,16 @@ def checked_loop(monkeypatch):
         whole = [x.copy() for x in buffers]
         for x, before in zip(buffers, saved):
             x[...] = before
-        solver, n = self.solver, self.u.shape[1]
+        solver, ndof = self.solver, self.a_band.n
         tip = solver.index
         penalty = not isinstance(solver, PinnedDofSolver)
-        width = n // len(solver.members) if penalty else n
         for q in range(r, rows):
             # copies of u^{n-1}, u^n and A u^{n-1}, and of F's row: sbmv may
             # read what the row held before
             u, au, f_n = self.u[q - 2 : q + 1].copy(), self.au[q - 2 : q + 1].copy(), self.f[0].copy()
             if penalty:
-                for m in range(n // width):
-                    if past(solver, u[:2, m * width + tip]):
+                for m in range(len(solver.members)):
+                    if past(solver, u[:2, m * ndof + tip]):
                         seen["pressing"].append((seen["banded_steps"], m))
             stepping.append(solver)
             try:
@@ -238,7 +243,7 @@ def checked_loop(monkeypatch):
         assert np.array_equal(self.f.view(np.int64), whole[2].view(np.int64))
 
     monkeypatch.setattr(linalg.BandedCholesky, "solve", counted_solve)
-    monkeypatch.setattr(linalg.BandedSpd, "matvec", counted_matvec)
     monkeypatch.setattr(steploop.Loop, "step", checked)
-    monkeypatch.setattr(sys.modules[__name__], "history", counted_history)
+    for name, counted in (("history", counted_history), ("member_products", counted_products)):
+        monkeypatch.setattr(sys.modules[__name__], name, counted)
     return seen

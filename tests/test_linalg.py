@@ -129,61 +129,36 @@ def beam_matrices(J):
 
 @pytest.mark.parametrize("J", [1, 2, 19, 320])
 def test_batched_calls_are_bit_identical_to_single_member_calls(J):
-    """The block stepping of run() rests on these: one multi-RHS solve and
-    one product with the stacked matrix give each member exactly the bits
-    of its own call, also written in place into a row of a buffer that is
-    a column slice of a wider one.  Members of widely different scales,
-    as in a sweep.  The solve also runs in place on the padded (k x width)
-    block seen as the F-ordered (width x k) one, whose pad entries keep
-    what they held, and on one plain vector; a block with fewer than n
-    rows, or one that is not F-ordered, is rejected."""
+    """The block stepping of run() rests on this: one multi-RHS solve gives
+    each member exactly the bits of its own solve, also in place on the
+    (k x n) member block seen as the F-ordered (n x k) one, and on one
+    plain vector.  Members of widely different scales, as in a sweep.  A
+    product writes in place into a row of a buffer that is a column slice
+    of a wider one.  A block with fewer or more than n rows, or one that is
+    not F-ordered, is rejected."""
     rng = np.random.default_rng(J)
     a, b, s = beam_matrices(J)
     factor = a.cholesky()
     n = a.n
     for k in (1, 2, 4, 64):
-        pad = a.bw if k > 1 else 0
         members = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-8, 3, size=(k, 1))
-        block = np.zeros((k, n + pad))
-        block[:, :n] = members
         solved = factor.solve(members.T).T
         assert np.array_equal(solved, np.array([factor.solve(u) for u in members]))
-        in_place = np.full((k, n + a.bw), 7.0)
-        in_place[:, :n] = members
+        in_place = members.copy()
         view = in_place.T
         assert factor.solve(view, True) is view
-        assert np.array_equal(in_place[:, :n], solved) and np.all(in_place[:, n:] == 7.0)
+        assert np.array_equal(in_place, solved)
         row = members[0].copy()
         assert factor.solve(row, True) is row and np.array_equal(row, solved[0])
         for mat in (a, b, s):
-            stacked = mat.stacked(k, pad)
-            assert stacked.n == k * (n + pad)
-            product = stacked.matvec(block.ravel()).reshape(k, n + pad)[:, :n]
-            assert np.array_equal(product, np.array([mat.matvec(u) for u in members]))
-            rows = np.full((3, stacked.n + 7), np.nan)[:, : stacked.n]
-            stacked.matvec(block.ravel(), out=rows[1])
-            assert np.array_equal(rows[1].reshape(k, n + pad)[:, :n], product)
-    with pytest.raises(ValueError, match="does not match"):
-        factor.solve(np.zeros((n - 1, 2), order="F"), True)
+            rows = np.full((3, n + 7), np.nan)[:, :n]
+            mat.matvec(members[-1], out=rows[1])
+            assert np.array_equal(rows[1], mat.matvec(members[-1]))
+    for rows in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="does not match"):
+            factor.solve(np.zeros((rows, 2), order="F"), True)
     with pytest.raises(ValueError, match="F-ordered"):
-        factor.solve(np.zeros((n + a.bw, 2)), True)
-
-
-def test_stacked_product_isolates_a_blown_up_member():
-    """With bw zero pad entries after each member, an infinity in one member
-    leaves every other member's product finite and unchanged; without the
-    pad, 0 * inf in the coupling entries would leak NaN."""
-    a, _, _ = beam_matrices(19)
-    n, bw = a.n, a.bw
-    rng = np.random.default_rng(5)
-    block = np.zeros((3, n + bw))
-    block[:, :n] = rng.standard_normal((3, n))
-    block[1, n - 1] = np.inf
-    with np.errstate(invalid="ignore"):
-        product = a.stacked(3, bw).matvec(block.ravel()).reshape(3, n + bw)[:, :n]
-    for j in (0, 2):
-        assert np.array_equal(product[j], a.matvec(block[j, :n]))
-    assert a.stacked(1, 0) is a
+        factor.solve(np.zeros((n, 2)), True)
 
 
 def test_not_positive_definite_reports_first_bad_pivot():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from conftest import from_dense
 
 from beamstops.fem import BeamModel, Mesh, assemble
 from beamstops.linalg import BandedCholesky, BandedSpd, max_generalized_eig
@@ -63,10 +64,11 @@ def test_kappa_exact_work_is_bounded(monkeypatch, J, solves, products):
 
 
 def test_kappa_exact_finds_a_doubled_top_eigenvalue():
-    """Two uncoupled copies of the J=19 pencil: kappa is a double eigenvalue,
-    the clustered case that a Krylov method could resolve wrongly."""
+    """Two uncoupled copies of the J=19 pencil, one block-diagonal pencil:
+    kappa is a double eigenvalue, the clustered case that a Krylov method
+    could resolve wrongly."""
     _, gm = pipe_matrices(19)
-    mass, stiffness = gm.mass.stacked(2, 0), gm.stiffness.stacked(2, 0)
+    mass, stiffness = (from_dense(np.kron(np.eye(2), m.to_dense()), m.bw) for m in (gm.mass, gm.stiffness))
     ref = scipy.linalg.eigh(stiffness.to_dense(), mass.to_dense(), eigvals_only=True)
     assert ref[-2] == pytest.approx(ref[-1], rel=1e-12)
     # max_generalized_eig raises unless its residual certificate holds

@@ -16,9 +16,9 @@ import pytest
 from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from beamstops import fem, steploop
-from beamstops.diagnostics import StackedStiffness, discrete_energy
-from beamstops.fem import BeamModel, LoadAssembler, Mesh, SupportMotion, assemble
-from beamstops.linalg import BandedSpd, PinnedDofSolver
+from beamstops.diagnostics import discrete_energy
+from beamstops.fem import BeamModel, DofMap, LoadAssembler, Mesh, SupportMotion, assemble
+from beamstops.linalg import BandedSpd, PenaltyTipSolver, PinnedDofSolver
 from beamstops.steppers import PenaltyParams, SchemeParams, effective_matrix, run, transfer_matrix
 from oracles import audit_figures, checked_loop
 
@@ -32,13 +32,17 @@ SRC = Path(steploop.__file__).resolve().parents[1]
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan])
 
 
+def same_bits(got, want):
+    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+
+
 def kernel(name, *argtypes):
     fn = getattr(steploop.library, name)
     fn.argtypes, fn.restype = argtypes, None
     return fn
 
 
-SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3)
+SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 4, *[ctypes.c_void_p] * 3)
 PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 2, *[ctypes.c_int] * 2)
 LOADS = kernel("beamstops_loads", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 3)
 FIGURES = kernel("beamstops_figures", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3)
@@ -53,7 +57,7 @@ def sprinkle(rng, v, share):
 
 def band_case(rng, case):
     """A random SPD band in upper storage and its Cholesky factor, each with
-    some entries zero (as in a stacked band's pads) and a few SPECIAL, and
+    some entries zero and a few SPECIAL, and
     NaN in the corner that the storage leaves unused: n from 1 to 700, bw
     1 to 3, and every fifth case bw 0 to MAX_BW."""
     n = int(rng.integers(1, 701 if case % 2 else 13))
@@ -76,19 +80,27 @@ def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
     (alpha 1, beta 0) and ``pbtrs``, in int64 views, on 3 000 random SPD
     bands and factors: +-0, +-inf and +-nan in x, b and the bands, where
     the operand roles of each instruction decide a NaN's sign, zero band
-    entries, 1 to 4 right-hand sides with ldb >= n whose rows past n stay
-    as they were, and a y that holds NaN before the product."""
+    entries, 1 to 3 vectors x of n entries, every third case's all of
+    signed zeros, 1 to 4 right-hand sides with ldb >= n whose rows past n
+    stay as they were, and a y that holds NaN before the product.  No
+    product entry is -0.0: every row sum starts from +0.0."""
     rng = np.random.default_rng(28)
     sbmv, pbtrs = get_blas_funcs("sbmv", dtype=float), get_lapack_funcs("pbtrs", dtype=float)
-    bad, cases = [], 1500
+    bad, cases, zeros = [], 1500, 0
     for case in range(cases):
         ab, cb = band_case(rng, case)
         bw, n = ab.shape[0] - 1, ab.shape[1]
-        x = sprinkle(rng, rng.standard_normal(n), 0.1)
-        y = np.full(n, np.nan)
-        SBMV(steploop.FUSED, n, bw, ab.ctypes.data, x.ctypes.data, y.ctypes.data)
-        if not np.array_equal(y.view(np.int64), sbmv(bw, 1.0, ab, x).view(np.int64)):
-            bad.append(("sbmv", n, bw))
+        m = int(rng.integers(1, 4))
+        if case % 3:
+            x = sprinkle(rng, rng.standard_normal((m, n)), 0.1)
+        else:
+            x = rng.choice([0.0, -0.0], (m, n))
+        y = np.full((m, n), np.nan)
+        SBMV(steploop.FUSED, m, n, bw, ab.ctypes.data, x.ctypes.data, y.ctypes.data)
+        if not all(same_bits(row, sbmv(bw, 1.0, ab, v)) for row, v in zip(y, x)):
+            bad.append(("sbmv", m, n, bw))
+        assert not np.signbit(y[y == 0.0]).any()
+        zeros += int(np.count_nonzero(y == 0.0))
         k, ldb = int(rng.integers(1, 5)), n + int(rng.integers(0, 4))
         b = np.asfortranarray(sprinkle(rng, rng.standard_normal((ldb, k)), 0.02))
         want, info = pbtrs(cb, b)
@@ -98,10 +110,7 @@ def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
             bad.append(("pbtrs", n, bw, k, ldb))
     assert not bad, (f"{len(bad)} of {2 * cases} kernel calls differ from scipy's OpenBLAS, "
                      f"core {steploop.CORE}; the first: {bad[:5]}")
-
-
-def same_bits(got, want):
-    return np.array_equal(np.asarray(got).view(np.int64), np.asarray(want).view(np.int64))
+    assert zeros > 10_000
 
 
 @pytest.mark.parametrize("J", [1, 2, 19, 320])
@@ -173,30 +182,29 @@ def test_the_audit_figures_reduce_as_the_oracle_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("J", [1, 2, 19, 320])
-def test_the_energy_product_rounds_as_scipys_stacked_product_bit_for_bit(J):
-    """``steploop.sbmv`` with S stacked over m pairs (the band of
-    ``StackedStiffness``) is ``BandedSpd.matvec``'s product, in int64
-    views, and ``discrete_energy`` through it gives the energies of the
-    same numpy steps made on scipy's product; an infinity in one pair stays
-    in it, and every other pair's energy is the one it has alone."""
+def test_the_energy_product_rounds_as_scipys_product_bit_for_bit(J):
+    """``steploop.sbmv`` on m rows gives each row ``BandedSpd.matvec``'s
+    product, in int64 views, and ``discrete_energy`` through it gives the
+    energies of the same numpy steps made on scipy's product, whether the
+    pairs come as C-ordered rows or as strided views; an infinity in one
+    pair stays in it, and every other pair's energy is the one it has
+    alone."""
     rng = np.random.default_rng(J)
     stiffness = assemble(Mesh(1.501, J), TIGHT).stiffness
-    n, bw, m, dt = stiffness.n, stiffness.bw, 9, 1.5e-5
+    n, m, dt = stiffness.n, 9, 1.5e-5
     u0, u1, au0, au1 = (1e-3 * rng.standard_normal((m, n)) for _ in range(4))
     u1[4, n // 2] = np.inf
-    stacked = StackedStiffness(stiffness, m + 3)
-    padded = np.zeros((m, n + bw))
-    padded[:, :n] = u1
-    got = np.empty(m * (n + bw))
-    steploop.sbmv(BandedSpd(stacked.band.ab[:, : got.size], copy=False), padded.reshape(-1), got)
-    want = stiffness.stacked(m, bw).matvec(padded.reshape(-1))
-    assert same_bits(got, want)
-    assert np.isfinite(np.delete(want.reshape(m, n + bw)[:, :n], 4, axis=0)).all()
-    s_u1 = want.reshape(m, n + bw)[:, :n]
+    got = np.full((m, n), np.nan)
     with np.errstate(invalid="ignore"):
-        scipys = np.vecdot(u1 - u0, au1 - au0) / dt**2 + np.vecdot(u0, s_u1)
-        energies = discrete_energy((u0, u1), (au0, au1), stiffness, dt, stacked=stacked)
-        assert same_bits(discrete_energy((u0, u1), (au0, au1), stiffness, dt), scipys)
+        steploop.sbmv(stiffness, u1, got)
+        want = np.array([stiffness.matvec(row) for row in u1])
+    assert same_bits(got, want)
+    assert np.isfinite(np.delete(want, 4, axis=0)).all()
+    strided = [np.repeat(x, 3, axis=0)[::3] for x in (u0, u1, au0, au1)]
+    with np.errstate(invalid="ignore"):
+        scipys = np.vecdot(u1 - u0, au1 - au0) / dt**2 + np.vecdot(u0, want)
+        energies = discrete_energy((u0, u1), (au0, au1), stiffness, dt)
+        assert same_bits(discrete_energy(strided[:2], strided[2:], stiffness, dt), scipys)
         alone = [discrete_energy((u0[j], u1[j]), (au0[j], au1[j]), stiffness, dt) for j in range(m)]
     assert same_bits(energies, scipys)
     assert not np.isfinite(energies[4]) and np.isfinite(np.delete(energies, 4)).all()
@@ -271,6 +279,50 @@ def test_edge_rows_and_small_blocks_step_as_the_oracle_bit_for_bit(monkeypatch, 
         assert [p.stats["bumped_solves"] > 0 for p in plain] == [v != 0.0 for v in values]
         assert [np.isfinite(p.records).all() for p in plain][:2] == [True, False][: len(plain)]
         assert set(Counter(seen["histories"]).values()) == {1}
+
+
+def test_a_blown_up_member_leaves_the_others_as_their_own_loops_bit_for_bit():
+    """A block of six penalty members, whose solve takes one group of four
+    sides and then two single sides: the third member's rows of u^{n-1},
+    u^n and A u^{n-1} hold +-inf and NaN, and the tips of the second, the
+    fifth (which has no spring) and the sixth start past the upper stop, so
+    that the second and the sixth make bumped solves.  Over three steps
+    every other member's u, A u and F rows equal, in int64 views, those of
+    its own loop of one member from its own rows, and the third member's
+    are NaN.  So a member's products, solve and tip work read only its own
+    entries."""
+    gm = assemble(MESH, TIGHT)
+    members = [PenaltyParams(inv_eps=v, beta=0.25, dt=1.5e-5, T=0.1)
+               for v in (1e6, 1e7, 1e9, 1e8, 0.0, 1e9)]
+    a = effective_matrix(gm.mass, gm.stiffness, members[0])
+    b = transfer_matrix(gm.mass, gm.stiffness, members[0])
+    c, ndof, k = DofMap(MESH.J).tip_disp, a.n, len(members)
+    rng = np.random.default_rng(30)
+    g = 1e-9 * rng.standard_normal((3, ndof))
+
+    def loop(params):
+        n = len(params) * ndof
+        one = steploop.Loop(a, b, PenaltyTipSolver(a, c, -0.002, 0.002, params), np.zeros((5, n)),
+                            np.zeros((5, n)), np.zeros((1, n)))
+        one.load(g)
+        return one
+
+    start = 1e-9 * rng.standard_normal((3, k, ndof))  # u^{n-1}, u^n, A u^{n-1}
+    start[:2, [1, 4, 5], c] = 0.003
+    start[:, 2] = rng.choice([np.inf, -np.inf, np.nan], (3, ndof))
+    block, solos = loop(members), [loop([p]) for p in members]
+    block.u[0], block.u[1], block.au[0] = start.reshape(3, k * ndof)
+    for solo, rows in zip(solos, start.transpose(1, 0, 2)):
+        solo.u[0], solo.u[1], solo.au[0] = rows
+    for r in range(2, 5):
+        block.step(r, r + 1)
+        for j, solo in enumerate(solos):
+            solo.step(r, r + 1)
+            pairs = [(block.u[r], solo.u[r]), (block.au[r], solo.au[r]), (block.f[0], solo.f[0])]
+            assert j == 2 or all(same_bits(got.reshape(k, ndof)[j], want) for got, want in pairs)
+    assert np.isnan(block.u[2:].reshape(3, k, ndof)[:, 2]).all()
+    assert [solo.counts[3] > 0 for solo in solos] == [False, True, False, False, False, True]
+    assert np.array_equal(block.counts[3:], [solo.counts[3] for solo in solos])
 
 
 def test_the_loop_refuses_a_band_wider_than_its_kernels_hold():
@@ -383,16 +435,21 @@ def test_under_scipys_unfused_kernel_sets_the_kernel_and_oracle_tests_pass(core)
     AVX-512 round each multiply-add in ddot and daxpy as a product and then
     a sum; with one of them forced, the loop takes it up, and this file's
     kernel tests (the banded product and solve, the loads, the audit
-    figures and the energy's product) and every oracle-loop case pass in a
-    child process."""
+    figures and the energy's product), every oracle-loop case, the block
+    of six with a blown-up member, and the block-isolation tests of
+    ``test_steppers`` and ``test_cli`` pass in a child process."""
     proc = under_core(core, "-c", "from beamstops import steploop; print(steploop.CORE, steploop.FUSED)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [core, "False"]
-    proc = under_core(core, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k",
+    here = Path(__file__).parent
+    proc = under_core(core, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__,
+                      str(here / "test_steppers.py"), str(here / "test_cli.py"), "-k",
                       "round_as_scipys_openblas or as_the_oracle_bit_for_bit or "
-                      "round_as_from_coefficients or as_scipys_stacked_product")
+                      "round_as_from_coefficients or as_scipys_product or as_their_own_loops or "
+                      "test_members_stepped_as_one_block_match_their_own_runs or "
+                      "test_sweep_member_failure_leaves_the_others_byte_identical")
     assert proc.returncode == 0, proc.stdout[-4000:]
-    assert re.search(r"^37 passed", proc.stdout, re.M), proc.stdout[-4000:]
+    assert re.search(r"^46 passed", proc.stdout, re.M), proc.stdout[-4000:]
 
 
 def test_a_scipy_on_kernels_the_loop_does_not_round_as_raises_an_import_error_naming_them():

@@ -2,8 +2,8 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 450
-lines in about 13 s.  Running it on two checkouts and diffing the outputs
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 474
+lines in about 14 s.  Running it on two checkouts and diffing the outputs
 shows whether a change kept every trajectory bit for bit.  A line names
 the case and then gives the SHA-256 of ``to_csv()``, the row count, the
 extrema, the tip's range, the contact episodes, ``repr(audit)`` and the
@@ -16,7 +16,9 @@ and its kernel set, and only two checkouts on one machine, under one
 kernel set, compare.
 
 The cases cover signorini, linear and penalty runs, penalty members
-stepped as one block (one of them holds a zero-stiffness member),
+stepped as one block (one of them holds a zero-stiffness member; a block of
+six, whose solves go as a group of four sides and two single sides, has a
+member that turns NaN inside the group of four),
 blow-ups, a penalty member whose bumped factor gives the wrong contact
 branch (alone and in a block), criterion 8's penalty run cut to T = 0.1
 (200 000 steps whose long free stretches span hundreds of load blocks, and
@@ -126,9 +128,12 @@ def penalty_cases(blocks: str) -> None:
     emit(f"{blocks} criterion-8 1e8", lambda: run(PIPE, MESH, criterion_8, kind="penalty"))
     # a zero spring is -0.0 * excess past a stop, which leaves a -0.0 entry of F as it is
     zero = members(0.25, 1.5e-5, [0.0, 1e7])
+    six = members(0.2, 1.4e-5, [1e6, 1e7, 1e300, 1e9, 0.0, 1e8])
     for stride in (1, 7):
         emit(f"{blocks} zero-stiffness block stride={stride}",
              lambda: run(TIGHT, MESH, zero, kind="penalty", record_stride=stride))
+        emit(f"{blocks} six-member block stride={stride}",
+             lambda: run(TIGHT, MESH, six, kind="penalty", record_stride=stride))
 
 
 def blow_up_cases(blocks: str) -> None:
