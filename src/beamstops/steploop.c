@@ -28,12 +28,17 @@
  * and sum fuse into one rounding unless a kernel fuses it in asm.  So every
  * row is the oracle's bit for bit.  No step fails: a non-finite entry steps
  * on, and the run's fold ends its member.
+ *
+ * beamstops_csv writes a trajectory's records as the lines of its CSV, each
+ * cell the bytes of Python's '%.17g' % x, for Trajectory.to_csv.
  */
 #ifndef __x86_64__
 #error "the step loop's kernels are x86-64 FMA code: they make the roundings of OpenBLAS's x86 kernels"
 #endif
+#include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
 #include <string.h>
 
 /* Inlined into the copies for a beam's band, whose loops over a band's
@@ -163,55 +168,55 @@ INLINE double backward_row(int fused, int bw, const double *u, const double *x, 
     return s / u[(size_t)j * ld + bw];
 }
 
-/* The g <= 4 right-hand sides b + m ldb, advancing together, row by row,
+/* The g <= 4 right-hand sides b + m n, advancing together, row by row,
  * so that their chains of divisions overlap; each side's last row is kept
  * in last[m].  The rows that the band cuts off come first in each solve. */
-INLINE void pbtrs_group(int fused, int n, int bw, const double *u, double *b, int g, int ldb)
+INLINE void pbtrs_group(int fused, int n, int bw, const double *u, double *b, int g)
 {
     double last[4] = {0.0, 0.0, 0.0, 0.0};
     int j = 0;
     for (; j < n && j < bw; j++)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = forward_row(fused, bw, u, b + (size_t)m * ldb, j, 0, last[m]);
+            b[(size_t)m * n + j] = last[m] = forward_row(fused, bw, u, b + (size_t)m * n, j, 0, last[m]);
     for (; j < n; j++)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = forward_row(fused, bw, u, b + (size_t)m * ldb, j, j - bw, last[m]);
+            b[(size_t)m * n + j] = last[m] = forward_row(fused, bw, u, b + (size_t)m * n, j, j - bw, last[m]);
     for (j = n - 1; j >= 0 && j > n - 1 - bw; j--)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = backward_row(fused, bw, u, b + (size_t)m * ldb, j, n - 1, last[m]);
+            b[(size_t)m * n + j] = last[m] = backward_row(fused, bw, u, b + (size_t)m * n, j, n - 1, last[m]);
     for (; j >= 0; j--)
         UNROLL for (int m = 0; m < g; m++)
-            b[(size_t)m * ldb + j] = last[m] = backward_row(fused, bw, u, b + (size_t)m * ldb, j, j + bw, last[m]);
+            b[(size_t)m * n + j] = last[m] = backward_row(fused, bw, u, b + (size_t)m * n, j, j + bw, last[m]);
 }
 
 /* One group of g sides, 4 or 1, in its copy: a beam's band has one for each
  * group size and rounding, with its loops unrolled. */
-static void pbtrs_sides(int fused, int n, int bw, const double *u, double *b, int g, int ldb)
+static void pbtrs_sides(int fused, int n, int bw, const double *u, double *b, int g)
 {
     if (bw != 3)
-        pbtrs_group(fused, n, bw, u, b, 1, ldb);
+        pbtrs_group(fused, n, bw, u, b, 1);
     else if (fused && g == 4)
-        pbtrs_group(1, n, 3, u, b, 4, ldb);
+        pbtrs_group(1, n, 3, u, b, 4);
     else if (fused)
-        pbtrs_group(1, n, 3, u, b, 1, ldb);
+        pbtrs_group(1, n, 3, u, b, 1);
     else if (g == 4)
-        pbtrs_group(0, n, 3, u, b, 4, ldb);
+        pbtrs_group(0, n, 3, u, b, 4);
     else
-        pbtrs_group(0, n, 3, u, b, 1, ldb);
+        pbtrs_group(0, n, 3, u, b, 1);
 }
 
-/* Solves U^T U x = b in place for the k right-hand sides b + m ldb, with U
+/* Solves U^T U x = b in place for the k right-hand sides b + m n, with U
  * the Cholesky factor in upper band storage u (bw + 1, n), as dpbtrs does
  * with dtbsv_TUN and then dtbsv_NUN for each side, for bw up to 14.  The
  * sides are independent: with a beam's band they go in groups of four, the
  * rest one at a time. */
-static void pbtrs(int fused, int n, int bw, const double *u, double *b, int k, int ldb)
+static void pbtrs(int fused, int n, int bw, const double *u, double *b, int k)
 {
     int m = 0;
     for (; bw == 3 && m + 4 <= k; m += 4)
-        pbtrs_sides(fused, n, bw, u, b + (size_t)m * ldb, 4, ldb);
+        pbtrs_sides(fused, n, bw, u, b + (size_t)m * n, 4);
     for (; m < k; m++)
-        pbtrs_sides(fused, n, bw, u, b + (size_t)m * ldb, 1, ldb);
+        pbtrs_sides(fused, n, bw, u, b + (size_t)m * n, 1);
 }
 
 /* Entry i of the load c0 b0 + c1 b1, as LoadAssembler.from_coefficients
@@ -250,9 +255,9 @@ void beamstops_sbmv(int fused, int k, int n, int bw, const double *a, const doub
     sbmv(fused, k, n, bw, a, x, y);
 }
 
-void beamstops_pbtrs(int fused, int n, int bw, const double *u, double *b, int k, int ldb)
+void beamstops_pbtrs(int fused, int n, int bw, const double *u, double *b, int k)
 {
-    pbtrs(fused, n, bw, u, b, k, ldb);
+    pbtrs(fused, n, bw, u, b, k);
 }
 
 /* The loads of rows (rows, 2) of coefficients over basis (2, n), into g (rows, n). */
@@ -320,7 +325,7 @@ static void pinned(loop_t *L, const double *f, double *u)
 {
     int n = L->ndof;
     memcpy(u, f, (size_t)n * sizeof *u);
-    pbtrs(L->fused, n, L->bw, L->factor, u, 1, n);
+    pbtrs(L->fused, n, L->bw, L->factor, u, 1);
     L->counts[1] += 1;
     double uc = u[L->tip];
     if (!(uc > L->upper || uc < L->lower))
@@ -351,7 +356,7 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
             u[at] = f[at] + hist[m];
         }
     }
-    pbtrs(L->fused, n, L->bw, L->factor, u, k, n);
+    pbtrs(L->fused, n, L->bw, L->factor, u, k);
     L->counts[1] += 1;
     for (int m = 0; m < k; m++) {
         size_t at = (size_t)m * n;
@@ -362,7 +367,7 @@ static void penalty(loop_t *L, const double *f, const double *up, const double *
         memcpy(um, f + at, (size_t)n * sizeof *um);
         um[c] += pressing[m] ? hist[m] : history(L, m, up[at + c], uc[at + c]);
         um[c] += L->bump[m] * bound;
-        pbtrs(L->fused, n, L->bw, L->bumped[m], um, 1, n);
+        pbtrs(L->fused, n, L->bw, L->bumped[m], um, 1);
         L->counts[3 + m] += 1;
         double tiny = 1e-12 * (fabs(bound) > 1.0 ? fabs(bound) : 1.0);
         double tip = um[c];
@@ -400,4 +405,139 @@ void beamstops_step_rows(loop_t *L, int r, int rows)
         L->counts[0] += 1;
         L->counts[2] += 2;
     }
+}
+
+/* The trajectory CSV.  A cell is written as Python's '%.17g' % x writes it:
+ * 17 significant digits, correctly rounded, ties to even; "nan" for a NaN
+ * of either sign, "inf", "-inf" and "-0"; fixed notation from 1e-4 up to
+ * 1e17, exponent notation with at least two exponent digits outside, and
+ * no trailing zeros.  The digits come from one long double product or
+ * quotient with an exact power of ten, and from libc's exact snprintf
+ * where that cannot tell them. */
+
+/* 10^s for s = 0 .. 27, exact in long double: 5^27 < 2^63 */
+static const long double POW10[28] = {
+    1e0L, 1e1L, 1e2L, 1e3L, 1e4L, 1e5L, 1e6L, 1e7L, 1e8L, 1e9L, 1e10L, 1e11L, 1e12L, 1e13L,
+    1e14L, 1e15L, 1e16L, 1e17L, 1e18L, 1e19L, 1e20L, 1e21L, 1e22L, 1e23L, 1e24L, 1e25L, 1e26L, 1e27L};
+
+/* The 17 significant digits of a finite a > 0, as a = d 10^(e - 16) with
+ * 10^16 <= d < 10^17 rounded to an integer, ties to even; 0 where they
+ * cannot be told apart from y = a 10^(16 - e).  y is made in long double
+ * from exact powers of ten: with one product or quotient for a shift
+ * |16 - e| up to 27, two up to 54.  Below 2^57 one rounding moves y by at
+ * most 2^(56 - LDBL_MANT_DIG), two by less than 3 times that, so floor(y)
+ * and the rounding of y are those of the exact a 10^(16 - e) wherever
+ * frac(y) is farther than a margin of 2 or 4 times that from 0, 1/2 and 1.
+ * The first guess at e, from a's binary exponent, is off by at most one.
+ * Where long double is double, no y passes. */
+static int digits17(double a, uint64_t *d, int *e)
+{
+    uint64_t bits;
+    memcpy(&bits, &a, sizeof bits);
+    int e2 = (int)(bits >> 52) - 1023;
+    if (e2 == -1023)
+        return 0; /* subnormal */
+    int e10 = (e2 * 78913) >> 18; /* about e2 log10(2) */
+    for (int tries = 0; tries < 2; tries++) {
+        int s = 16 - e10, shift = s < 0 ? -s : s, two = shift > 27;
+        if (shift > 54)
+            return 0;
+        long double y = a, p = POW10[two ? shift - 27 : shift];
+        if (two)
+            y = s > 0 ? y * POW10[27] : y / POW10[27];
+        y = s > 0 ? y * p : y / p;
+        if (y < 1e16L || y >= 1e17L) {
+            e10 += y < 1e16L ? -1 : 1;
+            continue;
+        }
+        long double margin = (two ? 0x1p58L : 0x1p57L) * LDBL_EPSILON / 2;
+        uint64_t i = (uint64_t)y;
+        long double frac = y - i;
+        if (frac < margin || frac > 1.0L - margin || (frac > 0.5L - margin && frac < 0.5L + margin))
+            return 0;
+        i += frac > 0.5L;
+        if (i == 100000000000000000ULL) {
+            i /= 10;
+            e10++;
+        }
+        *d = i;
+        *e = e10;
+        return 1;
+    }
+    return 0;
+}
+
+/* x as '%.17g' writes it, at p, in at most 24 bytes; returns its end. */
+static char *cell(char *p, double x)
+{
+    if (x != x) {
+        memcpy(p, "nan", 3);
+        return p + 3;
+    }
+    if (signbit(x))
+        *p++ = '-';
+    double a = fabs(x);
+    if (a == INFINITY) {
+        memcpy(p, "inf", 3);
+        return p + 3;
+    }
+    if (a == 0.0) {
+        *p++ = '0';
+        return p;
+    }
+    uint64_t d;
+    int e;
+    if (!digits17(a, &d, &e))
+        return p + snprintf(p, 25, "%.17g", a);
+    char dig[17];
+    for (int i = 16; i >= 0; i--, d /= 10)
+        dig[i] = (char)('0' + d % 10);
+    int last = 16; /* the last digit that is not a trailing zero */
+    while (dig[last] == '0')
+        last--;
+    if (e < -4 || e >= 17) {
+        *p++ = dig[0];
+        if (last > 0) {
+            *p++ = '.';
+            memcpy(p, dig + 1, last);
+            p += last;
+        }
+        *p++ = 'e';
+        *p++ = e < 0 ? '-' : '+';
+        int ae = e < 0 ? -e : e;
+        if (ae >= 100)
+            *p++ = (char)('0' + ae / 100);
+        *p++ = (char)('0' + ae / 10 % 10);
+        *p++ = (char)('0' + ae % 10);
+    } else if (e >= 0) {
+        memcpy(p, dig, e + 1);
+        p += e + 1;
+        if (last > e) {
+            *p++ = '.';
+            memcpy(p, dig + e + 1, last - e);
+            p += last - e;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        for (int i = -1; i > e; i--)
+            *p++ = '0';
+        memcpy(p, dig, last + 1);
+        p += last + 1;
+    }
+    return p;
+}
+
+/* The records (cols, rows) as rows lines of cols cells, each cell followed
+ * by ',' or, the last of its line, '\n', into out, which holds 25 bytes a
+ * cell; returns the length written. */
+size_t beamstops_csv(int cols, int rows, const double *records, char *out)
+{
+    char *p = out;
+    for (int r = 0; r < rows; r++)
+        for (int c = 0; c < cols; c++) {
+            p = cell(p, records[(size_t)c * rows + r]);
+            *p++ = c + 1 < cols ? ',' : '\n';
+        }
+    return (size_t)(p - out);
 }

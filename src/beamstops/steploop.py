@@ -19,7 +19,9 @@ of the same steps made from Python, bit for bit.  The fold's energies take
 the product kernel too, row by row (:func:`sbmv`).  Those roundings depend
 on the kernels that scipy's OpenBLAS picks for the CPU (:data:`CORE`); the
 loop makes those of each kernel set in :data:`FUSED_TAILS`.  The set-up
-(the factors, the bands) still goes through scipy.
+(the factors, the bands) still goes through scipy.  The library also writes
+the lines of every trajectory CSV (:func:`csv_rows`), each cell the bytes of
+Python's ``'%.17g' % x``.
 
 The kernels are x86-64 code with FMA instructions.  The first import
 compiles the source with ``gcc`` in a child process, into ``_build/``
@@ -113,9 +115,10 @@ FUSED_TAILS = {"SkylakeX": True, "Haswell": False, "Sandybridge": False}
 
 #: The loaded shared object; besides the loop it exports its kernels for the
 #: tests: ``beamstops_sbmv(fused, k, n, bw, a, x, y)``,
-#: ``beamstops_pbtrs(fused, n, bw, u, b, k, ldb)``,
+#: ``beamstops_pbtrs(fused, n, bw, u, b, k)``,
 #: ``beamstops_loads(rows, n, c, basis, g)`` and
-#: ``beamstops_figures(rows, n, tip, au, f, out)``.
+#: ``beamstops_figures(rows, n, tip, au, f, out)``; and the CSV writer
+#: ``beamstops_csv(cols, rows, records, out)`` of :func:`csv_rows`.
 library = ctypes.CDLL(str(build()))
 if not library.beamstops_has_fma():
     raise ImportError("beamstops' step loop needs an x86-64 CPU with FMA instructions, "
@@ -132,6 +135,11 @@ _step_rows.restype = None
 _sbmv = library.beamstops_sbmv
 _sbmv.argtypes = (ctypes.c_int,) * 4 + (ctypes.c_void_p,) * 3
 _sbmv.restype = None
+_csv = library.beamstops_csv
+_csv.argtypes = (ctypes.c_int,) * 2 + (ctypes.c_void_p,) * 2
+_csv.restype = ctypes.c_size_t
+#: The most bytes that a CSV cell and its separator take: -1.2345678901234567e-308 and a comma.
+CELL_BYTES = 25
 
 
 def sbmv(band: BandedSpd, x: np.ndarray, out: np.ndarray) -> None:
@@ -144,6 +152,16 @@ def sbmv(band: BandedSpd, x: np.ndarray, out: np.ndarray) -> None:
         raise ValueError(f"the product kernel needs contiguous float64 rows of the band's "
                          f"size and a half-bandwidth at most {MAX_BW}")
     _sbmv(FUSED, len(x), band.n, band.bw, band.ab.ctypes.data, x.ctypes.data, out.ctypes.data)
+
+
+def csv_rows(records: np.ndarray) -> str:
+    """The columns of the (m, n) ``records`` as n CSV lines of m cells, each
+    line ended by a newline, by ``beamstops_csv``: every cell is the text of
+    Python's ``'%.17g' % x``."""
+    records = np.ascontiguousarray(records, dtype=np.float64)
+    out = np.empty(CELL_BYTES * records.size, dtype=np.uint8)
+    end = _csv(*records.shape, records.ctypes.data, out.ctypes.data)
+    return str(out[:end], "ascii")
 
 
 class _Context(ctypes.Structure):

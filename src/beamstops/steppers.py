@@ -54,7 +54,7 @@ from .fem import (
 )
 from .linalg import BandedSpd, PenaltyTipSolver, PinnedDofSolver, pgs_box
 from .stability import StabilityReport, UnstableTimeStepError, check_matrices
-from .steploop import Loop
+from .steploop import Loop, csv_rows
 
 
 class NonFiniteRecordError(Exception):
@@ -231,12 +231,10 @@ class Trajectory:
             raise NonFiniteRecordError(int(bad[0]), float(self.t[bad[0]]))
 
     def to_csv(self) -> str:
-        row = ",".join(["%.17g"] * 6)
-        lines = [self.CSV_HEADER]
-        # a few hundred rows of Python floats at a time keeps the peak memory down
-        for i in range(0, self.records.shape[1], 256):
-            lines.extend(row % values for values in zip(*self.records[:, i : i + 256].tolist()))
-        return "\n".join(lines) + "\n"
+        """The header, then one line per record, each cell the text of
+        ``'%.17g' % x``, written by the compiled library
+        (:func:`~beamstops.steploop.csv_rows`)."""
+        return f"{self.CSV_HEADER}\n{csv_rows(self.records)}"
 
 
 def run(

@@ -4,6 +4,8 @@ solve against scipy's OpenBLAS, every step against the Python oracle loop of
 build at first import."""
 
 import ctypes
+import dataclasses
+import decimal
 import os
 import re
 import subprocess
@@ -19,7 +21,14 @@ from beamstops import fem, steploop
 from beamstops.diagnostics import discrete_energy
 from beamstops.fem import BeamModel, DofMap, LoadAssembler, Mesh, SupportMotion, assemble
 from beamstops.linalg import BandedSpd, PenaltyTipSolver, PinnedDofSolver
-from beamstops.steppers import PenaltyParams, SchemeParams, effective_matrix, run, transfer_matrix
+from beamstops.steppers import (
+    PenaltyParams,
+    SchemeParams,
+    Trajectory,
+    effective_matrix,
+    run,
+    transfer_matrix,
+)
 from oracles import audit_figures, checked_loop
 
 #: stops at +-2 mm, first reached at t = 0.0068 s
@@ -43,7 +52,7 @@ def kernel(name, *argtypes):
 
 
 SBMV = kernel("beamstops_sbmv", *[ctypes.c_int] * 4, *[ctypes.c_void_p] * 3)
-PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 2, *[ctypes.c_int] * 2)
+PBTRS = kernel("beamstops_pbtrs", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 2, ctypes.c_int)
 LOADS = kernel("beamstops_loads", *[ctypes.c_int] * 2, *[ctypes.c_void_p] * 3)
 FIGURES = kernel("beamstops_figures", *[ctypes.c_int] * 3, *[ctypes.c_void_p] * 3)
 
@@ -81,9 +90,9 @@ def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
     bands and factors: +-0, +-inf and +-nan in x, b and the bands, where
     the operand roles of each instruction decide a NaN's sign, zero band
     entries, 1 to 3 vectors x of n entries, every third case's all of
-    signed zeros, 1 to 4 right-hand sides with ldb >= n whose rows past n
-    stay as they were, and a y that holds NaN before the product.  No
-    product entry is -0.0: every row sum starts from +0.0."""
+    signed zeros, 1 to 4 right-hand sides of n entries, and a y that holds
+    NaN before the product.  No product entry is -0.0: every row sum starts
+    from +0.0."""
     rng = np.random.default_rng(28)
     sbmv, pbtrs = get_blas_funcs("sbmv", dtype=float), get_lapack_funcs("pbtrs", dtype=float)
     bad, cases, zeros = [], 1500, 0
@@ -101,13 +110,13 @@ def test_the_kernels_round_as_scipys_openblas_bit_for_bit():
             bad.append(("sbmv", m, n, bw))
         assert not np.signbit(y[y == 0.0]).any()
         zeros += int(np.count_nonzero(y == 0.0))
-        k, ldb = int(rng.integers(1, 5)), n + int(rng.integers(0, 4))
-        b = np.asfortranarray(sprinkle(rng, rng.standard_normal((ldb, k)), 0.02))
+        k = int(rng.integers(1, 5))
+        b = np.asfortranarray(sprinkle(rng, rng.standard_normal((n, k)), 0.02))
         want, info = pbtrs(cb, b)
         assert info == 0
-        PBTRS(steploop.FUSED, n, bw, cb.ctypes.data, b.ctypes.data, k, ldb)
+        PBTRS(steploop.FUSED, n, bw, cb.ctypes.data, b.ctypes.data, k)
         if not np.array_equal(b.view(np.int64), want.view(np.int64)):
-            bad.append(("pbtrs", n, bw, k, ldb))
+            bad.append(("pbtrs", n, bw, k))
     assert not bad, (f"{len(bad)} of {2 * cases} kernel calls differ from scipy's OpenBLAS, "
                      f"core {steploop.CORE}; the first: {bad[:5]}")
     assert zeros > 10_000
@@ -323,6 +332,86 @@ def test_a_blown_up_member_leaves_the_others_as_their_own_loops_bit_for_bit():
     assert np.isnan(block.u[2:].reshape(3, k, ndof)[:, 2]).all()
     assert [solo.counts[3] > 0 for solo in solos] == [False, True, False, False, False, True]
     assert np.array_equal(block.counts[3:], [solo.counts[3] for solo in solos])
+
+
+def percent_17g_lines(records):
+    """The CSV lines of ``records`` (6, n), each cell Python's ``'%.17g' % x``."""
+    return [",".join("%.17g" % x for x in row) for row in zip(*records.tolist())]
+
+
+def csv_mismatches(records):
+    """The lines where ``to_csv`` of a Trajectory holding ``records`` differs
+    from per-cell formatting, with the header and the final newline checked."""
+    traj = dataclasses.replace(run(TIGHT, MESH, SchemeParams(0.5, 1.5e-5, 0.0)), records=records)
+    text = traj.to_csv()
+    assert text.startswith(Trajectory.CSV_HEADER + "\n") and text.endswith("\n")
+    got = text[len(Trajectory.CSV_HEADER) + 1 : -1].split("\n") if records.shape[1] else []
+    want = percent_17g_lines(records)
+    assert len(got) == len(want)
+    return [(g, w) for g, w in zip(got, want) if g != w]
+
+
+def as_records(values):
+    """``values`` as the rows of a (6, n) block, padded with zeros to a whole row."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    return np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(6, -1)
+
+
+def decimal_ties(rng, per_shift=100):
+    """Doubles half way between two 17-digit decimals: m 2^-j, with m odd and
+    below 2^53 and m 5^j of 18 digits, so that the exact expansion has 18
+    significant digits ending in 5; j runs from 2 to 25, which spans 1e-8 to
+    1e15, and m is drawn at random, so that the 17th digit is odd (the tie
+    rounds up) about as often as even (it rounds down)."""
+    ties = []
+    for j in range(2, 26):
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [int(m) / 2**j for m in 2 * rng.integers(lo // 2, hi // 2, per_shift) + 1]
+    return np.array(ties)
+
+
+def test_the_csv_cells_are_pythons_percent_17g_byte_for_byte():
+    """``Trajectory.to_csv`` writes the bytes of Python's ``'%.17g' % x`` for
+    every double: 1 000 002 random bit patterns (NaNs of either sign and any
+    payload among them), normals spanning 1e-60 to 1e60, exact decimal ties
+    of both signs rounding down and up (half to even), the ``nextafter``
+    neighbours of 1e-5, 1e-4, 1e16, 1e17 and every 10^k from 1e-320 to 1e308
+    (where the notation switches and the exponent takes three digits), random
+    subnormals, the smallest normal and the largest double, +-0, +-inf and
+    NaN of both signs."""
+    rng = np.random.default_rng(31)
+    patterns = rng.integers(-(2**63), 2**63, 1_000_002, dtype=np.int64).view(np.float64)
+    normals = rng.standard_normal(60_000) * 10.0 ** rng.uniform(-60, 60, 60_000)
+    ties = decimal_ties(rng)
+    expansions = [decimal.Decimal(x).as_tuple().digits for x in ties]
+    assert all(len(d) == 18 and d[-1] == 5 for d in expansions)
+    up = sum(d[16] % 2 for d in expansions)
+    assert 0.4 * len(ties) < up < 0.6 * len(ties)
+    marks = [1e-5, 1e-4, 1e16, 1e17] + [float(f"1e{k}") for k in range(-320, 309)]
+    neighbours = [np.nextafter(x, x * to) for x in marks for to in (-np.inf, np.inf)]
+    neighbours = np.array(marks + neighbours + [np.nextafter(x, 0.0) for x in neighbours])
+    subnormals = rng.integers(1, 2**52, 1_000, dtype=np.int64).view(np.float64)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+                        2.225073858507201e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+                        0.5, 1.0, 123456789.0])
+    flip = np.int64(-(2**63))  # the sign bit
+    sets = [patterns] + [v for v in (normals, ties, neighbours, subnormals, special)
+                         for v in (v, (v.view(np.int64) ^ flip).view(np.float64))]
+    for signed in sets:
+        bad = csv_mismatches(as_records(signed))
+        assert not bad, f"{len(bad)} lines differ, the first: {bad[:3]}"
+
+
+@pytest.mark.parametrize("rows", [0, 1, 601])
+def test_a_trajectory_csv_of_0_1_and_601_rows_is_per_cell_formatting(rows):
+    """Any record count, from records that are a strided view: the text is
+    the header and one line per record, each ended by a newline."""
+    rng = np.random.default_rng(rows)
+    wide = rng.integers(-(2**63), 2**63, (6, 2 * rows), dtype=np.int64).view(np.float64)
+    wide[:, ::5] = rng.standard_normal((6, len(range(0, 2 * rows, 5))))
+    records = wide[:, ::2]
+    assert not records.flags.c_contiguous or rows < 2
+    assert not csv_mismatches(records)
 
 
 def test_the_loop_refuses_a_band_wider_than_its_kernels_hold():

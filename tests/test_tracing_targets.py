@@ -170,12 +170,13 @@ def test_loads_take_the_route_of_their_run(tracing, monkeypatch):
 @pytest.mark.parametrize("kind", ["signorini", "linear", "penalty"])
 def test_run_makes_two_products_per_step_and_one_per_record(tracing, kind, stride):
     """A step forms B u^n and A u^{n+1}, and A u is carried with the state;
-    the recorded energies of a load block add one product with S, stacked
-    over the block's records, so a run makes at most one product per block
-    and member on top of two per step.  The steps' products are made in the
-    compiled loop, which counts them in the run's ``stats``; the tracer sees
-    the others.  Products inside the stability check are set-up and not
-    counted, as in the benchmark's ``linalg.matvecs_per_step``."""
+    the recorded energies of a load block add one product with S over the
+    block's records, one call of the loop's product kernel, so a run makes
+    at most one product per block and member on top of two per step.  The
+    steps' products are made in the compiled loop, which counts them in the
+    run's ``stats``; the tracer sees the others.  Products inside the
+    stability check are set-up and not counted, as in the benchmark's
+    ``linalg.matvecs_per_step``."""
     mesh = Mesh(1.0, 3)
     model = BeamModel.symmetric_stops(1.0, 1.0, 0.02, SupportMotion.sine(0.3, 3.0))
     n, dt = 40, 0.002

@@ -2,7 +2,7 @@
 
     python3 tools/output_digests.py SRC_DIR > digests.txt
 
-SRC_DIR is the ``src`` directory of the checkout to run; it prints 474
+SRC_DIR is the ``src`` directory of the checkout to run; it prints 475
 lines in about 14 s.  Running it on two checkouts and diffing the outputs
 shows whether a change kept every trajectory bit for bit.  A line names
 the case and then gives the SHA-256 of ``to_csv()``, the row count, the
@@ -38,7 +38,10 @@ case.  Each runs at the default load blocks and at 16-row blocks
 (``fem.LOAD_BLOCK_SAMPLES = 1``).  The wrong branch and the failing PGS
 steps are the fault injectors of ``tests/faults.py``, which the tests
 share; they alter the solvers that the checkout builds and wrap its
-``pgs_box``, so the tool also runs on another checkout's ``src``.
+``pgs_box``, so the tool also runs on another checkout's ``src``.  The last
+line digests the CSV of records that hold no run's values: decimal ties
+that round down and up, the neighbours of every power of ten, subnormals
+and the special values, so that it pins the CSV formatter's bytes.
 """
 
 from __future__ import annotations
@@ -264,12 +267,30 @@ def fine_mesh_cases(blocks: str) -> None:
          lambda: run(PIPE, Mesh(1.501, 320), SchemeParams(0.5, 5e-5, 0.15), record_stride=2))
 
 
+def formatter_case():
+    """A short run's Trajectory with records of ties and special values, both signs."""
+    ties = []
+    for j in range(2, 26):  # m 2^-j, m odd and m 5^j of 18 digits, ending in 5
+        lo, hi = -(-(10**17) // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [m / 2**j for m in range(lo | 1, hi, max(2, (hi - lo) // 14 * 2))]
+    powers = [float(f"1e{k}") for k in range(-320, 309)] + [1e-5]
+    neighbours = [np.nextafter(x, to) for x in powers for to in (0.0, np.inf)]
+    special = [0.0, np.inf, np.nan, 5e-324, 2.225073858507201e-308, 1.7976931348623157e308]
+    values = np.array(ties + powers + neighbours + special)
+    values = np.concatenate([values, (values.view(np.int64) ^ np.int64(-(2**63))).view(np.float64)])
+    records = np.concatenate([values, np.zeros(-len(values) % 6)]).reshape(6, -1)
+    traj = run(TIGHT, MESH, SchemeParams(0.5, 1.5e-5, 0.0))
+    return dataclasses.replace(traj, records=records)
+
+
 def main() -> None:
     for samples, blocks in ((fem.LOAD_BLOCK_SAMPLES, "default"), (1, "16-row")):
         with patch.object(fem, "LOAD_BLOCK_SAMPLES", samples), np.errstate(all="ignore"):
             for cases in (penalty_cases, blow_up_cases, stride_cases, start_cases, load_cases,
                           contact_path_cases, long_cases, fine_mesh_cases):
                 cases(blocks)
+    with np.errstate(all="ignore"):
+        emit("formatter ties and special values", formatter_case)
 
 
 if __name__ == "__main__":
