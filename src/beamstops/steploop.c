@@ -495,35 +495,26 @@ static char *cell(char *p, double x)
     int last = 16; /* the last digit that is not a trailing zero */
     while (dig[last] == '0')
         last--;
-    if (e < -4 || e >= 17) {
-        *p++ = dig[0];
-        if (last > 0) {
+    int sci = e < -4 || e >= 17, point = sci ? 0 : e; /* digits before the point, less one */
+    if (point < 0) {
+        memcpy(p, "0.000", 1 - point);
+        memcpy(p + 1 - point, dig, last + 1);
+        p += 2 - point + last;
+    } else {
+        memcpy(p, dig, point + 1);
+        p += point + 1;
+        if (last > point) {
             *p++ = '.';
-            memcpy(p, dig + 1, last);
-            p += last;
+            memcpy(p, dig + point + 1, last - point);
+            p += last - point;
         }
+    }
+    if (sci) { /* e from -38 to 70, of two digits */
+        int ae = e < 0 ? -e : e;
         *p++ = 'e';
         *p++ = e < 0 ? '-' : '+';
-        int ae = e < 0 ? -e : e;
-        if (ae >= 100)
-            *p++ = (char)('0' + ae / 100);
-        *p++ = (char)('0' + ae / 10 % 10);
+        *p++ = (char)('0' + ae / 10);
         *p++ = (char)('0' + ae % 10);
-    } else if (e >= 0) {
-        memcpy(p, dig, e + 1);
-        p += e + 1;
-        if (last > e) {
-            *p++ = '.';
-            memcpy(p, dig + e + 1, last - e);
-            p += last - e;
-        }
-    } else {
-        *p++ = '0';
-        *p++ = '.';
-        for (int i = -1; i > e; i--)
-            *p++ = '0';
-        memcpy(p, dig, last + 1);
-        p += last + 1;
     }
     return p;
 }

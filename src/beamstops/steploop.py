@@ -159,6 +159,8 @@ def csv_rows(records: np.ndarray) -> str:
     line ended by a newline, by ``beamstops_csv``: every cell is the text of
     Python's ``'%.17g' % x``."""
     records = np.ascontiguousarray(records, dtype=np.float64)
+    if records.ndim != 2:
+        raise ValueError(f"the CSV writer needs (m, n) records, not shape {records.shape}")
     out = np.empty(CELL_BYTES * records.size, dtype=np.uint8)
     end = _csv(*records.shape, records.ctypes.data, out.ctypes.data)
     return str(out[:end], "ascii")

@@ -334,19 +334,15 @@ def test_a_blown_up_member_leaves_the_others_as_their_own_loops_bit_for_bit():
     assert np.array_equal(block.counts[3:], [solo.counts[3] for solo in solos])
 
 
-def percent_17g_lines(records):
-    """The CSV lines of ``records`` (6, n), each cell Python's ``'%.17g' % x``."""
-    return [",".join("%.17g" % x for x in row) for row in zip(*records.tolist())]
-
-
 def csv_mismatches(records):
-    """The lines where ``to_csv`` of a Trajectory holding ``records`` differs
-    from per-cell formatting, with the header and the final newline checked."""
+    """The lines where ``to_csv`` of a Trajectory holding ``records`` (6, n)
+    differs from Python's ``'%.17g' % x`` of each cell, with the header and
+    the final newline checked."""
     traj = dataclasses.replace(run(TIGHT, MESH, SchemeParams(0.5, 1.5e-5, 0.0)), records=records)
     text = traj.to_csv()
     assert text.startswith(Trajectory.CSV_HEADER + "\n") and text.endswith("\n")
     got = text[len(Trajectory.CSV_HEADER) + 1 : -1].split("\n") if records.shape[1] else []
-    want = percent_17g_lines(records)
+    want = [",".join("%.17g" % x for x in row) for row in zip(*records.tolist())]
     assert len(got) == len(want)
     return [(g, w) for g, w in zip(got, want) if g != w]
 
@@ -408,10 +404,15 @@ def test_a_trajectory_csv_of_0_1_and_601_rows_is_per_cell_formatting(rows):
     the header and one line per record, each ended by a newline."""
     rng = np.random.default_rng(rows)
     wide = rng.integers(-(2**63), 2**63, (6, 2 * rows), dtype=np.int64).view(np.float64)
-    wide[:, ::5] = rng.standard_normal((6, len(range(0, 2 * rows, 5))))
+    wide[:, ::5] = rng.standard_normal(wide[:, ::5].shape)
     records = wide[:, ::2]
     assert not records.flags.c_contiguous or rows < 2
     assert not csv_mismatches(records)
+
+
+def test_the_csv_writer_refuses_records_that_are_not_a_2d_block():
+    with pytest.raises(ValueError, match="needs \\(m, n\\) records"):
+        steploop.csv_rows(np.zeros(6))
 
 
 def test_the_loop_refuses_a_band_wider_than_its_kernels_hold():
@@ -465,7 +466,7 @@ def test_compiling_the_loop_peaks_under_60_mb(tmp_path):
     command into an empty cache, so that its children's peak is the
     compiler's (a child forked from a process that has imported numpy and
     scipy starts at that process's size, about 57 MB); it is under 60 MB
-    (about 51.5 MB with this source)."""
+    (about 53.7 MB with this source)."""
     target = tmp_path / "steploop.so"
     code = ("import resource, subprocess, sys; subprocess.run(sys.argv[1:], check=True); "
             "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
