@@ -411,9 +411,9 @@ void beamstops_step_rows(loop_t *L, int r, int rows)
  * 17 significant digits, correctly rounded, ties to even; "nan" for a NaN
  * of either sign, "inf", "-inf" and "-0"; fixed notation from 1e-4 up to
  * 1e17, exponent notation with at least two exponent digits outside, and
- * no trailing zeros.  The digits come from one long double product or
- * quotient with an exact power of ten, and from libc's exact snprintf
- * where that cannot tell them. */
+ * no trailing zeros.  The digits come from one or two long double products
+ * or quotients with exact powers of ten, and from libc's exact snprintf
+ * where those cannot tell them. */
 
 /* 10^s for s = 0 .. 27, exact in long double: 5^27 < 2^63 */
 static const long double POW10[28] = {
@@ -428,8 +428,8 @@ static const long double POW10[28] = {
  * most 2^(56 - LDBL_MANT_DIG), two by less than 3 times that, so floor(y)
  * and the rounding of y are those of the exact a 10^(16 - e) wherever
  * frac(y) is farther than a margin of 2 or 4 times that from 0, 1/2 and 1.
- * The first guess at e, from a's binary exponent, is off by at most one.
- * Where long double is double, no y passes. */
+ * The first guess at e, floor(e2 log10(2)) for a's binary exponent e2, is
+ * e or e - 1.  Where long double is double, no y passes. */
 static int digits17(double a, uint64_t *d, int *e)
 {
     uint64_t bits;
@@ -437,7 +437,7 @@ static int digits17(double a, uint64_t *d, int *e)
     int e2 = (int)(bits >> 52) - 1023;
     if (e2 == -1023)
         return 0; /* subnormal */
-    int e10 = (e2 * 78913) >> 18; /* about e2 log10(2) */
+    int e10 = (e2 * 78913) >> 18; /* floor(e2 log10(2)) for |e2| < 1650 */
     for (int tries = 0; tries < 2; tries++) {
         int s = 16 - e10, shift = s < 0 ? -s : s, two = shift > 27;
         if (shift > 54)
